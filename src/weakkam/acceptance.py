@@ -441,9 +441,10 @@ def run_all(ctx: AcceptanceContext | None = None, out_dir=None, echo=print):
     """Run every criterion in order, optionally writing one CSV per
     criterion plus a summary; returns the list of results.
 
-    A criterion that raises is recorded as failed with the error message,
-    and the remaining criteria still run, so partial results survive a
-    hard failure."""
+    A criterion that raises a toolkit error or a numerical crash (a
+    singular LAPACK solve, a trapped floating-point fault) is recorded as
+    failed with the exception type and message, and the remaining criteria
+    still run, so partial results survive a hard failure."""
     import os
 
     from .errors import WeakKamError
@@ -453,9 +454,9 @@ def run_all(ctx: AcceptanceContext | None = None, out_dir=None, echo=print):
     for cid, criterion in enumerate(CRITERIA, start=1):
         try:
             result = criterion(ctx)
-        except WeakKamError as exc:
+        except (WeakKamError, np.linalg.LinAlgError, FloatingPointError) as exc:
             result = CriterionResult(cid, criterion.__name__, False,
-                                     {"error": str(exc)})
+                                     {"error": f"{type(exc).__name__}: {exc}"})
         results.append(result)
         if echo:
             echo(result.line())

@@ -252,7 +252,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
     ends = z[:, -1].copy()
     zi = np.ascontiguousarray(z[:, 1:-1])
 
-    sigma = 0.5 * h * getattr(qsys, "lagrangian_xx_bound", lambda: 0.0)()
+    sigma = 0.5 * h * qsys.lagrangian_xx_bound()
     tri = (2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)) * inv_h
     pinv = np.linalg.inv(tri + sigma * np.eye(n_int)) if sigma > 0.0 \
         else h * _tridiag_inverse(n_int)
@@ -456,9 +456,10 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
     z, e_quad, gsup, converged, _ = minimize_straight_batch(sys, a, b, n_seg,
                                                             z0, settings)
 
-    # select on the batch energies (the kernel assembler uses the same
-    # rule, keeping K[i][j] and this function bit-identical); the order of
-    # the scan implements the (|winding|, winding) tie policy
+    # select on the batch energies, the kernel assembler's rule: K[i][j]
+    # equals this function bit for bit on the entries the assembler solves
+    # (orbit representatives) and to 1e-12 on the ones it mirrors; the
+    # order of the scan implements the (|winding|, winding) tie policy
     n_wind = len(windings)
     best_row = 0
     best_value = math.inf

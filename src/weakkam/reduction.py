@@ -74,6 +74,9 @@ class LiftedSystem:
     def quadrature_system(self):
         return self
 
+    def kernel_symmetries(self, n, s, delta):
+        return ()
+
     def action_offset(self, x0, x1, t0, t1):
         return 0.0
 
@@ -259,6 +262,10 @@ class TiltedSystem:
 
     def quadrature_system(self):
         return self.base.quadrature_system()
+
+    def kernel_symmetries(self, n, s, delta):
+        # the boundary offset f(start) - f(end) breaks the base's symmetries
+        return ()
 
     def action_offset(self, x0, x1, t0, t1):
         # c (t1 - t0) plus the exact telescoped differential f(start) - f(end).

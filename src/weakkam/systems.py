@@ -153,6 +153,27 @@ class LagrangianSystem:
         """System whose pointwise Lagrangian feeds the midpoint rule."""
         return self
 
+    def kernel_symmetries(self, n: int, s: float, delta: float):
+        """Index maps (i, j) -> (i', j') that leave the n-point kernel over
+        [s, s + delta] invariant.
+
+        Reflection x -> -x always does. Time reversal about the window's
+        middle transposes the kernel when the modulation is even about it,
+        that is when eps = 0 or 2s + delta is an integer. A shift by 1/q
+        is a grid shift when q divides n; the free kernel is invariant
+        under every grid shift, so one step generates them all.
+        """
+        maps = [lambda i, j: (-i % n, -j % n)]
+        if self.eps == 0.0 or float(2.0 * s + delta).is_integer():
+            maps.append(lambda i, j: (j, i))
+        if self.family == "free":
+            step = 1
+        else:
+            step = n // self.freq if n % self.freq == 0 else n
+        if step < n:
+            maps.append(lambda i, j: ((i + step) % n, (j + step) % n))
+        return tuple(maps)
+
     def action_offset(self, x0, x1, t0, t1):
         """Exact boundary term added to the midpoint quadrature (zero here)."""
         return 0.0

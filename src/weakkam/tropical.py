@@ -17,9 +17,13 @@ import numpy as np
 from .action import (MinimizationSettings, exact_row_actions,
                      minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
-from .errors import ConfigurationError, MinimizationError
+from .errors import ConfigurationError, MinimizationError, NumericalError
 
 MATMUL_CHUNK_BYTES = 1 << 25
+# mirrored kernel entries re-solved directly to check the declared
+# symmetries, and the largest gap allowed between the two values
+SYMMETRY_SAMPLE = 32
+SYMMETRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,45 @@ def _as_matrix(kernel) -> np.ndarray:
     return np.asarray(kernel, dtype=float)
 
 
+def symmetry_orbits(maps, n: int) -> np.ndarray:
+    """Orbit label of every flat kernel index i * n + j under the group the
+    index maps generate: the smallest flat index of its orbit.
+
+    Min-label closure: each pass lowers a label to the label of its image
+    under every map and then to the label of its label, until nothing
+    changes. The maps are permutations, so a fixed point is constant on
+    orbits, and every label is an orbit member no larger than its index.
+    """
+    i, j = np.divmod(np.arange(n * n), n)
+    images = [mi * n + mj for mi, mj in (f(i, j) for f in maps)]
+    label = np.arange(n * n)
+    while True:
+        lowered = label
+        for image in images:
+            lowered = np.minimum(lowered, lowered[image])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
 def assemble_kernel(sys, grid: Grid, s, delta,
                     settings: MinimizationSettings | None = None,
                     row_chunk: int | None = None) -> TropicalKernel:
     """Minimal action between all grid-point pairs over [s, s + delta].
 
-    All (start, end, winding) problems in a chunk of start rows are solved
-    as one batch; this is the hot loop of the whole toolkit. The
+    The system declares index maps under which the kernel is invariant
+    (``sys.kernel_symmetries``); one representative pair per orbit, its
+    smallest flat index, is minimized and its value copied to the rest of
+    the orbit. Before the copy is trusted, a fixed seeded sample of
+    ``SYMMETRY_SAMPLE`` mirrored entries is solved directly, and any gap
+    above ``SYMMETRY_TOLERANCE`` raises. Representatives agree with
+    ``minimal_action`` bit for bit, mirrored entries to within that
+    tolerance.
+
+    Pairs are solved in batches of ``row_chunk`` grid rows' worth of
+    pairs; this is the hot loop of the whole toolkit, and a pair's value
+    does not depend on the batch it lands in. Within a batch the
     zero-winding problems run first, and a nonzero winding row whose
     rigorous lower bound (Cauchy-Schwarz kinetic term minus the potential
     ceiling) exceeds the converged zero-winding energy can never win its
@@ -98,56 +134,79 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     a, b = float(s), float(s) + float(delta)
     qsys = sys.quadrature_system()
     kin_coeff = float(qsys.lagrangian_vv(0.0, 0.0, a))
-    pot_ceiling = getattr(qsys, "potential_upper_bound", lambda: 0.0)()
-    matrix = np.empty((n, n))
+    pot_ceiling = qsys.potential_upper_bound()
     nonzero = [k for k in windings if k != 0]
-    for i0 in range(0, n, row_chunk):
-        i1 = min(n, i0 + row_chunk)
-        rows_i = np.arange(i0, i1)
-        m_pairs = rows_i.size * n
-        starts0 = np.repeat(pts[rows_i], n)
-        ends0 = np.tile(pts, rows_i.size)
 
-        # phase one: the zero-winding problems, whose converged energies
-        # upper-bound the entries
-        z0 = _straight_lifts(starts0, ends0, n_seg)
-        z, e0, gsup, conv0, _ = minimize_straight_batch(sys, a, b, n_seg, z0,
-                                                        settings)
-        best_e = e0.copy()
-        best_rows = z
-        best_winding = np.zeros(m_pairs, dtype=int)
-        best_conv = conv0.copy()
+    def solve_pairs(flat):
+        """Entries at the given flat indices, one minimizer batch at a time."""
+        out = np.empty(flat.size)
+        step = row_chunk * n
+        for p0 in range(0, flat.size, step):
+            pairs = flat[p0:p0 + step]
+            starts0 = pts[pairs // n]
+            ends0 = pts[pairs % n]
 
-        # phase two: other windings, pruned where their rigorous lower
-        # bound already exceeds the zero-winding value
-        for k in nonzero:
-            ends_k = ends0 + k
-            lower = (kin_coeff * (ends_k - starts0) ** 2 / (2.0 * (b - a))
-                     - (b - a) * pot_ceiling)
-            keep = np.flatnonzero(lower <= best_e)
-            if keep.size == 0:
-                continue
-            zk_init = _straight_lifts(starts0[keep], ends_k[keep], n_seg)
-            zk, ek, _, convk, _ = minimize_straight_batch(
-                sys, a, b, n_seg, zk_init, settings)
-            better = ek < best_e[keep]  # strict: ties keep smaller |winding|
-            rows = keep[better]
-            best_e[rows] = ek[better]
-            best_rows[rows] = zk[better]
-            best_winding[rows] = k
-            best_conv[rows] = convk[better]
+            # phase one: the zero-winding problems, whose converged
+            # energies upper-bound the entries
+            z0 = _straight_lifts(starts0, ends0, n_seg)
+            z, e0, gsup, conv0, _ = minimize_straight_batch(sys, a, b, n_seg, z0,
+                                                            settings)
+            best_e = e0.copy()
+            best_rows = z
+            best_winding = np.zeros(pairs.size, dtype=int)
+            best_conv = conv0.copy()
 
-        if not best_conv.all():
-            flat = int(np.flatnonzero(~best_conv)[0])
-            raise MinimizationError(
-                "kernel entry failed to converge",
-                where=(int(rows_i[flat // n]), int(flat % n)),
-                best_value=float(best_e[flat]))
+            # phase two: other windings, pruned where their rigorous lower
+            # bound already exceeds the zero-winding value
+            for k in nonzero:
+                ends_k = ends0 + k
+                lower = (kin_coeff * (ends_k - starts0) ** 2 / (2.0 * (b - a))
+                         - (b - a) * pot_ceiling)
+                keep = np.flatnonzero(lower <= best_e)
+                if keep.size == 0:
+                    continue
+                zk_init = _straight_lifts(starts0[keep], ends_k[keep], n_seg)
+                zk, ek, _, convk, _ = minimize_straight_batch(
+                    sys, a, b, n_seg, zk_init, settings)
+                better = ek < best_e[keep]  # strict: ties keep smaller |winding|
+                rows = keep[better]
+                best_e[rows] = ek[better]
+                best_rows[rows] = zk[better]
+                best_winding[rows] = k
+                best_conv[rows] = convk[better]
 
-        values = exact_row_actions(sys, a, b, best_rows)
-        values += np.asarray(sys.action_offset(starts0, ends0 + best_winding,
-                                               a, b), dtype=float)
-        matrix[i0:i1] = values.reshape(rows_i.size, n)
+            if not best_conv.all():
+                bad = int(np.flatnonzero(~best_conv)[0])
+                raise MinimizationError(
+                    "kernel entry failed to converge",
+                    where=divmod(int(pairs[bad]), n),
+                    best_value=float(best_e[bad]))
+
+            values = exact_row_actions(sys, a, b, best_rows)
+            values += np.asarray(sys.action_offset(starts0, ends0 + best_winding,
+                                                   a, b), dtype=float)
+            out[p0:p0 + pairs.size] = values
+        return out
+
+    label = symmetry_orbits(sys.kernel_symmetries(n, a, float(delta)), n)
+    flat = np.arange(n * n)
+    reps = np.flatnonzero(label == flat)
+    values = np.empty(n * n)
+    values[reps] = solve_pairs(reps)
+    matrix = values[label].reshape(n, n)
+
+    mirrored = np.flatnonzero(label != flat)
+    if mirrored.size:
+        rng = np.random.default_rng(0)  # a fixed sample: assembly stays deterministic
+        sample = np.sort(rng.choice(mirrored, size=min(SYMMETRY_SAMPLE, mirrored.size),
+                                    replace=False))
+        gaps = np.abs(solve_pairs(sample) - values[label[sample]])
+        worst = int(np.argmax(gaps))
+        if not gaps[worst] <= SYMMETRY_TOLERANCE:
+            i, j = divmod(int(sample[worst]), n)
+            raise NumericalError(
+                f"declared kernel symmetry fails at K[{i}][{j}]: its direct "
+                f"solve differs from the mirrored value by {gaps[worst]:.3e}")
     return TropicalKernel(grid=grid, s=a, delta=float(delta), matrix=matrix)
 
 

@@ -4,9 +4,12 @@ asserts the criterion at its stated tolerance.
 The context is session scoped: kernels, barriers, and orbits are assembled
 once and shared by all criteria, as the command line bundle does.
 """
+import numpy as np
 import pytest
 
-from weakkam.acceptance import (AcceptanceContext, criterion_01_critical_value,
+from weakkam import acceptance
+from weakkam.acceptance import (AcceptanceContext, CriterionResult,
+                                criterion_01_critical_value,
                                 criterion_02_barrier_oracle,
                                 criterion_03_aubry_detection,
                                 criterion_04_floquet,
@@ -75,3 +78,21 @@ def test_criterion_11_dwell_diagnostics(ctx):
 
 def test_criterion_12_determinism(ctx):
     _check(criterion_12_determinism(ctx))
+
+
+def test_run_all_records_numerical_crashes(monkeypatch):
+    def singular(ctx):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def overflow(ctx):
+        raise FloatingPointError("overflow encountered in exp")
+
+    def fine(ctx):
+        return CriterionResult(3, "fine", True, {})
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (singular, overflow, fine))
+    results = acceptance.run_all(AcceptanceContext(), echo=None)
+    assert [r.passed for r in results] == [False, False, True]
+    assert results[0].details == {"error": "LinAlgError: Singular matrix"}
+    assert results[1].details == {
+        "error": "FloatingPointError: overflow encountered in exp"}

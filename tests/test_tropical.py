@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weakkam import (ConfigurationError, Grid, GridFunction, LagrangianSystem,
-                     assemble_kernel, karp_eigenvalue, min_cycle_mean,
-                     minplus_apply, minplus_matmul, minplus_power,
-                     tropical_eigenvector)
+                     NumericalError, assemble_kernel, karp_eigenvalue,
+                     min_cycle_mean, minimal_action, minplus_apply,
+                     minplus_matmul, minplus_power, tropical_eigenvector)
+from weakkam.tropical import symmetry_orbits
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
+MECH_Q2 = LagrangianSystem(family="mechanical-cos", freq=2)
+MECH_EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
+MECH_Q2_EPS = LagrangianSystem(family="mechanical-cos", freq=2, eps=0.1)
 
 int_kernels = arrays(np.float64, (6, 6),
                      elements=st.integers(-9, 9).map(float))
@@ -53,6 +57,95 @@ def test_kernel_independent_of_integer_start_shift():
     k0 = assemble_kernel(eps_sys, Grid(16), 0.0, 1.0)
     k1 = assemble_kernel(eps_sys, Grid(16), 1.0, 1.0)
     assert np.array_equal(k0.matrix, k1.matrix)
+
+
+class Declaring:
+    """A built-in system that declares the given kernel symmetries instead
+    of its own."""
+
+    def __init__(self, base, maps=()):
+        self.base = base
+        self.maps = maps
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def kernel_symmetries(self, n, s, delta):
+        return self.maps
+
+
+class MissingBound:
+    """A system whose quadrature side lacks one of the two bounds."""
+
+    def __init__(self, base, missing):
+        self.base = base
+        self.missing = missing
+
+    def __getattr__(self, name):
+        if name == self.missing:
+            raise AttributeError(name)
+        return getattr(self.base, name)
+
+    def quadrature_system(self):
+        return self
+
+
+@pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
+def test_kernel_bits_independent_of_row_chunk(sys):
+    reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
+    for row_chunk in (1, 3, 7):
+        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0, row_chunk=row_chunk)
+        assert np.array_equal(kernel.matrix, reference), row_chunk
+
+
+@pytest.mark.parametrize("sys, s, delta", [
+    (MECH, 0.0, 1.0), (MECH_Q2, 0.0, 1.0), (MECH_EPS, 0.0, 1.0),
+    (MECH_Q2_EPS, 0.0, 1.0), (MECH_EPS, 0.25, 1.0), (MECH, 0.3, 0.45)],
+    ids=["q1", "q2", "eps", "q2-eps", "eps-shifted", "fractional"])
+def test_symmetric_kernel_matches_direct_solves(sys, s, delta):
+    grid = Grid(12)
+    kernel = assemble_kernel(sys, grid, s, delta)
+    direct = np.array([[minimal_action(sys, x, s, y, s + delta)[0]
+                        for y in grid.points] for x in grid.points])
+    assert np.max(np.abs(kernel.matrix - direct)) <= 1e-12
+
+
+def test_transpose_needs_an_even_modulation():
+    n = 12
+    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.25, 1.0), n)
+    assert label[0 * n + 1] != label[1 * n + 0]
+    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.0, 1.0), n)
+    assert label[0 * n + 1] == label[1 * n + 0]
+
+
+def test_half_period_shift_needs_an_even_grid():
+    # the orbit of (0, 0) holds (n/2, n/2) exactly when the shift is declared
+    label = symmetry_orbits(MECH_Q2.kernel_symmetries(9, 0.0, 1.0), 9)
+    assert np.flatnonzero(label == 0).tolist() == [0]
+    label = symmetry_orbits(MECH_Q2.kernel_symmetries(8, 0.0, 1.0), 8)
+    assert np.flatnonzero(label == 0).tolist() == [0, 4 * 8 + 4]
+
+
+def test_representatives_match_the_unreduced_kernel_bit_for_bit():
+    n = 12
+    kernel = assemble_kernel(MECH_EPS, Grid(n), 0.0, 1.0)
+    plain = assemble_kernel(Declaring(MECH_EPS), Grid(n), 0.0, 1.0)
+    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.0, 1.0), n)
+    reps = np.flatnonzero(label == np.arange(n * n))
+    assert reps.size < n * n
+    assert np.array_equal(kernel.matrix.flat[reps], plain.matrix.flat[reps])
+
+
+def test_false_symmetry_declaration_raises():
+    wrong = Declaring(MECH_EPS, (lambda i, j: (j, i),))
+    with pytest.raises(NumericalError, match="symmetry fails at K"):
+        assemble_kernel(wrong, Grid(12), 0.25, 1.0)
+
+
+@pytest.mark.parametrize("missing", ["potential_upper_bound", "lagrangian_xx_bound"])
+def test_missing_bound_raises(missing):
+    with pytest.raises(AttributeError, match=missing):
+        assemble_kernel(MissingBound(MECH, missing), Grid(8), 0.0, 1.0)
 
 
 def test_mech_kernel_rest_loop():
