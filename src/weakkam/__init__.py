@@ -27,7 +27,7 @@ from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       reduce_mod_1, torus_distance)
 from .tropical import (Grid, GridFunction, TropicalKernel, assemble_kernel,
                        karp_eigenvalue, min_cycle_mean, minplus_apply,
-                       minplus_matmul, minplus_power, tropical_eigenvector)
+                       minplus_matmul, tropical_eigenvector)
 from .weak_kam import (AubrySet, BarrierMatrix, ConnectionGraph, aubry_set,
                        backward_solution, connection_graph,
                        conjugate_pair_coincidence, critical_value,

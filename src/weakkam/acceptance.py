@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import MinimizationSettings
+from .errors import NumericalError, WeakKamError
 from .experiments import dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
@@ -89,9 +90,14 @@ class AcceptanceContext:
         if key not in self._barriers:
             kernel = self.kernel(freq, eps, n)
             c = karp_eigenvalue(kernel)
-            self._barriers[key] = peierls_barrier(
-                self.system(freq, eps), Grid(n), c, self.scale.horizon,
-                self.settings, kernel=kernel)
+            sys = self.system(freq, eps)
+            barrier = peierls_barrier(sys, Grid(n), c, self.scale.horizon,
+                                      self.settings, kernel=kernel)
+            if not barrier.stabilized:
+                raise NumericalError(
+                    f"barrier of {sys.label()} on grid {n} not stabilized at "
+                    f"horizon {self.scale.horizon}: defect {barrier.defect:.3e}")
+            self._barriers[key] = barrier
         return self._barriers[key]
 
     def orbit(self, freq: int, eps: float, guess_x: float) -> PeriodicOrbit:
@@ -446,8 +452,6 @@ def run_all(ctx: AcceptanceContext | None = None, out_dir=None, echo=print):
     failed with the exception type and message, and the remaining criteria
     still run, so partial results survive a hard failure."""
     import os
-
-    from .errors import WeakKamError
 
     ctx = ctx or AcceptanceContext()
     results = []

@@ -194,8 +194,16 @@ def _barrier_for(args, t_frac=0.0):
     settings = _settings(args)
     kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
     c = karp_eigenvalue(kernel)
-    return sys, grid, settings, kernel, c, peierls_barrier(
-        sys, grid, c, args.horizon, settings, t_frac=t_frac, kernel=kernel)
+    barrier = peierls_barrier(sys, grid, c, args.horizon, settings,
+                              t_frac=t_frac, kernel=kernel)
+    _warn_unstabilized(barrier)
+    return sys, grid, settings, kernel, c, barrier
+
+
+def _warn_unstabilized(barrier) -> None:
+    if not barrier.stabilized:
+        print(f"warning: barrier not stabilized (defect {fmt(barrier.defect)})",
+              file=_sys.stderr)
 
 
 def _cmd_barrier(args) -> int:
@@ -205,6 +213,8 @@ def _cmd_barrier(args) -> int:
     print(f"c,{fmt(c)}")
     print(f"defect,{fmt(barrier.defect)}")
     print(f"stabilized,{fmt(barrier.stabilized)}")
+    print(f"turnpike,{fmt(barrier.turnpike)}")
+    print(f"period,{fmt(barrier.period)}")
     return 0
 
 
@@ -309,6 +319,7 @@ def _cmd_dwell(args) -> int:
     kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
     c = karp_eigenvalue(kernel)
     barrier = peierls_barrier(sys, grid, c, 40, settings, kernel=kernel)
+    _warn_unstabilized(barrier)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,
                               args.horizon, delta=args.delta, settings=settings)

@@ -19,7 +19,6 @@ from .action import (MinimizationSettings, exact_row_actions,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
 
-MATMUL_CHUNK_BYTES = 1 << 25
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
 SYMMETRY_SAMPLE = 32
@@ -222,25 +221,20 @@ def minplus_apply(kernel, u):
 
 
 def minplus_matmul(a, b):
-    """C[i][j] = min_m A[i][m] + B[m][j], chunked over rows of A."""
+    """C[i][j] = min_m A[i][m] + B[m][j], accumulated in place over m.
+
+    One n x n output and one n x n scratch row-sum are reused for every
+    inner index; min is exact, so the order of accumulation does not
+    change a bit of the result.
+    """
     amat, bmat = _as_matrix(a), _as_matrix(b)
     if amat.shape[1] != bmat.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    out = np.empty((amat.shape[0], bmat.shape[1]))
-    chunk = max(1, MATMUL_CHUNK_BYTES // (8 * amat.shape[1] * bmat.shape[1]))
-    for r0 in range(0, amat.shape[0], chunk):
-        r1 = min(amat.shape[0], r0 + chunk)
-        out[r0:r1] = np.min(amat[r0:r1, :, None] + bmat[None, :, :], axis=1)
-    return out
-
-
-def minplus_power(kernel, k: int):
-    mat = _as_matrix(kernel)
-    if k < 1:
-        raise ConfigurationError("power must be positive")
-    out = mat.copy()
-    for _ in range(k - 1):
-        out = minplus_matmul(out, mat)
+    out = np.full((amat.shape[0], bmat.shape[1]), np.inf)
+    tmp = np.empty_like(out)
+    for m in range(amat.shape[1]):
+        np.add(amat[:, m, None], bmat[m], out=tmp)
+        np.minimum(out, tmp, out=out)
     return out
 
 

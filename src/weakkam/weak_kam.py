@@ -2,10 +2,14 @@
 connection graph between Aubry classes.
 
 The barrier is realized as the entrywise running minimum over the tail of
-the tropical powers of the c-shifted unit kernel; for the built-in systems
-the powers reach an exact fixed matrix after finitely many steps (a
-tropical turnpike), the tail minimum is then that limit, and the reported
-defect quantifies trust.
+the tropical powers of the c-shifted unit kernel. By max-plus cyclicity
+these powers become exactly periodic after finitely many steps (a
+tropical turnpike): for the built-in mechanical systems P^m == P^(m-p)
+bit for bit after three or four powers. The product is deterministic, so
+from the first such match on every later power repeats an earlier one,
+and the barrier stops multiplying there and reads the tail at the
+requested horizon by index. Its values and defect are bit-identical to
+running all the products; the defect quantifies trust.
 """
 from __future__ import annotations
 
@@ -34,6 +38,10 @@ class BarrierMatrix:
     defect: float
     stabilized: bool
     c: float
+    # first power m with P^m == P^(m - period), or None if the horizon
+    # was reached before the powers repeated
+    turnpike: int | None
+    period: int | None
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,20 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     units, which can undercut the barrier by order 1e-2 on the built-in
     systems), and a minimum over all powers would return that smaller
     quantity instead of the barrier. The entrywise running minimum is
-    therefore taken over the last few powers only; once the powers reach
-    their finite fixed matrix the tail minimum is that limit, and the
-    defect (change of the tail minimum over the final step) reports any
-    residual drift.
+    therefore taken over the last ``BARRIER_TAIL_WINDOW`` powers up to
+    ``horizon``, and the defect (change of the tail minimum over the final
+    step) reports any residual drift.
+
+    Each new power P^m is compared bitwise with the previous
+    ``BARRIER_TAIL_WINDOW`` powers. At the first match P^m == P^(m - p)
+    the products stop: every later power equals the held power with the
+    same index modulo p, so the tail at ``horizon`` is read from the last
+    p powers, and values, defect and stabilized are bit-identical to
+    running all ``horizon - 1`` products. The match is recorded as
+    ``turnpike`` = m and ``period`` = p. Powers that never repeat within
+    the horizon (a kernel not shifted by its critical value, or the free
+    system on grid n before power n/2 + 1) run every product and record
+    None.
 
     For offsets (s_frac, t_frac) with t_frac != s_frac the powers are
     post-composed with the fractional kernel over [s_frac, s_frac + df]
@@ -107,15 +125,25 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     if kernel is None:
         kernel = assemble_kernel(sys, grid, s_frac, 1.0, settings)
     shifted = kernel.matrix + c
-    tail = [shifted.copy()]
-    power = shifted
-    for _ in range(horizon - 1):
-        power = minplus_matmul(power, shifted)
-        tail.append(power)
-        if len(tail) > BARRIER_TAIL_WINDOW + 1:
-            tail.pop(0)
-    running = np.minimum.reduce(tail[-BARRIER_TAIL_WINDOW:])
-    prev = np.minimum.reduce(tail[:-1][-BARRIER_TAIL_WINDOW:])
+    tail = [shifted]  # P^(last - len(tail) + 1) .. P^last
+    last, period = 1, None
+    while last < horizon and period is None:
+        power = minplus_matmul(tail[-1], shifted)
+        last += 1
+        period = next((p for p in range(1, min(BARRIER_TAIL_WINDOW, len(tail)) + 1)
+                       if np.array_equal(power, tail[-p])), None)
+        tail = (tail + [power])[-(BARRIER_TAIL_WINDOW + 1):]
+    turnpike = None if period is None else last
+
+    def at(e):
+        """P^e for last - BARRIER_TAIL_WINDOW <= e <= horizon."""
+        if e > last:
+            e = turnpike - period + (e - turnpike) % period
+        return tail[e - last - 1]
+
+    window = [at(e) for e in range(max(1, horizon - BARRIER_TAIL_WINDOW), horizon + 1)]
+    running = np.minimum.reduce(window[-BARRIER_TAIL_WINDOW:])
+    prev = np.minimum.reduce(window[:-1][-BARRIER_TAIL_WINDOW:])
     defect = float(np.max(np.abs(running - prev)))
     values = running
     if t_frac != s_frac:
@@ -125,7 +153,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
         values = minplus_matmul(running, fractional_kernel.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
                          values=values, horizon=int(horizon), defect=defect,
-                         stabilized=bool(defect <= stab_tol), c=float(c))
+                         stabilized=bool(defect <= stab_tol), c=float(c),
+                         turnpike=turnpike, period=period)
 
 
 def default_aubry_tolerance(grid: Grid, settings: MinimizationSettings | None = None,

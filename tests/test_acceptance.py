@@ -7,8 +7,9 @@ once and shared by all criteria, as the command line bundle does.
 import numpy as np
 import pytest
 
-from weakkam import acceptance
-from weakkam.acceptance import (AcceptanceContext, CriterionResult,
+from weakkam import NumericalError, acceptance
+from weakkam.acceptance import (AcceptanceContext, AcceptanceScale,
+                                CriterionResult,
                                 criterion_01_critical_value,
                                 criterion_02_barrier_oracle,
                                 criterion_03_aubry_detection,
@@ -96,3 +97,10 @@ def test_run_all_records_numerical_crashes(monkeypatch):
     assert results[0].details == {"error": "LinAlgError: Singular matrix"}
     assert results[1].details == {
         "error": "FloatingPointError: overflow encountered in exp"}
+
+
+def test_unstabilized_barrier_raises():
+    # at grid 16 the powers first repeat at P^3, so horizon 2 still drifts
+    ctx = AcceptanceContext(AcceptanceScale(n_main=16, horizon=2))
+    with pytest.raises(NumericalError, match=r"q=1.*grid 16.*horizon 2: defect"):
+        ctx.barrier(1, 0.0, 16)

@@ -52,11 +52,22 @@ def test_barrier_and_aubry(tmp_path, capsys):
                            "--out", str(out_file))
     assert code == 0
     assert "c," in out and "stabilized,true" in out
-    code, out, _ = run_cli(capsys, "aubry", "--grid", "16", "--horizon", "12",
-                           "--tol", "1e-6")
-    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("stabilized,true") + 1:] == ["turnpike,3", "period,1"]
+    code, out, err = run_cli(capsys, "aubry", "--grid", "16", "--horizon", "12",
+                             "--tol", "1e-6")
+    assert code == 0 and err == ""
     assert "clusters,1" in out
     assert "representatives,0" in out
+
+
+def test_unstabilized_barrier_warns(capsys):
+    code, out, err = run_cli(capsys, "barrier", "--system", "free", "--grid", "16",
+                             "--horizon", "4")
+    assert code == 0
+    assert "stabilized,false" in out and "turnpike,\nperiod,\n" in out
+    assert err.startswith("warning: barrier not stabilized (defect ")
+    assert len(err.splitlines()) == 1
 
 
 def test_graph_two_wells(capsys):

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from weakkam import (ConfigurationError, Grid, GridFunction, LagrangianSystem,
                      NumericalError, assemble_kernel, karp_eigenvalue,
                      min_cycle_mean, minimal_action, minplus_apply,
-                     minplus_matmul, minplus_power, tropical_eigenvector)
+                     minplus_matmul, tropical_eigenvector)
 from weakkam.tropical import symmetry_orbits
 
 FREE = LagrangianSystem(family="free")
@@ -217,15 +217,25 @@ def test_minplus_monotone_and_nonexpansive(kernel, u, w):
     assert np.max(np.abs(du)) <= np.max(np.abs(u - w))
 
 
-def test_minplus_power_matches_repeated_apply():
+def test_minplus_matmul_matches_repeated_apply():
     rng = np.random.default_rng(5)
     kernel = rng.integers(-5, 6, size=(7, 7)).astype(float)
     u = rng.integers(-5, 6, size=7).astype(float)
-    cubed = minplus_power(kernel, 3)
+    cubed = minplus_matmul(minplus_matmul(kernel, kernel), kernel)
     stepped = u.copy()
     for _ in range(3):
         stepped, _ = minplus_apply(kernel, stepped)
     assert np.array_equal(minplus_apply(cubed, u)[0], stepped)
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 1, 1), (3, 5, 7), (64, 64, 64)])
+def test_minplus_matmul_matches_broadcast_min(m, k, n):
+    rng = np.random.default_rng(m * k * n)
+    # small positive integers, so many sums tie and no minimum is zero
+    a = rng.integers(1, 5, size=(m, k)).astype(float)
+    b = rng.integers(1, 5, size=(k, n)).astype(float)
+    expected = np.min(a[:, :, None] + b[None], axis=1)
+    assert minplus_matmul(a, b).tobytes() == expected.tobytes()
 
 
 def test_tropical_eigenvector_free(free_kernel):

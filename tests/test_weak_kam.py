@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import weakkam.weak_kam as weak_kam
 from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
-                     LagrangianSystem, NotConjugateError, aubry_set,
-                     assemble_kernel, backward_solution, connection_graph,
-                     conjugate_pair_coincidence, critical_value,
-                     default_aubry_tolerance, forward_solution,
+                     LagrangianSystem, NotConjugateError, TropicalKernel,
+                     aubry_set, assemble_kernel, backward_solution,
+                     connection_graph, conjugate_pair_coincidence,
+                     critical_value, default_aubry_tolerance, forward_solution,
                      karp_eigenvalue, minimizing_chain, minplus_apply,
                      peierls_barrier, semigroup_limit)
 
@@ -73,6 +74,91 @@ def test_barrier_monotone_in_horizon_past_turnpike(mech_kernel):
                 for hz in (12, 16, 24)]
     for coarse, fine in zip(barriers, barriers[1:]):
         assert np.all(fine.values <= coarse.values + 1e-12)
+
+
+def _full_loop_barrier(shifted, horizon):
+    """The barrier tail by all horizon - 1 products, with no early stop."""
+    window = weak_kam.BARRIER_TAIL_WINDOW
+    tail = [shifted.copy()]
+    power = shifted
+    for _ in range(horizon - 1):
+        power = weak_kam.minplus_matmul(power, shifted)
+        tail.append(power)
+        if len(tail) > window + 1:
+            tail.pop(0)
+    running = np.minimum.reduce(tail[-window:])
+    prev = np.minimum.reduce(tail[:-1][-window:])
+    return running, float(np.max(np.abs(running - prev)))
+
+
+def _cyclic_kernel(length, n=8):
+    """Integer kernel whose only zero-weight cycle is 0 -> 1 -> .. -> 0 of
+    the given length, so its powers end up periodic with that period."""
+    i, j = np.indices((n, n))
+    matrix = 1.0 + (i + 2 * j) % 4
+    matrix[np.arange(length), (np.arange(length) + 1) % length] = 0.0
+    return TropicalKernel(grid=Grid(n), s=0.0, delta=1.0, matrix=matrix)
+
+
+@pytest.fixture(scope="module")
+def barrier_cases(mech_kernel, free_kernel):
+    """(kernel, c, period) per case; period None: no repeat within 40 powers."""
+    return {
+        "mechanical": (mech_kernel, karp_eigenvalue(mech_kernel), 1),
+        "free": (free_kernel, 0.0, 1),
+        "unshifted": (mech_kernel, 0.0, None),  # powers drift by -c per step
+        "cycle-2": (_cyclic_kernel(2), 0.0, 2),
+        "cycle-3": (_cyclic_kernel(3), 0.0, 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["mechanical", "free", "unshifted", "cycle-2",
+                                  "cycle-3"])
+def test_barrier_turnpike_stop_bit_identical(barrier_cases, case):
+    kernel, c, period = barrier_cases[case]
+    grid = kernel.grid
+    for horizon in list(range(2, 13)) + [24, 40]:
+        barrier = peierls_barrier(None, grid, c, horizon, kernel=kernel)
+        values, defect = _full_loop_barrier(kernel.matrix + c, horizon)
+        assert barrier.values.tobytes() == values.tobytes()
+        assert barrier.defect == defect
+        assert barrier.stabilized == (defect <= weak_kam.STABILIZATION_TOL)
+        assert barrier.horizon == horizon
+        if barrier.turnpike is None:
+            assert barrier.period is None
+        else:
+            assert barrier.turnpike <= horizon and barrier.period == period
+    if period is None:
+        assert barrier.turnpike is None
+
+
+def test_barrier_free_repeats_only_past_half_grid(barrier_cases):
+    # unit grid steps reach every point within n / 2 steps, after which no
+    # longer walk is cheaper: the free powers repeat only from P^33 == P^32
+    kernel, c, _ = barrier_cases["free"]
+    assert peierls_barrier(FREE, Grid(N), c, 32, kernel=kernel).turnpike is None
+    barrier = peierls_barrier(FREE, Grid(N), c, 40, kernel=kernel)
+    assert (barrier.turnpike, barrier.period) == (N // 2 + 1, 1)
+
+
+@pytest.mark.parametrize("case", ["mechanical", "free", "unshifted"])
+def test_barrier_products_stop_at_turnpike(barrier_cases, monkeypatch, case):
+    kernel, c, period = barrier_cases[case]
+    calls = []
+    real = weak_kam.minplus_matmul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(weak_kam, "minplus_matmul", counting)
+    barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
+    if period is None:
+        assert barrier.turnpike is None and len(calls) == 39
+    else:
+        assert len(calls) == barrier.turnpike - 1 < 39
+    if case == "mechanical":
+        assert barrier.turnpike <= 4
 
 
 def test_barrier_requires_horizon():
