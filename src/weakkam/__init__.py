@@ -7,8 +7,8 @@ Floquet data of hyperbolic periodic orbits, and convergence-rate
 experiments.
 """
 
-from .action import (MinimizationSettings, action_potential,
-                     discrete_el_residual, minimal_action)
+from .action import (MinimizationSettings, discrete_el_residual,
+                     minimal_action)
 from .errors import (ConfigurationError, DegenerateOrbitError,
                      EmptyAubrySetError, InsufficientDataError,
                      InvalidSubsolutionError, MinimizationError, NoOrbitError,
@@ -23,15 +23,14 @@ from .reduction import (LiftedSystem, MaupertuisSubsolution, TiltedSystem,
                         lift_curve, lift_system, subsolution_from_tag,
                         tilt_system)
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
-                      curve_action, eval_lagrangian, legendre_transform,
-                      reduce_mod_1, torus_distance)
+                      curve_action, reduce_mod_1, torus_distance)
 from .tropical import (Grid, GridFunction, TropicalKernel, assemble_kernel,
                        karp_eigenvalue, min_cycle_mean, minplus_apply,
-                       minplus_matmul, tropical_eigenvector)
+                       minplus_matmul)
 from .weak_kam import (AubrySet, BarrierMatrix, ConnectionGraph, aubry_set,
                        backward_solution, connection_graph,
                        conjugate_pair_coincidence, critical_value,
                        default_aubry_tolerance, forward_solution,
-                       minimizing_chain, peierls_barrier, semigroup_limit)
+                       peierls_barrier, semigroup_limit)
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Fixed-endpoint minimal action by the direct method.
 
 The discrete objective is the midpoint-rule action of a broken line with
-the endpoints pinned; windings are enumerated explicitly and the straight
-lift in each winding class seeds a first-order descent. Many endpoint
-pairs are minimized simultaneously as rows of one batch, which is what
-makes kernel assembly affordable: every iteration is a handful of
-vectorized trig evaluations over the whole batch.
+the endpoints pinned; the straight lift in each winding class seeds a
+first-order descent. Many endpoint pairs are minimized simultaneously as
+rows of one batch, which is what makes kernel assembly affordable: every
+iteration is a handful of vectorized trig evaluations over the whole
+batch. The search over windings, with its pruning and tie policy, is
+``tropical.winding_search``; ``minimal_action`` is its one-pair call.
 
 Descent uses the exact inverse of the free-action Hessian (a constant
 tridiagonal) as preconditioner, a per-row spectral (Barzilai-Borwein)
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, MinimizationError
+from .errors import ConfigurationError
 from .systems import DiscretizedCurve, curve_action, reduce_mod_1
 
 ARMIJO = 1e-4
@@ -36,16 +37,14 @@ class MinimizationSettings:
     ``n_segments`` counts segments per unit of elapsed time;
     ``winding_range`` bounds the enumerated windings per unit of elapsed
     time; ``gradient_tolerance`` is on the sup norm of the discrete-action
-    gradient. ``n_restarts`` > 1 adds seeded smooth perturbations of the
-    straight lift as extra starts.
+    gradient, and a winning row that misses it raises
+    ``MinimizationError``.
     """
 
     n_segments: int = 32
     winding_range: int = 1
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-9
-    n_restarts: int = 1
-    restart_seed: int = 0
 
     def __post_init__(self):
         if self.n_segments < 2:
@@ -56,8 +55,6 @@ class MinimizationSettings:
             raise ConfigurationError("max_iterations must be positive")
         if not (0.0 < self.gradient_tolerance < 1.0):
             raise ConfigurationError("gradient tolerance must lie in (0, 1)")
-        if self.n_restarts < 1:
-            raise ConfigurationError("n_restarts must be at least 1")
 
 
 def segments_for(duration: float, settings: MinimizationSettings) -> int:
@@ -109,6 +106,17 @@ def _thomas_spd(diag, off, rhs):
     return x, ok
 
 
+def _tridiagonal_hessian(qsys, mid, vel, tmid, h):
+    """(diag, off) of the discrete-action Hessian in the interior samples,
+    from L_vv and L_xx at the segment midpoints; the quadrature Lagrangian
+    has no xv coupling for every built-in family and lift."""
+    kin = np.asarray(qsys.lagrangian_vv(mid, vel, tmid), dtype=float) / h
+    curv = 0.25 * h * np.asarray(qsys.lagrangian_xx(mid, vel, tmid), dtype=float)
+    diag = (kin[:, :-1] + kin[:, 1:]) + (curv[:, :-1] + curv[:, 1:])
+    off = -kin[:, 1:-1] + curv[:, 1:-1]
+    return diag, off
+
+
 def _polish_rows(qsys, a, b, n_seg, z, tol, budget):
     """Damped regularized Newton on the discrete stationarity system,
     batched over rows.
@@ -141,11 +149,7 @@ def _polish_rows(qsys, a, b, n_seg, z, tol, budget):
         if idx.size == 0:
             break
         za, ga = z[idx], g[idx]
-        kin = np.asarray(qsys.lagrangian_vv(mid[idx], vel[idx], tmid), dtype=float) / h
-        curv = 0.25 * h * np.asarray(qsys.lagrangian_xx(mid[idx], vel[idx], tmid),
-                                     dtype=float)
-        diag = (kin[:, :-1] + kin[:, 1:]) + (curv[:, :-1] + curv[:, 1:])
-        off = -kin[:, 1:-1] + curv[:, 1:-1]
+        diag, off = _tridiagonal_hessian(qsys, mid[idx], vel[idx], tmid, h)
         scale = np.max(np.abs(diag), axis=1)
         rid = reg[idx].copy()
         step = np.empty_like(ga)
@@ -209,10 +213,7 @@ def _hessian_pd_mask(qsys, a, b, n_seg, rows):
     tmid = a + h * (np.arange(n_seg) + 0.5)
     vel = np.diff(rows, axis=1) / h
     mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
-    kin = np.asarray(qsys.lagrangian_vv(mid, vel, tmid), dtype=float) / h
-    curv = 0.25 * h * np.asarray(qsys.lagrangian_xx(mid, vel, tmid), dtype=float)
-    diag = (kin[:, :-1] + kin[:, 1:]) + (curv[:, :-1] + curv[:, 1:])
-    off = -kin[:, 1:-1] + curv[:, 1:-1]
+    diag, off = _tridiagonal_hessian(qsys, mid, vel, tmid, h)
     _, ok = _thomas_spd(diag, off, np.zeros_like(diag))
     return ok
 
@@ -417,83 +418,28 @@ def discrete_el_residual(sys, curve: DiscretizedCurve) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def _restart_rows(z0, settings: MinimizationSettings):
-    if settings.n_restarts == 1:
-        return z0
-    rng = np.random.default_rng(settings.restart_seed)
-    n_pts = z0.shape[1]
-    frac = np.arange(n_pts) / (n_pts - 1)
-    rows = [z0]
-    for _ in range(settings.n_restarts - 1):
-        bump = np.zeros(n_pts)
-        for mode in (1, 2, 3):
-            bump += rng.normal(0.0, 0.1 / mode) * np.sin(np.pi * mode * frac)
-        pert = z0 + bump[None, :]
-        pert[:, 0] = z0[:, 0]
-        pert[:, -1] = z0[:, -1]
-        rows.append(pert)
-    return np.vstack(rows)
-
-
 def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None):
     """Least action over curves from (x, a) to (y, b), with winding search.
 
     Returns (value, curve). The value is ``curve_action`` of the returned
-    curve, bit for bit. Ties between windings break toward smaller
-    absolute winding, then lexicographically.
+    curve, bit for bit. Windings are searched, pruned and selected by
+    ``tropical.winding_search``, the kernel assembler's own search: ties
+    break toward smaller absolute winding, then toward the negative one,
+    and a winner that did not converge raises ``MinimizationError``
+    carrying its value and curve. The value agrees with the kernel entry
+    for the same endpoints to rounding (1e-12), not bit for bit: BLAS
+    evaluates the one-row products of a one-pair batch by a different
+    routine than the many-row products of a kernel batch.
     """
+    # tropical imports this module, so the search is imported at call time
+    from .tropical import winding_search
+
     if settings is None:
         settings = MinimizationSettings()
     if not b > a:
         raise ConfigurationError("minimal_action requires b > a")
-    x = float(reduce_mod_1(x))
-    y = float(reduce_mod_1(y))
-    n_seg = segments_for(b - a, settings)
-    windings = winding_candidates(b - a, settings)
-    starts = np.full(len(windings), x)
-    ends = np.array([y + k for k in windings], dtype=float)
-    z0 = _restart_rows(_straight_lifts(starts, ends, n_seg), settings)
-    z, e_quad, gsup, converged, _ = minimize_straight_batch(sys, a, b, n_seg,
-                                                            z0, settings)
-
-    # select on the batch energies, the kernel assembler's rule: K[i][j]
-    # equals this function bit for bit on the entries the assembler solves
-    # (orbit representatives) and to 1e-12 on the ones it mirrors; the
-    # order of the scan implements the (|winding|, winding) tie policy
-    n_wind = len(windings)
-    best_row = 0
-    best_value = math.inf
-    for w_idx in range(n_wind):
-        for r in range(settings.n_restarts):
-            row = r * n_wind + w_idx
-            if e_quad[row] < best_value:
-                best_value = e_quad[row]
-                best_row = row
-    if not converged.any() and float(gsup.min()) > settings.gradient_tolerance:
-        raise MinimizationError(
-            f"all line searches stalled; best gradient sup {gsup.min():.3e}",
-            best_value=float(best_value),
-            best_curve=DiscretizedCurve(a, b, z[best_row], windings[best_row % n_wind]))
-
-    curve = DiscretizedCurve(t0=a, t1=b, samples=z[best_row],
-                             winding=windings[best_row % n_wind])
+    starts = np.array([float(reduce_mod_1(x))])
+    ends = np.array([float(reduce_mod_1(y))])
+    _, rows, windings = winding_search(sys, a, b, starts, ends, settings)
+    curve = DiscretizedCurve(t0=a, t1=b, samples=rows[0], winding=int(windings[0]))
     return curve_action(sys, curve), curve
-
-
-def action_potential(sys, x, s_frac, y, t_frac, c, horizon,
-                     settings: MinimizationSettings | None = None):
-    """Least c-corrected action over time windows with the given endpoint
-    fractions: min over b = t_frac + n, n = 0..horizon (with b > s_frac) of
-    F_{s_frac, b}(x, y) + c (b - s_frac)."""
-    if horizon < 1:
-        raise ConfigurationError("horizon must be at least 1")
-    if not (0.0 <= s_frac < 1.0 and 0.0 <= t_frac < 1.0):
-        raise ConfigurationError("time fractions must lie in [0, 1)")
-    best = math.inf
-    for n in range(horizon + 1):
-        b = t_frac + n
-        if not b > s_frac:
-            continue
-        value, _ = minimal_action(sys, x, s_frac, y, b, settings)
-        best = min(best, value + c * (b - s_frac))
-    return best

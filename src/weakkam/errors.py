@@ -16,11 +16,10 @@ class NumericalError(WeakKamError):
 class MinimizationError(NumericalError):
     """Action minimization stalled. Carries the best iterate found."""
 
-    def __init__(self, message, best_value=None, best_curve=None, where=None):
+    def __init__(self, message, best_value=None, best_curve=None):
         super().__init__(message)
         self.best_value = best_value
         self.best_curve = best_curve
-        self.where = where
 
 
 class NoOrbitError(NumericalError):

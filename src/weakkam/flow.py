@@ -53,17 +53,20 @@ def _steps_for(duration, n_steps):
 
 
 def _rk4(rhs, y0, t0, t1, n_steps):
-    y = np.array(y0, dtype=float)
+    """States at the step times t0 + h*i, i = 0..n_steps, one row each."""
     h = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
+    y = np.array(y0, dtype=float)
+    ys = np.empty((n_steps + 1, y.size))
+    ys[0] = y
+    for i in range(n_steps):
+        t = t0 + h * i
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
+        ys[i + 1] = y
+    return ys
 
 
 def _el_rhs(sys):
@@ -81,22 +84,9 @@ def flow_trajectory(sys, p: PhasePoint, t1, n_steps=None):
     """
     _check_mechanical(sys)
     n = _steps_for(t1 - p.t, n_steps)
-    rhs = _el_rhs(sys)
-    h = (t1 - p.t) / n
-    times = p.t + h * np.arange(n + 1)
-    xs = np.empty(n + 1)
-    vs = np.empty(n + 1)
-    y = np.array([p.x, p.v])
-    xs[0], vs[0] = y
-    for i in range(n):
-        t = times[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[i + 1], vs[i + 1] = y
-    return times, xs, vs
+    ys = _rk4(_el_rhs(sys), [p.x, p.v], p.t, t1, n)
+    times = p.t + (t1 - p.t) / n * np.arange(n + 1)
+    return times, ys[:, 0], ys[:, 1]
 
 
 def flow_map(sys, p: PhasePoint, t1, n_steps=None) -> PhasePoint:
@@ -120,7 +110,7 @@ def _flow_with_variational(sys, x0, v0, t0, t1, n_steps=None):
         return np.hstack(([v, float(a)], (jac @ xi).reshape(-1)))
 
     y0 = np.hstack(([x0, v0], np.eye(2).reshape(-1)))
-    y = _rk4(rhs, y0, t0, t1, n)
+    y = _rk4(rhs, y0, t0, t1, n)[-1]
     return y[0], y[1], y[2:].reshape(2, 2)
 
 
@@ -144,10 +134,12 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int, n_steps=None,
 
 
 def floquet_analysis(mono: np.ndarray, period: int = 1):
-    """Floquet exponents, hyperbolicity flag, and a spectral floor.
+    """Multipliers, Floquet exponents, hyperbolicity flag, and a spectral
+    floor.
 
-    Exponents are principal-branch logs of the multipliers divided by the
-    period. The returned ``lam`` is the least positive real part deflated
+    Multipliers are sorted by descending real part, then descending
+    imaginary part; exponents are their principal-branch logs divided by
+    the period. The returned ``lam`` is the least positive real part deflated
     by a factor (1 - 1e-3), so it sits strictly below the exponent
     spectrum; None when no exponent has positive real part.
     """
@@ -164,7 +156,7 @@ def floquet_analysis(mono: np.ndarray, period: int = 1):
     hyperbolic = bool(np.all(np.abs(np.abs(mults) - 1.0) > UNIT_CIRCLE_TOL))
     positive = exponents.real[exponents.real > 0.0]
     lam = float(positive.min()) * (1.0 - LAMBDA_DEFLATION) if positive.size else None
-    return exponents, hyperbolic, lam
+    return mults, exponents, hyperbolic, lam
 
 
 SHOTS_PER_UNIT_TIME = 8
@@ -270,10 +262,7 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int, n_steps=None,
         raise DegenerateOrbitError(
             "I - monodromy is singular at the refined point; the orbit has a "
             "non-hyperbolic direction")
-    mults = np.linalg.eigvals(mono)
-    order = np.lexsort((-mults.imag, -mults.real))
-    mults = mults[order]
-    exponents, hyperbolic, _ = floquet_analysis(mono, period)
+    mults, exponents, hyperbolic, _ = floquet_analysis(mono, period)
     positive = exponents.real[exponents.real > 0.0]
     lam_orbit = float(positive.min()) if positive.size else None
     return PeriodicOrbit(x=float(reduce_mod_1(z[0])), v=float(z[1]), period=int(period),

@@ -34,7 +34,6 @@ class LiftedSystem:
             raise ConfigurationError("lift order must be a positive integer")
         self.base = base
         self.n = int(n)
-        self.dimension = base.dimension
 
     def lagrangian(self, x, v, t):
         return self.base.lagrangian(x, np.asarray(v, dtype=float) / self.n,
@@ -227,7 +226,6 @@ class TiltedSystem:
         self.base = base
         self.sub = sub
         self.c = float(c)
-        self.dimension = base.dimension
         self.tilt_minimum = None
         self.tilt_witness = None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,7 +57,6 @@ class LagrangianSystem:
     amp: float = 1.0
     freq: int = 1
     eps: float = 0.0
-    dimension: int = 1
 
     # L_v depends on v alone for these families, so the second-order flow
     # may be reduced to v' = L_x / L_vv.
@@ -67,8 +66,6 @@ class LagrangianSystem:
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown Lagrangian family {self.family!r}; "
                                      f"choose one of {FAMILIES}")
-        if self.dimension != 1:
-            raise ConfigurationError("built-in families are one dimensional")
         if self.family == "mechanical-cos":
             if not (isinstance(self.freq, int) and self.freq >= 1):
                 raise ConfigurationError("spatial frequency must be a positive integer")
@@ -248,41 +245,6 @@ class DiscretizedCurve:
 
     def end(self) -> float:
         return float(reduce_mod_1(self.samples[-1]))
-
-
-def eval_lagrangian(sys: LagrangianSystem, p: PhasePoint):
-    """Value and derivatives (L, L_x, L_v, L_vv) at a phase point."""
-    return (float(sys.lagrangian(p.x, p.v, p.t)),
-            float(sys.lagrangian_x(p.x, p.v, p.t)),
-            float(sys.lagrangian_v(p.x, p.v, p.t)),
-            float(sys.lagrangian_vv(p.x, p.v, p.t)))
-
-
-def legendre_transform(sys, x, p, t, tol=1e-12, max_iter=60):
-    """Solve p = L_v(x, v, t) for v by damped Newton from v = 0.
-
-    Returns (v_star, H) with H = p*v_star - L(x, v_star, t). For the
-    built-in families the residual vanishes after one step; the damping
-    loop guards wrapped systems with less trivial fiber derivatives.
-    """
-    v = 0.0
-    res = float(sys.lagrangian_v(x, v, t)) - p
-    for _ in range(max_iter):
-        if abs(res) <= tol:
-            ham = p * v - float(sys.lagrangian(x, v, t))
-            return v, ham
-        step = -res / float(sys.lagrangian_vv(x, v, t))
-        lam = 1.0
-        while lam > 1e-8:
-            v_new = v + lam * step
-            res_new = float(sys.lagrangian_v(x, v_new, t)) - p
-            if abs(res_new) < abs(res):
-                v, res = v_new, res_new
-                break
-            lam *= 0.5
-        else:
-            break
-    raise NumericalError(f"Legendre inversion stalled with residual {res:.3e}")
 
 
 def curve_action(sys, curve: DiscretizedCurve) -> float:

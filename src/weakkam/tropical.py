@@ -18,6 +18,7 @@ from .action import (MinimizationSettings, exact_row_actions,
                      minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
+from .systems import DiscretizedCurve
 
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
@@ -95,6 +96,63 @@ def symmetry_orbits(maps, n: int) -> np.ndarray:
         label = lowered
 
 
+def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
+    """Minimal action from each start at time a to the matching end at time
+    b, over the windings of ``winding_candidates(b - a, settings)``.
+
+    Returns (values, rows, windings): fsum quadrature values plus the
+    system's ``action_offset``, the winning lifted samples, and the winning
+    windings. The zero-winding problems run first; a nonzero (pair,
+    winding) row whose rigorous lower bound (Cauchy-Schwarz kinetic term
+    minus the potential ceiling) exceeds the pair's zero-winding energy can
+    never win, so it is pruned, and every surviving row of every winding
+    is minimized in one batch. Windings are then taken in (|k|, k) order
+    and replace the incumbent only when strictly lower, so ties keep the
+    smaller |winding|. A winner that did not converge raises
+    ``MinimizationError``. A pair's value does not depend on the other
+    pairs of the batch, up to BLAS rounding of one-row products.
+    """
+    windings = winding_candidates(b - a, settings)
+    n_seg = segments_for(b - a, settings)
+    qsys = sys.quadrature_system()
+    kin_coeff = float(qsys.lagrangian_vv(0.0, 0.0, a))
+    pot_ceiling = qsys.potential_upper_bound()
+
+    z0 = _straight_lifts(starts, ends, n_seg)
+    rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0, settings)
+    best_winding = np.zeros(starts.size, dtype=int)
+
+    others = np.array(windings[1:], dtype=int)
+    ends_k = ends[None, :] + others[:, None]
+    lower = (kin_coeff * (ends_k - starts[None, :]) ** 2 / (2.0 * (b - a))
+             - (b - a) * pot_ceiling)
+    w_idx, pair = np.nonzero(lower <= best_e[None, :])
+    if pair.size:
+        zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
+        zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init,
+                                                      settings)
+        for w, k in enumerate(others):
+            sel = np.flatnonzero(w_idx == w)
+            better = sel[ek[sel] < best_e[pair[sel]]]  # strict: ties keep smaller |k|
+            best_e[pair[better]] = ek[better]
+            rows[pair[better]] = zk[better]
+            best_winding[pair[better]] = k
+            conv[pair[better]] = convk[better]
+
+    if not conv.all():
+        bad = int(np.flatnonzero(~conv)[0])
+        raise MinimizationError(
+            f"minimal action from (x, t) = ({starts[bad]:.12g}, {a:.12g}) to "
+            f"({ends[bad]:.12g}, {b:.12g}) failed to converge at winding "
+            f"{best_winding[bad]}",
+            best_value=float(best_e[bad]),
+            best_curve=DiscretizedCurve(a, b, rows[bad], int(best_winding[bad])))
+
+    values = exact_row_actions(sys, a, b, rows)
+    values += np.asarray(sys.action_offset(starts, ends + best_winding, a, b), dtype=float)
+    return values, rows, best_winding
+
+
 def assemble_kernel(sys, grid: Grid, s, delta,
                     settings: MinimizationSettings | None = None,
                     row_chunk: int | None = None) -> TropicalKernel:
@@ -105,17 +163,15 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     smallest flat index, is minimized and its value copied to the rest of
     the orbit. Before the copy is trusted, a fixed seeded sample of
     ``SYMMETRY_SAMPLE`` mirrored entries is solved directly, and any gap
-    above ``SYMMETRY_TOLERANCE`` raises. Representatives agree with
-    ``minimal_action`` bit for bit, mirrored entries to within that
-    tolerance.
+    above ``SYMMETRY_TOLERANCE`` raises.
 
-    Pairs are solved in batches of ``row_chunk`` grid rows' worth of
-    pairs; this is the hot loop of the whole toolkit, and a pair's value
-    does not depend on the batch it lands in. Within a batch the
-    zero-winding problems run first, and a nonzero winding row whose
-    rigorous lower bound (Cauchy-Schwarz kinetic term minus the potential
-    ceiling) exceeds the converged zero-winding energy can never win its
-    entry, so it is pruned before any descent.
+    Pairs go through ``winding_search``, the same search as
+    ``minimal_action``, in batches of ``row_chunk`` grid rows' worth of
+    pairs; this is the hot loop of the whole toolkit. The default chunk
+    keeps one batch with all its windings under a million floats, and the
+    kernel bits do not depend on it. Entries agree with ``minimal_action``
+    to rounding (1e-12), not bit for bit, because a one-pair batch runs
+    its BLAS products through a different routine.
     """
     if settings is None:
         settings = MinimizationSettings()
@@ -123,68 +179,21 @@ def assemble_kernel(sys, grid: Grid, s, delta,
         raise ConfigurationError("kernel duration must lie in (0, 1]")
     n = grid.n
     pts = grid.points
-    windings = winding_candidates(delta, settings)
-    n_wind = len(windings)
-    n_seg = segments_for(delta, settings)
     if row_chunk is None:
-        row_chunk = max(1, int(2_000_000 // (n * n_wind * (n_seg + 1))) or 1)
-        row_chunk = min(n, max(1, row_chunk))
+        n_wind = len(winding_candidates(delta, settings))
+        n_seg = segments_for(delta, settings)
+        row_chunk = min(n, max(1, 1_000_000 // (n * n_wind * (n_seg + 1))))
 
     a, b = float(s), float(s) + float(delta)
-    qsys = sys.quadrature_system()
-    kin_coeff = float(qsys.lagrangian_vv(0.0, 0.0, a))
-    pot_ceiling = qsys.potential_upper_bound()
-    nonzero = [k for k in windings if k != 0]
 
     def solve_pairs(flat):
-        """Entries at the given flat indices, one minimizer batch at a time."""
+        """Entries at the given flat indices, one search batch at a time."""
         out = np.empty(flat.size)
         step = row_chunk * n
         for p0 in range(0, flat.size, step):
             pairs = flat[p0:p0 + step]
-            starts0 = pts[pairs // n]
-            ends0 = pts[pairs % n]
-
-            # phase one: the zero-winding problems, whose converged
-            # energies upper-bound the entries
-            z0 = _straight_lifts(starts0, ends0, n_seg)
-            z, e0, gsup, conv0, _ = minimize_straight_batch(sys, a, b, n_seg, z0,
-                                                            settings)
-            best_e = e0.copy()
-            best_rows = z
-            best_winding = np.zeros(pairs.size, dtype=int)
-            best_conv = conv0.copy()
-
-            # phase two: other windings, pruned where their rigorous lower
-            # bound already exceeds the zero-winding value
-            for k in nonzero:
-                ends_k = ends0 + k
-                lower = (kin_coeff * (ends_k - starts0) ** 2 / (2.0 * (b - a))
-                         - (b - a) * pot_ceiling)
-                keep = np.flatnonzero(lower <= best_e)
-                if keep.size == 0:
-                    continue
-                zk_init = _straight_lifts(starts0[keep], ends_k[keep], n_seg)
-                zk, ek, _, convk, _ = minimize_straight_batch(
-                    sys, a, b, n_seg, zk_init, settings)
-                better = ek < best_e[keep]  # strict: ties keep smaller |winding|
-                rows = keep[better]
-                best_e[rows] = ek[better]
-                best_rows[rows] = zk[better]
-                best_winding[rows] = k
-                best_conv[rows] = convk[better]
-
-            if not best_conv.all():
-                bad = int(np.flatnonzero(~best_conv)[0])
-                raise MinimizationError(
-                    "kernel entry failed to converge",
-                    where=divmod(int(pairs[bad]), n),
-                    best_value=float(best_e[bad]))
-
-            values = exact_row_actions(sys, a, b, best_rows)
-            values += np.asarray(sys.action_offset(starts0, ends0 + best_winding,
-                                                   a, b), dtype=float)
-            out[p0:p0 + pairs.size] = values
+            out[p0:p0 + pairs.size], _, _ = winding_search(
+                sys, a, b, pts[pairs // n], pts[pairs % n], settings)
         return out
 
     label = symmetry_orbits(sys.kernel_symmetries(n, a, float(delta)), n)
@@ -265,40 +274,3 @@ def karp_eigenvalue(kernel, delta: float | None = None) -> float:
     if delta is None:
         delta = kernel.delta if isinstance(kernel, TropicalKernel) else 1.0
     return -min_cycle_mean(kernel) / float(delta)
-
-
-@dataclass(frozen=True)
-class TropicalFixedPoint:
-    values: np.ndarray
-    converged: bool
-    defect: float
-    iterations: int
-
-
-def tropical_eigenvector(kernel, c, delta: float | None = None,
-                         tol: float = 1e-12, max_iter: int = 10_000) -> TropicalFixedPoint:
-    """Fixed point of u -> (K tropically applied to u) + c*delta, normalized
-    so min u = 0. With c from ``karp_eigenvalue`` this is the discrete
-    time-periodic solution."""
-    mat = _as_matrix(kernel)
-    if delta is None:
-        delta = kernel.delta if isinstance(kernel, TropicalKernel) else 1.0
-    shift = float(c) * float(delta)
-    u = np.zeros(mat.shape[0])
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        nxt, _ = minplus_apply(mat, u)
-        nxt += shift
-        nxt -= nxt.min()
-        change = float(np.max(np.abs(nxt - u)))
-        u = nxt
-        if change <= tol:
-            applied, _ = minplus_apply(mat, u)
-            defect = float(np.max(np.abs(applied + shift - u)))
-            return TropicalFixedPoint(values=u, converged=True, defect=defect,
-                                      iterations=iterations)
-    applied, _ = minplus_apply(mat, u)
-    defect = float(np.max(np.abs(applied + shift - u)))
-    return TropicalFixedPoint(values=u, converged=False, defect=defect,
-                              iterations=iterations)

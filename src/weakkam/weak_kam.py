@@ -247,27 +247,6 @@ def semigroup_limit(u0, h: BarrierMatrix) -> GridFunction:
     return GridFunction(grid=h.grid, values=out)
 
 
-def minimizing_chain(kernel_matrix: np.ndarray, c: float, start: int, end: int,
-                     n_steps: int):
-    """Grid-node chain realizing the n-step c-corrected cost from start to
-    end, by dynamic-programming backtracking. Returns the node list of
-    length n_steps + 1."""
-    shifted = np.asarray(kernel_matrix, dtype=float) + c
-    n = shifted.shape[0]
-    costs = np.full((n_steps + 1, n), np.inf)
-    parent = np.zeros((n_steps + 1, n), dtype=int)
-    costs[0, start] = 0.0
-    for k in range(1, n_steps + 1):
-        stacked = costs[k - 1][:, None] + shifted
-        parent[k] = np.argmin(stacked, axis=0)
-        costs[k] = stacked[parent[k], np.arange(n)]
-    chain = [end]
-    for k in range(n_steps, 0, -1):
-        chain.append(int(parent[k, chain[-1]]))
-    chain.reverse()
-    return chain
-
-
 def _find_cycles(n_vertices: int, edges) -> list:
     adj = [[] for _ in range(n_vertices)]
     for j, k, _ in edges:

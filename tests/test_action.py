@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from weakkam import (ConfigurationError, LagrangianSystem,
-                     MinimizationSettings, action_potential, curve_action,
-                     discrete_el_residual, minimal_action)
+import weakkam.tropical as tropical
+from weakkam import (ConfigurationError, LagrangianSystem, MinimizationError,
+                     MinimizationSettings, PhasePoint, curve_action,
+                     discrete_el_residual, dwell_statistics, minimal_action,
+                     refine_periodic_orbit)
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -80,22 +82,6 @@ def test_refinement_is_second_order():
     assert 3.0 <= change_coarse / change_fine <= 6.0
 
 
-def test_action_potential_free_horizon():
-    value = action_potential(FREE, 0.0, 0.0, 0.4, 0.0, 0.0, horizon=5)
-    assert abs(value - 0.016) < 1e-12
-
-
-def test_action_potential_single_window():
-    got = action_potential(MECH, 0.2, 0.0, 0.6, 0.0, 0.7, horizon=1)
-    direct, _ = minimal_action(MECH, 0.2, 0.0, 0.6, 1.0)
-    assert got == direct + 0.7
-
-
-def test_action_potential_critical_loop():
-    value = action_potential(MECH, 0.0, 0.0, 0.0, 0.0, 1.0, horizon=3)
-    assert value <= 1e-9
-
-
 def test_settings_validation():
     with pytest.raises(ConfigurationError):
         MinimizationSettings(n_segments=1)
@@ -107,11 +93,33 @@ def test_settings_validation():
         minimal_action(FREE, 0.0, 1.0, 0.5, 1.0)
 
 
-def test_restarts_do_not_regress():
-    base, _ = minimal_action(MECH, 0.1, 0.0, 0.45, 1.0)
-    multi, _ = minimal_action(MECH, 0.1, 0.0, 0.45, 1.0,
-                              MinimizationSettings(n_restarts=3))
-    assert multi <= base + 1e-12
+def test_unconverged_winner_raises_with_its_iterate():
+    # the winning winding stops with a residual near 7e-5, far above the
+    # 1e-9 tolerance; the search must say so instead of returning it
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    with pytest.raises(MinimizationError) as info:
+        minimal_action(two_well, 0.5, 0.0, 0.95, 2.5)
+    err = info.value
+    assert err.best_value is not None and np.isfinite(err.best_value)
+    assert err.best_curve.samples[0] == 0.5
+    assert err.best_curve.samples[-1] - err.best_curve.winding == 0.95
+    assert discrete_el_residual(two_well, err.best_curve) > 1e-9
+
+
+def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):
+    # one zero-winding row, then every winding that survives the lower
+    # bound in a single batch: 4 of the 16 nonzero windings at horizon 8
+    orbit = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
+    batches = []
+    original = tropical.minimize_straight_batch
+
+    def counting(sys, a, b, n_seg, z0, settings, **kwargs):
+        batches.append(z0.shape[0])
+        return original(sys, a, b, n_seg, z0, settings, **kwargs)
+
+    monkeypatch.setattr(tropical, "minimize_straight_batch", counting)
+    dwell_statistics(MECH, [orbit], 0.25, 0.0, 0.25, 8.0)
+    assert batches == [1, 4]
 
 
 def test_loop_at_potential_minimum_escapes_the_saddle_start():

@@ -81,16 +81,17 @@ def test_refine_is_idempotent():
 
 
 def test_floquet_examples():
-    exps, hyperbolic, lam = floquet_analysis(
+    _, exps, hyperbolic, lam = floquet_analysis(
         np.diag([535.4916555247646, 0.0018674427317079893]), 1)
     assert hyperbolic
     assert abs(exps[0].real - 2 * math.pi) < 1e-12
     assert abs(lam - 2 * math.pi * 0.999) < 1e-9
 
-    _, hyp_shear, lam_shear = floquet_analysis(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+    _, _, hyp_shear, lam_shear = floquet_analysis(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
     assert not hyp_shear and lam_shear is None
 
-    exps2, hyp2, _ = floquet_analysis(np.diag([2.0, 0.5]), 2)
+    mults2, exps2, hyp2, _ = floquet_analysis(np.diag([2.0, 0.5]), 2)
+    assert np.array_equal(mults2, [2.0, 0.5])
     assert hyp2
     assert abs(exps2[0].real - math.log(2) / 2) < 1e-14
     assert abs(exps2[1].real + math.log(2) / 2) < 1e-14

@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from weakkam import (ConfigurationError, DiscretizedCurve, LagrangianSystem,
-                     PhasePoint, curve_action, eval_lagrangian,
-                     legendre_transform, reduce_mod_1, torus_distance)
+                     PhasePoint, curve_action, reduce_mod_1, torus_distance)
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -15,18 +12,20 @@ EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 
 
 def test_eval_free_closed_form():
-    lag, lx, lv, lvv = eval_lagrangian(FREE, PhasePoint(0.3, 2.0, 0.7))
-    assert (lag, lx, lv, lvv) == (2.0, 0.0, 2.0, 1.0)
+    x, v, t = 0.3, 2.0, 0.7
+    values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x(x, v, t),
+              FREE.lagrangian_v(x, v, t), FREE.lagrangian_vv(x, v, t))
+    assert values == (2.0, 0.0, 2.0, 1.0)
 
 
 def test_eval_mech_at_rest_on_maximum():
-    lag, _, lv, lvv = eval_lagrangian(MECH, PhasePoint(0.0, 0.0, 0.37))
-    assert lag == -1.0 and lv == 0.0 and lvv == 1.0
+    x, v, t = 0.0, 0.0, 0.37
+    assert MECH.lagrangian(x, v, t) == -1.0
+    assert MECH.lagrangian_v(x, v, t) == 0.0 and MECH.lagrangian_vv(x, v, t) == 1.0
 
 
 def test_eval_mech_quarter_kills_potential():
-    lag, _, _, _ = eval_lagrangian(EPS, PhasePoint(0.25, 1.0, 0.0))
-    assert abs(lag - 0.5) < 1e-15
+    assert abs(EPS.lagrangian(0.25, 1.0, 0.0) - 0.5) < 1e-15
 
 
 def test_unknown_family_rejected():
@@ -38,14 +37,8 @@ def test_unknown_family_rejected():
         LagrangianSystem(family="mechanical-cos", freq=0)
 
 
-def test_legendre_free_quadratic_dual():
-    v_star, ham = legendre_transform(FREE, 0.1, 3.0, 0.0)
-    assert v_star == 3.0 and ham == 4.5
-
-
 def test_legendre_mech_at_maximum():
-    v_star, ham = legendre_transform(MECH, 0.0, 0.0, 0.123)
-    assert v_star == 0.0 and ham == 1.0
+    assert MECH.hamiltonian(0.0, 0.0, 0.123) == 1.0
 
 
 def test_legendre_modulated_closed_form():
@@ -53,17 +46,8 @@ def test_legendre_modulated_closed_form():
     x, p, t = 0.5, 2.0, 0.25
     oracle = 0.5 * p * p + 1.0 * math.cos(2 * math.pi * x) * (
         1 + 0.1 * math.cos(2 * math.pi * t))
-    v_star, ham = legendre_transform(EPS, x, p, t)
-    assert abs(ham - oracle) < 1e-12
+    assert abs(EPS.hamiltonian(x, p, t) - oracle) < 1e-12
     assert abs(oracle - 1.0) < 1e-12
-
-
-@given(st.floats(-4, 4), st.floats(-5, 5), st.floats(0, 4))
-def test_legendre_involution(x, v, t):
-    for sys in (FREE, MECH, EPS):
-        p = float(sys.lagrangian_v(x, v, t))
-        v_star, _ = legendre_transform(sys, x, p, t)
-        assert abs(v_star - v) < 1e-10
 
 
 def test_time_periodicity_exact_on_representable_shifts():

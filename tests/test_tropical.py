@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from weakkam import (ConfigurationError, Grid, GridFunction, LagrangianSystem,
                      NumericalError, assemble_kernel, karp_eigenvalue,
                      min_cycle_mean, minimal_action, minplus_apply,
-                     minplus_matmul, tropical_eigenvector)
+                     minplus_matmul)
 from weakkam.tropical import symmetry_orbits
 
 FREE = LagrangianSystem(family="free")
@@ -236,24 +236,6 @@ def test_minplus_matmul_matches_broadcast_min(m, k, n):
     b = rng.integers(1, 5, size=(k, n)).astype(float)
     expected = np.min(a[:, :, None] + b[None], axis=1)
     assert minplus_matmul(a, b).tobytes() == expected.tobytes()
-
-
-def test_tropical_eigenvector_free(free_kernel):
-    fixed = tropical_eigenvector(free_kernel, 0.0)
-    assert fixed.converged
-    assert np.max(np.abs(fixed.values)) <= 1e-12
-
-
-def test_tropical_eigenvector_two_point():
-    fixed = tropical_eigenvector(np.array([[0.0, 3.0], [1.0, 5.0]]), 0.0)
-    assert fixed.converged and fixed.defect <= 1e-12
-    assert np.array_equal(fixed.values, [0.0, 3.0])
-
-
-def test_tropical_eigenvector_negative_eigenvalue():
-    kernel = np.array([[2.0, 1.0], [4.0, 3.0]])
-    fixed = tropical_eigenvector(kernel, karp_eigenvalue(kernel, 1.0))
-    assert fixed.converged and fixed.defect <= 1e-12
 
 
 @given(arrays(np.float64, (5, 5), elements=st.integers(-6, 6).map(float)))

@@ -9,7 +9,7 @@ from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
                      aubry_set, assemble_kernel, backward_solution,
                      connection_graph, conjugate_pair_coincidence,
                      critical_value, default_aubry_tolerance, forward_solution,
-                     karp_eigenvalue, minimizing_chain, minplus_apply,
+                     karp_eigenvalue, minplus_apply,
                      peierls_barrier, semigroup_limit)
 
 FREE = LagrangianSystem(family="free")
@@ -272,19 +272,6 @@ def test_semigroup_limit_matches_iteration(mech_kernel, mech_barrier):
     for k in range(1, 31):
         w, _ = minplus_apply(mech_kernel.matrix, w)
     assert np.max(np.abs(w + c * 30 - limit)) <= 1e-9
-
-
-def test_minimizing_chain_calibration(mech_kernel, mech_barrier):
-    c = mech_barrier.c
-    u_minus = backward_solution(mech_barrier, 0).values
-    target = N // 2
-    steps = 8
-    chain = minimizing_chain(mech_kernel.matrix, c, 0, target, steps)
-    assert chain[0] == 0 and chain[-1] == target
-    partial = 0.0
-    for r in range(steps):
-        partial += mech_kernel.matrix[chain[r], chain[r + 1]] + c
-        assert abs((u_minus[chain[r + 1]] - u_minus[chain[0]]) - partial) < 5e-2
 
 
 def test_connection_graph_single_orbit(mech_barrier):
