@@ -12,8 +12,7 @@ from .action import (MinimizationSettings, discrete_el_residual,
 from .errors import (ConfigurationError, DegenerateOrbitError,
                      EmptyAubrySetError, InsufficientDataError,
                      InvalidSubsolutionError, MinimizationError, NoOrbitError,
-                     NotConjugateError, NotPeriodicError, NumericalError,
-                     WeakKamError)
+                     NotPeriodicError, NumericalError, WeakKamError)
 from .experiments import (ConvergenceReport, DwellReport, detect_aubry_orbits,
                           dwell_statistics, fit_exponential_rate,
                           run_convergence)
@@ -24,13 +23,10 @@ from .reduction import (LiftedSystem, MaupertuisSubsolution, TiltedSystem,
                         tilt_system)
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, reduce_mod_1, torus_distance)
-from .tropical import (Grid, GridFunction, TropicalKernel, assemble_kernel,
-                       karp_eigenvalue, min_cycle_mean, minplus_apply,
-                       minplus_matmul)
+from .tropical import (Grid, TropicalKernel, assemble_kernel, karp_eigenvalue,
+                       min_cycle_mean, minplus_apply, minplus_matmul)
 from .weak_kam import (AubrySet, BarrierMatrix, ConnectionGraph, aubry_set,
-                       backward_solution, connection_graph,
-                       conjugate_pair_coincidence, critical_value,
-                       default_aubry_tolerance, forward_solution,
+                       connection_graph, default_aubry_tolerance,
                        peierls_barrier, semigroup_limit)
 
 __version__ = "0.1.0"

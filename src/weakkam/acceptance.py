@@ -27,6 +27,10 @@ from .tropical import (Grid, assemble_kernel, karp_eigenvalue,
 from .weak_kam import aubry_set, connection_graph, peierls_barrier
 
 ORACLE_C = 1.0  # max of the potential for the built-in amplitude
+# seconds criterion 01 allows for the main-grid kernels and their Karp
+# eigenvalues: a gate, never loosened
+RUNTIME_BUDGET = 60.0
+DWELL_HORIZONS = (8.0, 16.0, 32.0)
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,6 @@ class AcceptanceScale:
     n_small: int = 64
     horizon: int = 40
     k_max: int = 60
-    dwell_horizons: tuple = (8.0, 16.0, 32.0)
-    runtime_budget: float = 60.0
 
 
 @dataclass
@@ -139,7 +141,7 @@ def criterion_01_critical_value(ctx: AcceptanceContext) -> CriterionResult:
         for freq in (1, 2))
     agree_worst = max(row[6] for row in rows)
     passed = (worst <= 1e-2 and agree_worst <= 3e-3
-              and timed <= ctx.scale.runtime_budget)
+              and timed <= RUNTIME_BUDGET)
     return CriterionResult(
         1, "critical value oracle", passed,
         {"worst_error": f"{worst:.3e}", "confirm_gap": f"{agree_worst:.3e}",
@@ -382,10 +384,10 @@ def criterion_11_dwell(ctx: AcceptanceContext) -> CriterionResult:
     sys = ctx.system(1, 0.0)
     reports = [dwell_statistics(sys, [orbit], 0.25, 0.0, 0.25, horizon,
                                 delta=0.05, settings=ctx.settings)
-               for horizon in ctx.scale.dwell_horizons]
+               for horizon in DWELL_HORIZONS]
     out = [r.time_outside for r in reports]
     stay = [r.longest_stay for r in reports]
-    hz = list(ctx.scale.dwell_horizons)
+    hz = list(DWELL_HORIZONS)
     union_ok = abs(out[0] - out[1]) <= 0.25 * max(out[0], out[1])
     slope = np.polyfit(hz, stay, 1)[0]
     single_ok = slope >= 0.8 and all(b > a for a, b in zip(stay, stay[1:]))

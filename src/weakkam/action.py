@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .systems import DiscretizedCurve, curve_action, reduce_mod_1
+from .systems import DiscretizedCurve, reduce_mod_1
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 30
 NONMONOTONE_WINDOW = 5
 SPECTRAL_PHASE_BUDGET = 20
 POLISH_BUDGET = 100
+# sup norm of the discrete-action gradient below which a row has converged
+GRADIENT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,25 +38,18 @@ class MinimizationSettings:
 
     ``n_segments`` counts segments per unit of elapsed time;
     ``winding_range`` bounds the enumerated windings per unit of elapsed
-    time; ``gradient_tolerance`` is on the sup norm of the discrete-action
-    gradient, and a winning row that misses it raises
-    ``MinimizationError``.
+    time. A winning row whose gradient sup norm misses
+    ``GRADIENT_TOLERANCE`` raises ``MinimizationError``.
     """
 
     n_segments: int = 32
     winding_range: int = 1
-    max_iterations: int = 2000
-    gradient_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.n_segments < 2:
             raise ConfigurationError("n_segments must be at least 2")
         if self.winding_range < 0:
             raise ConfigurationError("winding_range must be nonnegative")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be positive")
-        if not (0.0 < self.gradient_tolerance < 1.0):
-            raise ConfigurationError("gradient tolerance must lie in (0, 1)")
 
 
 def segments_for(duration: float, settings: MinimizationSettings) -> int:
@@ -218,8 +213,7 @@ def _hessian_pd_mask(qsys, a, b, n_seg, rows):
     return ok
 
 
-def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings,
-                            _escape: bool = True):
+def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     """Minimize rows of ``z0`` (endpoints fixed) over interior samples.
 
     Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
@@ -257,7 +251,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
     tri = (2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)) * inv_h
     pinv = np.linalg.inv(tri + sigma * np.eye(n_int)) if sigma > 0.0 \
         else h * _tridiag_inverse(n_int)
-    tol = settings.gradient_tolerance
+    tol = GRADIENT_TOLERANCE
 
     def geometry(interior, s0, s1):
         mid = np.empty((interior.shape[0], n_seg))
@@ -291,9 +285,8 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
     hist = np.tile(e[:, None], (1, NONMONOTONE_WINDOW))
     hist_ptr = np.zeros(m, dtype=int)
     iterations = 0
-    phase_budget = min(settings.max_iterations, SPECTRAL_PHASE_BUDGET)
 
-    for it in range(phase_budget):
+    for it in range(SPECTRAL_PHASE_BUDGET):
         idx = np.flatnonzero(~(converged | stalled))
         if idx.size == 0:
             break
@@ -366,9 +359,8 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
     z[:, 1:-1] = zi
     leftovers = np.flatnonzero(~converged)
     if leftovers.size:
-        budget = min(POLISH_BUDGET, settings.max_iterations)
         sub = z[leftovers]
-        e_p, gsup_p = _polish_rows(qsys, a, b, n_seg, sub, tol, budget)
+        e_p, gsup_p = _polish_rows(qsys, a, b, n_seg, sub, tol, POLISH_BUDGET)
         z[leftovers] = sub
         e[leftovers] = e_p
         gsup[leftovers] = gsup_p
@@ -384,7 +376,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
             bump[0] = bump[-1] = 0.0
             stacked = np.vstack([z[trapped] + bump, z[trapped] - bump])
             z_esc, e_esc, g_esc, conv_esc, _ = minimize_straight_batch(
-                sys, a, b, n_seg, stacked, settings, _escape=False)
+                sys, a, b, n_seg, stacked, _escape=False)
             for pos, row in enumerate(trapped):
                 for cand in (pos, pos + trapped.size):
                     if conv_esc[cand] and e_esc[cand] < e[row]:
@@ -393,18 +385,6 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, settings: MinimizationSettings
                         gsup[row] = g_esc[cand]
                         converged[row] = True
     return z, e, gsup, converged, iterations
-
-
-def exact_row_actions(sys, a, b, rows):
-    """Per-row quadrature actions via fsum, matching ``curve_action``."""
-    qsys = sys.quadrature_system()
-    n_seg = rows.shape[1] - 1
-    h = (b - a) / n_seg
-    tmid = a + h * (np.arange(n_seg) + 0.5)
-    vel = np.diff(rows, axis=1) / h
-    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
-    terms = h * np.asarray(qsys.lagrangian(mid, vel, tmid), dtype=float)
-    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def discrete_el_residual(sys, curve: DiscretizedCurve) -> float:
@@ -422,7 +402,8 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
     """Least action over curves from (x, a) to (y, b), with winding search.
 
     Returns (value, curve). The value is ``curve_action`` of the returned
-    curve, bit for bit. Windings are searched, pruned and selected by
+    curve: both are ``exact_row_actions`` of the same row plus the
+    boundary term. Windings are searched, pruned and selected by
     ``tropical.winding_search``, the kernel assembler's own search: ties
     break toward smaller absolute winding, then toward the negative one,
     and a winner that did not converge raises ``MinimizationError``
@@ -440,6 +421,6 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
         raise ConfigurationError("minimal_action requires b > a")
     starts = np.array([float(reduce_mod_1(x))])
     ends = np.array([float(reduce_mod_1(y))])
-    _, rows, windings = winding_search(sys, a, b, starts, ends, settings)
+    values, rows, windings = winding_search(sys, a, b, starts, ends, settings)
     curve = DiscretizedCurve(t0=a, t1=b, samples=rows[0], winding=int(windings[0]))
-    return curve_action(sys, curve), curve
+    return float(values[0]), curve

@@ -34,12 +34,24 @@ def _add_system_flags(parser):
     parser.add_argument("--eps", type=float, default=0.0)
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--grid", type=int, default=256)
-    parser.add_argument("--segments", type=int, default=32)
-    parser.add_argument("--windings", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
+_SHARED_FLAGS = {
+    "grid": dict(type=int, default=256),
+    "segments": dict(type=int, default=32),
+    "windings": dict(type=int, default=1),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None),
+}
+# the discretization flags that feed assemble_kernel or minimal_action
+_KERNEL_FLAGS = ("grid", "segments", "windings")
+# horizon of the barrier that locates the orbits for ``dwell``
+DWELL_BARRIER_HORIZON = 40
+
+
+def _add_shared_flags(parser, *names):
+    """Add the named shared flags; a subcommand takes only those its
+    handler reads."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("action", help="fixed-endpoint minimal action")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, "segments", "windings", "out")
     p.add_argument("--from", dest="x_from", type=float, required=True)
     p.add_argument("--at", dest="t_from", type=float, default=0.0)
     p.add_argument("--to", dest="x_to", type=float, required=True)
@@ -60,29 +72,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="assemble and export the action kernel")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=1.0)
 
     p = sub.add_parser("critical-value", help="tropical eigenvalue of the unit kernel")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS)
 
     p = sub.add_parser("barrier", help="Peierls barrier matrix")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--tfrac", type=float, default=0.0)
 
     p = sub.add_parser("aubry", help="diagonal-barrier Aubry detection")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("graph", help="connection graph between Aubry classes")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -90,29 +102,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="refine a periodic orbit by shooting")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, "out")
     p.add_argument("--guess-x", type=float, required=True)
     p.add_argument("--guess-v", type=float, required=True)
     p.add_argument("--period", type=int, default=1)
 
     p = sub.add_parser("reduce", help="check the period-lift identities")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, "seed")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check", action="store_true")
 
     p = sub.add_parser("tilt", help="build a tilted Lagrangian and validate it")
     _add_system_flags(p)
-    _add_common_flags(p)
     p.add_argument("--f", dest="f_tag", required=True,
                    choices=("zero", "constant", "maupertuis"))
     p.add_argument("--c", dest="c_value", type=float, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--check", action="store_true")
 
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "seed", "out")
     p.add_argument("--u0", choices=("zero", "spike", "random-seeded"),
                    default="spike")
     p.add_argument("--tau", type=float, default=0.0)
@@ -121,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dwell", help="dwell-time diagnostics along a minimizer")
     _add_system_flags(p)
-    _add_common_flags(p)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
     p.add_argument("--from", dest="x_from", type=float, required=True)
     p.add_argument("--to", dest="x_to", type=float, required=True)
     p.add_argument("--horizon", type=float, default=8.0)
@@ -129,14 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full acceptance matrix")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--grid", type=int, default=256)
+    _add_shared_flags(p, *_KERNEL_FLAGS, "seed")
     p.add_argument("--confirm-grid", type=int, default=512)
     p.add_argument("--small-grid", type=int, default=64)
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--kmax", type=int, default=60)
-    p.add_argument("--segments", type=int, default=32)
-    p.add_argument("--windings", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -188,26 +194,24 @@ def _cmd_critical_value(args) -> int:
     return 0
 
 
-def _barrier_for(args, t_frac=0.0):
+def _barrier_for(args, horizon, t_frac=0.0):
+    """Barrier from the unit kernel at offset 0; warns on stderr when its
+    tail has not stabilized."""
     sys = _system(args)
     grid = Grid(args.grid)
     settings = _settings(args)
     kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
     c = karp_eigenvalue(kernel)
-    barrier = peierls_barrier(sys, grid, c, args.horizon, settings,
+    barrier = peierls_barrier(sys, grid, c, horizon, settings,
                               t_frac=t_frac, kernel=kernel)
-    _warn_unstabilized(barrier)
-    return sys, grid, settings, kernel, c, barrier
-
-
-def _warn_unstabilized(barrier) -> None:
     if not barrier.stabilized:
         print(f"warning: barrier not stabilized (defect {fmt(barrier.defect)})",
               file=_sys.stderr)
+    return sys, grid, settings, c, barrier
 
 
 def _cmd_barrier(args) -> int:
-    _, _, _, _, c, barrier = _barrier_for(args, t_frac=args.tfrac)
+    _, _, _, c, barrier = _barrier_for(args, args.horizon, t_frac=args.tfrac)
     from .reporting import matrix_rows
     _emit(args.out, ("i", "j", "h"), matrix_rows(barrier.values))
     print(f"c,{fmt(c)}")
@@ -219,7 +223,7 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_aubry(args) -> int:
-    _, grid, settings, _, _, barrier = _barrier_for(args)
+    _, grid, settings, _, barrier = _barrier_for(args, args.horizon)
     tol = args.tol
     if tol is None:
         tol = default_aubry_tolerance(grid, settings)
@@ -233,7 +237,7 @@ def _cmd_aubry(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _, grid, _, _, _, barrier = _barrier_for(args)
+    _, grid, _, _, barrier = _barrier_for(args, args.horizon)
     detected = aubry_set(barrier, args.aubry_tol)
     graph = connection_graph(barrier, detected,
                              grid.nearest_index(args.target), args.tol)
@@ -313,13 +317,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_dwell(args) -> int:
-    sys = _system(args)
-    grid = Grid(args.grid)
-    settings = _settings(args)
-    kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
-    c = karp_eigenvalue(kernel)
-    barrier = peierls_barrier(sys, grid, c, 40, settings, kernel=kernel)
-    _warn_unstabilized(barrier)
+    sys, _, settings, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,
                               args.horizon, delta=args.delta, settings=settings)

@@ -52,9 +52,5 @@ class EmptyAubrySetError(WeakKamError):
     actually empty, so the tolerance is too small or the horizon too short."""
 
 
-class NotConjugateError(WeakKamError):
-    """A backward/forward pair disagrees on the detected Aubry clusters."""
-
-
 class InsufficientDataError(WeakKamError):
     """Too few usable points for a rate fit."""

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, InsufficientDataError, WeakKamError
 from .flow import PeriodicOrbit, flow_trajectory, refine_periodic_orbit
 from .systems import PhasePoint, reduce_mod_1, torus_distance
 from .tropical import Grid, assemble_kernel, karp_eigenvalue, minplus_apply
-from .weak_kam import BarrierMatrix, aubry_set, peierls_barrier
+from .weak_kam import BarrierMatrix, aubry_set, peierls_barrier, semigroup_limit
 
 EXACT_CONVERGENCE_TOL = 1e-12
 FIT_FLOOR_FACTOR = 100.0
@@ -141,8 +141,7 @@ def detect_aubry_orbits(sys, barrier: BarrierMatrix,
 def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.0,
                     k_max: int = 60, settings: MinimizationSettings | None = None,
                     horizon: int = 40, seed: int = 0,
-                    unit_kernel=None, fractional_kernel=None,
-                    orbits=None) -> ConvergenceReport:
+                    unit_kernel=None, orbits=None) -> ConvergenceReport:
     """Measure e_k = sup |S_{tau+k} u + c (tau+k) - limit| and fit its decay.
 
     The evolution applies the fractional kernel over [0, tau] once, then
@@ -150,7 +149,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     from the running-minimum barrier of the same offset-tau kernel applied
     after the same fractional step, so the two computations share one
     composition order and agree exactly once the iteration reaches its
-    finite fixed point.
+    finite fixed point. A given ``unit_kernel`` must start at tau.
     """
     if k_max < 8:
         raise ConfigurationError("k_max must be at least 8")
@@ -162,9 +161,12 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
 
     if unit_kernel is None:
         unit_kernel = assemble_kernel(sys, grid, tau_frac, 1.0, settings)
+    elif unit_kernel.s != tau_frac:
+        raise ConfigurationError(
+            f"unit kernel starts at {unit_kernel.s:g}, not at tau_frac {tau_frac:g}")
     c = karp_eigenvalue(unit_kernel)
-    barrier = peierls_barrier(sys, grid, c, horizon, settings,
-                              s_frac=tau_frac, t_frac=tau_frac, kernel=unit_kernel)
+    barrier = peierls_barrier(sys, grid, c, horizon, settings, t_frac=tau_frac,
+                              kernel=unit_kernel)
     spike_index = int(np.argmax(np.diag(barrier.values)))
     u0 = _initial_condition(u0_tag, n, seed, spike_index)
 
@@ -172,12 +174,10 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         w = u0.copy()
         const = 0.0
     else:
-        if fractional_kernel is None:
-            fractional_kernel = assemble_kernel(sys, grid, 0.0, tau_frac, settings)
+        fractional_kernel = assemble_kernel(sys, grid, 0.0, tau_frac, settings)
         w, _ = minplus_apply(fractional_kernel.matrix, u0)
         const = c * tau_frac
-    limit, _ = minplus_apply(barrier.values, w)
-    limit = limit + const
+    limit = semigroup_limit(w, barrier) + const
 
     errors = np.empty(k_max + 1)
     errors[0] = float(np.max(np.abs(w + const - limit)))

@@ -16,7 +16,9 @@ from .systems import PhasePoint, reduce_mod_1
 
 STEPS_PER_UNIT_TIME = 200
 UNIT_CIRCLE_TOL = 1e-6
-LAMBDA_DEFLATION = 1e-3
+# closing defect the shooting must reach, and its Newton step budget
+SHOOTING_TOLERANCE = 1e-10
+MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,13 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int, n_steps=None,
 
 
 def floquet_analysis(mono: np.ndarray, period: int = 1):
-    """Multipliers, Floquet exponents, hyperbolicity flag, and a spectral
-    floor.
+    """Multipliers, Floquet exponents, hyperbolicity flag, and the least
+    positive exponent rate.
 
     Multipliers are sorted by descending real part, then descending
     imaginary part; exponents are their principal-branch logs divided by
-    the period. The returned ``lam`` is the least positive real part deflated
-    by a factor (1 - 1e-3), so it sits strictly below the exponent
-    spectrum; None when no exponent has positive real part.
+    the period. The returned ``lam`` is the least positive real part among
+    the exponents; None when no exponent has positive real part.
     """
     mono = np.asarray(mono, dtype=float)
     if mono.ndim != 2 or mono.shape[0] != mono.shape[1] or mono.shape[0] % 2:
@@ -155,14 +156,14 @@ def floquet_analysis(mono: np.ndarray, period: int = 1):
     exponents = np.log(mults.astype(complex)) / period
     hyperbolic = bool(np.all(np.abs(np.abs(mults) - 1.0) > UNIT_CIRCLE_TOL))
     positive = exponents.real[exponents.real > 0.0]
-    lam = float(positive.min()) * (1.0 - LAMBDA_DEFLATION) if positive.size else None
+    lam = float(positive.min()) if positive.size else None
     return mults, exponents, hyperbolic, lam
 
 
 SHOTS_PER_UNIT_TIME = 8
 
 
-def _multiple_shooting(sys, guess, period, n_steps, max_newton):
+def _multiple_shooting(sys, guess, period):
     """Damped Newton on the sub-period factorization of the period map.
 
     Splitting the period into short segments keeps the per-segment
@@ -173,7 +174,6 @@ def _multiple_shooting(sys, guess, period, n_steps, max_newton):
     """
     m = SHOTS_PER_UNIT_TIME * period
     dt = period / m
-    seg_steps = None if n_steps is None else max(1, int(round(n_steps / m)))
     z = np.tile([guess.x, guess.v], (m, 1)).astype(float)
     eye = np.eye(2)
 
@@ -182,7 +182,7 @@ def _multiple_shooting(sys, guess, period, n_steps, max_newton):
         jac = np.zeros((2 * m, 2 * m))
         for k in range(m):
             x1, v1, a = _flow_with_variational(sys, states[k, 0], states[k, 1],
-                                               k * dt, (k + 1) * dt, seg_steps)
+                                               k * dt, (k + 1) * dt)
             nxt = states[(k + 1) % m]
             dx = x1 - nxt[0]
             if k == m - 1:
@@ -194,7 +194,7 @@ def _multiple_shooting(sys, guess, period, n_steps, max_newton):
         return res, jac
 
     res, jac = residual(z)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         norm = float(np.max(np.abs(res)))
         if norm <= 1e-12:
             return z[0]
@@ -218,8 +218,7 @@ def _multiple_shooting(sys, guess, period, n_steps, max_newton):
     raise NoOrbitError(f"shooting did not converge; last defect {norm:.3e}")
 
 
-def refine_periodic_orbit(sys, guess: PhasePoint, period: int, n_steps=None,
-                          tol=1e-10, max_newton=60) -> PeriodicOrbit:
+def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     """Damped Newton shooting for a periodic orbit near ``guess``.
 
     Newton solves psi_period(z) - z = 0, globalized through a sub-period
@@ -229,18 +228,18 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int, n_steps=None,
     """
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
-    z = _multiple_shooting(sys, guess, int(period), n_steps, max_newton)
+    z = _multiple_shooting(sys, guess, int(period))
 
     def residual(point):
         x1, v1, mat = _flow_with_variational(sys, point[0], point[1], 0.0,
-                                             float(period), n_steps)
+                                             float(period))
         dx = x1 - point[0]
         return np.array([dx - round(dx), v1 - point[1]]), mat
 
     res, mat = residual(z)
     for _ in range(10):
         norm = float(np.max(np.abs(res)))
-        if norm <= tol:
+        if norm <= SHOOTING_TOLERANCE:
             break
         jac = mat - np.eye(2)
         if abs(np.linalg.det(jac)) < 1e-10:
@@ -252,20 +251,18 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int, n_steps=None,
             break
         z, res, mat = z_new, res_new, mat_new
     norm = float(np.max(np.abs(res)))
-    if norm > tol:
-        raise NoOrbitError(
-            f"polish did not reach tolerance {tol:g}; defect {norm:.3e}")
+    if norm > SHOOTING_TOLERANCE:
+        raise NoOrbitError(f"polish did not reach tolerance {SHOOTING_TOLERANCE:g}; "
+                           f"defect {norm:.3e}")
 
-    mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period, n_steps,
-                     defect_tol=max(10.0 * tol, 1e-9))
+    mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period,
+                     defect_tol=max(10.0 * SHOOTING_TOLERANCE, 1e-9))
     if abs(np.linalg.det(mono - np.eye(2))) < 1e-10:
         raise DegenerateOrbitError(
             "I - monodromy is singular at the refined point; the orbit has a "
             "non-hyperbolic direction")
-    mults, exponents, hyperbolic, _ = floquet_analysis(mono, period)
-    positive = exponents.real[exponents.real > 0.0]
-    lam_orbit = float(positive.min()) if positive.size else None
+    mults, exponents, hyperbolic, lam = floquet_analysis(mono, period)
     return PeriodicOrbit(x=float(reduce_mod_1(z[0])), v=float(z[1]), period=int(period),
                          monodromy=mono, multipliers=mults,
                          floquet_exponents=exponents, hyperbolic=hyperbolic,
-                         lam=lam_orbit)
+                         lam=lam)

@@ -43,10 +43,6 @@ class LiftedSystem:
         return self.base.lagrangian_x(x, np.asarray(v, dtype=float) / self.n,
                                       np.asarray(t, dtype=float) * self.n)
 
-    def lagrangian_v(self, x, v, t):
-        return self.base.lagrangian_v(x, np.asarray(v, dtype=float) / self.n,
-                                      np.asarray(t, dtype=float) * self.n) / self.n
-
     def lagrangian_vv(self, x, v, t):
         return self.base.lagrangian_vv(x, np.asarray(v, dtype=float) / self.n,
                                        np.asarray(t, dtype=float) * self.n) / self.n ** 2
@@ -98,7 +94,8 @@ def lift_curve(curve: DiscretizedCurve, n: int) -> DiscretizedCurve:
 
 
 class Subsolution:
-    """Interface of a subsolution f(x, t) with exact derivatives."""
+    """Interface of a time-independent subsolution f(x, t) with its exact
+    x-derivative."""
 
     tag = "abstract"
 
@@ -108,15 +105,6 @@ class Subsolution:
     def dx(self, x, t):
         raise NotImplementedError
 
-    def dt(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def dxx(self, x, t):
-        raise NotImplementedError
-
-    def dxt(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
 
 class ZeroSubsolution(Subsolution):
     tag = "zero"
@@ -125,7 +113,6 @@ class ZeroSubsolution(Subsolution):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     dx = value
-    dxx = value
 
 
 class ConstantSubsolution(Subsolution):
@@ -139,8 +126,6 @@ class ConstantSubsolution(Subsolution):
 
     def dx(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    dxx = dx
 
 
 class MaupertuisSubsolution(Subsolution):
@@ -193,12 +178,6 @@ class MaupertuisSubsolution(Subsolution):
         blend = self._a * xi ** 2 + self._b * xi
         return sign * np.where(in_band, blend, smooth)
 
-    def dxx(self, x, t):
-        folded, _, xi, in_band = self._pieces(x)
-        smooth = 2.0 * self._root * math.pi * np.cos(math.pi * folded)
-        blend = 2.0 * self._a * xi + self._b
-        return np.where(in_band, blend, smooth)
-
 
 def subsolution_from_tag(tag: str, sys, kappa: float = 1.0) -> Subsolution:
     if tag == "zero":
@@ -217,8 +196,11 @@ def subsolution_from_tag(tag: str, sys, kappa: float = 1.0) -> Subsolution:
 
 
 class TiltedSystem:
-    """L(x,v,t) - f_x(x,t) v - f_t(x,t) + c, with the differential part
-    integrated exactly along curves (boundary term), not by quadrature."""
+    """L(x,v,t) - f_x(x,t) v + c for a time-independent subsolution f, with
+    the differential part integrated exactly along curves (boundary term),
+    not by quadrature. Quadrature runs on the base system, so only the
+    pointwise ``lagrangian`` of the tilt itself is evaluated, by the
+    nonnegativity sweep."""
 
     mechanical_form = False  # L_v couples to x through f_x; flow via the base
 
@@ -231,32 +213,7 @@ class TiltedSystem:
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
-        return (self.base.lagrangian(x, v, t) - self.sub.dx(x, t) * v
-                - self.sub.dt(x, t) + self.c)
-
-    def lagrangian_x(self, x, v, t):
-        v = np.asarray(v, dtype=float)
-        return (self.base.lagrangian_x(x, v, t) - self.sub.dxx(x, t) * v
-                - self.sub.dxt(x, t))
-
-    def lagrangian_v(self, x, v, t):
-        return self.base.lagrangian_v(x, v, t) - self.sub.dx(x, t)
-
-    def lagrangian_vv(self, x, v, t):
-        return self.base.lagrangian_vv(x, v, t)
-
-    def lagrangian_and_grads(self, x, v, t):
-        v = np.asarray(v, dtype=float)
-        lag, lx, lv = self.base.lagrangian_and_grads(x, v, t)
-        fx = self.sub.dx(x, t)
-        return (lag - fx * v - self.sub.dt(x, t) + self.c,
-                lx - self.sub.dxx(x, t) * v - self.sub.dxt(x, t),
-                lv - fx)
-
-    def hamiltonian(self, x, p, t):
-        fx = self.sub.dx(x, t)
-        return (self.base.hamiltonian(x, np.asarray(p, dtype=float) + fx, t)
-                + self.sub.dt(x, t) - self.c)
+        return self.base.lagrangian(x, v, t) - self.sub.dx(x, t) * v + self.c
 
     def quadrature_system(self):
         return self.base.quadrature_system()
@@ -275,32 +232,36 @@ class TiltedSystem:
         return f"tilt(f={self.sub.tag},c={self.c:g}) of {self.base.label()}"
 
 
-def tilt_system(sys, f_tag: str, c: float, kappa: float = 1.0, validate: bool = True,
-                lattice=(64, 32, 16), v_bound: float = 3.0,
-                tol: float = 1e-6) -> TiltedSystem:
+# lattice (x, v, t) of the nonnegativity sweep, its velocity range, and the
+# most negative tilted Lagrangian the sweep accepts
+TILT_LATTICE = (64, 32, 16)
+TILT_V_BOUND = 3.0
+TILT_TOLERANCE = 1e-6
+
+
+def tilt_system(sys, f_tag: str, c: float, kappa: float = 1.0) -> TiltedSystem:
     """Build the tilted Lagrangian and sweep a lattice for negativity.
 
-    The sweep covers x in [0,1), v in [-v_bound, v_bound], t in [0,1);
-    superlinearity makes large |v| harmless, the risk sits at moderate v.
-    Records the minimum and its location; raises when the minimum drops
-    below -tol.
+    The sweep covers x in [0,1), v in [-TILT_V_BOUND, TILT_V_BOUND], t in
+    [0,1); superlinearity makes large |v| harmless, the risk sits at
+    moderate v. Records the minimum and its location; raises when the
+    minimum drops below -TILT_TOLERANCE.
     """
     sub = subsolution_from_tag(f_tag, sys, kappa=kappa)
     tilted = TiltedSystem(sys, sub, c)
-    if validate:
-        nx, nv, nt = lattice
-        xs = np.arange(nx) / nx
-        vs = np.linspace(-v_bound, v_bound, nv)
-        ts = np.arange(nt) / nt
-        xg, vg, tg = np.meshgrid(xs, vs, ts, indexing="ij")
-        values = tilted.lagrangian(xg, vg, tg)
-        flat = int(np.argmin(values))
-        witness = (float(xg.flat[flat]), float(vg.flat[flat]), float(tg.flat[flat]))
-        minimum = float(values.flat[flat])
-        tilted.tilt_minimum = minimum
-        tilted.tilt_witness = witness
-        if minimum < -tol:
-            raise InvalidSubsolutionError(
-                f"tilted Lagrangian reaches {minimum:.3e} at {witness}",
-                witness=witness, minimum=minimum)
+    nx, nv, nt = TILT_LATTICE
+    xs = np.arange(nx) / nx
+    vs = np.linspace(-TILT_V_BOUND, TILT_V_BOUND, nv)
+    ts = np.arange(nt) / nt
+    xg, vg, tg = np.meshgrid(xs, vs, ts, indexing="ij")
+    values = tilted.lagrangian(xg, vg, tg)
+    flat = int(np.argmin(values))
+    witness = (float(xg.flat[flat]), float(vg.flat[flat]), float(tg.flat[flat]))
+    minimum = float(values.flat[flat])
+    tilted.tilt_minimum = minimum
+    tilted.tilt_witness = witness
+    if minimum < -TILT_TOLERANCE:
+        raise InvalidSubsolutionError(
+            f"tilted Lagrangian reaches {minimum:.3e} at {witness}",
+            witness=witness, minimum=minimum)
     return tilted

@@ -94,9 +94,6 @@ class LagrangianSystem:
         w = TWO_PI * self.freq
         return self.amp * w * np.sin(w * reduce_mod_1(x)) * self._modulation(t)
 
-    def lagrangian_v(self, x, v, t):
-        return np.asarray(v, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
-
     def lagrangian_vv(self, x, v, t):
         return np.ones_like(np.asarray(v, dtype=float) + np.zeros_like(np.asarray(x, dtype=float)))
 
@@ -247,17 +244,29 @@ class DiscretizedCurve:
         return float(reduce_mod_1(self.samples[-1]))
 
 
-def curve_action(sys, curve: DiscretizedCurve) -> float:
-    """Midpoint-rule action of a discretized curve.
+def exact_row_actions(sys, a, b, rows):
+    """Midpoint-rule actions over [a, b] of the lifted sample rows, one per
+    row, without the system's boundary term.
 
-    Velocities are finite differences of the lifted samples; each segment
-    contributes spacing * L(midpoint, velocity, midpoint time). Summation
-    uses math.fsum so that the value is reproducible independently of
-    chunking, and systems may add an exact boundary term (tilts do).
+    Velocities are finite differences of the samples; each segment
+    contributes spacing * L(midpoint, velocity, midpoint time). Each row
+    is summed with math.fsum, so a value does not depend on the other rows
+    of the batch.
     """
     qsys = sys.quadrature_system()
-    h = curve.spacing
-    terms = h * np.asarray(qsys.lagrangian(curve.midpoints(), curve.velocities(),
-                                           curve.midpoint_times()), dtype=float)
+    n_seg = rows.shape[1] - 1
+    h = (b - a) / n_seg
+    tmid = a + h * (np.arange(n_seg) + 0.5)
+    vel = np.diff(rows, axis=1) / h
+    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
+    terms = h * np.asarray(qsys.lagrangian(mid, vel, tmid), dtype=float)
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+def curve_action(sys, curve: DiscretizedCurve) -> float:
+    """Midpoint-rule action of a discretized curve: its one-row
+    ``exact_row_actions`` plus the system's exact boundary term (tilts
+    have one)."""
+    value = exact_row_actions(sys, curve.t0, curve.t1, curve.samples[None, :])[0]
     offset = sys.action_offset(curve.samples[0], curve.samples[-1], curve.t0, curve.t1)
-    return math.fsum(terms.tolist()) + float(offset)
+    return float(value) + float(offset)

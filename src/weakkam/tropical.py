@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (MinimizationSettings, exact_row_actions,
-                     minimize_straight_batch, segments_for, winding_candidates,
-                     _straight_lifts)
+from .action import (MinimizationSettings, minimize_straight_batch,
+                     segments_for, winding_candidates, _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
-from .systems import DiscretizedCurve
+from .systems import DiscretizedCurve, exact_row_actions
 
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
@@ -42,20 +41,6 @@ class Grid:
 
     def nearest_index(self, x) -> int:
         return int(round(float(x) * self.n)) % self.n
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
-            raise ConfigurationError("grid function shape mismatch")
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError("grid function values must be finite")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     pot_ceiling = qsys.potential_upper_bound()
 
     z0 = _straight_lifts(starts, ends, n_seg)
-    rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0, settings)
+    rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0)
     best_winding = np.zeros(starts.size, dtype=int)
 
     others = np.array(windings[1:], dtype=int)
@@ -129,8 +114,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     w_idx, pair = np.nonzero(lower <= best_e[None, :])
     if pair.size:
         zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
-        zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init,
-                                                      settings)
+        zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
         for w, k in enumerate(others):
             sel = np.flatnonzero(w_idx == w)
             better = sel[ek[sel] < best_e[pair[sel]]]  # strict: ties keep smaller |k|

@@ -1,5 +1,5 @@
-"""Critical value, Peierls barrier, Aubry set, weak KAM solutions, and the
-connection graph between Aubry classes.
+"""Peierls barrier, Aubry set, the semigroup limit, and the connection
+graph between Aubry classes.
 
 The barrier is realized as the entrywise running minimum over the tail of
 the tropical powers of the c-shifted unit kernel. By max-plus cyclicity
@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import MinimizationSettings
-from .errors import ConfigurationError, EmptyAubrySetError, NotConjugateError
+from .errors import ConfigurationError, EmptyAubrySetError
 from .systems import LagrangianSystem
-from .tropical import (Grid, GridFunction, TropicalKernel, assemble_kernel,
-                       karp_eigenvalue, minplus_apply, minplus_matmul)
+from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
+                       minplus_matmul)
 
 STABILIZATION_TOL = 1e-8
+# the Aubry tolerance is this multiple of the measured free-kernel error
+AUBRY_TOLERANCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -75,25 +77,16 @@ class ConnectionGraph:
     cycles: list
 
 
-def critical_value(sys: LagrangianSystem, grid: Grid,
-                   settings: MinimizationSettings | None = None,
-                   kernel: TropicalKernel | None = None) -> float:
-    """Critical value from the minimum cycle mean of the unit-time kernel."""
-    if kernel is None:
-        kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
-    return karp_eigenvalue(kernel)
-
-
 BARRIER_TAIL_WINDOW = 4
 
 
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                     settings: MinimizationSettings | None = None,
-                    s_frac: float = 0.0, t_frac: float = 0.0,
-                    kernel: TropicalKernel | None = None,
-                    fractional_kernel: TropicalKernel | None = None,
-                    stab_tol: float = STABILIZATION_TOL) -> BarrierMatrix:
+                    t_frac: float = 0.0, *, kernel: TropicalKernel) -> BarrierMatrix:
     """Tail running minimum of tropical powers of the c-shifted unit kernel.
+
+    ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
+    the barrier starts at its offset s_frac = ``kernel.s``.
 
     The barrier is a liminf over long time windows, so short windows must
     not contribute: at generic entry pairs the early powers dip below the
@@ -117,13 +110,20 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     None.
 
     For offsets (s_frac, t_frac) with t_frac != s_frac the powers are
-    post-composed with the fractional kernel over [s_frac, s_frac + df]
-    shifted by c*df, where df = (t_frac - s_frac) mod 1.
+    post-composed with the fractional kernel over [s_frac, s_frac + df],
+    assembled with ``settings`` and shifted by c*df, where
+    df = (t_frac - s_frac) mod 1.
     """
     if horizon < 2:
         raise ConfigurationError("barrier horizon must be at least 2")
-    if kernel is None:
-        kernel = assemble_kernel(sys, grid, s_frac, 1.0, settings)
+    if kernel.grid != grid:
+        raise ConfigurationError(
+            f"barrier grid of {grid.n} points does not match the kernel's "
+            f"{kernel.grid.n}")
+    if kernel.delta != 1.0:
+        raise ConfigurationError(f"barrier needs a unit-time kernel, not one "
+                                 f"over {kernel.delta:g}")
+    s_frac = kernel.s
     shifted = kernel.matrix + c
     tail = [shifted]  # P^(last - len(tail) + 1) .. P^last
     last, period = 1, None
@@ -148,29 +148,27 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     values = running
     if t_frac != s_frac:
         df = (t_frac - s_frac) % 1.0
-        if fractional_kernel is None:
-            fractional_kernel = assemble_kernel(sys, grid, s_frac, df, settings)
-        values = minplus_matmul(running, fractional_kernel.matrix + c * df)
+        fractional = assemble_kernel(sys, grid, s_frac, df, settings)
+        values = minplus_matmul(running, fractional.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
                          values=values, horizon=int(horizon), defect=defect,
-                         stabilized=bool(defect <= stab_tol), c=float(c),
+                         stabilized=bool(defect <= STABILIZATION_TOL), c=float(c),
                          turnpike=turnpike, period=period)
 
 
-def default_aubry_tolerance(grid: Grid, settings: MinimizationSettings | None = None,
-                            factor: float = 10.0) -> float:
+def default_aubry_tolerance(grid: Grid, settings: MinimizationSettings | None = None) -> float:
     """Tolerance scaled to the measured kernel error at this resolution.
 
     Assembles the free-system unit kernel on the same grid and compares it
     with the closed form min_k (dx + k)^2 / 2; the Aubry tolerance is
-    ``factor`` times the sup error, floored at 1e-12.
+    ``AUBRY_TOLERANCE_FACTOR`` times the sup error, floored at 1e-12.
     """
     free = LagrangianSystem(family="free")
     kernel = assemble_kernel(free, grid, 0.0, 1.0, settings)
     pts = grid.points
     diff = pts[None, :] - pts[:, None]
     exact = np.minimum.reduce([0.5 * (diff + k) ** 2 for k in (-1, 0, 1)])
-    return max(1e-12, factor * float(np.max(np.abs(kernel.matrix - exact))))
+    return max(1e-12, AUBRY_TOLERANCE_FACTOR * float(np.max(np.abs(kernel.matrix - exact))))
 
 
 def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
@@ -205,46 +203,14 @@ def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
                     representatives=representatives)
 
 
-def backward_solution(h: BarrierMatrix, p_index: int) -> GridFunction:
-    """x -> h(p, x): a backward solution of the critical equation."""
-    return GridFunction(grid=h.grid, values=h.values[p_index].copy())
-
-
-def forward_solution(h: BarrierMatrix, p_index: int) -> GridFunction:
-    """x -> -h(x, p): a forward solution of the critical equation."""
-    return GridFunction(grid=h.grid, values=-h.values[:, p_index].copy())
-
-
-def conjugate_pair_coincidence(u_minus: GridFunction, u_plus: GridFunction,
-                               aubry: AubrySet, tol: float):
-    """Coincidence set of an aligned conjugate pair.
-
-    The forward solution is shifted so that min over the Aubry clusters of
-    (u- - u+) is zero (both solutions are defined up to constants); the
-    pair must then agree on every cluster point within tol, else it is not
-    conjugate. Returns (indices, aligned forward values).
-    """
-    um = u_minus.values
-    up = u_plus.values.copy()
-    cluster_idx = np.concatenate([np.asarray(c, dtype=int) for c in aubry.clusters])
-    shift = float(np.min(um[cluster_idx] - up[cluster_idx]))
-    up += shift
-    worst = float(np.max(np.abs(um[cluster_idx] - up[cluster_idx])))
-    if worst > tol:
-        raise NotConjugateError(
-            f"pair disagrees on the Aubry clusters by {worst:.3e} > {tol:g}")
-    indices = np.flatnonzero(np.abs(um - up) <= tol)
-    return indices, up
-
-
-def semigroup_limit(u0, h: BarrierMatrix) -> GridFunction:
+def semigroup_limit(u0, h: BarrierMatrix) -> np.ndarray:
     """Limit of the c-corrected evolution from u0: min over starting points
     of u0 plus the barrier to each target."""
-    values = np.asarray(u0.values if isinstance(u0, GridFunction) else u0, dtype=float)
+    values = np.asarray(u0, dtype=float)
     if values.shape != (h.grid.n,):
         raise ConfigurationError("shape mismatch between u0 and barrier")
     out, _ = minplus_apply(h.values, values)
-    return GridFunction(grid=h.grid, values=out)
+    return out
 
 
 def _find_cycles(n_vertices: int, edges) -> list:

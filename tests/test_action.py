@@ -88,8 +88,6 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         MinimizationSettings(winding_range=-1)
     with pytest.raises(ConfigurationError):
-        MinimizationSettings(gradient_tolerance=2.0)
-    with pytest.raises(ConfigurationError):
         minimal_action(FREE, 0.0, 1.0, 0.5, 1.0)
 
 
@@ -113,9 +111,9 @@ def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):
     batches = []
     original = tropical.minimize_straight_batch
 
-    def counting(sys, a, b, n_seg, z0, settings, **kwargs):
+    def counting(sys, a, b, n_seg, z0, **kwargs):
         batches.append(z0.shape[0])
-        return original(sys, a, b, n_seg, z0, settings, **kwargs)
+        return original(sys, a, b, n_seg, z0, **kwargs)
 
     monkeypatch.setattr(tropical, "minimize_straight_batch", counting)
     dwell_statistics(MECH, [orbit], 0.25, 0.0, 0.25, 8.0)

@@ -21,7 +21,7 @@ def test_critical_value_free(capsys):
 
 def test_action_prints_value_and_curve(tmp_path, capsys):
     curve_file = tmp_path / "curve.csv"
-    code, out, _ = run_cli(capsys, "action", "--system", "free", "--grid", "16",
+    code, out, _ = run_cli(capsys, "action", "--system", "free",
                            "--from", "0", "--to", "0.4", "--bt", "1",
                            "--out", str(curve_file))
     assert code == 0
@@ -93,14 +93,13 @@ def test_orbit_row(capsys):
 
 
 def test_reduce_and_tilt(capsys):
-    code, out, _ = run_cli(capsys, "reduce", "--n", "2", "--check")
+    code, out, _ = run_cli(capsys, "reduce", "--n", "2")
     assert code == 0
     values = dict(line.split(",") for line in out.strip().splitlines())
     assert float(values["action_identity_residual"]) <= 1e-10
     assert float(values["hamiltonian_identity_residual"]) == 0.0
 
-    code, out, _ = run_cli(capsys, "tilt", "--f", "maupertuis", "--c", "1",
-                           "--check")
+    code, out, _ = run_cli(capsys, "tilt", "--f", "maupertuis", "--c", "1")
     assert code == 0
     values = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert float(values["tilt_minimum"]) >= -1e-6
@@ -140,6 +139,13 @@ def test_unknown_flags_exit_2(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         dispatch(["not-a-command"])
+    assert info.value.code == 2
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    # the tilt sweep runs on a fixed lattice and assembles no kernel
+    with pytest.raises(SystemExit) as info:
+        dispatch(["tilt", "--f", "maupertuis", "--c", "1", "--grid", "16"])
     assert info.value.code == 2
 
 

@@ -85,6 +85,14 @@ def test_convergence_validation():
         run_convergence(MECH, Grid(16), tau_frac=1.5, k_max=10)
 
 
+def test_convergence_rejects_a_kernel_from_another_offset():
+    sys = LagrangianSystem(family="mechanical-cos", eps=0.3)
+    kernel = assemble_kernel(sys, Grid(16), 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="not at tau_frac 0.5"):
+        run_convergence(sys, Grid(16), tau_frac=0.5, k_max=10, horizon=8,
+                        unit_kernel=kernel, orbits=[])
+
+
 def test_limits_differ_by_constant_between_initial_conditions():
     kernel = assemble_kernel(MECH, Grid(64), 0.0, 1.0)
     zero = run_convergence(MECH, Grid(64), u0_tag="zero", k_max=10,

@@ -85,7 +85,7 @@ def test_floquet_examples():
         np.diag([535.4916555247646, 0.0018674427317079893]), 1)
     assert hyperbolic
     assert abs(exps[0].real - 2 * math.pi) < 1e-12
-    assert abs(lam - 2 * math.pi * 0.999) < 1e-9
+    assert abs(lam - 2 * math.pi) < 1e-12
 
     _, _, hyp_shear, lam_shear = floquet_analysis(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
     assert not hyp_shear and lam_shear is None

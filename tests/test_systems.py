@@ -14,14 +14,15 @@ EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 def test_eval_free_closed_form():
     x, v, t = 0.3, 2.0, 0.7
     values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x(x, v, t),
-              FREE.lagrangian_v(x, v, t), FREE.lagrangian_vv(x, v, t))
+              FREE.lagrangian_and_grads(x, v, t)[2], FREE.lagrangian_vv(x, v, t))
     assert values == (2.0, 0.0, 2.0, 1.0)
 
 
 def test_eval_mech_at_rest_on_maximum():
     x, v, t = 0.0, 0.0, 0.37
     assert MECH.lagrangian(x, v, t) == -1.0
-    assert MECH.lagrangian_v(x, v, t) == 0.0 and MECH.lagrangian_vv(x, v, t) == 1.0
+    assert MECH.lagrangian_and_grads(x, v, t)[2] == 0.0
+    assert MECH.lagrangian_vv(x, v, t) == 1.0
 
 
 def test_eval_mech_quarter_kills_potential():
@@ -71,7 +72,7 @@ def test_derivatives_match_finite_differences():
             fd_v = (sys.lagrangian(x, v + step, t) - sys.lagrangian(x, v - step, t)) / (2 * step)
             scale = 1.0 + abs(fd_x) + abs(fd_v)
             assert abs(fd_x - sys.lagrangian_x(x, v, t)) / scale < 1e-6
-            assert abs(fd_v - sys.lagrangian_v(x, v, t)) / scale < 1e-6
+            assert abs(fd_v - sys.lagrangian_and_grads(x, v, t)[2]) / scale < 1e-6
             fd_xx = (sys.lagrangian_x(x + step, v, t) - sys.lagrangian_x(x - step, v, t)) / (2 * step)
             assert abs(fd_xx - sys.lagrangian_xx(x, v, t)) / (1 + abs(fd_xx)) < 1e-5
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from weakkam import (ConfigurationError, Grid, GridFunction, LagrangianSystem,
+from weakkam import (ConfigurationError, Grid, LagrangianSystem,
                      NumericalError, assemble_kernel, karp_eigenvalue,
                      min_cycle_mean, minimal_action, minplus_apply,
                      minplus_matmul)
@@ -33,8 +33,6 @@ def test_grid_validation():
         Grid(4)
     grid = Grid(8)
     assert grid.nearest_index(0.26) == 2
-    with pytest.raises(ConfigurationError):
-        GridFunction(grid, np.zeros(5))
 
 
 def test_free_kernel_closed_form(free_kernel):

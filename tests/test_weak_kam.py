@@ -5,11 +5,9 @@ import pytest
 
 import weakkam.weak_kam as weak_kam
 from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
-                     LagrangianSystem, NotConjugateError, TropicalKernel,
-                     aubry_set, assemble_kernel, backward_solution,
-                     connection_graph, conjugate_pair_coincidence,
-                     critical_value, default_aubry_tolerance, forward_solution,
-                     karp_eigenvalue, minplus_apply,
+                     LagrangianSystem, TropicalKernel, aubry_set,
+                     assemble_kernel, connection_graph,
+                     default_aubry_tolerance, karp_eigenvalue, minplus_apply,
                      peierls_barrier, semigroup_limit)
 
 FREE = LagrangianSystem(family="free")
@@ -36,7 +34,6 @@ def free_kernel():
 
 def test_critical_value_free(free_kernel):
     assert abs(karp_eigenvalue(free_kernel)) <= 1e-9
-    assert abs(critical_value(FREE, Grid(16))) <= 1e-9
 
 
 def test_critical_value_mech(mech_kernel):
@@ -161,9 +158,18 @@ def test_barrier_products_stop_at_turnpike(barrier_cases, monkeypatch, case):
         assert barrier.turnpike <= 4
 
 
-def test_barrier_requires_horizon():
+def test_barrier_requires_horizon(mech_kernel):
     with pytest.raises(ConfigurationError):
-        peierls_barrier(MECH, Grid(N), 1.0, horizon=1)
+        peierls_barrier(MECH, Grid(N), 1.0, horizon=1, kernel=mech_kernel)
+
+
+def test_barrier_rejects_a_kernel_of_another_grid_or_duration():
+    kernel = assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="grid of 32 points"):
+        peierls_barrier(MECH, Grid(32), 1.0, horizon=8, kernel=kernel)
+    half = assemble_kernel(MECH, Grid(16), 0.0, 0.5)
+    with pytest.raises(ConfigurationError, match="unit-time kernel"):
+        peierls_barrier(MECH, Grid(16), 1.0, horizon=8, kernel=half)
 
 
 def test_aubry_detection(mech_barrier):
@@ -199,42 +205,12 @@ def test_default_aubry_tolerance_scale():
     assert 0 < tol < 1e-6
 
 
-def test_backward_forward_solutions(mech_barrier):
-    u_minus = backward_solution(mech_barrier, 0)
-    u_plus = forward_solution(mech_barrier, 0)
-    assert u_minus.values[0] == 0.0 and u_plus.values[0] == 0.0
-    oracle = (2 / math.pi) * (1 - math.cos(math.pi * 0.25))
-    assert abs(u_minus.values[N // 4] - oracle) < 2e-2
-
-
-def test_conjugate_pair_coincidence(mech_barrier):
-    detected = aubry_set(mech_barrier, 1e-9)
-    u_minus = backward_solution(mech_barrier, 0)
-    u_plus = forward_solution(mech_barrier, 0)
-    indices, aligned = conjugate_pair_coincidence(u_minus, u_plus, detected, 1e-6)
-    assert 0 in indices
-    assert set(detected.representatives) <= set(indices.tolist())
-    # coincidence is essentially the Aubry point at this tolerance
-    assert indices.size <= 3
-
-
 @pytest.fixture(scope="module")
 def two_well_barrier():
     sys = LagrangianSystem(family="mechanical-cos", freq=2)
     kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
     return peierls_barrier(sys, Grid(32), karp_eigenvalue(kernel), horizon=24,
                            kernel=kernel)
-
-
-def test_conjugate_pair_rejects_two_well_single_base(two_well_barrier):
-    # a backward/forward pair based at one of two Aubry orbits disagrees on
-    # the other orbit by twice the inter-well barrier, constants cannot fix it
-    detected = aubry_set(two_well_barrier, 1e-9)
-    assert sorted(detected.representatives) == [0, 16]
-    u_minus = backward_solution(two_well_barrier, 0)
-    u_plus = forward_solution(two_well_barrier, 0)
-    with pytest.raises(NotConjugateError):
-        conjugate_pair_coincidence(u_minus, u_plus, detected, 1e-2)
 
 
 def test_two_well_graph_roots(two_well_barrier):
@@ -250,24 +226,24 @@ def test_semigroup_limit_examples(mech_barrier, free_kernel):
     free_barrier = peierls_barrier(FREE, Grid(N), 0.0, horizon=12,
                                    kernel=free_kernel)
     flat = semigroup_limit(np.zeros(N), free_barrier)
-    assert np.max(np.abs(flat.values)) <= 2e-2
+    assert np.max(np.abs(flat)) <= 2e-2
 
     spike = np.full(N, 10.0)
     spike[0] = 0.0
     limit = semigroup_limit(spike, mech_barrier)
-    u_minus = backward_solution(mech_barrier, 0)
-    assert np.max(np.abs(limit.values - np.minimum(u_minus.values, 10.0))) < 1e-12
+    # the barrier row from the Aubry point 0 is a backward weak KAM solution
+    assert np.max(np.abs(limit - np.minimum(mech_barrier.values[0], 10.0))) < 1e-12
 
     const = semigroup_limit(np.full(N, 3.0), mech_barrier)
     base = semigroup_limit(np.zeros(N), mech_barrier)
-    assert np.max(np.abs(const.values - base.values - 3.0)) < 1e-12
+    assert np.max(np.abs(const - base - 3.0)) < 1e-12
 
 
 def test_semigroup_limit_matches_iteration(mech_kernel, mech_barrier):
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0, 5, N)
     c = mech_barrier.c
-    limit = semigroup_limit(u0, mech_barrier).values
+    limit = semigroup_limit(u0, mech_barrier)
     w = u0.copy()
     for k in range(1, 31):
         w, _ = minplus_apply(mech_kernel.matrix, w)
