@@ -75,12 +75,12 @@ class AcceptanceContext:
     def system(self, freq: int = 1, eps: float = 0.0) -> LagrangianSystem:
         return LagrangianSystem(family="mechanical-cos", amp=1.0, freq=freq, eps=eps)
 
-    def kernel(self, freq: int, eps: float, n: int, s: float = 0.0):
-        key = (freq, eps, n, s)
+    def kernel(self, freq: int, eps: float, n: int):
+        key = (freq, eps, n)
         if key not in self._kernels:
             start = time.perf_counter()
             self._kernels[key] = assemble_kernel(self.system(freq, eps), Grid(n),
-                                                 s, 1.0, self.settings)
+                                                 0.0, 1.0, self.settings)
             self.assembly_seconds[key] = time.perf_counter() - start
         return self._kernels[key]
 
@@ -137,7 +137,7 @@ def criterion_01_critical_value(ctx: AcceptanceContext) -> CriterionResult:
         rows.append((freq, ctx.scale.n_main, c_main, err, ctx.scale.n_confirm,
                      c_confirm, agree))
     timed = karp_seconds + sum(
-        ctx.assembly_seconds.get((freq, 0.0, ctx.scale.n_main, 0.0), 0.0)
+        ctx.assembly_seconds.get((freq, 0.0, ctx.scale.n_main), 0.0)
         for freq in (1, 2))
     agree_worst = max(row[6] for row in rows)
     passed = (worst <= 1e-2 and agree_worst <= 3e-3

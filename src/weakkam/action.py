@@ -387,17 +387,6 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     return z, e, gsup, converged, iterations
 
 
-def discrete_el_residual(sys, curve: DiscretizedCurve) -> float:
-    """Sup norm of the discrete action gradient at a curve (its discrete
-    Euler-Lagrange residual)."""
-    qsys = sys.quadrature_system()
-    h = curve.spacing
-    _, lx, lv = qsys.lagrangian_and_grads(curve.midpoints(), curve.velocities(),
-                                          curve.midpoint_times())
-    g = 0.5 * h * (lx[:-1] + lx[1:]) + (lv[:-1] - lv[1:])
-    return float(np.max(np.abs(g))) if g.size else 0.0
-
-
 def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None):
     """Least action over curves from (x, a) to (y, b), with winding search.
 

@@ -196,7 +196,7 @@ def _cmd_critical_value(args) -> int:
 
 def _barrier_for(args, horizon, t_frac=0.0):
     """Barrier from the unit kernel at offset 0; warns on stderr when its
-    tail has not stabilized."""
+    powers found no cycle within the horizon."""
     sys = _system(args)
     grid = Grid(args.grid)
     settings = _settings(args)

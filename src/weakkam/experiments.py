@@ -24,6 +24,10 @@ from .weak_kam import BarrierMatrix, aubry_set, peierls_barrier, semigroup_limit
 EXACT_CONVERGENCE_TOL = 1e-12
 FIT_FLOOR_FACTOR = 100.0
 R2_THRESHOLD = 0.98
+# one unit step contracts by about exp(-lambda), so at desk grid resolutions
+# the pre-turnpike transient holds only a few samples; three collinear
+# log-points still pin the rate
+MIN_FIT_POINTS = 3
 ORBIT_DETECTION_TOL = 1e-7
 
 U0_TAGS = ("zero", "spike", "random-seeded")
@@ -78,29 +82,25 @@ def _linear_fit(ks, logs):
     return float(-slope), float(math.exp(intercept)), float(r2)
 
 
-def fit_exponential_rate(errors, floor, min_points: int = 4,
-                         r2_threshold: float | None = None) -> FitResult:
+def fit_exponential_rate(errors, floor) -> FitResult:
     """Least-squares line through (k, log e_k) above the floor.
 
-    The window is the suffix-trimmed run of above-floor points; when an
-    ``r2_threshold`` is given, the window additionally shrinks from the
-    left until the fit determination reaches it (the best attempt is
-    returned when nothing does).
+    The window is the suffix-trimmed run of above-floor points, shrunk
+    from the left until the fit determination reaches ``R2_THRESHOLD``
+    (the best attempt is returned when nothing does).
     """
     errors = np.asarray(errors, dtype=float)
     usable = np.flatnonzero(errors > floor)
-    if usable.size < min_points:
+    if usable.size < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"only {usable.size} points above the floor, need {min_points}")
+            f"only {usable.size} points above the floor, need {MIN_FIT_POINTS}")
     best = None
-    for start in range(usable.size - min_points + 1):
+    for start in range(usable.size - MIN_FIT_POINTS + 1):
         idx = usable[start:]
         mu, pref, r2 = _linear_fit(idx, np.log(errors[idx]))
         result = FitResult(mu=mu, prefactor=pref,
                            window=(int(idx[0]), int(idx[-1])), r2=r2)
-        if r2_threshold is None:
-            return result
-        if r2 >= r2_threshold:
+        if r2 >= R2_THRESHOLD:
             return result
         if best is None or r2 > best.r2:
             best = result
@@ -123,11 +123,11 @@ def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.n
                              f"choose one of {U0_TAGS}")
 
 
-def detect_aubry_orbits(sys, barrier: BarrierMatrix,
-                        tol: float = ORBIT_DETECTION_TOL) -> list[PeriodicOrbit]:
-    """Refine a period-1 orbit from each diagonal-barrier cluster, seeding
-    the shooting with zero velocity at the representative."""
-    detected = aubry_set(barrier, tol)
+def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
+    """Refine a period-1 orbit from each diagonal-barrier cluster within
+    ``ORBIT_DETECTION_TOL``, seeding the shooting with zero velocity at the
+    representative."""
+    detected = aubry_set(barrier, ORBIT_DETECTION_TOL)
     orbits = []
     for rep in detected.representatives:
         guess = PhasePoint(x=rep / barrier.grid.n, v=0.0, t=0.0)
@@ -146,7 +146,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
 
     The evolution applies the fractional kernel over [0, tau] once, then
     the unit kernel at offset tau, k times; the reference limit is built
-    from the running-minimum barrier of the same offset-tau kernel applied
+    from the cycle-minimum barrier of the same offset-tau kernel applied
     after the same fractional step, so the two computations share one
     composition order and agree exactly once the iteration reaches its
     finite fixed point. A given ``unit_kernel`` must start at tau.
@@ -207,11 +207,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
                                  limit=limit)
 
     try:
-        # one unit step contracts by about exp(-lambda), so at desk grid
-        # resolutions the pre-turnpike transient holds only a few samples;
-        # three collinear log-points still pin the rate
-        fit = fit_exponential_rate(errors, floor, min_points=3,
-                                   r2_threshold=R2_THRESHOLD)
+        fit = fit_exponential_rate(errors, floor)
     except InsufficientDataError:
         verdict = "converged-no-fit" if (
             kstar is not None and errors[-1] <= EXACT_CONVERGENCE_TOL) else "fail"
@@ -233,9 +229,8 @@ def _orbit_reference(sys, orbit: PeriodicOrbit, times: np.ndarray):
     """Orbit position and velocity at the requested times (mod its period)."""
     period = float(orbit.period)
     frac = np.mod(times, period)
-    steps = max(200 * orbit.period, 2)
     ts, xs, vs = flow_trajectory(sys, PhasePoint(x=orbit.x, v=orbit.v, t=0.0),
-                                 period, n_steps=steps)
+                                 period)
     x_ref = np.interp(frac, ts, xs)
     v_ref = np.interp(frac, ts, vs)
     return x_ref, v_ref

@@ -97,10 +97,10 @@ def flow_map(sys, p: PhasePoint, t1, n_steps=None) -> PhasePoint:
     return PhasePoint(x=float(reduce_mod_1(xs[-1])), v=float(vs[-1]), t=float(t1))
 
 
-def _flow_with_variational(sys, x0, v0, t0, t1, n_steps=None):
+def _flow_with_variational(sys, x0, v0, t0, t1):
     """Integrate the flow together with its 2x2 variational matrix."""
     _check_mechanical(sys)
-    n = _steps_for(t1 - t0, n_steps)
+    n = _steps_for(t1 - t0, None)
 
     def rhs(t, y):
         x, v = y[0], y[1]
@@ -116,7 +116,7 @@ def _flow_with_variational(sys, x0, v0, t0, t1, n_steps=None):
     return y[0], y[1], y[2:].reshape(2, 2)
 
 
-def monodromy(sys, orbit_seed: PhasePoint, period: int, n_steps=None,
+def monodromy(sys, orbit_seed: PhasePoint, period: int,
               defect_tol=1e-6) -> np.ndarray:
     """Derivative of the time-``period`` flow map along a periodic orbit.
 
@@ -125,7 +125,7 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int, n_steps=None,
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
     x1, v1, mat = _flow_with_variational(sys, orbit_seed.x, orbit_seed.v,
-                                         orbit_seed.t, orbit_seed.t + period, n_steps)
+                                         orbit_seed.t, orbit_seed.t + period)
     dx = x1 - orbit_seed.x
     defect = float(np.hypot(dx - round(dx), v1 - orbit_seed.v))
     if defect > defect_tol:

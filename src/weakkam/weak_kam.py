@@ -1,15 +1,12 @@
 """Peierls barrier, Aubry set, the semigroup limit, and the connection
 graph between Aubry classes.
 
-The barrier is realized as the entrywise running minimum over the tail of
-the tropical powers of the c-shifted unit kernel. By max-plus cyclicity
-these powers become exactly periodic after finitely many steps (a
-tropical turnpike): for the built-in mechanical systems P^m == P^(m-p)
-bit for bit after three or four powers. The product is deterministic, so
-from the first such match on every later power repeats an earlier one,
-and the barrier stops multiplying there and reads the tail at the
-requested horizon by index. Its values and defect are bit-identical to
-running all the products; the defect quantifies trust.
+The barrier is one tropical cycle of the c-shifted unit kernel. By
+max-plus cyclicity its powers repeat with some period p after a
+transient, P^(m+p) = P^m + p * lambda, and lambda vanishes at the
+critical value c up to the rounding of c. The barrier multiplies until
+the first power that repeats an earlier one within that rounding and
+returns the entrywise minimum over the p powers of the cycle.
 """
 from __future__ import annotations
 
@@ -23,7 +20,6 @@ from .systems import LagrangianSystem
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul)
 
-STABILIZATION_TOL = 1e-8
 # the Aubry tolerance is this multiple of the measured free-kernel error
 AUBRY_TOLERANCE_FACTOR = 10.0
 
@@ -40,8 +36,8 @@ class BarrierMatrix:
     defect: float
     stabilized: bool
     c: float
-    # first power m with P^m == P^(m - period), or None if the horizon
-    # was reached before the powers repeated
+    # first power m that repeats P^(m - period) within rounding, or None
+    # if the horizon was reached before the powers repeated
     turnpike: int | None
     period: int | None
 
@@ -77,39 +73,41 @@ class ConnectionGraph:
     cycles: list
 
 
-BARRIER_TAIL_WINDOW = 4
+# the longest cycle of powers the barrier looks for
+MAX_PERIOD = 4
 
 
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                     settings: MinimizationSettings | None = None,
                     t_frac: float = 0.0, *, kernel: TropicalKernel) -> BarrierMatrix:
-    """Tail running minimum of tropical powers of the c-shifted unit kernel.
+    """Minimum over one cycle of tropical powers of the c-shifted unit kernel.
 
     ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
     the barrier starts at its offset s_frac = ``kernel.s``.
 
-    The barrier is a liminf over long time windows, so short windows must
-    not contribute: at generic entry pairs the early powers dip below the
-    eventual limit (they realize the least c-corrected action over a few
-    units, which can undercut the barrier by order 1e-2 on the built-in
-    systems), and a minimum over all powers would return that smaller
-    quantity instead of the barrier. The entrywise running minimum is
-    therefore taken over the last ``BARRIER_TAIL_WINDOW`` powers up to
-    ``horizon``, and the defect (change of the tail minimum over the final
-    step) reports any residual drift.
+    Each new power P^m is compared with the previous ``MAX_PERIOD``
+    powers, and the products stop at the first m with
+    max|P^m - P^(m - p)| <= (2 (n + 2)^2 + m) eps M for some p: n is the
+    grid size, eps machine epsilon and M the largest |entry| of the
+    kernel and of P^1 .. P^m. The bound is what rounding alone can leave
+    in a cycle when c is the Karp value of the kernel (u = eps / 2).
+    Karp's walk sums of up to n steps, with the shift by c, move the
+    cycle mean of the shifted kernel by less than (n + 2)^2 u M, so a
+    cycle of p <= 4 powers drifts by less than 2 (n + 2)^2 eps M; the
+    m - 1 rounded products move P^m and P^(m - p) by at most (m - 1) u M
+    each. A larger change shows the powers have not entered their cycle.
 
-    Each new power P^m is compared bitwise with the previous
-    ``BARRIER_TAIL_WINDOW`` powers. At the first match P^m == P^(m - p)
-    the products stop: every later power equals the held power with the
-    same index modulo p, so the tail at ``horizon`` is read from the last
-    p powers, and values, defect and stabilized are bit-identical to
-    running all ``horizon - 1`` products. The match is recorded as
-    ``turnpike`` = m and ``period`` = p. Powers that never repeat within
-    the horizon (a kernel not shifted by its critical value, or the free
-    system on grid n before power n/2 + 1) run every product and record
-    None.
+    At the first such m, ``turnpike`` = m, ``period`` = the least such p,
+    ``defect`` = its residual max|P^m - P^(m - p)|, ``stabilized`` is
+    True, and the values are the entrywise minimum of P^(m - p + 1) ..
+    P^m. Early powers can dip below the barrier, so none from before the
+    cycle enters the minimum. ``horizon`` only caps m: with no cycle
+    within it (a kernel not shifted by its critical value, or the free
+    system on grid n before power n/2 + 1) the values are P^horizon, the
+    defect is max|P^horizon - P^(horizon - 1)|, and ``stabilized`` is
+    False.
 
-    For offsets (s_frac, t_frac) with t_frac != s_frac the powers are
+    For offsets (s_frac, t_frac) with t_frac != s_frac the cycle minimum is
     post-composed with the fractional kernel over [s_frac, s_frac + df],
     assembled with ``settings`` and shifted by c*df, where
     df = (t_frac - s_frac) mod 1.
@@ -125,35 +123,28 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                                  f"over {kernel.delta:g}")
     s_frac = kernel.s
     shifted = kernel.matrix + c
-    tail = [shifted]  # P^(last - len(tail) + 1) .. P^last
-    last, period = 1, None
-    while last < horizon and period is None:
-        power = minplus_matmul(tail[-1], shifted)
-        last += 1
-        period = next((p for p in range(1, min(BARRIER_TAIL_WINDOW, len(tail)) + 1)
-                       if np.array_equal(power, tail[-p])), None)
-        tail = (tail + [power])[-(BARRIER_TAIL_WINDOW + 1):]
-    turnpike = None if period is None else last
-
-    def at(e):
-        """P^e for last - BARRIER_TAIL_WINDOW <= e <= horizon."""
-        if e > last:
-            e = turnpike - period + (e - turnpike) % period
-        return tail[e - last - 1]
-
-    window = [at(e) for e in range(max(1, horizon - BARRIER_TAIL_WINDOW), horizon + 1)]
-    running = np.minimum.reduce(window[-BARRIER_TAIL_WINDOW:])
-    prev = np.minimum.reduce(window[:-1][-BARRIER_TAIL_WINDOW:])
-    defect = float(np.max(np.abs(running - prev)))
-    values = running
+    largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
+    held = [shifted]  # P^(m - len(held) + 1) .. P^m
+    m, period = 1, None
+    while m < horizon and period is None:
+        power = minplus_matmul(held[-1], shifted)
+        m += 1
+        largest = max(largest, float(np.max(np.abs(power))))
+        bound = (2 * (grid.n + 2) ** 2 + m) * np.finfo(float).eps * largest
+        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, len(held) + 1)]
+        period = next((p for p, change in enumerate(changes, 1) if change <= bound), None)
+        held = (held + [power])[-MAX_PERIOD:]
+    cycle = period or 1
+    defect = changes[cycle - 1]
+    values = np.minimum.reduce(held[-cycle:])
     if t_frac != s_frac:
         df = (t_frac - s_frac) % 1.0
         fractional = assemble_kernel(sys, grid, s_frac, df, settings)
-        values = minplus_matmul(running, fractional.matrix + c * df)
+        values = minplus_matmul(values, fractional.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
                          values=values, horizon=int(horizon), defect=defect,
-                         stabilized=bool(defect <= STABILIZATION_TOL), c=float(c),
-                         turnpike=turnpike, period=period)
+                         stabilized=period is not None, c=float(c),
+                         turnpike=None if period is None else m, period=period)
 
 
 def default_aubry_tolerance(grid: Grid, settings: MinimizationSettings | None = None) -> float:

@@ -7,7 +7,8 @@ once and shared by all criteria, as the command line bundle does.
 import numpy as np
 import pytest
 
-from weakkam import NumericalError, acceptance
+from weakkam import (NumericalError, acceptance, karp_eigenvalue,
+                     peierls_barrier)
 from weakkam.acceptance import (AcceptanceContext, AcceptanceScale,
                                 CriterionResult,
                                 criterion_01_critical_value,
@@ -79,6 +80,14 @@ def test_criterion_11_dwell_diagnostics(ctx):
 
 def test_criterion_12_determinism(ctx):
     _check(criterion_12_determinism(ctx))
+
+
+def test_main_grid_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(ctx):
+    # the cycle bound grows with the grid, so it is largest on the main grid
+    kernel = ctx.kernel(1, 0.0, ctx.scale.n_main)
+    c = karp_eigenvalue(kernel) + 1e-10
+    barrier = peierls_barrier(None, kernel.grid, c, 8, kernel=kernel)
+    assert barrier.turnpike is None and barrier.defect >= 0.99e-10
 
 
 def test_run_all_records_numerical_crashes(monkeypatch):

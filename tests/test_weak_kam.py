@@ -74,18 +74,12 @@ def test_barrier_monotone_in_horizon_past_turnpike(mech_kernel):
 
 
 def _full_loop_barrier(shifted, horizon):
-    """The barrier tail by all horizon - 1 products, with no early stop."""
-    window = weak_kam.BARRIER_TAIL_WINDOW
-    tail = [shifted.copy()]
-    power = shifted
+    """The running minimum of the last 4 of all horizon powers, with no
+    early stop, and the powers P^1 .. P^horizon themselves."""
+    powers = [shifted]
     for _ in range(horizon - 1):
-        power = weak_kam.minplus_matmul(power, shifted)
-        tail.append(power)
-        if len(tail) > window + 1:
-            tail.pop(0)
-    running = np.minimum.reduce(tail[-window:])
-    prev = np.minimum.reduce(tail[:-1][-window:])
-    return running, float(np.max(np.abs(running - prev)))
+        powers.append(weak_kam.minplus_matmul(powers[-1], shifted))
+    return np.minimum.reduce(powers[-4:]), powers
 
 
 def _cyclic_kernel(length, n=8):
@@ -100,8 +94,13 @@ def _cyclic_kernel(length, n=8):
 @pytest.fixture(scope="module")
 def barrier_cases(mech_kernel, free_kernel):
     """(kernel, c, period) per case; period None: no repeat within 40 powers."""
+    # c = 0.3 is not exact in binary: from P^5 on each power sits 4.4e-16
+    # below the one before, so the powers never repeat bit for bit
+    rounding = assemble_kernel(LagrangianSystem(family="mechanical-cos", amp=0.3),
+                               Grid(N), 0.0, 1.0)
     return {
         "mechanical": (mech_kernel, karp_eigenvalue(mech_kernel), 1),
+        "rounding": (rounding, karp_eigenvalue(rounding), 1),
         "free": (free_kernel, 0.0, 1),
         "unshifted": (mech_kernel, 0.0, None),  # powers drift by -c per step
         "cycle-2": (_cyclic_kernel(2), 0.0, 2),
@@ -112,21 +111,30 @@ def barrier_cases(mech_kernel, free_kernel):
 @pytest.mark.parametrize("case", ["mechanical", "free", "unshifted", "cycle-2",
                                   "cycle-3"])
 def test_barrier_turnpike_stop_bit_identical(barrier_cases, case):
+    # from the turnpike on the barrier is the minimum over the full loop's
+    # cycle powers, and once the tail window of 4 lies inside the cycle it
+    # is the old tail minimum bit for bit; below it, the last power
     kernel, c, period = barrier_cases[case]
     grid = kernel.grid
+    turnpike = peierls_barrier(None, grid, c, 40, kernel=kernel).turnpike
     for horizon in list(range(2, 13)) + [24, 40]:
         barrier = peierls_barrier(None, grid, c, horizon, kernel=kernel)
-        values, defect = _full_loop_barrier(kernel.matrix + c, horizon)
-        assert barrier.values.tobytes() == values.tobytes()
-        assert barrier.defect == defect
-        assert barrier.stabilized == (defect <= weak_kam.STABILIZATION_TOL)
+        tail_min, powers = _full_loop_barrier(kernel.matrix + c, horizon)
         assert barrier.horizon == horizon
-        if barrier.turnpike is None:
-            assert barrier.period is None
+        if turnpike is not None and horizon >= turnpike:
+            cycle_min = np.minimum.reduce(powers[turnpike - period:turnpike])
+            assert barrier.values.tobytes() == cycle_min.tobytes()
+            if horizon >= turnpike - period + 4:
+                assert barrier.values.tobytes() == tail_min.tobytes()
+            assert (barrier.turnpike, barrier.period) == (turnpike, period)
+            assert barrier.stabilized and barrier.defect == 0.0
         else:
-            assert barrier.turnpike <= horizon and barrier.period == period
+            assert barrier.values.tobytes() == powers[-1].tobytes()
+            assert barrier.defect == float(np.max(np.abs(powers[-1] - powers[-2])))
+            assert not barrier.stabilized
+            assert barrier.turnpike is None and barrier.period is None
     if period is None:
-        assert barrier.turnpike is None
+        assert turnpike is None
 
 
 def test_barrier_free_repeats_only_past_half_grid(barrier_cases):
@@ -138,7 +146,7 @@ def test_barrier_free_repeats_only_past_half_grid(barrier_cases):
     assert (barrier.turnpike, barrier.period) == (N // 2 + 1, 1)
 
 
-@pytest.mark.parametrize("case", ["mechanical", "free", "unshifted"])
+@pytest.mark.parametrize("case", ["mechanical", "rounding", "free", "unshifted"])
 def test_barrier_products_stop_at_turnpike(barrier_cases, monkeypatch, case):
     kernel, c, period = barrier_cases[case]
     calls = []
@@ -156,6 +164,26 @@ def test_barrier_products_stop_at_turnpike(barrier_cases, monkeypatch, case):
         assert len(calls) == barrier.turnpike - 1 < 39
     if case == "mechanical":
         assert barrier.turnpike <= 4
+
+
+def test_barrier_finds_a_cycle_within_rounding(barrier_cases):
+    kernel, c, _ = barrier_cases["rounding"]
+    barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
+    assert (barrier.turnpike, barrier.period) == (5, 1)
+    assert barrier.stabilized and 0.0 < barrier.defect <= 1e-15
+    full, _ = _full_loop_barrier(kernel.matrix + c, 40)
+    assert np.max(np.abs(barrier.values - full)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["mechanical", "rounding", "cycle-2", "cycle-3"])
+def test_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(barrier_cases, case):
+    # off the critical value by 1e-10 every power drifts by 1e-10 per step
+    # once its transient is over
+    kernel, c, _ = barrier_cases[case]
+    barrier = peierls_barrier(None, kernel.grid, c + 1e-10, 40, kernel=kernel)
+    assert barrier.turnpike is None and barrier.period is None
+    assert not barrier.stabilized
+    assert barrier.defect >= 0.99e-10
 
 
 def test_barrier_requires_horizon(mech_kernel):
