@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import MinimizationSettings
-from .errors import NumericalError, WeakKamError
+from .errors import WeakKamError
 from .experiments import dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
@@ -95,10 +95,7 @@ class AcceptanceContext:
             sys = self.system(freq, eps)
             barrier = peierls_barrier(sys, Grid(n), c, self.scale.horizon,
                                       self.settings, kernel=kernel)
-            if not barrier.stabilized:
-                raise NumericalError(
-                    f"barrier of {sys.label()} on grid {n} not stabilized at "
-                    f"horizon {self.scale.horizon}: defect {barrier.defect:.3e}")
+            barrier.require_stabilized(sys.label())
             self._barriers[key] = barrier
         return self._barriers[key]
 
@@ -109,9 +106,9 @@ class AcceptanceContext:
                 self.system(freq, eps), PhasePoint(x=guess_x, v=0.01, t=0.0), 1)
         return self._orbits[key]
 
-    def random_curves(self, count: int, n_samples: int = 65):
+    def random_curves(self, count: int):
         rng = np.random.default_rng(self.seed)
-        frac = np.linspace(0.0, 1.0, n_samples)
+        frac = np.linspace(0.0, 1.0, 65)
         for _ in range(count):
             duration = float(rng.integers(1, 4))
             samples = rng.uniform(0.0, 1.0) + rng.normal(0.0, 0.5) * frac
@@ -332,7 +329,7 @@ def criterion_09_tropical_core(ctx: AcceptanceContext) -> CriterionResult:
     for _ in range(100):
         n = int(rng.integers(2, 8))
         mat = rng.integers(-9, 10, size=(n, n)).astype(float)
-        karp_exact = karp_exact and (-karp_eigenvalue(mat, 1.0)
+        karp_exact = karp_exact and (-karp_eigenvalue(mat)
                                      == _brute_force_cycle_mean(mat))
     assoc_exact = True
     mono_exact = True

@@ -8,10 +8,14 @@ iteration is a handful of vectorized trig evaluations over the whole
 batch. The search over windings, with its pruning and tie policy, is
 ``tropical.winding_search``; ``minimal_action`` is its one-pair call.
 
-Descent uses the exact inverse of the free-action Hessian (a constant
-tridiagonal) as preconditioner, a per-row spectral (Barzilai-Borwein)
-step length, and a nonmonotone backtracking line search. Everything is
-deterministic for fixed settings.
+For every system, descent is preconditioned by the inverse of the
+kinetic Hessian plus half the curvature bound on its diagonal (a constant
+tridiagonal, so one dense inverse serves every row), with a per-row
+spectral (Barzilai-Borwein) step length and a nonmonotone backtracking
+line search. The spectral phase, its backtracking, the Newton polish and
+the saddle test all evaluate full sample rows at the points of
+``systems.midpoint_geometry``, the geometry of ``exact_row_actions``,
+through one evaluator. Everything is deterministic for fixed settings.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .systems import DiscretizedCurve, reduce_mod_1
+from .systems import DiscretizedCurve, midpoint_geometry, reduce_mod_1
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 30
@@ -62,18 +66,23 @@ def winding_candidates(duration: float, settings: MinimizationSettings) -> list[
     return sorted(range(-cap, cap + 1), key=lambda k: (abs(k), k))
 
 
-def _tridiag_inverse(n: int) -> np.ndarray:
-    # Closed-form inverse of tridiag(-1, 2, -1) with Dirichlet ends.
-    i = np.arange(1.0, n + 1.0)
-    return np.minimum.outer(i, i) * (n + 1.0 - np.maximum.outer(i, i)) / (n + 1.0)
-
-
 def _straight_lifts(starts, ends, n_seg):
     frac = np.arange(n_seg + 1) / n_seg
     z = starts[:, None] + (ends - starts)[:, None] * frac[None, :]
     z[:, 0] = starts
     z[:, -1] = ends
     return z
+
+
+def _evaluate(qsys, rows, h, tmid):
+    """(value, interior gradient, midpoints, velocities) of the batched
+    midpoint-rule action of full sample rows, endpoints held fixed; the
+    values are plain sums, not the fsum of ``exact_row_actions``."""
+    mid, vel = midpoint_geometry(rows, h)
+    lag, lx, lv = qsys.lagrangian_and_grads(mid, vel, tmid)
+    e = h * np.sum(lag, axis=1)
+    g = 0.5 * h * (lx[:, :-1] + lx[:, 1:]) + (lv[:, :-1] - lv[:, 1:])
+    return e, g, mid, vel
 
 
 def _thomas_spd(diag, off, rhs):
@@ -112,38 +121,28 @@ def _tridiagonal_hessian(qsys, mid, vel, tmid, h):
     return diag, off
 
 
-def _polish_rows(qsys, a, b, n_seg, z, tol, budget):
+def _polish_rows(qsys, z, h, tmid):
     """Damped regularized Newton on the discrete stationarity system,
-    batched over rows.
+    batched over rows, until every gradient sup norm is within
+    ``GRADIENT_TOLERANCE`` or ``POLISH_BUDGET`` steps are spent.
 
     Near-heteroclinic entries put the minimizer in a long curved valley
     where spectral first-order steps stall with a small but stubborn
     gradient and a genuinely wrong value (observed 3e-3 on the two-well
     system); the exact tridiagonal Hessian fixes those few rows cheaply.
     Assumes the quadrature Lagrangian has no xv coupling, which holds for
-    every built-in family and lift. Mutates ``z`` in place and returns
-    (e, gsup).
+    every built-in family and lift. An accepted trial point keeps the
+    value, gradient and geometry its line search evaluated. Mutates ``z``
+    in place and returns (e, gsup).
     """
-    h = (b - a) / n_seg
-    tmid = a + h * (np.arange(n_seg) + 0.5)
-
-    def eval_rows(rows):
-        vel = np.diff(rows, axis=1) / h
-        mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
-        lag, lx, lv = qsys.lagrangian_and_grads(mid, vel, tmid)
-        e = h * np.sum(lag, axis=1)
-        g = 0.5 * h * (lx[:, :-1] + lx[:, 1:]) + (lv[:, :-1] - lv[:, 1:])
-        return e, g, mid, vel
-
-    m = z.shape[0]
-    e, g, mid, vel = eval_rows(z)
-    reg = np.zeros(m)
+    e, g, mid, vel = _evaluate(qsys, z, h, tmid)
+    reg = np.zeros(z.shape[0])
     gsup = np.max(np.abs(g), axis=1)
-    for _ in range(budget):
-        idx = np.flatnonzero(gsup > tol)
+    for _ in range(POLISH_BUDGET):
+        idx = np.flatnonzero(gsup > GRADIENT_TOLERANCE)
         if idx.size == 0:
             break
-        za, ga = z[idx], g[idx]
+        za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]
         diag, off = _tridiagonal_hessian(qsys, mid[idx], vel[idx], tmid, h)
         scale = np.max(np.abs(diag), axis=1)
         rid = reg[idx].copy()
@@ -163,76 +162,62 @@ def _polish_rows(qsys, a, b, n_seg, z, tol, budget):
         dd = np.einsum("ij,ij->i", ga, step)
         t = np.ones(idx.size)
         accepted = np.zeros(idx.size, dtype=bool)
-        z_new = za.copy()
         for _ in range(MAX_BACKTRACK):
             trial = np.flatnonzero(~accepted)
             if trial.size == 0:
                 break
             cand = za[trial].copy()
             cand[:, 1:-1] += t[trial, None] * step[trial]
-            e_c, g_c, _, _ = eval_rows(cand)
+            e_c, g_c, mid_c, vel_c = _evaluate(qsys, cand, h, tmid)
+            gsup_c = np.max(np.abs(g_c), axis=1)
             # absolute noise allowance keeps the endgame alive once the
             # decrease drops below float resolution of the action value;
             # a gradient-norm drop is then the effective acceptance test
-            noise = 1e-14 * (1.0 + np.abs(e[idx][trial]))
-            armijo = e_c <= e[idx][trial] + ARMIJO * t[trial] * dd[trial] + noise
-            g_drop = np.max(np.abs(g_c), axis=1) <= 0.9 * gsup[idx][trial]
-            ok = armijo & (g_drop | (e_c <= e[idx][trial]))
-            hit = trial[ok]
-            z_new[hit] = cand[ok]
-            accepted[hit] = True
+            noise = 1e-14 * (1.0 + np.abs(e0[trial]))
+            armijo = e_c <= e0[trial] + ARMIJO * t[trial] * dd[trial] + noise
+            g_drop = gsup_c <= 0.9 * gsup0[trial]
+            ok = armijo & (g_drop | (e_c <= e0[trial]))
+            hit = idx[trial[ok]]
+            z[hit], e[hit], g[hit] = cand[ok], e_c[ok], g_c[ok]
+            mid[hit], vel[hit], gsup[hit] = mid_c[ok], vel_c[ok], gsup_c[ok]
+            accepted[trial[ok]] = True
             t[trial[~ok]] *= 0.5
         rid[~accepted] = np.maximum(10.0 * rid[~accepted], 1e-8 * scale[~accepted])
-        full = accepted & (t == 1.0)
-        rid[full] *= 0.25
+        rid[accepted & (t == 1.0)] *= 0.25
         reg[idx] = rid
-        rows = idx[accepted]
-        if rows.size:
-            z[rows] = z_new[accepted]
-            e_r, g_r, mid_r, vel_r = eval_rows(z[rows])
-            e[rows] = e_r
-            g[rows] = g_r
-            mid[rows] = mid_r
-            vel[rows] = vel_r
-            gsup[rows] = np.max(np.abs(g_r), axis=1)
     return e, gsup
 
 
 SADDLE_ESCAPE_BUMP = 0.05
 
 
-def _hessian_pd_mask(qsys, a, b, n_seg, rows):
-    """True where the discrete-action Hessian at the row is positive
-    definite (tridiagonal factorization pivots all positive)."""
-    h = (b - a) / n_seg
-    tmid = a + h * (np.arange(n_seg) + 0.5)
-    vel = np.diff(rows, axis=1) / h
-    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
-    diag, off = _tridiagonal_hessian(qsys, mid, vel, tmid, h)
-    _, ok = _thomas_spd(diag, off, np.zeros_like(diag))
-    return ok
-
-
 def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     """Minimize rows of ``z0`` (endpoints fixed) over interior samples.
 
     Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
-    per-row midpoint quadrature value without any boundary offset.
+    per-row midpoint quadrature value without any boundary offset. Every
+    phase evaluates full rows through ``_evaluate``, so ``gsup`` and
+    ``e_quad`` are its values at the returned rows; the one exception is
+    the value of a row last moved by a backtracked step, which sums
+    ``qsys.lagrangian`` instead and can differ from it at rounding when
+    that closed form rounds differently.
 
-    The preconditioner is the kinetic-part Hessian plus half the system's
-    curvature bound on the diagonal; its inverse is dense but shared by
-    every row. Steps are per-row spectral (Barzilai-Borwein) lengths with
-    a nonmonotone Armijo backtracking safeguard. The first trial point is
-    evaluated with its gradient so that an accepted step (the common case)
-    costs a single fused evaluation. Rows the spectral phase leaves
-    unconverged (a fraction of a percent, near heteroclinic connections)
-    get a per-row Newton polish.
+    The preconditioner is the inverse of the kinetic-part Hessian plus
+    half the system's curvature bound on the diagonal; it is dense but
+    shared by every row. Steps are per-row spectral (Barzilai-Borwein)
+    lengths with a nonmonotone Armijo backtracking safeguard. The first
+    trial point is evaluated with its gradient so that an accepted step
+    (the common case) costs a single fused evaluation; backtracked trial
+    points are evaluated for their value alone. Rows the spectral phase
+    leaves unconverged (a fraction of a percent, near heteroclinic
+    connections) get a per-row Newton polish.
 
     A start can sit exactly on a critical point of the discrete action
     without being a minimum (a constant lift at a symmetric equilibrium of
     the potential); descent cannot leave such a point, so rows converged
-    at entry with a non-positive-definite Hessian are re-minimized from
-    two deterministic sine bumps and keep the lowest result.
+    at entry with a non-positive-definite Hessian (a nonpositive pivot of
+    its tridiagonal factorization) are re-minimized from two deterministic
+    sine bumps and keep the lowest result.
     """
     qsys = sys.quadrature_system()
     z = np.array(z0, dtype=float)
@@ -240,45 +225,22 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     if n_pts != n_seg + 1:
         raise ConfigurationError("z0 shape inconsistent with n_seg")
     h = (b - a) / n_seg
-    inv_h = 1.0 / h
     tmid = a + h * (np.arange(n_seg) + 0.5)
     n_int = n_seg - 1
-    starts = z[:, 0].copy()
-    ends = z[:, -1].copy()
-    zi = np.ascontiguousarray(z[:, 1:-1])
 
     sigma = 0.5 * h * qsys.lagrangian_xx_bound()
-    tri = (2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)) * inv_h
-    pinv = np.linalg.inv(tri + sigma * np.eye(n_int)) if sigma > 0.0 \
-        else h * _tridiag_inverse(n_int)
-    tol = GRADIENT_TOLERANCE
+    tri = (2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)) * (1.0 / h)
+    pinv = np.linalg.inv(tri + sigma * np.eye(n_int))
 
-    def geometry(interior, s0, s1):
-        mid = np.empty((interior.shape[0], n_seg))
-        vel = np.empty_like(mid)
-        mid[:, 0] = 0.5 * (s0 + interior[:, 0])
-        mid[:, -1] = 0.5 * (interior[:, -1] + s1)
-        vel[:, 0] = (interior[:, 0] - s0) * inv_h
-        vel[:, -1] = (s1 - interior[:, -1]) * inv_h
-        if n_int > 1:
-            mid[:, 1:-1] = 0.5 * (interior[:, 1:] + interior[:, :-1])
-            vel[:, 1:-1] = (interior[:, 1:] - interior[:, :-1]) * inv_h
-        return mid, vel
+    def descend(rows, step, d):
+        # moves the interior samples only: the endpoints stay exact
+        out = rows.copy()
+        out[:, 1:-1] -= step[:, None] * d
+        return out
 
-    def energy(interior, s0, s1):
-        mid, vel = geometry(interior, s0, s1)
-        return h * np.sum(qsys.lagrangian(mid, vel, tmid), axis=1)
-
-    def energy_grad(interior, s0, s1):
-        mid, vel = geometry(interior, s0, s1)
-        lag, lx, lv = qsys.lagrangian_and_grads(mid, vel, tmid)
-        e = h * np.sum(lag, axis=1)
-        g = 0.5 * h * (lx[:, :-1] + lx[:, 1:]) + (lv[:, :-1] - lv[:, 1:])
-        return e, g
-
-    e, g = energy_grad(zi, starts, ends)
+    e, g = _evaluate(qsys, z, h, tmid)[:2]
     gsup = np.max(np.abs(g), axis=1)
-    converged = gsup <= tol
+    converged = gsup <= GRADIENT_TOLERANCE
     entry_converged = converged.copy()
     stalled = np.zeros(m, dtype=bool)
     alpha = np.ones(m)
@@ -292,18 +254,16 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
             break
         iterations = it + 1
         full = idx.size == m
-        za = zi if full else zi[idx]
+        za = z if full else z[idx]
         ga = g if full else g[idx]
-        s0 = starts if full else starts[idx]
-        s1 = ends if full else ends[idx]
         d = ga @ pinv
         dd = np.einsum("ij,ij->i", ga, d)
         step = alpha[idx].copy()
         ref = hist[idx].max(axis=1)
 
         # fused first trial: gradient comes along for free when accepted
-        cand = za - step[:, None] * d
-        e_t, g_t = energy_grad(cand, s0, s1)
+        cand = descend(za, step, d)
+        e_t, g_t = _evaluate(qsys, cand, h, tmid)[:2]
         accepted = e_t <= ref - ARMIJO * step * dd
         if accepted.all():
             z_next, e_next, g_next = cand, e_t, g_t
@@ -317,16 +277,16 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
             if pending.size == 0:
                 break
             step[pending] *= 0.5
-            cand = za[pending] - step[pending, None] * d[pending]
-            e_c = energy(cand, s0[pending], s1[pending])
+            cand = descend(za[pending], step[pending], d[pending])
+            # value only: the closed form skips the sines of the gradient
+            e_c = h * np.sum(qsys.lagrangian(*midpoint_geometry(cand, h), tmid), axis=1)
             ok = e_c <= ref[pending] - ARMIJO * step[pending] * dd[pending]
             hit = pending[ok]
             if hit.size:
                 z_next[hit] = cand[ok]
                 e_next[hit] = e_c[ok]
                 accepted[hit] = True
-                _, g_h = energy_grad(z_next[hit], s0[hit], s1[hit])
-                g_next[hit] = g_h
+                g_next[hit] = _evaluate(qsys, z_next[hit], h, tmid)[1]
             pending = pending[~ok]
 
         if accepted.all():
@@ -340,7 +300,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
             rows = idx[acc]
             z_acc, e_acc, g_acc = z_next[acc], e_next[acc], g_next[acc]
             za, ga = za[acc], ga[acc]
-        s_vec = z_acc - za
+        s_vec = z_acc[:, 1:-1] - za[:, 1:-1]
         y_vec = g_acc - ga
         sy = np.einsum("ij,ij->i", s_vec, y_vec)
         y_pinv = np.einsum("ij,ij->i", y_vec, y_vec @ pinv)
@@ -348,27 +308,28 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
             bb = sy / y_pinv
         bb[~np.isfinite(bb) | (bb <= 0.0)] = 1.0
         alpha[rows] = np.clip(bb, 1e-4, 1e2)
-        zi[rows] = z_acc
+        z[rows] = z_acc
         e[rows] = e_acc
         g[rows] = g_acc
         hist[rows, hist_ptr[rows]] = e_acc
         hist_ptr[rows] = (hist_ptr[rows] + 1) % NONMONOTONE_WINDOW
         gsup[rows] = np.max(np.abs(g_acc), axis=1)
-        converged[rows] = gsup[rows] <= tol
+        converged[rows] = gsup[rows] <= GRADIENT_TOLERANCE
 
-    z[:, 1:-1] = zi
     leftovers = np.flatnonzero(~converged)
     if leftovers.size:
         sub = z[leftovers]
-        e_p, gsup_p = _polish_rows(qsys, a, b, n_seg, sub, tol, POLISH_BUDGET)
+        e_p, gsup_p = _polish_rows(qsys, sub, h, tmid)
         z[leftovers] = sub
         e[leftovers] = e_p
         gsup[leftovers] = gsup_p
-        converged[leftovers] = gsup_p <= tol
+        converged[leftovers] = gsup_p <= GRADIENT_TOLERANCE
 
     if _escape and entry_converged.any():
         candidates = np.flatnonzero(entry_converged)
-        pd_ok = _hessian_pd_mask(qsys, a, b, n_seg, z[candidates])
+        diag, off = _tridiagonal_hessian(qsys, *midpoint_geometry(z[candidates], h),
+                                         tmid, h)
+        _, pd_ok = _thomas_spd(diag, off, np.zeros_like(diag))
         trapped = candidates[~pd_ok]
         if trapped.size:
             frac = np.arange(n_seg + 1) / n_seg

@@ -332,9 +332,7 @@ def _cmd_paper_suite(args) -> int:
     scale = AcceptanceScale(n_main=args.grid, n_confirm=args.confirm_grid,
                             n_small=args.small_grid, horizon=args.horizon,
                             k_max=args.kmax)
-    settings = MinimizationSettings(n_segments=args.segments,
-                                    winding_range=args.windings)
-    ctx = AcceptanceContext(scale=scale, settings=settings, seed=args.seed)
+    ctx = AcceptanceContext(scale=scale, settings=_settings(args), seed=args.seed)
     results = run_all(ctx, out_dir=args.out_dir)
     return 0 if all(r.passed for r in results) else 1
 

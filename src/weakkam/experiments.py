@@ -17,7 +17,7 @@ import numpy as np
 from .action import MinimizationSettings, minimal_action
 from .errors import ConfigurationError, InsufficientDataError, WeakKamError
 from .flow import PeriodicOrbit, flow_trajectory, refine_periodic_orbit
-from .systems import PhasePoint, reduce_mod_1, torus_distance
+from .systems import PhasePoint, midpoint_geometry, reduce_mod_1, torus_distance
 from .tropical import Grid, assemble_kernel, karp_eigenvalue, minplus_apply
 from .weak_kam import BarrierMatrix, aubry_set, peierls_barrier, semigroup_limit
 
@@ -149,7 +149,9 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     from the cycle-minimum barrier of the same offset-tau kernel applied
     after the same fractional step, so the two computations share one
     composition order and agree exactly once the iteration reaches its
-    finite fixed point. A given ``unit_kernel`` must start at tau.
+    finite fixed point. A given ``unit_kernel`` must start at tau. A
+    barrier whose powers found no cycle within ``horizon`` raises
+    ``NumericalError``: its limit would be wrong.
     """
     if k_max < 8:
         raise ConfigurationError("k_max must be at least 8")
@@ -167,6 +169,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     c = karp_eigenvalue(unit_kernel)
     barrier = peierls_barrier(sys, grid, c, horizon, settings, t_frac=tau_frac,
                               kernel=unit_kernel)
+    barrier.require_stabilized(sys.label())
     spike_index = int(np.argmax(np.diag(barrier.values)))
     u0 = _initial_condition(u0_tag, n, seed, spike_index)
 
@@ -199,30 +202,23 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     lam = min(lams) if lams else None
 
     floor = FIT_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(np.abs(limit)))
+    fit = None
     if float(errors.max()) <= max(floor, EXACT_CONVERGENCE_TOL):
-        return ConvergenceReport(system=sys.label(), n=n, c=c, u0_tag=u0_tag,
-                                 tau_frac=tau_frac, errors=errors, mu=None,
-                                 prefactor=None, window=None, r2=None, lam=lam,
-                                 ratio=None, kstar=kstar, verdict="trivial",
-                                 limit=limit)
-
-    try:
-        fit = fit_exponential_rate(errors, floor)
-    except InsufficientDataError:
-        verdict = "converged-no-fit" if (
-            kstar is not None and errors[-1] <= EXACT_CONVERGENCE_TOL) else "fail"
-        return ConvergenceReport(system=sys.label(), n=n, c=c, u0_tag=u0_tag,
-                                 tau_frac=tau_frac, errors=errors, mu=None,
-                                 prefactor=None, window=None, r2=None, lam=lam,
-                                 ratio=None, kstar=kstar, verdict=verdict,
-                                 limit=limit)
-    ratio = fit.mu / lam if (lam is not None and lam > 0) else None
-    verdict = "pass" if fit.mu > 0.0 else "fail"
+        verdict = "trivial"
+    else:
+        try:
+            fit = fit_exponential_rate(errors, floor)
+            verdict = "pass" if fit.mu > 0.0 else "fail"
+        except InsufficientDataError:
+            verdict = "converged-no-fit" if (
+                kstar is not None and errors[-1] <= EXACT_CONVERGENCE_TOL) else "fail"
+    mu, prefactor, window, r2 = (None,) * 4 if fit is None else (
+        fit.mu, fit.prefactor, fit.window, fit.r2)
+    ratio = mu / lam if (mu is not None and lam is not None and lam > 0) else None
     return ConvergenceReport(system=sys.label(), n=n, c=c, u0_tag=u0_tag,
-                             tau_frac=tau_frac, errors=errors, mu=fit.mu,
-                             prefactor=fit.prefactor, window=fit.window,
-                             r2=fit.r2, lam=lam, ratio=ratio, kstar=kstar,
-                             verdict=verdict, limit=limit)
+                             tau_frac=tau_frac, errors=errors, mu=mu,
+                             prefactor=prefactor, window=window, r2=r2, lam=lam,
+                             ratio=ratio, kstar=kstar, verdict=verdict, limit=limit)
 
 
 def _orbit_reference(sys, orbit: PeriodicOrbit, times: np.ndarray):
@@ -251,8 +247,8 @@ def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05,
     _, curve = minimal_action(sys, x, a, y, b, settings)
     h = curve.spacing
     tmid = curve.midpoint_times()
-    pos = reduce_mod_1(curve.midpoints())
-    vel = curve.velocities()
+    (mid,), (vel,) = midpoint_geometry(curve.samples[None, :], h)
+    pos = reduce_mod_1(mid)
 
     dists = np.empty((len(orbits), tmid.size))
     for i, orbit in enumerate(orbits):

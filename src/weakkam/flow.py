@@ -19,6 +19,8 @@ UNIT_CIRCLE_TOL = 1e-6
 # closing defect the shooting must reach, and its Newton step budget
 SHOOTING_TOLERANCE = 1e-10
 MAX_NEWTON = 60
+# closing defect a monodromy seed may leave: ten shooting tolerances
+MONODROMY_DEFECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,8 @@ def _check_mechanical(sys):
             "tilted systems share the base flow, integrate that instead")
 
 
-def _steps_for(duration, n_steps):
-    if n_steps is None:
-        return max(1, int(round(STEPS_PER_UNIT_TIME * abs(duration))))
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be at least 1")
-    return int(n_steps)
+def _steps_for(duration):
+    return max(1, int(round(STEPS_PER_UNIT_TIME * abs(duration))))
 
 
 def _rk4(rhs, y0, t0, t1, n_steps):
@@ -79,28 +77,28 @@ def _el_rhs(sys):
     return rhs
 
 
-def flow_trajectory(sys, p: PhasePoint, t1, n_steps=None):
+def flow_trajectory(sys, p: PhasePoint, t1):
     """All RK4 steps of the flow from p to time t1, positions lifted.
 
     Returns (times, xs, vs) including both endpoints.
     """
     _check_mechanical(sys)
-    n = _steps_for(t1 - p.t, n_steps)
+    n = _steps_for(t1 - p.t)
     ys = _rk4(_el_rhs(sys), [p.x, p.v], p.t, t1, n)
     times = p.t + (t1 - p.t) / n * np.arange(n + 1)
     return times, ys[:, 0], ys[:, 1]
 
 
-def flow_map(sys, p: PhasePoint, t1, n_steps=None) -> PhasePoint:
+def flow_map(sys, p: PhasePoint, t1) -> PhasePoint:
     """Endpoint of the Euler-Lagrange flow, x reduced mod 1."""
-    _, xs, vs = flow_trajectory(sys, p, t1, n_steps)
+    _, xs, vs = flow_trajectory(sys, p, t1)
     return PhasePoint(x=float(reduce_mod_1(xs[-1])), v=float(vs[-1]), t=float(t1))
 
 
 def _flow_with_variational(sys, x0, v0, t0, t1):
     """Integrate the flow together with its 2x2 variational matrix."""
     _check_mechanical(sys)
-    n = _steps_for(t1 - t0, None)
+    n = _steps_for(t1 - t0)
 
     def rhs(t, y):
         x, v = y[0], y[1]
@@ -116,11 +114,10 @@ def _flow_with_variational(sys, x0, v0, t0, t1):
     return y[0], y[1], y[2:].reshape(2, 2)
 
 
-def monodromy(sys, orbit_seed: PhasePoint, period: int,
-              defect_tol=1e-6) -> np.ndarray:
+def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
     """Derivative of the time-``period`` flow map along a periodic orbit.
 
-    The seed must close up (mod 1 in x) within ``defect_tol``.
+    The seed must close up (mod 1 in x) within ``MONODROMY_DEFECT_TOL``.
     """
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
@@ -128,7 +125,7 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int,
                                          orbit_seed.t, orbit_seed.t + period)
     dx = x1 - orbit_seed.x
     defect = float(np.hypot(dx - round(dx), v1 - orbit_seed.v))
-    if defect > defect_tol:
+    if defect > MONODROMY_DEFECT_TOL:
         raise NotPeriodicError(
             f"seed does not close up over period {period}: defect {defect:.3e}",
             defect=defect)
@@ -255,8 +252,7 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
         raise NoOrbitError(f"polish did not reach tolerance {SHOOTING_TOLERANCE:g}; "
                            f"defect {norm:.3e}")
 
-    mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period,
-                     defect_tol=max(10.0 * SHOOTING_TOLERANCE, 1e-9))
+    mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period)
     if abs(np.linalg.det(mono - np.eye(2))) < 1e-10:
         raise DegenerateOrbitError(
             "I - monodromy is singular at the refined point; the orbit has a "

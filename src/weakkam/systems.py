@@ -230,13 +230,6 @@ class DiscretizedCurve:
     def midpoint_times(self) -> np.ndarray:
         return self.t0 + self.spacing * (np.arange(self.n_segments) + 0.5)
 
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.samples[1:] + self.samples[:-1])
-
-    def velocities(self) -> np.ndarray:
-        """Finite-difference velocities, attached to segment midpoints."""
-        return np.diff(self.samples) / self.spacing
-
     def start(self) -> float:
         return float(reduce_mod_1(self.samples[0]))
 
@@ -244,21 +237,27 @@ class DiscretizedCurve:
         return float(reduce_mod_1(self.samples[-1]))
 
 
+def midpoint_geometry(rows, h):
+    """Segment midpoints and finite-difference velocities of lifted sample
+    rows with time step h: the points where the midpoint rule evaluates
+    the Lagrangian."""
+    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
+    return mid, (rows[:, 1:] - rows[:, :-1]) * (1.0 / h)
+
+
 def exact_row_actions(sys, a, b, rows):
     """Midpoint-rule actions over [a, b] of the lifted sample rows, one per
     row, without the system's boundary term.
 
-    Velocities are finite differences of the samples; each segment
-    contributes spacing * L(midpoint, velocity, midpoint time). Each row
-    is summed with math.fsum, so a value does not depend on the other rows
-    of the batch.
+    Each segment contributes spacing * L at its ``midpoint_geometry``
+    point and midpoint time. Each row is summed with math.fsum, so a value
+    does not depend on the other rows of the batch.
     """
     qsys = sys.quadrature_system()
     n_seg = rows.shape[1] - 1
     h = (b - a) / n_seg
     tmid = a + h * (np.arange(n_seg) + 0.5)
-    vel = np.diff(rows, axis=1) / h
-    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])
+    mid, vel = midpoint_geometry(rows, h)
     terms = h * np.asarray(qsys.lagrangian(mid, vel, tmid), dtype=float)
     return np.array([math.fsum(row) for row in terms.tolist()])
 

@@ -252,9 +252,8 @@ def min_cycle_mean(kernel) -> float:
     return float(np.min(np.max(ratios, axis=0)))
 
 
-def karp_eigenvalue(kernel, delta: float | None = None) -> float:
+def karp_eigenvalue(kernel) -> float:
     """Critical value per unit time: minus the minimum cycle mean over the
-    kernel duration."""
-    if delta is None:
-        delta = kernel.delta if isinstance(kernel, TropicalKernel) else 1.0
+    kernel duration, which is 1 for a raw matrix."""
+    delta = kernel.delta if isinstance(kernel, TropicalKernel) else 1.0
     return -min_cycle_mean(kernel) / float(delta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import MinimizationSettings
-from .errors import ConfigurationError, EmptyAubrySetError
+from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
 from .systems import LagrangianSystem
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul)
@@ -40,6 +40,14 @@ class BarrierMatrix:
     # if the horizon was reached before the powers repeated
     turnpike: int | None
     period: int | None
+
+    def require_stabilized(self, label: str) -> None:
+        """Raise ``NumericalError`` unless the powers entered their cycle
+        within the horizon; ``label`` names the system."""
+        if not self.stabilized:
+            raise NumericalError(
+                f"barrier of {label} on grid {self.grid.n} not stabilized at "
+                f"horizon {self.horizon}: defect {self.defect:.3e}")
 
 
 @dataclass(frozen=True)

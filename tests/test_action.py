@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import weakkam.action as action
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, LagrangianSystem, MinimizationError,
                      MinimizationSettings, PhasePoint, curve_action,
@@ -13,11 +14,8 @@ MECH = LagrangianSystem(family="mechanical-cos")
 def discrete_el_residual(sys, curve):
     """Sup norm of the discrete action gradient at a curve (its discrete
     Euler-Lagrange residual)."""
-    qsys = sys.quadrature_system()
-    h = curve.spacing
-    _, lx, lv = qsys.lagrangian_and_grads(curve.midpoints(), curve.velocities(),
-                                          curve.midpoint_times())
-    g = 0.5 * h * (lx[:-1] + lx[1:]) + (lv[:-1] - lv[1:])
+    _, g, _, _ = action._evaluate(sys.quadrature_system(), curve.samples[None, :],
+                                  curve.spacing, curve.midpoint_times())
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
@@ -144,3 +142,41 @@ def test_loop_at_potential_minimum_escapes_the_saddle_start():
     # loops at a potential maximum stay exactly at rest
     at_max, _ = minimal_action(MECH, 0.0, 0.0, 0.0, 1.0)
     assert at_max == -1.0
+
+
+def test_batch_returns_the_evaluation_of_its_rows(monkeypatch):
+    # all 16 x 16 grid pairs of the two-well system over one unit of time:
+    # the batch backtracks (value-only Lagrangian calls), polishes its
+    # stalled rows and escapes a saddle start, and the value and gradient
+    # sup norm it returns for every row are those of a fresh evaluation
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    calls = {"backtrack": 0, "polish": 0, "escape": 0}
+    lagrangian, polish = LagrangianSystem.lagrangian, action._polish_rows
+    batch = action.minimize_straight_batch
+
+    def counting_lagrangian(self, x, v, t):
+        calls["backtrack"] += 1
+        return lagrangian(self, x, v, t)
+
+    def counting_polish(*args):
+        calls["polish"] += 1
+        return polish(*args)
+
+    def counting_batch(*args, **kwargs):
+        calls["escape"] += kwargs.get("_escape") is False
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(LagrangianSystem, "lagrangian", counting_lagrangian)
+    monkeypatch.setattr(action, "_polish_rows", counting_polish)
+    monkeypatch.setattr(action, "minimize_straight_batch", counting_batch)
+    pts = np.arange(16) / 16
+    starts, ends = (grid.ravel() for grid in np.meshgrid(pts, pts, indexing="ij"))
+    n_seg = 32
+    z, e_quad, gsup, converged, _ = batch(
+        two_well, 0.0, 1.0, n_seg, action._straight_lifts(starts, ends, n_seg))
+    assert all(count > 0 for count in calls.values()), calls
+    assert converged.all()
+    tmid = (np.arange(n_seg) + 0.5) / n_seg
+    e, g, _, _ = action._evaluate(two_well, z, 1.0 / n_seg, tmid)
+    assert np.array_equal(e_quad, e)
+    assert np.array_equal(gsup, np.max(np.abs(g), axis=1))

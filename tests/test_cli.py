@@ -108,7 +108,7 @@ def test_reduce_and_tilt(capsys):
 def test_convergence_trivial_exit(capsys):
     code, out, _ = run_cli(capsys, "convergence", "--system", "free",
                            "--grid", "16", "--u0", "zero", "--kmax", "8",
-                           "--horizon", "8")
+                           "--horizon", "10")
     assert code == 0
     assert "verdict,trivial" in out
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weakkam import (ConfigurationError, Grid, InsufficientDataError,
-                     LagrangianSystem, PhasePoint, assemble_kernel,
+                     LagrangianSystem, NumericalError, PhasePoint, assemble_kernel,
                      detect_aubry_orbits, dwell_statistics,
                      fit_exponential_rate, karp_eigenvalue, minplus_apply,
                      peierls_barrier, refine_periodic_orbit, run_convergence)
@@ -46,7 +46,7 @@ def test_fit_insufficient_data():
 
 def test_convergence_free_zero_is_trivial():
     report = run_convergence(FREE, Grid(16), u0_tag="zero", k_max=10,
-                             horizon=8, orbits=[])
+                             horizon=10, orbits=[])
     assert report.verdict == "trivial"
     assert report.mu is None and report.kstar == 0
     assert float(np.max(report.errors)) <= 1e-12
@@ -91,6 +91,15 @@ def test_convergence_rejects_a_kernel_from_another_offset():
     with pytest.raises(ConfigurationError, match="not at tau_frac 0.5"):
         run_convergence(sys, Grid(16), tau_frac=0.5, k_max=10, horizon=8,
                         unit_kernel=kernel, orbits=[])
+
+
+def test_convergence_refuses_an_unstabilized_barrier():
+    # amp 0.3 on grid 64 reaches its turnpike at power 5; a barrier cut
+    # at power 2 is no barrier, and a limit built from it is wrong
+    sys = LagrangianSystem(family="mechanical-cos", amp=0.3)
+    with pytest.raises(NumericalError, match="not stabilized at horizon 2"):
+        run_convergence(sys, Grid(64), u0_tag="spike", k_max=10, horizon=2,
+                        orbits=[])
 
 
 def test_limits_differ_by_constant_between_initial_conditions():

@@ -5,8 +5,9 @@ import pytest
 
 from weakkam import (ConfigurationError, DegenerateOrbitError,
                      LagrangianSystem, NotPeriodicError, PhasePoint,
-                     floquet_analysis, flow_map, flow_trajectory, monodromy,
+                     floquet_analysis, flow_map, monodromy,
                      refine_periodic_orbit, torus_distance)
+from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -103,27 +104,27 @@ def test_floquet_validates_shape():
 
 
 def test_flow_composition():
-    p0 = PhasePoint(0.2, 0.3, 0.0)
-    direct = flow_map(EPS, p0, 2.0, n_steps=400)
-    half = flow_map(EPS, p0, 1.0, n_steps=200)
-    two_step = flow_map(EPS, half, 2.0, n_steps=200)
-    assert torus_distance(direct.x, two_step.x) < 1e-9
-    assert abs(direct.v - two_step.v) < 1e-9
+    rhs = _el_rhs(EPS)
+    direct = _rk4(rhs, [0.2, 0.3], 0.0, 2.0, 400)[-1]
+    half = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, 200)[-1]
+    two_step = _rk4(rhs, half, 1.0, 2.0, 200)[-1]
+    assert torus_distance(direct[0], two_step[0]) < 1e-9
+    assert abs(direct[1] - two_step[1]) < 1e-9
 
 
 def test_fourth_order_step_halving():
-    p0 = PhasePoint(0.2, 0.3, 0.0)
-    ref = flow_map(EPS, p0, 1.0, n_steps=2000)
+    rhs = _el_rhs(EPS)
+    ref = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, 2000)[-1]
 
     def err(n):
-        end = flow_map(EPS, p0, 1.0, n_steps=n)
-        return math.hypot(end.x - ref.x, end.v - ref.v)
+        end = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, n)[-1]
+        return math.hypot(end[0] - ref[0], end[1] - ref[1])
 
     ratio = err(200) / err(400)
     assert 8.0 < ratio < 32.0
 
 
 def test_flow_trajectory_endpoints():
-    times, xs, vs = flow_trajectory(FREE, PhasePoint(0.1, 1.0, 0.0), 2.0, n_steps=10)
-    assert times.size == 11 and xs[0] == 0.1 and vs[-1] == 1.0
-    assert abs(xs[-1] - 2.1) < 1e-12  # lifted, no reduction inside
+    ys = _rk4(_el_rhs(FREE), [0.1, 1.0], 0.0, 2.0, 10)
+    assert ys.shape == (11, 2) and ys[0, 0] == 0.1 and ys[-1, 1] == 1.0
+    assert abs(ys[-1, 0] - 2.1) < 1e-12  # lifted, no reduction inside

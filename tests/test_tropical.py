@@ -170,8 +170,8 @@ def test_minplus_apply_examples():
 
 
 def test_karp_examples():
-    assert karp_eigenvalue(np.array([[0.0, 3.0], [1.0, 5.0]]), 1.0) == 0.0
-    assert karp_eigenvalue(np.array([[2.0, 1.0], [4.0, 3.0]]), 1.0) == -2.0
+    assert karp_eigenvalue(np.array([[0.0, 3.0], [1.0, 5.0]])) == 0.0
+    assert karp_eigenvalue(np.array([[2.0, 1.0], [4.0, 3.0]])) == -2.0
 
 
 def test_karp_free_kernel(free_kernel):
