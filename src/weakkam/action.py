@@ -196,21 +196,17 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
 
     Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
     per-row midpoint quadrature value without any boundary offset. Every
-    phase evaluates full rows through ``_evaluate``, so ``gsup`` and
-    ``e_quad`` are its values at the returned rows; the one exception is
-    the value of a row last moved by a backtracked step, which sums
-    ``qsys.lagrangian`` instead and can differ from it at rounding when
-    that closed form rounds differently.
+    phase evaluates full rows through ``_evaluate``, so for every row
+    ``e_quad`` and ``gsup`` are its value and gradient sup norm at the
+    returned samples.
 
     The preconditioner is the inverse of the kinetic-part Hessian plus
     half the system's curvature bound on the diagonal; it is dense but
     shared by every row. Steps are per-row spectral (Barzilai-Borwein)
-    lengths with a nonmonotone Armijo backtracking safeguard. The first
-    trial point is evaluated with its gradient so that an accepted step
-    (the common case) costs a single fused evaluation; backtracked trial
-    points are evaluated for their value alone. Rows the spectral phase
-    leaves unconverged (a fraction of a percent, near heteroclinic
-    connections) get a per-row Newton polish.
+    lengths with a nonmonotone Armijo backtracking safeguard; every trial
+    point costs one fused evaluation of value and gradient. Rows the
+    spectral phase leaves unconverged (a fraction of a percent, near
+    heteroclinic connections) get a per-row Newton polish.
 
     A start can sit exactly on a critical point of the discrete action
     without being a minimum (a constant lift at a symmetric equilibrium of
@@ -278,15 +274,11 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
                 break
             step[pending] *= 0.5
             cand = descend(za[pending], step[pending], d[pending])
-            # value only: the closed form skips the sines of the gradient
-            e_c = h * np.sum(qsys.lagrangian(*midpoint_geometry(cand, h), tmid), axis=1)
+            e_c, g_c = _evaluate(qsys, cand, h, tmid)[:2]
             ok = e_c <= ref[pending] - ARMIJO * step[pending] * dd[pending]
             hit = pending[ok]
-            if hit.size:
-                z_next[hit] = cand[ok]
-                e_next[hit] = e_c[ok]
-                accepted[hit] = True
-                g_next[hit] = _evaluate(qsys, z_next[hit], h, tmid)[1]
+            z_next[hit], e_next[hit], g_next[hit] = cand[ok], e_c[ok], g_c[ok]
+            accepted[hit] = True
             pending = pending[~ok]
 
         if accepted.all():

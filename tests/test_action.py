@@ -146,37 +146,46 @@ def test_loop_at_potential_minimum_escapes_the_saddle_start():
 
 def test_batch_returns_the_evaluation_of_its_rows(monkeypatch):
     # all 16 x 16 grid pairs of the two-well system over one unit of time:
-    # the batch backtracks (value-only Lagrangian calls), polishes its
-    # stalled rows and escapes a saddle start, and the value and gradient
-    # sup norm it returns for every row are those of a fresh evaluation
+    # the batch backtracks, polishes its stalled rows and escapes a saddle
+    # start, and the value and gradient sup norm it returns for every row
+    # are those of a fresh evaluation
     two_well = LagrangianSystem(family="mechanical-cos", freq=2)
     calls = {"backtrack": 0, "polish": 0, "escape": 0}
-    lagrangian, polish = LagrangianSystem.lagrangian, action._polish_rows
+    polishing = []
+    evaluate, polish = action._evaluate, action._polish_rows
     batch = action.minimize_straight_batch
 
-    def counting_lagrangian(self, x, v, t):
-        calls["backtrack"] += 1
-        return lagrangian(self, x, v, t)
+    def counting_evaluate(*args):
+        # outside the polish a batch evaluates its entry rows once, each
+        # spectral iteration's first trial once, and each backtracked trial
+        calls["backtrack"] += not polishing
+        return evaluate(*args)
 
     def counting_polish(*args):
         calls["polish"] += 1
-        return polish(*args)
+        polishing.append(True)
+        try:
+            return polish(*args)
+        finally:
+            polishing.pop()
 
     def counting_batch(*args, **kwargs):
         calls["escape"] += kwargs.get("_escape") is False
-        return batch(*args, **kwargs)
+        result = batch(*args, **kwargs)
+        calls["backtrack"] -= 1 + result[4]
+        return result
 
-    monkeypatch.setattr(LagrangianSystem, "lagrangian", counting_lagrangian)
+    monkeypatch.setattr(action, "_evaluate", counting_evaluate)
     monkeypatch.setattr(action, "_polish_rows", counting_polish)
     monkeypatch.setattr(action, "minimize_straight_batch", counting_batch)
     pts = np.arange(16) / 16
     starts, ends = (grid.ravel() for grid in np.meshgrid(pts, pts, indexing="ij"))
     n_seg = 32
-    z, e_quad, gsup, converged, _ = batch(
+    z, e_quad, gsup, converged, _ = counting_batch(
         two_well, 0.0, 1.0, n_seg, action._straight_lifts(starts, ends, n_seg))
     assert all(count > 0 for count in calls.values()), calls
     assert converged.all()
     tmid = (np.arange(n_seg) + 0.5) / n_seg
-    e, g, _, _ = action._evaluate(two_well, z, 1.0 / n_seg, tmid)
+    e, g, _, _ = evaluate(two_well, z, 1.0 / n_seg, tmid)
     assert np.array_equal(e_quad, e)
     assert np.array_equal(gsup, np.max(np.abs(g), axis=1))

@@ -5,7 +5,7 @@ import pytest
 
 from weakkam import (ConfigurationError, DegenerateOrbitError,
                      LagrangianSystem, NotPeriodicError, PhasePoint,
-                     floquet_analysis, flow_map, monodromy,
+                     floquet_analysis, flow_map, flow_trajectory, monodromy,
                      refine_periodic_orbit, torus_distance)
 from weakkam.flow import _el_rhs, _rk4
 
@@ -104,12 +104,14 @@ def test_floquet_validates_shape():
 
 
 def test_flow_composition():
-    rhs = _el_rhs(EPS)
-    direct = _rk4(rhs, [0.2, 0.3], 0.0, 2.0, 400)[-1]
-    half = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, 200)[-1]
-    two_step = _rk4(rhs, half, 1.0, 2.0, 200)[-1]
-    assert torus_distance(direct[0], two_step[0]) < 1e-9
-    assert abs(direct[1] - two_step[1]) < 1e-9
+    # at the default 200 steps per unit time the two legs take the same
+    # 400 steps as the direct flow
+    p0 = PhasePoint(0.2, 0.3, 0.0)
+    direct = flow_map(EPS, p0, 2.0)
+    half = flow_map(EPS, p0, 1.0)
+    two_step = flow_map(EPS, half, 2.0)
+    assert torus_distance(direct.x, two_step.x) < 1e-9
+    assert abs(direct.v - two_step.v) < 1e-9
 
 
 def test_fourth_order_step_halving():
@@ -125,6 +127,8 @@ def test_fourth_order_step_halving():
 
 
 def test_flow_trajectory_endpoints():
-    ys = _rk4(_el_rhs(FREE), [0.1, 1.0], 0.0, 2.0, 10)
-    assert ys.shape == (11, 2) and ys[0, 0] == 0.1 and ys[-1, 1] == 1.0
-    assert abs(ys[-1, 0] - 2.1) < 1e-12  # lifted, no reduction inside
+    # RK4 is exact for the free system
+    times, xs, vs = flow_trajectory(FREE, PhasePoint(0.1, 1.0, 0.0), 2.0)
+    assert times.size == 401 and times[0] == 0.0 and times[-1] == 2.0
+    assert xs[0] == 0.1 and vs[-1] == 1.0
+    assert abs(xs[-1] - 2.1) < 1e-12  # lifted, no reduction inside
