@@ -23,7 +23,7 @@ from .reduction import (LiftedSystem, MaupertuisSubsolution, TiltedSystem,
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, reduce_mod_1, torus_distance)
 from .tropical import (Grid, TropicalKernel, assemble_kernel, karp_eigenvalue,
-                       min_cycle_mean, minplus_apply, minplus_matmul)
+                       minplus_apply, minplus_matmul)
 from .weak_kam import (AubrySet, BarrierMatrix, ConnectionGraph, aubry_set,
                        connection_graph, default_aubry_tolerance,
                        peierls_barrier, semigroup_limit)

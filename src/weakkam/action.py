@@ -112,16 +112,16 @@ def _thomas_spd(diag, off, rhs):
 
 def _tridiagonal_hessian(qsys, mid, vel, tmid, h):
     """(diag, off) of the discrete-action Hessian in the interior samples,
-    from L_vv and L_xx at the segment midpoints; the quadrature Lagrangian
-    has no xv coupling for every built-in family and lift."""
-    kin = np.asarray(qsys.lagrangian_vv(mid, vel, tmid), dtype=float) / h
+    from the mass and L_xx at the segment midpoints; the quadrature
+    Lagrangian has no xv coupling for every built-in family and lift."""
+    kin = qsys.mass / h
     curv = 0.25 * h * np.asarray(qsys.lagrangian_xx(mid, vel, tmid), dtype=float)
-    diag = (kin[:, :-1] + kin[:, 1:]) + (curv[:, :-1] + curv[:, 1:])
-    off = -kin[:, 1:-1] + curv[:, 1:-1]
+    diag = 2.0 * kin + (curv[:, :-1] + curv[:, 1:])
+    off = -kin + curv[:, 1:-1]
     return diag, off
 
 
-def _polish_rows(qsys, z, h, tmid):
+def _polish_rows(qsys, z, h, tmid, e, g):
     """Damped regularized Newton on the discrete stationarity system,
     batched over rows, until every gradient sup norm is within
     ``GRADIENT_TOLERANCE`` or ``POLISH_BUDGET`` steps are spent.
@@ -131,11 +131,13 @@ def _polish_rows(qsys, z, h, tmid):
     gradient and a genuinely wrong value (observed 3e-3 on the two-well
     system); the exact tridiagonal Hessian fixes those few rows cheaply.
     Assumes the quadrature Lagrangian has no xv coupling, which holds for
-    every built-in family and lift. An accepted trial point keeps the
-    value, gradient and geometry its line search evaluated. Mutates ``z``
-    in place and returns (e, gsup).
+    every built-in family and lift. Starts from the rows' value ``e`` and
+    gradient ``g`` as ``_evaluate`` gave them, so only their midpoint
+    geometry is computed; an accepted trial point keeps the value,
+    gradient and geometry its line search evaluated. Mutates ``z``, ``e``
+    and ``g`` in place and returns (e, gsup).
     """
-    e, g, mid, vel = _evaluate(qsys, z, h, tmid)
+    mid, vel = midpoint_geometry(z, h)
     reg = np.zeros(z.shape[0])
     gsup = np.max(np.abs(g), axis=1)
     for _ in range(POLISH_BUDGET):
@@ -311,7 +313,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     leftovers = np.flatnonzero(~converged)
     if leftovers.size:
         sub = z[leftovers]
-        e_p, gsup_p = _polish_rows(qsys, sub, h, tmid)
+        e_p, gsup_p = _polish_rows(qsys, sub, h, tmid, e[leftovers], g[leftovers])
         z[leftovers] = sub
         e[leftovers] = e_p
         gsup[leftovers] = gsup_p

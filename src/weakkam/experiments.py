@@ -151,7 +151,9 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     composition order and agree exactly once the iteration reaches its
     finite fixed point. A given ``unit_kernel`` must start at tau. A
     barrier whose powers found no cycle within ``horizon`` raises
-    ``NumericalError``: its limit would be wrong.
+    ``NumericalError``: its limit would be wrong. The verdict is ``pass``
+    only when the fitted rate is positive and the last error has reached
+    its floor.
     """
     if k_max < 8:
         raise ConfigurationError("k_max must be at least 8")
@@ -178,14 +180,14 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         const = 0.0
     else:
         fractional_kernel = assemble_kernel(sys, grid, 0.0, tau_frac, settings)
-        w, _ = minplus_apply(fractional_kernel.matrix, u0)
+        w = minplus_apply(fractional_kernel.matrix, u0)
         const = c * tau_frac
     limit = semigroup_limit(w, barrier) + const
 
     errors = np.empty(k_max + 1)
     errors[0] = float(np.max(np.abs(w + const - limit)))
     for k in range(1, k_max + 1):
-        w, _ = minplus_apply(unit_kernel.matrix, w)
+        w = minplus_apply(unit_kernel.matrix, w)
         errors[k] = float(np.max(np.abs(w + const + c * k - limit)))
 
     kstar = None
@@ -202,13 +204,14 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     lam = min(lams) if lams else None
 
     floor = FIT_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(np.abs(limit)))
+    floor_tol = max(floor, EXACT_CONVERGENCE_TOL)
     fit = None
-    if float(errors.max()) <= max(floor, EXACT_CONVERGENCE_TOL):
+    if float(errors.max()) <= floor_tol:
         verdict = "trivial"
     else:
         try:
             fit = fit_exponential_rate(errors, floor)
-            verdict = "pass" if fit.mu > 0.0 else "fail"
+            verdict = "pass" if fit.mu > 0.0 and errors[-1] <= floor_tol else "fail"
         except InsufficientDataError:
             verdict = "converged-no-fit" if (
                 kstar is not None and errors[-1] <= EXACT_CONVERGENCE_TOL) else "fail"

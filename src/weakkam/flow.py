@@ -42,10 +42,11 @@ class PeriodicOrbit:
 
 
 def _check_mechanical(sys):
-    if not getattr(sys, "mechanical_form", False):
+    if not hasattr(sys, "mass"):
         raise ConfigurationError(
-            "flow integration requires L_v independent of x and t; "
-            "tilted systems share the base flow, integrate that instead")
+            "flow integration requires a constant mass, so that L_v is "
+            "independent of x and t; tilted systems share the base flow, "
+            "integrate that instead")
 
 
 def _steps_for(duration):
@@ -72,8 +73,7 @@ def _rk4(rhs, y0, t0, t1, n_steps):
 def _el_rhs(sys):
     def rhs(t, y):
         x, v = y
-        a = sys.lagrangian_x(x, v, t) / sys.lagrangian_vv(x, v, t)
-        return np.array([v, a])
+        return np.array([v, sys.lagrangian_x(x, v, t) / sys.mass])
     return rhs
 
 
@@ -103,9 +103,8 @@ def _flow_with_variational(sys, x0, v0, t0, t1):
     def rhs(t, y):
         x, v = y[0], y[1]
         xi = y[2:].reshape(2, 2)
-        lvv = sys.lagrangian_vv(x, v, t)
-        a = sys.lagrangian_x(x, v, t) / lvv
-        ax = sys.lagrangian_xx(x, v, t) / lvv
+        a = sys.lagrangian_x(x, v, t) / sys.mass
+        ax = sys.lagrangian_xx(x, v, t) / sys.mass
         jac = np.array([[0.0, 1.0], [float(ax), 0.0]])
         return np.hstack(([v, float(a)], (jac @ xi).reshape(-1)))
 
@@ -158,20 +157,26 @@ def floquet_analysis(mono: np.ndarray, period: int = 1):
 
 
 SHOTS_PER_UNIT_TIME = 8
+# closing residual the sub-period factorization reaches before the
+# full-period polish
+SEGMENT_TOLERANCE = 1e-12
 
 
-def _multiple_shooting(sys, guess, period):
-    """Damped Newton on the sub-period factorization of the period map.
+def _multiple_shooting(sys, starts, period, tol):
+    """Damped Newton on the factorization of the period map into
+    ``len(starts)`` equal segments, from the given segment start states,
+    until the closing residual's sup norm is within ``tol``.
 
     Splitting the period into short segments keeps the per-segment
     amplification small, so the Newton basin around a hyperbolic orbit is
     wide; single shooting over a full period mixes in the parabolic
     rotating circles of the autonomous cases and loses the nearby saddle.
-    Returns the refined starting state.
+    One segment is single shooting, with the monodromy minus the identity
+    as Jacobian. Returns the refined starting state.
     """
-    m = SHOTS_PER_UNIT_TIME * period
+    z = np.array(starts, dtype=float)
+    m = z.shape[0]
     dt = period / m
-    z = np.tile([guess.x, guess.v], (m, 1)).astype(float)
     eye = np.eye(2)
 
     def residual(states):
@@ -193,7 +198,7 @@ def _multiple_shooting(sys, guess, period):
     res, jac = residual(z)
     for _ in range(MAX_NEWTON):
         norm = float(np.max(np.abs(res)))
-        if norm <= 1e-12:
+        if norm <= tol:
             return z[0]
         if np.linalg.cond(jac) > 1e12:
             raise DegenerateOrbitError(
@@ -218,39 +223,19 @@ def _multiple_shooting(sys, guess, period):
 def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     """Damped Newton shooting for a periodic orbit near ``guess``.
 
-    Newton solves psi_period(z) - z = 0, globalized through a sub-period
-    factorization and polished with the full-period monodromy as Jacobian.
-    The x component of the closing residual is wrapped to the nearest
-    integer, so rotating orbits close up mod 1.
+    Newton solves psi_period(z) - z = 0 by ``_multiple_shooting``: first on
+    the sub-period factorization, every segment started at the guess, to
+    ``SEGMENT_TOLERANCE``; then as its one-segment call over the full
+    period, to ``SHOOTING_TOLERANCE``. The x component of the closing
+    residual is wrapped to the nearest integer, so rotating orbits close
+    up mod 1.
     """
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
-    z = _multiple_shooting(sys, guess, int(period))
-
-    def residual(point):
-        x1, v1, mat = _flow_with_variational(sys, point[0], point[1], 0.0,
-                                             float(period))
-        dx = x1 - point[0]
-        return np.array([dx - round(dx), v1 - point[1]]), mat
-
-    res, mat = residual(z)
-    for _ in range(10):
-        norm = float(np.max(np.abs(res)))
-        if norm <= SHOOTING_TOLERANCE:
-            break
-        jac = mat - np.eye(2)
-        if abs(np.linalg.det(jac)) < 1e-10:
-            raise DegenerateOrbitError(
-                "I - monodromy is singular; the orbit direction is not hyperbolic")
-        z_new = z + np.linalg.solve(jac, -res)
-        res_new, mat_new = residual(z_new)
-        if float(np.max(np.abs(res_new))) >= norm:
-            break
-        z, res, mat = z_new, res_new, mat_new
-    norm = float(np.max(np.abs(res)))
-    if norm > SHOOTING_TOLERANCE:
-        raise NoOrbitError(f"polish did not reach tolerance {SHOOTING_TOLERANCE:g}; "
-                           f"defect {norm:.3e}")
+    period = int(period)
+    starts = np.tile([guess.x, guess.v], (SHOTS_PER_UNIT_TIME * period, 1))
+    z = _multiple_shooting(sys, starts, period, SEGMENT_TOLERANCE)
+    z = _multiple_shooting(sys, z[None, :], period, SHOOTING_TOLERANCE)
 
     mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period)
     if abs(np.linalg.det(mono - np.eye(2))) < 1e-10:
@@ -258,7 +243,7 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
             "I - monodromy is singular at the refined point; the orbit has a "
             "non-hyperbolic direction")
     mults, exponents, hyperbolic, lam = floquet_analysis(mono, period)
-    return PeriodicOrbit(x=float(reduce_mod_1(z[0])), v=float(z[1]), period=int(period),
+    return PeriodicOrbit(x=float(reduce_mod_1(z[0])), v=float(z[1]), period=period,
                          monodromy=mono, multipliers=mults,
                          floquet_exponents=exponents, hyperbolic=hyperbolic,
                          lam=lam)

@@ -27,13 +27,15 @@ BLEND_HALF_WIDTH = 1e-2
 class LiftedSystem:
     """L_N(x, v, t) = L(x, v/N, N t); H_N(x, p, t) = H(x, N p, N t)."""
 
-    mechanical_form = True
-
     def __init__(self, base, n: int):
         if n < 1:
             raise ConfigurationError("lift order must be a positive integer")
         self.base = base
         self.n = int(n)
+
+    @property
+    def mass(self) -> float:
+        return self.base.mass / self.n ** 2
 
     def lagrangian(self, x, v, t):
         return self.base.lagrangian(x, np.asarray(v, dtype=float) / self.n,
@@ -42,10 +44,6 @@ class LiftedSystem:
     def lagrangian_x(self, x, v, t):
         return self.base.lagrangian_x(x, np.asarray(v, dtype=float) / self.n,
                                       np.asarray(t, dtype=float) * self.n)
-
-    def lagrangian_vv(self, x, v, t):
-        return self.base.lagrangian_vv(x, np.asarray(v, dtype=float) / self.n,
-                                       np.asarray(t, dtype=float) * self.n) / self.n ** 2
 
     def lagrangian_xx(self, x, v, t):
         return self.base.lagrangian_xx(x, np.asarray(v, dtype=float) / self.n,
@@ -200,9 +198,8 @@ class TiltedSystem:
     the differential part integrated exactly along curves (boundary term),
     not by quadrature. Quadrature runs on the base system, so only the
     pointwise ``lagrangian`` of the tilt itself is evaluated, by the
-    nonnegativity sweep."""
-
-    mechanical_form = False  # L_v couples to x through f_x; flow via the base
+    nonnegativity sweep. It has no ``mass``: L_v couples to x through f_x,
+    so the flow integrates the base instead."""
 
     def __init__(self, base, sub: Subsolution, c: float):
         self.base = base

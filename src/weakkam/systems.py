@@ -6,9 +6,13 @@ strength is modulated 1-periodically in time,
 
     L(x, v, t) = v^2/2 - A cos(2 pi q x) (1 + eps cos(2 pi t)).
 
-Evaluators are exact closed forms, accept scalars or numpy arrays, and
-reduce x and t mod 1 internally, so spatial and temporal periodicity hold
-to the last bit whenever the shifted argument is representable.
+Both are one closed form: the free family is the cosine family at
+amplitude 0, and the mass is the constant 1. Every evaluator reads one
+phase 2 pi q (x mod 1) and one modulation 1 + eps cos(2 pi t), so L from
+``lagrangian`` and from ``lagrangian_and_grads`` agree bit for bit, and
+so does L_x. Evaluators accept scalars or numpy arrays and reduce x and t
+mod 1 internally, so spatial and temporal periodicity hold to the last
+bit whenever the shifted argument is representable.
 
 Curves are stored lifted to the real line with an explicit winding count;
 positions reduce mod 1 only at API boundaries, because the action depends
@@ -48,6 +52,12 @@ def torus_distance(a, b):
 class LagrangianSystem:
     """A built-in Lagrangian family with exact derivative evaluators.
 
+    Every quantity is read from one evaluator of the potential's phase,
+    2 pi q (x mod 1), and its modulation, 1 + eps cos 2 pi t; the free
+    family is the cosine family at amplitude 0. The kinetic part is
+    ``mass`` v^2/2 with a constant mass, so L_v depends on v alone and
+    the flow reduces to v' = L_x / mass.
+
     Only analytic built-ins are supported: shooting and monodromy
     integration need exact derivatives, so numeric user-supplied
     Lagrangians are deliberately out of scope.
@@ -58,9 +68,7 @@ class LagrangianSystem:
     freq: int = 1
     eps: float = 0.0
 
-    # L_v depends on v alone for these families, so the second-order flow
-    # may be reduced to v' = L_x / L_vv.
-    mechanical_form = True
+    mass = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -74,68 +82,66 @@ class LagrangianSystem:
 
     # -- closed forms ----------------------------------------------------
 
-    def _modulation(self, t):
+    @property
+    def _amp(self) -> float:
+        """The potential's amplitude; the free family is amplitude 0."""
+        return 0.0 if self.family == "free" else self.amp
+
+    def _phase_and_modulation(self, x, t):
+        """(2 pi q (x mod 1), 1 + eps cos(2 pi t)), read by every closed
+        form. A tiny negative x rounds x - floor(x) up to exactly 1.0, which
+        folds to phase 0 as in ``reduce_mod_1``; the fold is masked in
+        place because this runs in the minimizer's hot loop, and ``out``
+        keeps a scalar input a writable 0-d array."""
+        x = np.asarray(x, dtype=float)
+        phase = np.subtract(x, np.floor(x), out=np.empty_like(x))
+        phase[phase == 1.0] = 0.0
+        phase *= TWO_PI * self.freq
         if self.eps == 0.0:
-            return 1.0
-        return 1.0 + self.eps * np.cos(TWO_PI * reduce_mod_1(t))
+            return phase, 1.0
+        return phase, 1.0 + self.eps * np.cos(TWO_PI * reduce_mod_1(t))
 
     def potential(self, x, t):
         """Potential energy U(x, t); the Lagrangian is v^2/2 - U."""
-        if self.family == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.amp * np.cos(TWO_PI * self.freq * reduce_mod_1(x)) * self._modulation(t)
+        phase, m = self._phase_and_modulation(x, t)
+        return np.cos(phase) * (self._amp * m)
 
     def lagrangian(self, x, v, t):
-        return 0.5 * np.asarray(v, dtype=float) ** 2 - self.potential(x, t)
+        v = np.asarray(v, dtype=float)
+        return 0.5 * v * v - self.potential(x, t)
 
     def lagrangian_x(self, x, v, t):
-        if self.family == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        w = TWO_PI * self.freq
-        return self.amp * w * np.sin(w * reduce_mod_1(x)) * self._modulation(t)
-
-    def lagrangian_vv(self, x, v, t):
-        return np.ones_like(np.asarray(v, dtype=float) + np.zeros_like(np.asarray(x, dtype=float)))
+        phase, m = self._phase_and_modulation(x, t)
+        return np.sin(phase) * (self._amp * (TWO_PI * self.freq) * m)
 
     def lagrangian_xx(self, x, v, t):
-        if self.family == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
+        phase, m = self._phase_and_modulation(x, t)
         w = TWO_PI * self.freq
-        return self.amp * w * w * np.cos(w * reduce_mod_1(x)) * self._modulation(t)
+        return self._amp * w * w * np.cos(phase) * m
 
     def lagrangian_and_grads(self, x, v, t):
-        """(L, L_x, L_v) in one call; shares the trig evaluations.
+        """(L, L_x, L_v) in one call; shares the phase and the modulation,
+        and equals ``lagrangian`` and ``lagrangian_x`` bit for bit.
 
         Inputs must already have a common shape (the hot loops guarantee
         it); L_v aliases v and must not be mutated.
         """
         v = np.asarray(v, dtype=float)
-        if self.family == "free":
-            return 0.5 * v * v, np.zeros_like(v), v
-        w = TWO_PI * self.freq
-        # inline fractional part: cos/sin are 2 pi periodic, the representative
-        # endpoint does not matter here
-        phase = np.asarray(x, dtype=float) - np.floor(x)
-        phase *= w
-        m = self._modulation(t)
+        phase, m = self._phase_and_modulation(x, t)
         lag = np.cos(phase)
-        lag *= -self.amp * np.asarray(m)
+        lag *= -(self._amp * m)
         lag += 0.5 * v * v
         lx = np.sin(phase)
-        lx *= self.amp * w * np.asarray(m)
+        lx *= self._amp * (TWO_PI * self.freq) * m
         return lag, lx, v
 
     def lagrangian_xx_bound(self) -> float:
         """Sup of |L_xx| over phase space, used to scale preconditioners."""
-        if self.family == "free":
-            return 0.0
-        return abs(self.amp) * (TWO_PI * self.freq) ** 2 * (1.0 + abs(self.eps))
+        return abs(self._amp) * (TWO_PI * self.freq) ** 2 * (1.0 + abs(self.eps))
 
     def potential_upper_bound(self) -> float:
         """Sup of the potential; L >= v^2/2 - this bound pointwise."""
-        if self.family == "free":
-            return 0.0
-        return abs(self.amp) * (1.0 + abs(self.eps))
+        return abs(self._amp) * (1.0 + abs(self.eps))
 
     def hamiltonian(self, x, p, t):
         """Legendre-dual energy, H = p^2/2 + U(x, t)."""

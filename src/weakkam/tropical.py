@@ -53,12 +53,6 @@ class TropicalKernel:
     matrix: np.ndarray
 
 
-def _as_matrix(kernel) -> np.ndarray:
-    if isinstance(kernel, TropicalKernel):
-        return kernel.matrix
-    return np.asarray(kernel, dtype=float)
-
-
 def symmetry_orbits(maps, n: int) -> np.ndarray:
     """Orbit label of every flat kernel index i * n + j under the group the
     index maps generate: the smallest flat index of its orbit.
@@ -100,7 +94,6 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     windings = winding_candidates(b - a, settings)
     n_seg = segments_for(b - a, settings)
     qsys = sys.quadrature_system()
-    kin_coeff = float(qsys.lagrangian_vv(0.0, 0.0, a))
     pot_ceiling = qsys.potential_upper_bound()
 
     z0 = _straight_lifts(starts, ends, n_seg)
@@ -109,7 +102,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
 
     others = np.array(windings[1:], dtype=int)
     ends_k = ends[None, :] + others[:, None]
-    lower = (kin_coeff * (ends_k - starts[None, :]) ** 2 / (2.0 * (b - a))
+    lower = (qsys.mass * (ends_k - starts[None, :]) ** 2 / (2.0 * (b - a))
              - (b - a) * pot_ceiling)
     w_idx, pair = np.nonzero(lower <= best_e[None, :])
     if pair.size:
@@ -202,15 +195,12 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     return TropicalKernel(grid=grid, s=a, delta=float(delta), matrix=matrix)
 
 
-def minplus_apply(kernel, u):
-    """u'[j] = min_i u[i] + K[i][j]; returns (u', argmin indices)."""
-    mat = _as_matrix(kernel)
+def minplus_apply(mat, u):
+    """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mat.shape[0],):
         raise ConfigurationError("shape mismatch in min-plus apply")
-    stacked = u[:, None] + mat
-    arg = np.argmin(stacked, axis=0)
-    return stacked[arg, np.arange(mat.shape[1])], arg
+    return np.min(u[:, None] + mat, axis=0)
 
 
 def minplus_matmul(a, b):
@@ -220,24 +210,28 @@ def minplus_matmul(a, b):
     inner index; min is exact, so the order of accumulation does not
     change a bit of the result.
     """
-    amat, bmat = _as_matrix(a), _as_matrix(b)
-    if amat.shape[1] != bmat.shape[0]:
+    if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    out = np.full((amat.shape[0], bmat.shape[1]), np.inf)
+    out = np.full((a.shape[0], b.shape[1]), np.inf)
     tmp = np.empty_like(out)
-    for m in range(amat.shape[1]):
-        np.add(amat[:, m, None], bmat[m], out=tmp)
+    for m in range(a.shape[1]):
+        np.add(a[:, m, None], b[m], out=tmp)
         np.minimum(out, tmp, out=out)
     return out
 
 
-def min_cycle_mean(kernel) -> float:
-    """Minimum mean weight over cycles of the kernel graph (Karp's DP).
+def karp_eigenvalue(kernel) -> float:
+    """Critical value per unit time: minus the minimum cycle mean of the
+    kernel graph over the kernel duration, which is 1 for a raw matrix.
 
-    D[k][v] is the least weight of a k-edge walk ending at v (any start);
-    the answer is min_v max_k (D[n][v] - D[k][v]) / (n - k).
+    Karp's DP: D[k][v] is the least weight of a k-edge walk ending at v
+    (any start), and the minimum cycle mean is
+    min_v max_k (D[n][v] - D[k][v]) / (n - k).
     """
-    mat = _as_matrix(kernel)
+    if isinstance(kernel, TropicalKernel):
+        mat, delta = kernel.matrix, kernel.delta
+    else:
+        mat, delta = np.asarray(kernel, dtype=float), 1.0
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigurationError("kernel must be square")
     if not np.all(np.isfinite(mat)):
@@ -249,11 +243,4 @@ def min_cycle_mean(kernel) -> float:
         d[k] = np.min(d[k - 1][:, None] + mat, axis=0)
     denom = (n - np.arange(n)).astype(float)
     ratios = (d[n][None, :] - d[:n]) / denom[:, None]
-    return float(np.min(np.max(ratios, axis=0)))
-
-
-def karp_eigenvalue(kernel) -> float:
-    """Critical value per unit time: minus the minimum cycle mean over the
-    kernel duration, which is 1 for a raw matrix."""
-    delta = kernel.delta if isinstance(kernel, TropicalKernel) else 1.0
-    return -min_cycle_mean(kernel) / float(delta)
+    return -float(np.min(np.max(ratios, axis=0))) / float(delta)

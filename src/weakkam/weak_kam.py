@@ -208,8 +208,7 @@ def semigroup_limit(u0, h: BarrierMatrix) -> np.ndarray:
     values = np.asarray(u0, dtype=float)
     if values.shape != (h.grid.n,):
         raise ConfigurationError("shape mismatch between u0 and barrier")
-    out, _ = minplus_apply(h.values, values)
-    return out
+    return minplus_apply(h.values, values)
 
 
 def _find_cycles(n_vertices: int, edges) -> list:

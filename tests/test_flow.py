@@ -6,7 +6,7 @@ import pytest
 from weakkam import (ConfigurationError, DegenerateOrbitError,
                      LagrangianSystem, NotPeriodicError, PhasePoint,
                      floquet_analysis, flow_map, flow_trajectory, monodromy,
-                     refine_periodic_orbit, torus_distance)
+                     refine_periodic_orbit, tilt_system, torus_distance)
 from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
@@ -132,3 +132,10 @@ def test_flow_trajectory_endpoints():
     assert times.size == 401 and times[0] == 0.0 and times[-1] == 2.0
     assert xs[0] == 0.1 and vs[-1] == 1.0
     assert abs(xs[-1] - 2.1) < 1e-12  # lifted, no reduction inside
+
+
+def test_flow_refuses_a_system_without_a_mass():
+    # a tilt's L_v couples to x through f_x: it has no constant mass
+    tilted = tilt_system(MECH, "maupertuis", 1.0)
+    with pytest.raises(ConfigurationError, match="constant mass"):
+        flow_map(tilted, PhasePoint(0.2, 0.3, 0.0), 1.0)

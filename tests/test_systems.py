@@ -14,7 +14,7 @@ EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 def test_eval_free_closed_form():
     x, v, t = 0.3, 2.0, 0.7
     values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x(x, v, t),
-              FREE.lagrangian_and_grads(x, v, t)[2], FREE.lagrangian_vv(x, v, t))
+              FREE.lagrangian_and_grads(x, v, t)[2], FREE.mass)
     assert values == (2.0, 0.0, 2.0, 1.0)
 
 
@@ -22,7 +22,22 @@ def test_eval_mech_at_rest_on_maximum():
     x, v, t = 0.0, 0.0, 0.37
     assert MECH.lagrangian(x, v, t) == -1.0
     assert MECH.lagrangian_and_grads(x, v, t)[2] == 0.0
-    assert MECH.lagrangian_vv(x, v, t) == 1.0
+    assert MECH.mass == 1.0
+
+
+@pytest.mark.parametrize("amp, eps", [(1.0, 0.1), (0.3, 0.1)])
+def test_one_closed_form_for_l_and_l_x(amp, eps):
+    # the pointwise evaluators and the fused one share every rounding, at
+    # every amplitude and modulation, and fold a tiny negative x to phase 0
+    sys = LagrangianSystem(family="mechanical-cos", amp=amp, eps=eps)
+    rng = np.random.default_rng(3)
+    x = np.append(rng.uniform(-3.0, 3.0, 3300), -1e-30)
+    v = rng.uniform(-3.0, 3.0, x.size)
+    t = rng.uniform(-2.0, 2.0, x.size)
+    lag, lx, _ = sys.lagrangian_and_grads(x, v, t)
+    assert np.array_equal(sys.lagrangian(x, v, t), lag)
+    assert np.array_equal(sys.lagrangian_x(x, v, t), lx)
+    assert lx[-1] == 0.0
 
 
 def test_eval_mech_quarter_kills_potential():

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from weakkam import (ConfigurationError, Grid, LagrangianSystem,
                      NumericalError, assemble_kernel, karp_eigenvalue,
-                     min_cycle_mean, minimal_action, minplus_apply,
+                     minimal_action, minplus_apply,
                      minplus_matmul)
 from weakkam.tropical import symmetry_orbits
 
@@ -159,13 +159,13 @@ def test_kernel_duration_validation():
 
 def test_minplus_apply_examples():
     kernel = np.array([[0.0, 3.0], [1.0, 5.0]])
-    out, arg = minplus_apply(kernel, np.zeros(2))
+    out = minplus_apply(kernel, np.zeros(2))
     assert np.array_equal(out, [0.0, 3.0])
-    out, _ = minplus_apply(kernel, np.array([10.0, 0.0]))
+    out = minplus_apply(kernel, np.array([10.0, 0.0]))
     assert np.array_equal(out, [1.0, 5.0])
     identity_like = np.array([[0.0, np.inf], [np.inf, 0.0]])
     u = np.array([2.5, -1.0])
-    out, _ = minplus_apply(identity_like, u)
+    out = minplus_apply(identity_like, u)
     assert np.array_equal(out, u)
 
 
@@ -181,8 +181,8 @@ def test_karp_free_kernel(free_kernel):
 @given(int_kernels, st.integers(-5, 5))
 def test_karp_shift_equivariance(kernel, shift):
     # the cycle-mean division rounds, so exactness holds only to an ulp
-    assert min_cycle_mean(kernel + shift) == pytest.approx(
-        min_cycle_mean(kernel) + shift, abs=1e-12)
+    assert -karp_eigenvalue(kernel + shift) == pytest.approx(
+        -karp_eigenvalue(kernel) + shift, abs=1e-12)
 
 
 @given(int_kernels)
@@ -197,21 +197,21 @@ def test_karp_matches_enumeration(kernel):
             weight = sum(kernel[nodes[i], nodes[(i + 1) % length]]
                          for i in range(length))
             best = min(best, weight / length)
-    assert min_cycle_mean(kernel) == best
+    assert -karp_eigenvalue(kernel) == best
 
 
 @given(int_kernels, int_vectors)
 def test_minplus_associativity(kernel, u):
-    left = minplus_apply(minplus_matmul(kernel, kernel), u)[0]
-    right = minplus_apply(kernel, minplus_apply(kernel, u)[0])[0]
+    left = minplus_apply(minplus_matmul(kernel, kernel), u)
+    right = minplus_apply(kernel, minplus_apply(kernel, u))
     assert np.array_equal(left, right)
 
 
 @given(int_kernels, int_vectors, int_vectors)
 def test_minplus_monotone_and_nonexpansive(kernel, u, w):
     if np.all(u <= w):
-        assert np.all(minplus_apply(kernel, u)[0] <= minplus_apply(kernel, w)[0])
-    du = minplus_apply(kernel, u)[0] - minplus_apply(kernel, w)[0]
+        assert np.all(minplus_apply(kernel, u) <= minplus_apply(kernel, w))
+    du = minplus_apply(kernel, u) - minplus_apply(kernel, w)
     assert np.max(np.abs(du)) <= np.max(np.abs(u - w))
 
 
@@ -222,8 +222,8 @@ def test_minplus_matmul_matches_repeated_apply():
     cubed = minplus_matmul(minplus_matmul(kernel, kernel), kernel)
     stepped = u.copy()
     for _ in range(3):
-        stepped, _ = minplus_apply(kernel, stepped)
-    assert np.array_equal(minplus_apply(cubed, u)[0], stepped)
+        stepped = minplus_apply(kernel, stepped)
+    assert np.array_equal(minplus_apply(cubed, u), stepped)
 
 
 @pytest.mark.parametrize("m, k, n", [(1, 1, 1), (3, 5, 7), (64, 64, 64)])
@@ -245,6 +245,6 @@ def test_normalized_iteration_eventually_periodic(kernel):
         if key in seen:
             return
         seen[key] = step
-        u, _ = minplus_apply(kernel, u)
+        u = minplus_apply(kernel, u)
         u -= u.min()
     pytest.fail("no periodicity within 500 sweeps")
