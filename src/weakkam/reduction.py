@@ -25,7 +25,13 @@ BLEND_HALF_WIDTH = 1e-2
 
 
 class LiftedSystem:
-    """L_N(x, v, t) = L(x, v/N, N t); H_N(x, p, t) = H(x, N p, N t)."""
+    """L_N(x, v, t) = L(x, v/N, N t); H_N(x, p, t) = H(x, N p, N t).
+
+    Its mass is ``base.mass / N**2``, and its critical subsolution is the
+    base's with u and Lambda divided by N and the ceiling read at N t:
+    H_N(x, p / N, t) = H(x, p, N t). A tilt needs neither, because its
+    quadrature system is its base.
+    """
 
     def __init__(self, base, n: int):
         if n < 1:
@@ -63,6 +69,11 @@ class LiftedSystem:
     def hamiltonian(self, x, p, t):
         return self.base.hamiltonian(x, np.asarray(p, dtype=float) * self.n,
                                      np.asarray(t, dtype=float) * self.n)
+
+    def critical_subsolution(self):
+        ceiling, u, lip = self.base.critical_subsolution()
+        return (lambda t: ceiling(np.asarray(t, dtype=float) * self.n),
+                lambda z: u(z) / self.n, lip / self.n)
 
     def quadrature_system(self):
         return self

@@ -14,6 +14,12 @@ so does L_x. Evaluators accept scalars or numpy arrays and reduce x and t
 mod 1 internally, so spatial and temporal periodicity hold to the last
 bit whenever the shifted argument is representable.
 
+Each family also gives a critical subsolution (``critical_subsolution``):
+a ceiling c'(t) = max_x U(x, t) and a primitive u of a slope p with
+H(x, p, t) <= c'(t), so L + c'(t) >= p v. The winding search turns it
+into a lower bound on the action of every curve with given lifted
+endpoints, and prunes the windings that bound rules out.
+
 Curves are stored lifted to the real line with an explicit winding count;
 positions reduce mod 1 only at API boundaries, because the action depends
 on the lift, not on the projection.
@@ -74,9 +80,9 @@ class LagrangianSystem:
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown Lagrangian family {self.family!r}; "
                                      f"choose one of {FAMILIES}")
+        if not (isinstance(self.freq, int) and self.freq >= 1):
+            raise ConfigurationError("spatial frequency must be a positive integer")
         if self.family == "mechanical-cos":
-            if not (isinstance(self.freq, int) and self.freq >= 1):
-                raise ConfigurationError("spatial frequency must be a positive integer")
             if not abs(self.eps) < 1.0:
                 raise ConfigurationError("time-modulation amplitude must satisfy |eps| < 1")
 
@@ -146,6 +152,33 @@ class LagrangianSystem:
     def hamiltonian(self, x, p, t):
         """Legendre-dual energy, H = p^2/2 + U(x, t)."""
         return 0.5 * np.asarray(p, dtype=float) ** 2 + self.potential(x, t)
+
+    def critical_subsolution(self):
+        """(c', u, Lambda): a ceiling c'(t) = max_x U(x, t), a primitive u
+        on the lifted line of a slope p with H(x, p, t) <= c'(t) everywhere,
+        and the Lipschitz constant Lambda of p; so L + c'(t) >= p v
+        pointwise, the weak KAM subsolution inequality, whose ceiling
+        averages to |A| over a period.
+
+        With a = |A| (1 - |eps|) = min_t c'(t) and x0 a maximum of the
+        cosine (0, or 1/(2q) when A < 0), p = 2 sqrt(mass a)
+        |sin(pi q (x - x0))| gives p^2 / (2 mass) = a (1 - cos), at most
+        c'(t) (1 - cos) = c'(t) - U(x, t). The free family is amplitude 0,
+        so u = 0.
+        """
+        root = 2.0 * math.sqrt(self.mass * abs(self._amp) * (1.0 - abs(self.eps)))
+        q = self.freq
+        x0 = 0.5 / q if self._amp < 0 else 0.0
+
+        def ceiling(t):
+            return self.potential(np.full(np.shape(t), x0), t)
+
+        def u(z):
+            w = q * (np.asarray(z, dtype=float) - x0)
+            k = np.floor(w)
+            return (root / (math.pi * q)) * (2.0 * k + 1.0 - np.cos(math.pi * (w - k)))
+
+        return ceiling, u, math.pi * q * root
 
     # -- quadrature protocol ---------------------------------------------
 

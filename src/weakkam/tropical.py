@@ -10,6 +10,7 @@ products.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,46 +76,94 @@ def symmetry_orbits(maps, n: int) -> np.ndarray:
         label = lowered
 
 
+def _bound_gap(qsys, a, b, n_seg, starts, ends, best_e):
+    """How far a certified lower bound on the midpoint-rule action over
+    [a, b] in ``n_seg`` segments of every row from ``starts`` to the lifted
+    ``ends`` clears ``best_e``, net of rounding: where the gap is
+    positive, no such row can beat ``best_e``.
+
+    With the ceiling c'(t) >= max_x U(x, t) of ``critical_subsolution``
+    summed over the midpoint times, C = h sum_i c'(t_i), the bound is the
+    larger of two, minus C. The kinetic one is mass d^2 / (2T)
+    (Cauchy-Schwarz). The subsolution one is s |u(end) - u(start)|: on a
+    segment of length D, step h and midpoint m, Fenchel gives
+    h (L + c') - s p(m) |D| >= mass (1 - s^2) D^2 / (2h), the midpoint
+    rule misses |u(z+) - u(z)| by at most Lambda D^2 / 4, and
+    s = sqrt(1 + r^2) - r with r = Lambda h / (4 mass) makes the two D^2
+    terms cancel; the segments sum to the bound.
+
+    The rounding allowance covers the plain sums behind ``best_e`` and
+    behind any row that could beat it: n_seg terms whose magnitudes add up
+    to at most |best_e| + 2 T sup U, each carrying a few roundings, one on
+    the phase of a lifted midpoint, which grows with |z|; plus the
+    rounding of the bound's own terms.
+    """
+    duration = b - a
+    h = duration / n_seg
+    sup_u = qsys.potential_upper_bound()
+    ceiling, u, lip = qsys.critical_subsolution()
+    r = lip * h / (4.0 * qsys.mass)
+    s = math.sqrt(1.0 + r * r) - r
+    ceiling_sum = h * math.fsum(ceiling(a + h * (np.arange(n_seg) + 0.5)))
+    kinetic = qsys.mass * (ends - starts) ** 2 / (2.0 * duration)
+    u0, u1 = u(starts), u(ends)
+    lower = np.maximum(kinetic, s * np.abs(u1 - u0)) - ceiling_sum
+    scale = (np.abs(best_e) + 2.0 * duration * sup_u + abs(ceiling_sum)
+             + kinetic + s * (np.abs(u0) + np.abs(u1)))
+    lift = 1.0 + np.maximum(np.abs(starts), np.abs(ends))
+    allowance = 8.0 * np.finfo(float).eps * (n_seg + 1) * lift * scale
+    return lower - best_e - allowance
+
+
 def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     """Minimal action from each start at time a to the matching end at time
-    b, over the windings of ``winding_candidates(b - a, settings)``.
+    b, over every winding: those of ``winding_candidates(b - a, settings)``
+    and any beyond them that the action bound cannot rule out.
 
     Returns (values, rows, windings): fsum quadrature values plus the
     system's ``action_offset``, the winning lifted samples, and the winning
-    windings. The zero-winding problems run first; a nonzero (pair,
-    winding) row whose rigorous lower bound (Cauchy-Schwarz kinetic term
-    minus the potential ceiling) exceeds the pair's zero-winding energy can
-    never win, so it is pruned, and every surviving row of every winding
-    is minimized in one batch. Windings are then taken in (|k|, k) order
-    and replace the incumbent only when strictly lower, so ties keep the
-    smaller |winding|. A winner that did not converge raises
-    ``MinimizationError``. A pair's value does not depend on the other
-    pairs of the batch, up to BLAS rounding of one-row products.
+    windings. The zero-winding problems run first. A nonzero (pair,
+    winding) row whose certified lower bound (``_bound_gap``: the larger of
+    the kinetic bound and the critical-subsolution bound) clears the
+    pair's best energy so far can never win, so it is pruned, and every
+    surviving row of the candidate windings is minimized in one batch.
+    The same bound certifies the range: both bounds grow with |k| beyond
+    the cap, so the windings +-(cap + 1), +-(cap + 2), ... are bounded in
+    turn, the rows that their bound does not clear are minimized too, and
+    the search stops at the first pair of windings that every pair's bound
+    clears. Windings are taken in (|k|, k) order and replace the incumbent
+    only when strictly lower, so ties keep the smaller |winding|. A winner
+    that did not converge raises ``MinimizationError``. A pair's value
+    does not depend on the other pairs of the batch, up to BLAS rounding
+    of one-row products.
     """
     windings = winding_candidates(b - a, settings)
     n_seg = segments_for(b - a, settings)
     qsys = sys.quadrature_system()
-    pot_ceiling = qsys.potential_upper_bound()
 
     z0 = _straight_lifts(starts, ends, n_seg)
     rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0)
     best_winding = np.zeros(starts.size, dtype=int)
 
-    others = np.array(windings[1:], dtype=int)
-    ends_k = ends[None, :] + others[:, None]
-    lower = (qsys.mass * (ends_k - starts[None, :]) ** 2 / (2.0 * (b - a))
-             - (b - a) * pot_ceiling)
-    w_idx, pair = np.nonzero(lower <= best_e[None, :])
-    if pair.size:
-        zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
-        zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
-        for w, k in enumerate(others):
-            sel = np.flatnonzero(w_idx == w)
-            better = sel[ek[sel] < best_e[pair[sel]]]  # strict: ties keep smaller |k|
-            best_e[pair[better]] = ek[better]
-            rows[pair[better]] = zk[better]
-            best_winding[pair[better]] = k
-            conv[pair[better]] = convk[better]
+    cap = windings[-1]  # the windings are ordered by (|k|, k)
+    shell, k = np.array(windings[1:], dtype=int), cap
+    while True:
+        ends_k = ends[None, :] + shell[:, None]
+        w_idx, pair = np.nonzero(_bound_gap(qsys, a, b, n_seg, starts, ends_k, best_e) <= 0.0)
+        if pair.size:
+            zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
+            zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
+            for w, kw in enumerate(shell):
+                sel = np.flatnonzero(w_idx == w)
+                better = sel[ek[sel] < best_e[pair[sel]]]  # strict: ties keep smaller |k|
+                best_e[pair[better]] = ek[better]
+                rows[pair[better]] = zk[better]
+                best_winding[pair[better]] = kw
+                conv[pair[better]] = convk[better]
+        elif k > cap:
+            break  # the bounds grow with |k|, so they clear every shell past this one
+        k += 1
+        shell = np.array([-k, k])
 
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])

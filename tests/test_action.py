@@ -113,8 +113,9 @@ def test_unconverged_winner_raises_with_its_iterate():
 
 
 def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):
-    # one zero-winding row, then every winding that survives the lower
-    # bound in a single batch: 4 of the 16 nonzero windings at horizon 8
+    # one zero-winding row, and no other: the critical-subsolution bound
+    # prunes all 16 nonzero windings at horizon 8 (the kinetic bound alone
+    # keeps 4), so the search runs a single batch
     orbit = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
     batches = []
     original = tropical.minimize_straight_batch
@@ -125,7 +126,7 @@ def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):
 
     monkeypatch.setattr(tropical, "minimize_straight_batch", counting)
     dwell_statistics(MECH, [orbit], 0.25, 0.0, 0.25, 8.0)
-    assert batches == [1, 4]
+    assert batches == [1]
 
 
 def test_loop_at_potential_minimum_escapes_the_saddle_start():

@@ -51,6 +51,8 @@ def test_unknown_family_rejected():
         LagrangianSystem(family="mechanical-cos", eps=1.5)
     with pytest.raises(ConfigurationError):
         LagrangianSystem(family="mechanical-cos", freq=0)
+    with pytest.raises(ConfigurationError):  # amplitude 0 of the same family
+        LagrangianSystem(family="free", freq=0)
 
 
 def test_legendre_mech_at_maximum():

@@ -6,17 +6,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, Grid, LagrangianSystem,
-                     NumericalError, assemble_kernel, karp_eigenvalue,
-                     minimal_action, minplus_apply,
-                     minplus_matmul)
-from weakkam.tropical import symmetry_orbits
+                     MinimizationSettings, NumericalError, assemble_kernel,
+                     karp_eigenvalue, lift_system, minimal_action,
+                     minplus_apply, minplus_matmul)
+from weakkam.action import (_straight_lifts, minimize_straight_batch,
+                            segments_for, winding_candidates)
+from weakkam.systems import exact_row_actions
+from weakkam.tropical import symmetry_orbits, winding_search
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
 MECH_Q2 = LagrangianSystem(family="mechanical-cos", freq=2)
 MECH_EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 MECH_Q2_EPS = LagrangianSystem(family="mechanical-cos", freq=2, eps=0.1)
+
+# the systems the winding bound is checked on: free, q in {1, 2, 3} times
+# eps in {0, 0.3} times A in {0.3, 16}, a negative amplitude and a lift
+BOUND_SYSTEMS = [FREE] + [
+    LagrangianSystem(family="mechanical-cos", amp=amp, freq=q, eps=eps)
+    for q in (1, 2, 3) for eps in (0.0, 0.3) for amp in (0.3, 16.0)] + [
+    LagrangianSystem(family="mechanical-cos", amp=-1.0, eps=0.3),
+    lift_system(MECH_EPS, 2)]
+BOUND_IDS = [sys.label() for sys in BOUND_SYSTEMS]
 
 int_kernels = arrays(np.float64, (6, 6),
                      elements=st.integers(-9, 9).map(float))
@@ -140,7 +153,8 @@ def test_false_symmetry_declaration_raises():
         assemble_kernel(wrong, Grid(12), 0.25, 1.0)
 
 
-@pytest.mark.parametrize("missing", ["potential_upper_bound", "lagrangian_xx_bound"])
+@pytest.mark.parametrize("missing", ["potential_upper_bound", "lagrangian_xx_bound",
+                                     "critical_subsolution"])
 def test_missing_bound_raises(missing):
     with pytest.raises(AttributeError, match=missing):
         assemble_kernel(MissingBound(MECH, missing), Grid(8), 0.0, 1.0)
@@ -248,3 +262,78 @@ def test_normalized_iteration_eventually_periodic(kernel):
         u = minplus_apply(kernel, u)
         u -= u.min()
     pytest.fail("no periodicity within 500 sweeps")
+
+
+@pytest.mark.parametrize("sys", BOUND_SYSTEMS, ids=BOUND_IDS)
+@given(z=st.floats(-3.0, 3.0), t=st.floats(0.0, 1.0),
+       h=st.sampled_from([1 / 64, 1 / 32, 0.45 / 14, 1 / 8]))
+def test_subsolution_bound_holds_on_every_segment(sys, z, t, h):
+    # h (L(m, D/h, t) + c'(t)) >= s |u(m + D/2) - u(m - D/2)| on every
+    # segment, the inequality that winding_search sums into its bound;
+    # checked on a lattice of midpoints m over a period from z and of
+    # velocities D/h up to twice the escape speed
+    ceiling, u, lip = sys.critical_subsolution()
+    r = lip * h / (4.0 * sys.mass)
+    s = math.sqrt(1.0 + r * r) - r
+    speed = 2.0 * math.sqrt(2.0 * sys.potential_upper_bound() / sys.mass) + 1.0
+    mid = z + np.arange(64)[:, None] / 64
+    vel = speed * np.linspace(-1.0, 1.0, 81)[None, :]
+    c = ceiling(t)
+    lhs = h * (sys.lagrangian(mid, vel, t) + c)
+    rise = np.abs(u(mid + 0.5 * h * vel) - u(mid - 0.5 * h * vel))
+    allowance = 1e-13 * (1.0 + np.abs(mid)) * (np.abs(lhs) + h * abs(c) + np.abs(u(mid)))
+    assert np.all(lhs >= s * rise - allowance)
+
+
+def unpruned_minimum(sys, a, b, starts, ends, windings):
+    """Least midpoint-rule action over the given windings, each solved for
+    every pair with nothing pruned."""
+    n_seg = segments_for(b - a, MinimizationSettings())
+    return np.min([exact_row_actions(sys, a, b, minimize_straight_batch(
+        sys, a, b, n_seg, _straight_lifts(starts, ends + k, n_seg))[0])
+        for k in windings], axis=0)
+
+
+@pytest.mark.parametrize("sys, s, delta", [(sys, 0.0, 1.0) for sys in BOUND_SYSTEMS]
+                         + [(MECH, 0.1, 0.45)], ids=BOUND_IDS + ["window"])
+def test_pruned_windings_never_win(sys, s, delta):
+    settings = MinimizationSettings()
+    pts = Grid(16).points
+    starts, ends = np.repeat(pts, 16), np.tile(pts, 16)
+    values, _, _ = winding_search(sys, s, s + delta, starts, ends, settings)
+    unpruned = unpruned_minimum(sys, s, s + delta, starts, ends,
+                                winding_candidates(delta, settings))
+    assert np.max(np.abs(values - unpruned)) <= 1e-12
+
+
+def test_windings_beyond_the_range_are_solved_where_the_bound_fails():
+    # the pendulum's action from 0.05 to 0.95 over unit time is -0.984 at
+    # winding -1; a search capped at winding 0 used to return 0.265, but
+    # the bound at winding -1 does not clear 0.265, so it is solved too
+    capped = minimal_action(MECH, 0.05, 0.0, 0.95, 1.0, MinimizationSettings(winding_range=0))
+    value, curve = minimal_action(MECH, 0.05, 0.0, 0.95, 1.0)
+    assert curve.winding == -1 and capped[1].winding == -1
+    assert capped[0] == pytest.approx(value, abs=1e-12)
+    assert value == pytest.approx(-0.98426617, abs=1e-6)
+
+
+@pytest.mark.parametrize("amp, freq, x, y", [(-1.0, 1, 0.9375, 0.0), (16.0, 2, 0.8125, 0.3125)])
+def test_windings_past_the_cap_are_solved_where_the_bound_misses(monkeypatch, amp, freq, x, y):
+    # at eps = 0.3 the bound at winding 2 does not clear these pairs' best
+    # energy within the range, so winding 2 is minimized in a third batch;
+    # the value is still the least over windings -3..3 solved unpruned
+    sys = LagrangianSystem(family="mechanical-cos", amp=amp, freq=freq, eps=0.3)
+    batches = []
+    original = tropical.minimize_straight_batch
+
+    def counting(sys, a, b, n_seg, z0, **kwargs):
+        batches.append(z0.shape[0])
+        return original(sys, a, b, n_seg, z0, **kwargs)
+
+    monkeypatch.setattr(tropical, "minimize_straight_batch", counting)
+    starts, ends = np.array([x]), np.array([y])
+    values, _, _ = winding_search(sys, 0.0, 1.0, starts, ends, MinimizationSettings())
+    assert len(batches) == 3
+    monkeypatch.undo()
+    unpruned = unpruned_minimum(sys, 0.0, 1.0, starts, ends, range(-3, 4))
+    assert values[0] == pytest.approx(unpruned[0], abs=1e-12)
