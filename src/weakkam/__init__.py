@@ -17,15 +17,13 @@ from .experiments import (ConvergenceReport, DwellReport, detect_aubry_orbits,
                           run_convergence)
 from .flow import (PeriodicOrbit, floquet_analysis, flow_map, flow_trajectory,
                    monodromy, refine_periodic_orbit)
-from .reduction import (LiftedSystem, MaupertuisSubsolution, TiltedSystem,
-                        lift_curve, lift_system, subsolution_from_tag,
-                        tilt_system)
+from .reduction import (MaupertuisSubsolution, TiltedSystem, lift_curve,
+                        lift_system, subsolution_from_tag, tilt_system)
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, reduce_mod_1, torus_distance)
 from .tropical import (Grid, TropicalKernel, assemble_kernel, karp_eigenvalue,
                        minplus_apply, minplus_matmul)
 from .weak_kam import (AubrySet, BarrierMatrix, ConnectionGraph, aubry_set,
-                       connection_graph, default_aubry_tolerance,
-                       peierls_barrier, semigroup_limit)
+                       connection_graph, peierls_barrier, semigroup_limit)
 
 __version__ = "0.1.0"

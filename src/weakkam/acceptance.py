@@ -59,6 +59,20 @@ class CriterionResult:
         return f"ACCEPTANCE {self.cid:02d} {mark} {self.name}: {info}"
 
 
+def random_curves(seed: int, count: int):
+    """``count`` seeded 64-segment curves over [0, T], T in {1, 2, 3}: a
+    random start and drift plus three random sine modes, the test curves
+    of the lift and tilt identities."""
+    rng = np.random.default_rng(seed)
+    frac = np.linspace(0.0, 1.0, 65)
+    for _ in range(count):
+        duration = float(rng.integers(1, 4))
+        samples = rng.uniform(0.0, 1.0) + rng.normal(0.0, 0.5) * frac
+        for mode in (1, 2, 3):
+            samples = samples + rng.normal(0.0, 0.2 / mode) * np.sin(np.pi * mode * frac)
+        yield DiscretizedCurve(0.0, duration, samples, 0)
+
+
 class AcceptanceContext:
     """Caches the expensive shared objects of the acceptance matrix."""
 
@@ -105,16 +119,6 @@ class AcceptanceContext:
             self._orbits[key] = refine_periodic_orbit(
                 self.system(freq, eps), PhasePoint(x=guess_x, v=0.01, t=0.0), 1)
         return self._orbits[key]
-
-    def random_curves(self, count: int):
-        rng = np.random.default_rng(self.seed)
-        frac = np.linspace(0.0, 1.0, 65)
-        for _ in range(count):
-            duration = float(rng.integers(1, 4))
-            samples = rng.uniform(0.0, 1.0) + rng.normal(0.0, 0.5) * frac
-            for mode in (1, 2, 3):
-                samples = samples + rng.normal(0.0, 0.2 / mode) * np.sin(np.pi * mode * frac)
-            yield DiscretizedCurve(0.0, duration, samples, 0)
 
 
 def criterion_01_critical_value(ctx: AcceptanceContext) -> CriterionResult:
@@ -266,7 +270,7 @@ def criterion_07_reduction(ctx: AcceptanceContext) -> CriterionResult:
     """Period-lift identities for actions and Hamiltonians."""
     sys = ctx.system(1, 0.1)
     worst_action = 0.0
-    for curve in ctx.random_curves(200):
+    for curve in random_curves(ctx.seed, 200):
         for n_lift in (2, 3):
             lifted_sys = lift_system(sys, n_lift)
             lifted = lift_curve(curve, n_lift)
@@ -291,7 +295,7 @@ def criterion_08_tilt(ctx: AcceptanceContext) -> CriterionResult:
     sys = ctx.system(1, 0.0)
     tilted = tilt_system(sys, "maupertuis", ORACLE_C)
     worst = 0.0
-    for curve in ctx.random_curves(200):
+    for curve in random_curves(ctx.seed, 200):
         lhs = curve_action(tilted, curve)
         rhs = (curve_action(sys, curve) + ORACLE_C * (curve.t1 - curve.t0)
                + float(tilted.sub.value(curve.start(), curve.t0))

@@ -90,24 +90,27 @@ def _thomas_spd(diag, off, rhs):
 
     Returns (x, ok); ``ok`` is False for rows whose elimination pivots are
     not all positive (matrix not positive definite), whose solutions are
-    garbage and must be retried after regularization.
+    garbage and must be retried after regularization. The elimination
+    runs on transposed copies, so each step reads one contiguous column of
+    the batch.
     """
-    r, n = diag.shape
+    diag, off, rhs = (np.ascontiguousarray(a.T) for a in (diag, off, rhs))
+    n = diag.shape[0]
     piv = np.empty_like(diag)
     y = np.empty_like(rhs)
-    piv[:, 0] = diag[:, 0]
-    y[:, 0] = rhs[:, 0]
+    piv[0] = diag[0]
+    y[0] = rhs[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, n):
-            w = off[:, i - 1] / piv[:, i - 1]
-            piv[:, i] = diag[:, i] - w * off[:, i - 1]
-            y[:, i] = rhs[:, i] - w * y[:, i - 1]
+            w = off[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - w * off[i - 1]
+            y[i] = rhs[i] - w * y[i - 1]
         x = np.empty_like(rhs)
-        x[:, -1] = y[:, -1] / piv[:, -1]
+        x[-1] = y[-1] / piv[-1]
         for i in range(n - 2, -1, -1):
-            x[:, i] = (y[:, i] - off[:, i] * x[:, i + 1]) / piv[:, i]
-    ok = np.all(piv > 0.0, axis=1) & np.all(np.isfinite(x), axis=1)
-    return x, ok
+            x[i] = (y[i] - off[i] * x[i + 1]) / piv[i]
+    ok = np.all(piv > 0.0, axis=0) & np.all(np.isfinite(x), axis=0)
+    return x.T, ok
 
 
 def _tridiagonal_hessian(qsys, mid, vel, tmid, h):
@@ -210,12 +213,14 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     spectral phase leaves unconverged (a fraction of a percent, near
     heteroclinic connections) get a per-row Newton polish.
 
-    A start can sit exactly on a critical point of the discrete action
-    without being a minimum (a constant lift at a symmetric equilibrium of
-    the potential); descent cannot leave such a point, so rows converged
-    at entry with a non-positive-definite Hessian (a nonpositive pivot of
-    its tridiagonal factorization) are re-minimized from two deterministic
-    sine bumps and keep the lowest result.
+    Descent can end on a critical point of the discrete action that is
+    not a minimum: a start can sit on one (a constant lift at a symmetric
+    equilibrium of the potential), and a start symmetric under
+    z(t) -> 2 w - z(1 - t) about a well centre w keeps that symmetry and
+    ends on the best symmetric path, a saddle. So every converged row
+    whose Hessian is not positive definite (a nonpositive pivot of its
+    tridiagonal factorization) is re-minimized from two deterministic sine
+    bumps and keeps the lowest result.
     """
     qsys = sys.quadrature_system()
     z = np.array(z0, dtype=float)
@@ -239,7 +244,6 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     e, g = _evaluate(qsys, z, h, tmid)[:2]
     gsup = np.max(np.abs(g), axis=1)
     converged = gsup <= GRADIENT_TOLERANCE
-    entry_converged = converged.copy()
     stalled = np.zeros(m, dtype=bool)
     alpha = np.ones(m)
     hist = np.tile(e[:, None], (1, NONMONOTONE_WINDOW))
@@ -319,8 +323,8 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
         gsup[leftovers] = gsup_p
         converged[leftovers] = gsup_p <= GRADIENT_TOLERANCE
 
-    if _escape and entry_converged.any():
-        candidates = np.flatnonzero(entry_converged)
+    if _escape and converged.any():
+        candidates = np.flatnonzero(converged)
         diag, off = _tridiagonal_hessian(qsys, *midpoint_geometry(z[candidates], h),
                                          tmid, h)
         _, pd_ok = _thomas_spd(diag, off, np.zeros_like(diag))

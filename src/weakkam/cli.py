@@ -12,16 +12,16 @@ import sys as _sys
 
 import numpy as np
 
-from .acceptance import AcceptanceContext, AcceptanceScale, run_all
+from .acceptance import (AcceptanceContext, AcceptanceScale, random_curves,
+                         run_all)
 from .action import MinimizationSettings, minimal_action
 from .errors import ConfigurationError, WeakKamError
 from .experiments import detect_aubry_orbits, dwell_statistics, run_convergence
 from .flow import refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
-from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
-                      curve_action)
+from .systems import LagrangianSystem, PhasePoint, curve_action
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
-from .weak_kam import (aubry_set, connection_graph, default_aubry_tolerance,
+from .weak_kam import (AUBRY_TOLERANCE, aubry_set, connection_graph,
                        peierls_barrier)
 from .reporting import fmt, write_csv
 
@@ -223,11 +223,8 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_aubry(args) -> int:
-    _, grid, settings, _, barrier = _barrier_for(args, args.horizon)
-    tol = args.tol
-    if tol is None:
-        tol = default_aubry_tolerance(grid, settings)
-    detected = aubry_set(barrier, tol)
+    _, grid, _, _, barrier = _barrier_for(args, args.horizon)
+    detected = aubry_set(barrier, AUBRY_TOLERANCE if args.tol is None else args.tol)
     diag = np.diag(barrier.values)
     _emit(args.out, ("x", "h_diag"),
           [(idx / grid.n, diag[idx]) for idx in detected.indices])
@@ -267,17 +264,12 @@ def _cmd_orbit(args) -> int:
 def _cmd_reduce(args) -> int:
     sys = _system(args)
     lifted = lift_system(sys, args.n)
-    rng = np.random.default_rng(args.seed)
-    frac = np.linspace(0.0, 1.0, 65)
     worst_action = 0.0
-    for _ in range(50):
-        samples = rng.uniform(0, 1) + rng.normal(0, 0.5) * frac
-        for mode in (1, 2, 3):
-            samples = samples + rng.normal(0, 0.2 / mode) * np.sin(np.pi * mode * frac)
-        curve = DiscretizedCurve(0.0, float(rng.integers(1, 4)), samples, 0)
+    for curve in random_curves(args.seed, 50):
         gap = abs(args.n * curve_action(lifted, lift_curve(curve, args.n))
                   - curve_action(sys, curve))
         worst_action = max(worst_action, gap)
+    rng = np.random.default_rng(args.seed + 1)
     worst_h = 0.0
     for _ in range(100):
         x, p, t = rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(0, 1)

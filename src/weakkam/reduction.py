@@ -1,9 +1,12 @@
 """Period lifts and subsolution tilts.
 
-``lift_system`` wraps a base Lagrangian through the phase-space map
-(x, v, t) -> (x, v/N, N t), so an N-periodic structure of the base becomes
-1-periodic for the lift, with N * (lifted action) = (base action) on
-time-rescaled curves.
+``lift_system`` pulls a built-in Lagrangian back through the phase-space
+map (x, v, t) -> (x, v/N, N t), so an N-periodic structure of the base
+becomes 1-periodic for the lift, with N * (lifted action) = (base action)
+on time-rescaled curves. The lift is the same ``LagrangianSystem`` with
+lift order N (mass 1/N^2, modulation N times as fast), so its evaluators,
+bounds, critical subsolution and kernel symmetries are the family's own
+closed forms.
 
 ``tilt_system`` subtracts the exact differential of a subsolution f and
 adds the critical value, producing a pointwise-nonnegative Lagrangian that
@@ -14,7 +17,9 @@ untouched, which is the whole point of the construction.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+
 import numpy as np
 
 from .errors import ConfigurationError, InvalidSubsolutionError
@@ -24,72 +29,11 @@ SUBSOLUTION_TAGS = ("zero", "constant", "maupertuis")
 BLEND_HALF_WIDTH = 1e-2
 
 
-class LiftedSystem:
-    """L_N(x, v, t) = L(x, v/N, N t); H_N(x, p, t) = H(x, N p, N t).
-
-    Its mass is ``base.mass / N**2``, and its critical subsolution is the
-    base's with u and Lambda divided by N and the ceiling read at N t:
-    H_N(x, p / N, t) = H(x, p, N t). A tilt needs neither, because its
-    quadrature system is its base.
-    """
-
-    def __init__(self, base, n: int):
-        if n < 1:
-            raise ConfigurationError("lift order must be a positive integer")
-        self.base = base
-        self.n = int(n)
-
-    @property
-    def mass(self) -> float:
-        return self.base.mass / self.n ** 2
-
-    def lagrangian(self, x, v, t):
-        return self.base.lagrangian(x, np.asarray(v, dtype=float) / self.n,
-                                    np.asarray(t, dtype=float) * self.n)
-
-    def lagrangian_x(self, x, v, t):
-        return self.base.lagrangian_x(x, np.asarray(v, dtype=float) / self.n,
-                                      np.asarray(t, dtype=float) * self.n)
-
-    def lagrangian_xx(self, x, v, t):
-        return self.base.lagrangian_xx(x, np.asarray(v, dtype=float) / self.n,
-                                       np.asarray(t, dtype=float) * self.n)
-
-    def lagrangian_and_grads(self, x, v, t):
-        lag, lx, lv = self.base.lagrangian_and_grads(
-            x, np.asarray(v, dtype=float) / self.n, np.asarray(t, dtype=float) * self.n)
-        return lag, lx, lv / self.n
-
-    def lagrangian_xx_bound(self) -> float:
-        return self.base.lagrangian_xx_bound()
-
-    def potential_upper_bound(self) -> float:
-        return self.base.potential_upper_bound()
-
-    def hamiltonian(self, x, p, t):
-        return self.base.hamiltonian(x, np.asarray(p, dtype=float) * self.n,
-                                     np.asarray(t, dtype=float) * self.n)
-
-    def critical_subsolution(self):
-        ceiling, u, lip = self.base.critical_subsolution()
-        return (lambda t: ceiling(np.asarray(t, dtype=float) * self.n),
-                lambda z: u(z) / self.n, lip / self.n)
-
-    def quadrature_system(self):
-        return self
-
-    def kernel_symmetries(self, n, s, delta):
-        return ()
-
-    def action_offset(self, x0, x1, t0, t1):
-        return 0.0
-
-    def label(self):
-        return f"lift(N={self.n}) of {self.base.label()}"
-
-
-def lift_system(sys, n: int) -> LiftedSystem:
-    return LiftedSystem(sys, n)
+def lift_system(sys: LagrangianSystem, n: int) -> LagrangianSystem:
+    """The order-n period lift of a built-in system: the same family with
+    its lift order multiplied by n, so lifts compose. An order below 1 is
+    rejected by the system's own validation."""
+    return dataclasses.replace(sys, lift=sys.lift * n)
 
 
 def lift_curve(curve: DiscretizedCurve, n: int) -> DiscretizedCurve:
@@ -195,10 +139,10 @@ def subsolution_from_tag(tag: str, sys, kappa: float = 1.0) -> Subsolution:
         return ConstantSubsolution(kappa)
     if tag == "maupertuis":
         if not (isinstance(sys, LagrangianSystem) and sys.family == "mechanical-cos"
-                and sys.freq == 1 and sys.eps == 0.0):
+                and sys.freq == 1 and sys.eps == 0.0 and sys.lift == 1):
             raise ConfigurationError(
                 "the maupertuis subsolution fits the single-well cosine "
-                "potential without time modulation only")
+                "potential without time modulation or lift only")
         return MaupertuisSubsolution(amp=sys.amp)
     raise ConfigurationError(f"unknown subsolution tag {tag!r}; "
                              f"choose one of {SUBSOLUTION_TAGS}")

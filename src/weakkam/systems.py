@@ -7,12 +7,14 @@ strength is modulated 1-periodically in time,
     L(x, v, t) = v^2/2 - A cos(2 pi q x) (1 + eps cos(2 pi t)).
 
 Both are one closed form: the free family is the cosine family at
-amplitude 0, and the mass is the constant 1. Every evaluator reads one
-phase 2 pi q (x mod 1) and one modulation 1 + eps cos(2 pi t), so L from
-``lagrangian`` and from ``lagrangian_and_grads`` agree bit for bit, and
-so does L_x. Evaluators accept scalars or numpy arrays and reduce x and t
-mod 1 internally, so spatial and temporal periodicity hold to the last
-bit whenever the shifted argument is representable.
+amplitude 0. A period lift of order N, L(x, v/N, N t), is the same family
+with ``lift`` = N: its mass is 1/N^2 and its modulation runs N times as
+fast. Every evaluator reads one phase 2 pi q (x mod 1) and one modulation
+1 + eps cos(2 pi N t), so L from ``lagrangian`` and from
+``lagrangian_and_grads`` agree bit for bit, and so does L_x. Evaluators
+accept scalars or numpy arrays and reduce x and t mod 1 internally, so
+spatial and temporal periodicity hold to the last bit whenever the
+shifted argument is representable.
 
 Each family also gives a critical subsolution (``critical_subsolution``):
 a ceiling c'(t) = max_x U(x, t) and a primitive u of a slope p with
@@ -59,10 +61,11 @@ class LagrangianSystem:
     """A built-in Lagrangian family with exact derivative evaluators.
 
     Every quantity is read from one evaluator of the potential's phase,
-    2 pi q (x mod 1), and its modulation, 1 + eps cos 2 pi t; the free
+    2 pi q (x mod 1), and its modulation, 1 + eps cos 2 pi N t; the free
     family is the cosine family at amplitude 0. The kinetic part is
-    ``mass`` v^2/2 with a constant mass, so L_v depends on v alone and
-    the flow reduces to v' = L_x / mass.
+    ``mass`` v^2/2 with the constant mass 1/N^2 of the lift order N =
+    ``lift``, so L_v depends on v alone and the flow reduces to
+    v' = L_x / mass. Base systems have N = 1 and skip every lift branch.
 
     Only analytic built-ins are supported: shooting and monodromy
     integration need exact derivatives, so numeric user-supplied
@@ -73,8 +76,7 @@ class LagrangianSystem:
     amp: float = 1.0
     freq: int = 1
     eps: float = 0.0
-
-    mass = 1.0
+    lift: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -82,6 +84,8 @@ class LagrangianSystem:
                                      f"choose one of {FAMILIES}")
         if not (isinstance(self.freq, int) and self.freq >= 1):
             raise ConfigurationError("spatial frequency must be a positive integer")
+        if not (isinstance(self.lift, int) and self.lift >= 1):
+            raise ConfigurationError("lift order must be a positive integer")
         if self.family == "mechanical-cos":
             if not abs(self.eps) < 1.0:
                 raise ConfigurationError("time-modulation amplitude must satisfy |eps| < 1")
@@ -89,12 +93,16 @@ class LagrangianSystem:
     # -- closed forms ----------------------------------------------------
 
     @property
+    def mass(self) -> float:
+        return 1.0 / self.lift ** 2
+
+    @property
     def _amp(self) -> float:
         """The potential's amplitude; the free family is amplitude 0."""
         return 0.0 if self.family == "free" else self.amp
 
     def _phase_and_modulation(self, x, t):
-        """(2 pi q (x mod 1), 1 + eps cos(2 pi t)), read by every closed
+        """(2 pi q (x mod 1), 1 + eps cos(2 pi N t)), read by every closed
         form. A tiny negative x rounds x - floor(x) up to exactly 1.0, which
         folds to phase 0 as in ``reduce_mod_1``; the fold is masked in
         place because this runs in the minimizer's hot loop, and ``out``
@@ -105,6 +113,8 @@ class LagrangianSystem:
         phase *= TWO_PI * self.freq
         if self.eps == 0.0:
             return phase, 1.0
+        if self.lift != 1:
+            t = np.asarray(t, dtype=float) * self.lift
         return phase, 1.0 + self.eps * np.cos(TWO_PI * reduce_mod_1(t))
 
     def potential(self, x, t):
@@ -114,6 +124,8 @@ class LagrangianSystem:
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
+        if self.lift != 1:
+            v = v / self.lift
         return 0.5 * v * v - self.potential(x, t)
 
     def lagrangian_x(self, x, v, t):
@@ -130,16 +142,18 @@ class LagrangianSystem:
         and equals ``lagrangian`` and ``lagrangian_x`` bit for bit.
 
         Inputs must already have a common shape (the hot loops guarantee
-        it); L_v aliases v and must not be mutated.
+        it); on a base system L_v aliases v and must not be mutated.
         """
         v = np.asarray(v, dtype=float)
+        if self.lift != 1:
+            v = v / self.lift
         phase, m = self._phase_and_modulation(x, t)
         lag = np.cos(phase)
         lag *= -(self._amp * m)
         lag += 0.5 * v * v
         lx = np.sin(phase)
         lx *= self._amp * (TWO_PI * self.freq) * m
-        return lag, lx, v
+        return lag, lx, v if self.lift == 1 else v / self.lift
 
     def lagrangian_xx_bound(self) -> float:
         """Sup of |L_xx| over phase space, used to scale preconditioners."""
@@ -150,8 +164,8 @@ class LagrangianSystem:
         return abs(self._amp) * (1.0 + abs(self.eps))
 
     def hamiltonian(self, x, p, t):
-        """Legendre-dual energy, H = p^2/2 + U(x, t)."""
-        return 0.5 * np.asarray(p, dtype=float) ** 2 + self.potential(x, t)
+        """Legendre-dual energy, H = p^2 / (2 mass) + U(x, t) = (N p)^2/2 + U."""
+        return 0.5 * (np.asarray(p, dtype=float) * self.lift) ** 2 + self.potential(x, t)
 
     def critical_subsolution(self):
         """(c', u, Lambda): a ceiling c'(t) = max_x U(x, t), a primitive u
@@ -192,12 +206,12 @@ class LagrangianSystem:
 
         Reflection x -> -x always does. Time reversal about the window's
         middle transposes the kernel when the modulation is even about it,
-        that is when eps = 0 or 2s + delta is an integer. A shift by 1/q
+        that is when eps = 0 or N (2s + delta) is an integer. A shift by 1/q
         is a grid shift when q divides n; the free kernel is invariant
         under every grid shift, so one step generates them all.
         """
         maps = [lambda i, j: (-i % n, -j % n)]
-        if self.eps == 0.0 or float(2.0 * s + delta).is_integer():
+        if self.eps == 0.0 or float(self.lift * (2.0 * s + delta)).is_integer():
             maps.append(lambda i, j: (j, i))
         if self.family == "free":
             step = 1
@@ -213,8 +227,10 @@ class LagrangianSystem:
 
     def label(self):
         if self.family == "free":
-            return "free"
-        return f"mechanical-cos(A={self.amp:g},q={self.freq},eps={self.eps:g})"
+            base = "free"
+        else:
+            base = f"mechanical-cos(A={self.amp:g},q={self.freq},eps={self.eps:g})"
+        return base if self.lift == 1 else f"lift(N={self.lift}) of {base}"
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ import numpy as np
 
 from .action import MinimizationSettings
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
-from .systems import LagrangianSystem
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul)
 
-# the Aubry tolerance is this multiple of the measured free-kernel error
-AUBRY_TOLERANCE_FACTOR = 10.0
+# diagonal barrier up to which ``weakkam aubry`` counts a grid point as
+# Aubry when no tolerance is given: a rounding floor, since the free
+# kernel, whose straight minimizers the midpoint rule integrates exactly,
+# equals its closed form on grids 16, 64 and 256
+AUBRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,21 +155,6 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                          values=values, horizon=int(horizon), defect=defect,
                          stabilized=period is not None, c=float(c),
                          turnpike=None if period is None else m, period=period)
-
-
-def default_aubry_tolerance(grid: Grid, settings: MinimizationSettings | None = None) -> float:
-    """Tolerance scaled to the measured kernel error at this resolution.
-
-    Assembles the free-system unit kernel on the same grid and compares it
-    with the closed form min_k (dx + k)^2 / 2; the Aubry tolerance is
-    ``AUBRY_TOLERANCE_FACTOR`` times the sup error, floored at 1e-12.
-    """
-    free = LagrangianSystem(family="free")
-    kernel = assemble_kernel(free, grid, 0.0, 1.0, settings)
-    pts = grid.points
-    diff = pts[None, :] - pts[:, None]
-    exact = np.minimum.reduce([0.5 * (diff + k) ** 2 for k in (-1, 0, 1)])
-    return max(1e-12, AUBRY_TOLERANCE_FACTOR * float(np.max(np.abs(kernel.matrix - exact))))
 
 
 def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:

@@ -145,6 +145,17 @@ def test_loop_at_potential_minimum_escapes_the_saddle_start():
     assert at_max == -1.0
 
 
+def test_symmetric_pair_escapes_the_saddle_descent_ends_on():
+    # the straight lift from 63/256 to 65/256 is symmetric about the well
+    # centre 1/4 and descent keeps that symmetry, so it converges to the
+    # best symmetric path, a saddle at +0.2539, which the saddle test must
+    # catch although the row was not converged at entry
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    value, curve = minimal_action(two_well, 63 / 256, 0.0, 65 / 256, 1.0)
+    assert value == pytest.approx(-0.360672212811594, abs=1e-12)
+    assert curve.winding == 0
+
+
 def test_batch_returns_the_evaluation_of_its_rows(monkeypatch):
     # all 16 x 16 grid pairs of the two-well system over one unit of time:
     # the batch backtracks, polishes its stalled rows and escapes a saddle

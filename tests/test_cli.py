@@ -61,6 +61,16 @@ def test_barrier_and_aubry(tmp_path, capsys):
     assert "representatives,0" in out
 
 
+@pytest.mark.parametrize("argv, clusters, representatives", [
+    (("--grid", "16"), "clusters,1", "representatives,0"),
+    (("--grid", "64", "--freq", "2"), "clusters,2", "representatives,0;0.5")],
+    ids=["q1", "q2"])
+def test_aubry_default_tolerance(capsys, argv, clusters, representatives):
+    code, out, err = run_cli(capsys, "aubry", *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == [clusters, representatives]
+
+
 def test_unstabilized_barrier_warns(capsys):
     code, out, err = run_cli(capsys, "barrier", "--system", "free", "--grid", "16",
                              "--horizon", "4")

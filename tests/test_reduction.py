@@ -3,23 +3,15 @@ import pytest
 
 from weakkam import (ConfigurationError, DiscretizedCurve,
                      InvalidSubsolutionError, Grid, LagrangianSystem,
-                     assemble_kernel, curve_action, karp_eigenvalue, lift_curve, lift_system, minimal_action,
-                     subsolution_from_tag, tilt_system)
+                     assemble_kernel, curve_action, karp_eigenvalue, lift_curve,
+                     lift_system, minimal_action, subsolution_from_tag,
+                     tilt_system)
+from weakkam.acceptance import random_curves
 from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
 EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
-
-
-def random_curves(count, seed=11, n_samples=65):
-    rng = np.random.default_rng(seed)
-    frac = np.linspace(0.0, 1.0, n_samples)
-    for _ in range(count):
-        samples = rng.uniform(0, 1) + rng.normal(0, 0.5) * frac
-        for mode in (1, 2, 3):
-            samples = samples + rng.normal(0, 0.2 / mode) * np.sin(np.pi * mode * frac)
-        yield DiscretizedCurve(0.0, float(rng.integers(1, 4)), samples, 0)
 
 
 def test_lift_identity_wrapper():
@@ -46,7 +38,7 @@ def test_lift_curve_hand_example():
 
 def test_lift_action_identity_random():
     worst = 0.0
-    for curve in random_curves(40):
+    for curve in random_curves(11, 40):
         base = curve_action(EPS, curve)
         for n in (2, 3):
             lifted = curve_action(lift_system(EPS, n), lift_curve(curve, n))
@@ -75,6 +67,14 @@ def test_lift_validation():
         lift_system(MECH, 0)
     with pytest.raises(ConfigurationError):
         lift_curve(DiscretizedCurve(0.0, 1.0, np.zeros(3), 0), 0)
+
+
+def test_lifts_are_systems_of_the_family_and_compose():
+    lifted = lift_system(lift_system(EPS, 2), 3)
+    assert isinstance(lifted, LagrangianSystem)
+    assert lifted == lift_system(EPS, 6) and lifted.lift == 6
+    assert lifted.mass == 1.0 / 36
+    assert lifted.label() == "lift(N=6) of mechanical-cos(A=1,q=1,eps=0.1)"
 
 
 def test_tilt_zero_and_constant():
@@ -112,7 +112,7 @@ def test_tilt_tag_compatibility():
 def test_tilt_action_identity():
     tilted = tilt_system(MECH, "maupertuis", 1.0)
     worst = 0.0
-    for curve in random_curves(40, seed=15):
+    for curve in random_curves(15, 40):
         lhs = curve_action(tilted, curve)
         rhs = (curve_action(MECH, curve) + 1.0 * (curve.t1 - curve.t0)
                + float(tilted.sub.value(curve.start(), curve.t0))

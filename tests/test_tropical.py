@@ -147,6 +147,26 @@ def test_representatives_match_the_unreduced_kernel_bit_for_bit():
     assert np.array_equal(kernel.matrix.flat[reps], plain.matrix.flat[reps])
 
 
+def test_symmetric_trap_entry_is_a_minimum():
+    # K[1][31] on grid 64 joins points symmetric about the well centre 1/4,
+    # so descent from the straight lift ends on a saddle, at -0.35803
+    kernel = assemble_kernel(MECH_Q2, Grid(64), 0.0, 1.0)
+    assert kernel.matrix[1, 31] == pytest.approx(-0.360672212775904, abs=1e-12)
+
+
+def test_a_lift_declares_the_time_reversal_its_base_lacks():
+    # over [0, 1/2] the base modulation cos(2 pi t) is not even about the
+    # window's middle, the order-2 lift's cos(4 pi t) is
+    n = 16
+    lifted = lift_system(MECH_EPS, 2)
+    for sys, reversed_ in ((MECH_EPS, False), (lifted, True)):
+        label = symmetry_orbits(sys.kernel_symmetries(n, 0.0, 0.5), n)
+        assert (label[0 * n + 1] == label[1 * n + 0]) == reversed_
+    kernel = assemble_kernel(lifted, Grid(n), 0.0, 0.5)
+    plain = assemble_kernel(Declaring(lifted), Grid(n), 0.0, 0.5)
+    assert np.max(np.abs(kernel.matrix - plain.matrix)) <= 1e-12
+
+
 def test_false_symmetry_declaration_raises():
     wrong = Declaring(MECH_EPS, (lambda i, j: (j, i),))
     with pytest.raises(NumericalError, match="symmetry fails at K"):

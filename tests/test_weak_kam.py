@@ -6,9 +6,9 @@ import pytest
 import weakkam.weak_kam as weak_kam
 from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
                      LagrangianSystem, TropicalKernel, aubry_set,
-                     assemble_kernel, connection_graph,
-                     default_aubry_tolerance, karp_eigenvalue, minplus_apply,
-                     peierls_barrier, run_convergence, semigroup_limit)
+                     assemble_kernel, connection_graph, karp_eigenvalue,
+                     minplus_apply, peierls_barrier, run_convergence,
+                     semigroup_limit)
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -229,8 +229,13 @@ def test_aubry_requires_equal_offsets(mech_kernel):
 
 
 def test_default_aubry_tolerance_scale():
-    tol = default_aubry_tolerance(Grid(16))
-    assert 0 < tol < 1e-6
+    # the default tolerance sits a decade above the free kernel's error
+    # against its closed form min_k (dx + k)^2 / 2
+    grid = Grid(16)
+    kernel = assemble_kernel(FREE, grid, 0.0, 1.0)
+    diff = grid.points[None, :] - grid.points[:, None]
+    exact = np.minimum.reduce([0.5 * (diff + k) ** 2 for k in (-1, 0, 1)])
+    assert np.max(np.abs(kernel.matrix - exact)) <= 0.1 * weak_kam.AUBRY_TOLERANCE
 
 
 @pytest.fixture(scope="module")
