@@ -11,6 +11,7 @@ products.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,74 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     return values, rows, best_winding
 
 
+def _worker_count() -> int:
+    """Processes that assemble a kernel: the CPUs in this process's
+    affinity, or 1 where the affinity is unknown or the caller is a
+    daemonic process, which may not start children."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing  # on first use, so importing the toolkit stays as fast
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _send_share(conn, solve, jobs):
+    """A worker's whole life: solve its jobs in order and send their values,
+    or the exception that stopped it, back to the parent."""
+    try:
+        share = [solve(job) for job in jobs]
+    except Exception as exc:  # re-raised by the parent
+        share = exc
+    conn.send(share)
+    conn.close()
+
+
+def _solve_jobs(solve, jobs, workers: int) -> list:
+    """``solve(job)`` for every job, in job order. Process k of ``workers``
+    solves ``jobs[k::workers]``; the caller is process 0, and the others are
+    forked, so the solver and its jobs reach them by inheritance and only
+    values come back. The split is static, so which process solves a job
+    never depends on timing. An exception from any share is re-raised here,
+    and no worker outlives the call."""
+    workers = min(workers, len(jobs))
+    if workers == 1:
+        return [solve(job) for job in jobs]
+    import multiprocessing
+
+    # fork, not spawn: a system may hold lambdas or forward attributes, and
+    # neither survives pickling
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(1, workers):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_share, args=(send_end, solve, jobs[k::workers]))
+            child.start()
+            send_end.close()  # the child holds the only write end: EOF if it dies
+            children.append((child, recv_end))
+        results = [None] * len(jobs)
+        results[0::workers] = [solve(job) for job in jobs[0::workers]]
+        for k, (child, recv_end) in enumerate(children, start=1):
+            try:
+                share = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(f"kernel worker {k} exited with code "
+                                        f"{child.exitcode} before sending its values") from None
+            if isinstance(share, BaseException):
+                raise share
+            results[k::workers] = share
+        return results
+    finally:
+        for child, recv_end in children:
+            if child.is_alive():
+                child.kill()
+            child.join()
+            recv_end.close()
+
+
 def assemble_kernel(sys, grid: Grid, s, delta,
                     settings: MinimizationSettings | None = None,
                     row_chunk: int | None = None) -> TropicalKernel:
@@ -192,12 +261,22 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     above ``SYMMETRY_TOLERANCE`` raises.
 
     Pairs go through ``winding_search``, the same search as
-    ``minimal_action``, in batches of ``row_chunk`` grid rows' worth of
-    pairs; this is the hot loop of the whole toolkit. The default chunk
-    keeps one batch with all its windings under a million floats, and the
-    kernel bits do not depend on it. Entries agree with ``minimal_action``
-    to rounding (1e-12), not bit for bit, because a one-pair batch runs
-    its BLAS products through a different routine.
+    ``minimal_action``, in batches of at most ``row_chunk`` grid rows'
+    worth of pairs; this is the hot loop of the whole toolkit. The default
+    chunk keeps one batch with all its windings under a million floats.
+    Entries agree with ``minimal_action`` to rounding (1e-12), not bit for
+    bit, because a one-pair batch runs its BLAS products through a
+    different routine.
+
+    The work is split over w processes, one per CPU in the affinity of the
+    calling process. The representatives are cut into batches of
+    ``min(row_chunk * n, ceil(reps / w))`` pairs, the symmetry sample is
+    one more batch, and process k solves batches k, k + w, k + 2w, ... in
+    order; the caller is process 0 and the others are forked for the call
+    and joined before it returns or raises. A pair's value does not depend
+    on the other pairs of its batch, so the kernel bits do not depend on
+    the chunk size or on w. With one CPU, no affinity to read, or a
+    daemonic caller, the batches are solved in this process.
     """
     if settings is None:
         settings = MinimizationSettings()
@@ -212,29 +291,29 @@ def assemble_kernel(sys, grid: Grid, s, delta,
 
     a, b = float(s), float(s) + float(delta)
 
-    def solve_pairs(flat):
-        """Entries at the given flat indices, one search batch at a time."""
-        out = np.empty(flat.size)
-        step = row_chunk * n
-        for p0 in range(0, flat.size, step):
-            pairs = flat[p0:p0 + step]
-            out[p0:p0 + pairs.size], _, _ = winding_search(
-                sys, a, b, pts[pairs // n], pts[pairs % n], settings)
-        return out
+    def solve(pairs):
+        """Entries at the given flat indices, in one search batch."""
+        values, _, _ = winding_search(sys, a, b, pts[pairs // n], pts[pairs % n], settings)
+        return values
 
     label = symmetry_orbits(sys.kernel_symmetries(n, a, float(delta)), n)
     flat = np.arange(n * n)
     reps = np.flatnonzero(label == flat)
+    mirrored = np.flatnonzero(label != flat)
+    rng = np.random.default_rng(0)  # a fixed sample: assembly stays deterministic
+    sample = np.sort(rng.choice(mirrored, size=min(SYMMETRY_SAMPLE, mirrored.size),
+                                replace=False))
+
+    workers = _worker_count()
+    step = min(row_chunk * n, -(-reps.size // workers))
+    jobs = [reps[p0:p0 + step] for p0 in range(0, reps.size, step)]
+    solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
     values = np.empty(n * n)
-    values[reps] = solve_pairs(reps)
+    values[reps] = np.concatenate(solved[:len(jobs)])
     matrix = values[label].reshape(n, n)
 
-    mirrored = np.flatnonzero(label != flat)
-    if mirrored.size:
-        rng = np.random.default_rng(0)  # a fixed sample: assembly stays deterministic
-        sample = np.sort(rng.choice(mirrored, size=min(SYMMETRY_SAMPLE, mirrored.size),
-                                    replace=False))
-        gaps = np.abs(solve_pairs(sample) - values[label[sample]])
+    if sample.size:
+        gaps = np.abs(solved[-1] - values[label[sample]])
         worst = int(np.argmax(gaps))
         if not gaps[worst] <= SYMMETRY_TOLERANCE:
             i, j = divmod(int(sample[worst]), n)

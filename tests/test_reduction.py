@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from weakkam import (ConfigurationError, DiscretizedCurve,
                      assemble_kernel, curve_action, karp_eigenvalue, lift_curve,
                      lift_system, minimal_action, subsolution_from_tag,
                      tilt_system)
-from weakkam.acceptance import random_curves
+from weakkam.acceptance import legendre_gap, random_curves
 from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
@@ -52,6 +54,18 @@ def test_lift_hamiltonian_exact():
     for _ in range(100):
         x, p, t = rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(0, 1)
         assert lifted.hamiltonian(x, p, t) == EPS.hamiltonian(x, 2 * p, 2 * t)
+
+
+def test_lift_hamiltonian_is_the_legendre_dual_of_its_lagrangian():
+    lifted = lift_system(EPS, 2)
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        x, p, t = rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(0, 1)
+        assert legendre_gap(lifted, x, p, t) <= 1e-12
+    # the base's Hamiltonian against the lift's Lagrangian is no dual pair
+    mismatched = SimpleNamespace(mass=lifted.mass, lagrangian=lifted.lagrangian,
+                                 hamiltonian=EPS.hamiltonian)
+    assert legendre_gap(mismatched, 0.3, 1.5, 0.2) > 1.0
 
 
 def test_lift_flow_commutation():

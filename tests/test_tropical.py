@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, Grid, LagrangianSystem,
-                     MinimizationSettings, NumericalError, assemble_kernel,
-                     karp_eigenvalue, lift_system, minimal_action,
-                     minplus_apply, minplus_matmul)
+                     MinimizationError, MinimizationSettings, NumericalError,
+                     assemble_kernel, karp_eigenvalue, lift_system,
+                     minimal_action, minplus_apply, minplus_matmul)
 from weakkam.action import (_straight_lifts, minimize_straight_batch,
                             segments_for, winding_candidates)
 from weakkam.systems import exact_row_actions
@@ -107,6 +109,67 @@ def test_kernel_bits_independent_of_row_chunk(sys):
     for row_chunk in (1, 3, 7):
         kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0, row_chunk=row_chunk)
         assert np.array_equal(kernel.matrix, reference), row_chunk
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make assembly read an affinity of ``cpus`` CPUs."""
+    monkeypatch.setattr(tropical.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, lift_system(MECH_EPS, 2)],
+                         ids=["q1", "q2", "eps", "lift"])
+def test_kernel_bits_independent_of_the_cpu_count(monkeypatch, sys):
+    kernels = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        kernels.append(assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix)
+    assert np.array_equal(kernels[1], kernels[0])
+    assert np.array_equal(kernels[2], kernels[0])
+
+
+def fail_on_representative(monkeypatch, index, fail):
+    """Make ``winding_search`` call ``fail()`` on the batch holding the
+    ``index``-th representative pair of the grid-16 pendulum kernel. With
+    two CPUs the first representative is in the caller's share and the last
+    in the worker's."""
+    n = 16
+    label = symmetry_orbits(MECH.kernel_symmetries(n, 0.0, 1.0), n)
+    i, j = divmod(int(np.flatnonzero(label == np.arange(n * n))[index]), n)
+    x, y = i / n, j / n
+    original = tropical.winding_search
+
+    def failing(sys, a, b, starts, ends, settings):
+        if np.any((starts == x) & (ends == y)):
+            fail()
+        return original(sys, a, b, starts, ends, settings)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tropical, "winding_search", failing)
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["caller", "worker"])
+def test_an_error_in_either_share_reaches_the_caller_and_no_worker_outlives_it(
+        monkeypatch, index):
+    def stall():
+        raise MinimizationError(f"stalled in process {os.getpid()}", best_value=-0.5)
+
+    fail_on_representative(monkeypatch, index, stall)
+    with pytest.raises(MinimizationError, match=r"^stalled in process \d+$") as info:
+        assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    assert (str(info.value) == f"stalled in process {os.getpid()}") == (index == 0)
+    assert info.value.best_value == -0.5
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(tropical, "winding_search", winding_search)
+    assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises(monkeypatch):
+    fail_on_representative(monkeypatch, -1, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("sys, s, delta", [
