@@ -304,13 +304,13 @@ def criterion_08_tilt(ctx: AcceptanceContext) -> CriterionResult:
     tilted = tilt_system(sys, "maupertuis", ORACLE_C)
     worst = 0.0
     for curve in random_curves(ctx.seed, 200):
-        lhs = curve_action(tilted, curve)
+        lhs = tilted.curve_action(curve)
         rhs = (curve_action(sys, curve) + ORACLE_C * (curve.t1 - curve.t0)
                + float(tilted.sub.value(curve.start(), curve.t0))
                - float(tilted.sub.value(curve.end(), curve.t1)))
         worst = max(worst, abs(lhs - rhs))
     lattice_min = tilted.tilt_minimum
-    kernel = assemble_kernel(tilted, Grid(ctx.scale.n_small), 0.0, 1.0, ctx.settings)
+    kernel = tilted.kernel(Grid(ctx.scale.n_small), 0.0, 1.0, ctx.settings)
     karp = karp_eigenvalue(kernel)
     passed = (worst <= 1e-9 and lattice_min >= -1e-6 and abs(karp) <= 2e-2)
     return CriterionResult(

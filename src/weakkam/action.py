@@ -74,12 +74,12 @@ def _straight_lifts(starts, ends, n_seg):
     return z
 
 
-def _evaluate(qsys, rows, h, tmid):
+def _evaluate(sys, rows, h, tmid):
     """(value, interior gradient, midpoints, velocities) of the batched
     midpoint-rule action of full sample rows, endpoints held fixed; the
     values are plain sums, not the fsum of ``exact_row_actions``."""
     mid, vel = midpoint_geometry(rows, h)
-    lag, lx, lv = qsys.lagrangian_and_grads(mid, vel, tmid)
+    lag, lx, lv = sys.lagrangian_and_grads(mid, vel, tmid)
     e = h * np.sum(lag, axis=1)
     g = 0.5 * h * (lx[:, :-1] + lx[:, 1:]) + (lv[:, :-1] - lv[:, 1:])
     return e, g, mid, vel
@@ -113,18 +113,18 @@ def _thomas_spd(diag, off, rhs):
     return x.T, ok
 
 
-def _tridiagonal_hessian(qsys, mid, vel, tmid, h):
+def _tridiagonal_hessian(sys, mid, vel, tmid, h):
     """(diag, off) of the discrete-action Hessian in the interior samples,
-    from the mass and L_xx at the segment midpoints; the quadrature
-    Lagrangian has no xv coupling for every built-in family and lift."""
-    kin = qsys.mass / h
-    curv = 0.25 * h * np.asarray(qsys.lagrangian_xx(mid, vel, tmid), dtype=float)
+    from the mass and L_xx at the segment midpoints; the Lagrangian has no
+    xv coupling for every built-in family and lift."""
+    kin = sys.mass / h
+    curv = 0.25 * h * np.asarray(sys.lagrangian_xx(mid, vel, tmid), dtype=float)
     diag = 2.0 * kin + (curv[:, :-1] + curv[:, 1:])
     off = -kin + curv[:, 1:-1]
     return diag, off
 
 
-def _polish_rows(qsys, z, h, tmid, e, g):
+def _polish_rows(sys, z, h, tmid, e, g):
     """Damped regularized Newton on the discrete stationarity system,
     batched over rows, until every gradient sup norm is within
     ``GRADIENT_TOLERANCE`` or ``POLISH_BUDGET`` steps are spent.
@@ -133,7 +133,7 @@ def _polish_rows(qsys, z, h, tmid, e, g):
     where spectral first-order steps stall with a small but stubborn
     gradient and a genuinely wrong value (observed 3e-3 on the two-well
     system); the exact tridiagonal Hessian fixes those few rows cheaply.
-    Assumes the quadrature Lagrangian has no xv coupling, which holds for
+    Assumes the Lagrangian has no xv coupling, which holds for
     every built-in family and lift. Starts from the rows' value ``e`` and
     gradient ``g`` as ``_evaluate`` gave them, so only their midpoint
     geometry is computed; an accepted trial point keeps the value,
@@ -148,7 +148,7 @@ def _polish_rows(qsys, z, h, tmid, e, g):
         if idx.size == 0:
             break
         za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]
-        diag, off = _tridiagonal_hessian(qsys, mid[idx], vel[idx], tmid, h)
+        diag, off = _tridiagonal_hessian(sys, mid[idx], vel[idx], tmid, h)
         scale = np.max(np.abs(diag), axis=1)
         rid = reg[idx].copy()
         step = np.empty_like(ga)
@@ -173,7 +173,7 @@ def _polish_rows(qsys, z, h, tmid, e, g):
                 break
             cand = za[trial].copy()
             cand[:, 1:-1] += t[trial, None] * step[trial]
-            e_c, g_c, mid_c, vel_c = _evaluate(qsys, cand, h, tmid)
+            e_c, g_c, mid_c, vel_c = _evaluate(sys, cand, h, tmid)
             gsup_c = np.max(np.abs(g_c), axis=1)
             # absolute noise allowance keeps the endgame alive once the
             # decrease drops below float resolution of the action value;
@@ -200,7 +200,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     """Minimize rows of ``z0`` (endpoints fixed) over interior samples.
 
     Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
-    per-row midpoint quadrature value without any boundary offset. Every
+    per-row midpoint quadrature value, a plain sum. Every
     phase evaluates full rows through ``_evaluate``, so for every row
     ``e_quad`` and ``gsup`` are its value and gradient sup norm at the
     returned samples.
@@ -222,7 +222,6 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     tridiagonal factorization) is re-minimized from two deterministic sine
     bumps and keeps the lowest result.
     """
-    qsys = sys.quadrature_system()
     z = np.array(z0, dtype=float)
     m, n_pts = z.shape
     if n_pts != n_seg + 1:
@@ -231,7 +230,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     tmid = a + h * (np.arange(n_seg) + 0.5)
     n_int = n_seg - 1
 
-    sigma = 0.5 * h * qsys.lagrangian_xx_bound()
+    sigma = 0.5 * h * sys.lagrangian_xx_bound()
     tri = (2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)) * (1.0 / h)
     pinv = np.linalg.inv(tri + sigma * np.eye(n_int))
 
@@ -241,7 +240,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
         out[:, 1:-1] -= step[:, None] * d
         return out
 
-    e, g = _evaluate(qsys, z, h, tmid)[:2]
+    e, g = _evaluate(sys, z, h, tmid)[:2]
     gsup = np.max(np.abs(g), axis=1)
     converged = gsup <= GRADIENT_TOLERANCE
     stalled = np.zeros(m, dtype=bool)
@@ -265,7 +264,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
 
         # fused first trial: gradient comes along for free when accepted
         cand = descend(za, step, d)
-        e_t, g_t = _evaluate(qsys, cand, h, tmid)[:2]
+        e_t, g_t = _evaluate(sys, cand, h, tmid)[:2]
         accepted = e_t <= ref - ARMIJO * step * dd
         if accepted.all():
             z_next, e_next, g_next = cand, e_t, g_t
@@ -280,7 +279,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
                 break
             step[pending] *= 0.5
             cand = descend(za[pending], step[pending], d[pending])
-            e_c, g_c = _evaluate(qsys, cand, h, tmid)[:2]
+            e_c, g_c = _evaluate(sys, cand, h, tmid)[:2]
             ok = e_c <= ref[pending] - ARMIJO * step[pending] * dd[pending]
             hit = pending[ok]
             z_next[hit], e_next[hit], g_next[hit] = cand[ok], e_c[ok], g_c[ok]
@@ -317,7 +316,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     leftovers = np.flatnonzero(~converged)
     if leftovers.size:
         sub = z[leftovers]
-        e_p, gsup_p = _polish_rows(qsys, sub, h, tmid, e[leftovers], g[leftovers])
+        e_p, gsup_p = _polish_rows(sys, sub, h, tmid, e[leftovers], g[leftovers])
         z[leftovers] = sub
         e[leftovers] = e_p
         gsup[leftovers] = gsup_p
@@ -325,7 +324,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
 
     if _escape and converged.any():
         candidates = np.flatnonzero(converged)
-        diag, off = _tridiagonal_hessian(qsys, *midpoint_geometry(z[candidates], h),
+        diag, off = _tridiagonal_hessian(sys, *midpoint_geometry(z[candidates], h),
                                          tmid, h)
         _, pd_ok = _thomas_spd(diag, off, np.zeros_like(diag))
         trapped = candidates[~pd_ok]
@@ -350,8 +349,7 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
     """Least action over curves from (x, a) to (y, b), with winding search.
 
     Returns (value, curve). The value is ``curve_action`` of the returned
-    curve: both are ``exact_row_actions`` of the same row plus the
-    boundary term. Windings are searched, pruned and selected by
+    curve: both are ``exact_row_actions`` of the same row. Windings are searched, pruned and selected by
     ``tropical.winding_search``, the kernel assembler's own search: ties
     break toward smaller absolute winding, then toward the negative one,
     and a winner that did not converge raises ``MinimizationError``

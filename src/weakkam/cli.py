@@ -18,7 +18,7 @@ from .action import MinimizationSettings, minimal_action
 from .errors import ConfigurationError, WeakKamError
 from .experiments import detect_aubry_orbits, dwell_statistics, run_convergence
 from .flow import refine_periodic_orbit
-from .reduction import lift_curve, lift_system, tilt_system
+from .reduction import SUBSOLUTION_TAGS, lift_curve, lift_system, tilt_system
 from .systems import LagrangianSystem, PhasePoint, curve_action
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
 from .weak_kam import (AUBRY_TOLERANCE, aubry_set, connection_graph,
@@ -114,10 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tilt", help="build a tilted Lagrangian and validate it")
     _add_system_flags(p)
-    p.add_argument("--f", dest="f_tag", required=True,
-                   choices=("zero", "constant", "maupertuis"))
+    p.add_argument("--f", dest="f_tag", required=True, choices=SUBSOLUTION_TAGS)
     p.add_argument("--c", dest="c_value", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
 
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
@@ -280,8 +278,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_tilt(args) -> int:
-    tilted = tilt_system(_system(args), args.f_tag, args.c_value,
-                         kappa=args.kappa)
+    tilted = tilt_system(_system(args), args.f_tag, args.c_value)
     print(f"tilt_minimum,{fmt(tilted.tilt_minimum)}")
     wx, wv, wt = tilted.tilt_witness
     print(f"witness,{fmt(wx)};{fmt(wv)};{fmt(wt)}")

@@ -108,6 +108,7 @@ def fit_exponential_rate(errors, floor) -> FitResult:
 
 
 def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.ndarray:
+    """The start named by one of ``U0_TAGS``, which the caller has checked."""
     if u0_tag == "zero":
         return np.zeros(n)
     if u0_tag == "spike":
@@ -117,10 +118,7 @@ def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.n
         u0 = np.full(n, 10.0)
         u0[spike_index] = 0.0
         return u0
-    if u0_tag == "random-seeded":
-        return np.random.default_rng(seed).uniform(0.0, 5.0, size=n)
-    raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
-                             f"choose one of {U0_TAGS}")
+    return np.random.default_rng(seed).uniform(0.0, 5.0, size=n)
 
 
 def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
@@ -159,6 +157,9 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         raise ConfigurationError("k_max must be at least 8")
     if not 0.0 <= tau_frac < 1.0:
         raise ConfigurationError("tau_frac must lie in [0, 1)")
+    if u0_tag not in U0_TAGS:
+        raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
+                                 f"choose one of {U0_TAGS}")
     if settings is None:
         settings = MinimizationSettings()
     n = grid.n
@@ -169,8 +170,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         raise ConfigurationError(
             f"unit kernel starts at {unit_kernel.s:g}, not at tau_frac {tau_frac:g}")
     c = karp_eigenvalue(unit_kernel)
-    barrier = peierls_barrier(sys, grid, c, horizon, settings, t_frac=tau_frac,
-                              kernel=unit_kernel)
+    barrier = peierls_barrier(sys, grid, c, horizon, kernel=unit_kernel)
     barrier.require_stabilized(sys.label())
     spike_index = int(np.argmax(np.diag(barrier.values)))
     u0 = _initial_condition(u0_tag, n, seed, spike_index)

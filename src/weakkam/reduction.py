@@ -9,11 +9,13 @@ bounds, critical subsolution and kernel symmetries are the family's own
 closed forms.
 
 ``tilt_system`` subtracts the exact differential of a subsolution f and
-adds the critical value, producing a pointwise-nonnegative Lagrangian that
-vanishes precisely on the Aubry set. Discretely the differential part is
-integrated exactly (it telescopes to boundary values), so the tilt changes
-every fixed-endpoint action by the same constant and leaves minimizers
-untouched, which is the whole point of the construction.
+adds the critical value c, producing a pointwise-nonnegative Lagrangian
+that vanishes precisely on the Aubry set. The differential part integrates
+exactly (it telescopes to boundary values), so the tilt changes the action
+from (x0, t0) to (x1, t1) by c (t1 - t0) + f(x0) - f(x1) and leaves
+minimizers untouched, which is the whole point of the construction. So a
+tilt is a record, not a system: its kernel is the base's kernel plus that
+boundary term, and its curve action the base's plus the same term.
 """
 from __future__ import annotations
 
@@ -22,10 +24,12 @@ import math
 
 import numpy as np
 
+from .action import MinimizationSettings
 from .errors import ConfigurationError, InvalidSubsolutionError
-from .systems import DiscretizedCurve, LagrangianSystem, reduce_mod_1
+from .systems import DiscretizedCurve, LagrangianSystem, curve_action, reduce_mod_1
+from .tropical import Grid, TropicalKernel, assemble_kernel
 
-SUBSOLUTION_TAGS = ("zero", "constant", "maupertuis")
+SUBSOLUTION_TAGS = ("zero", "maupertuis")
 BLEND_HALF_WIDTH = 1e-2
 
 
@@ -46,21 +50,8 @@ def lift_curve(curve: DiscretizedCurve, n: int) -> DiscretizedCurve:
                             samples=curve.samples.copy(), winding=curve.winding)
 
 
-class Subsolution:
-    """Interface of a time-independent subsolution f(x, t) with its exact
-    x-derivative."""
-
-    tag = "abstract"
-
-    def value(self, x, t):
-        raise NotImplementedError
-
-    def dx(self, x, t):
-        raise NotImplementedError
-
-
-class ZeroSubsolution(Subsolution):
-    tag = "zero"
+class ZeroSubsolution:
+    """f = 0: the tilt adds the critical value alone."""
 
     def value(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -68,20 +59,7 @@ class ZeroSubsolution(Subsolution):
     dx = value
 
 
-class ConstantSubsolution(Subsolution):
-    tag = "constant"
-
-    def __init__(self, kappa: float = 1.0):
-        self.kappa = float(kappa)
-
-    def value(self, x, t):
-        return np.full_like(np.asarray(x, dtype=float), self.kappa)
-
-    def dx(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-class MaupertuisSubsolution(Subsolution):
+class MaupertuisSubsolution:
     """Primitive of the critical-speed field for the single-well cosine
     potential (spatial frequency 1, no time modulation).
 
@@ -90,8 +68,6 @@ class MaupertuisSubsolution(Subsolution):
     a C^2 blend whose slope stays below the critical speed, so the tilted
     Lagrangian remains nonnegative there with a strict margin.
     """
-
-    tag = "maupertuis"
 
     def __init__(self, amp: float = 1.0):
         if amp <= 0:
@@ -132,11 +108,9 @@ class MaupertuisSubsolution(Subsolution):
         return sign * np.where(in_band, blend, smooth)
 
 
-def subsolution_from_tag(tag: str, sys, kappa: float = 1.0) -> Subsolution:
+def subsolution_from_tag(tag: str, sys):
     if tag == "zero":
         return ZeroSubsolution()
-    if tag == "constant":
-        return ConstantSubsolution(kappa)
     if tag == "maupertuis":
         if not (isinstance(sys, LagrangianSystem) and sys.family == "mechanical-cos"
                 and sys.freq == 1 and sys.eps == 0.0 and sys.lift == 1):
@@ -148,40 +122,50 @@ def subsolution_from_tag(tag: str, sys, kappa: float = 1.0) -> Subsolution:
                              f"choose one of {SUBSOLUTION_TAGS}")
 
 
+@dataclasses.dataclass(frozen=True)
 class TiltedSystem:
-    """L(x,v,t) - f_x(x,t) v + c for a time-independent subsolution f, with
-    the differential part integrated exactly along curves (boundary term),
-    not by quadrature. Quadrature runs on the base system, so only the
-    pointwise ``lagrangian`` of the tilt itself is evaluated, by the
-    nonnegativity sweep. It has no ``mass``: L_v couples to x through f_x,
-    so the flow integrates the base instead."""
+    """L(x, v, t) - f_x(x) v + c for a time-independent subsolution f of
+    ``base``, with the minimum of the tilted Lagrangian over the lattice
+    sweep of ``tilt_system`` and the lattice point where it is reached.
 
-    def __init__(self, base, sub: Subsolution, c: float):
-        self.base = base
-        self.sub = sub
-        self.c = float(c)
-        self.tilt_minimum = None
-        self.tilt_witness = None
+    The differential part integrates exactly along every curve, so a tilt
+    changes the action from (x0, t0) to (x1, t1) by the boundary term
+    c (t1 - t0) + f(x0) - f(x1) and by nothing else. Its curve action and
+    its kernel are therefore the base's plus that term, and its minimizers
+    are the base's; the solver stack never sees a tilt. Its pointwise
+    ``lagrangian`` serves the sweep. It has no ``mass``: L_v couples to x
+    through f_x, so the flow integrates the base instead.
+    """
+
+    base: LagrangianSystem
+    sub: ZeroSubsolution | MaupertuisSubsolution
+    c: float
+    tilt_minimum: float
+    tilt_witness: tuple | None
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
         return self.base.lagrangian(x, v, t) - self.sub.dx(x, t) * v + self.c
 
-    def quadrature_system(self):
-        return self.base.quadrature_system()
-
-    def kernel_symmetries(self, n, s, delta):
-        # the boundary offset f(start) - f(end) breaks the base's symmetries
-        return ()
-
-    def action_offset(self, x0, x1, t0, t1):
-        # c (t1 - t0) plus the exact telescoped differential f(start) - f(end).
-        return (self.c * (np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float))
-                + self.sub.value(reduce_mod_1(x0), t0)
+    def _boundary_term(self, x0, x1, t0, t1):
+        """c (t1 - t0) + f(x0, t0) - f(x1, t1), for lifted x0 and x1."""
+        return (self.c * (t1 - t0) + self.sub.value(reduce_mod_1(x0), t0)
                 - self.sub.value(reduce_mod_1(x1), t1))
 
-    def label(self):
-        return f"tilt(f={self.sub.tag},c={self.c:g}) of {self.base.label()}"
+    def curve_action(self, curve: DiscretizedCurve) -> float:
+        """The base's ``curve_action`` plus the boundary term."""
+        term = self._boundary_term(curve.samples[0], curve.samples[-1], curve.t0, curve.t1)
+        return curve_action(self.base, curve) + float(term)
+
+    def kernel(self, grid: Grid, s, delta,
+               settings: MinimizationSettings | None = None) -> TropicalKernel:
+        """The base's ``assemble_kernel``, with its symmetry reduction, plus
+        the boundary term of every grid pair."""
+        kernel = assemble_kernel(self.base, grid, s, delta, settings)
+        pts = grid.points
+        term = self._boundary_term(pts[:, None], pts[None, :], kernel.s,
+                                  kernel.s + kernel.delta)
+        return dataclasses.replace(kernel, matrix=kernel.matrix + term)
 
 
 # lattice (x, v, t) of the nonnegativity sweep, its velocity range, and the
@@ -191,29 +175,28 @@ TILT_V_BOUND = 3.0
 TILT_TOLERANCE = 1e-6
 
 
-def tilt_system(sys, f_tag: str, c: float, kappa: float = 1.0) -> TiltedSystem:
+def tilt_system(sys: LagrangianSystem, f_tag: str, c: float) -> TiltedSystem:
     """Build the tilted Lagrangian and sweep a lattice for negativity.
 
     The sweep covers x in [0,1), v in [-TILT_V_BOUND, TILT_V_BOUND], t in
     [0,1); superlinearity makes large |v| harmless, the risk sits at
-    moderate v. Records the minimum and its location; raises when the
-    minimum drops below -TILT_TOLERANCE.
+    moderate v. Returns the tilt with the minimum and its location; raises
+    when the minimum is not at least -TILT_TOLERANCE.
     """
-    sub = subsolution_from_tag(f_tag, sys, kappa=kappa)
-    tilted = TiltedSystem(sys, sub, c)
+    if not math.isfinite(c):
+        raise ConfigurationError("the tilt's critical value must be finite")
+    draft = TiltedSystem(sys, subsolution_from_tag(f_tag, sys), float(c), math.nan, None)
     nx, nv, nt = TILT_LATTICE
     xs = np.arange(nx) / nx
     vs = np.linspace(-TILT_V_BOUND, TILT_V_BOUND, nv)
     ts = np.arange(nt) / nt
     xg, vg, tg = np.meshgrid(xs, vs, ts, indexing="ij")
-    values = tilted.lagrangian(xg, vg, tg)
+    values = draft.lagrangian(xg, vg, tg)
     flat = int(np.argmin(values))
     witness = (float(xg.flat[flat]), float(vg.flat[flat]), float(tg.flat[flat]))
     minimum = float(values.flat[flat])
-    tilted.tilt_minimum = minimum
-    tilted.tilt_witness = witness
-    if minimum < -TILT_TOLERANCE:
+    if not minimum >= -TILT_TOLERANCE:
         raise InvalidSubsolutionError(
             f"tilted Lagrangian reaches {minimum:.3e} at {witness}",
             witness=witness, minimum=minimum)
-    return tilted
+    return dataclasses.replace(draft, tilt_minimum=minimum, tilt_witness=witness)

@@ -22,6 +22,10 @@ H(x, p, t) <= c'(t), so L + c'(t) >= p v. The winding search turns it
 into a lower bound on the action of every curve with given lifted
 endpoints, and prunes the windings that bound rules out.
 
+The minimizer, the winding search and kernel assembly read these systems
+and nothing else; a subsolution tilt is its base's kernel plus an exact
+boundary term (``reduction.TiltedSystem``), not a system of its own.
+
 Curves are stored lifted to the real line with an explicit winding count;
 positions reduce mod 1 only at API boundaries, because the action depends
 on the lift, not on the projection.
@@ -86,6 +90,8 @@ class LagrangianSystem:
             raise ConfigurationError("spatial frequency must be a positive integer")
         if not (isinstance(self.lift, int) and self.lift >= 1):
             raise ConfigurationError("lift order must be a positive integer")
+        if not math.isfinite(self.amp):
+            raise ConfigurationError("potential amplitude must be finite")
         if self.family == "mechanical-cos":
             if not abs(self.eps) < 1.0:
                 raise ConfigurationError("time-modulation amplitude must satisfy |eps| < 1")
@@ -194,11 +200,7 @@ class LagrangianSystem:
 
         return ceiling, u, math.pi * q * root
 
-    # -- quadrature protocol ---------------------------------------------
-
-    def quadrature_system(self):
-        """System whose pointwise Lagrangian feeds the midpoint rule."""
-        return self
+    # -- kernel symmetries -----------------------------------------------
 
     def kernel_symmetries(self, n: int, s: float, delta: float):
         """Index maps (i, j) -> (i', j') that leave the n-point kernel over
@@ -220,10 +222,6 @@ class LagrangianSystem:
         if step < n:
             maps.append(lambda i, j: ((i + step) % n, (j + step) % n))
         return tuple(maps)
-
-    def action_offset(self, x0, x1, t0, t1):
-        """Exact boundary term added to the midpoint quadrature (zero here)."""
-        return 0.0
 
     def label(self):
         if self.family == "free":
@@ -301,26 +299,21 @@ def midpoint_geometry(rows, h):
 
 
 def exact_row_actions(sys, a, b, rows):
-    """Midpoint-rule actions over [a, b] of the lifted sample rows, one per
-    row, without the system's boundary term.
+    """Midpoint-rule actions over [a, b] of the lifted sample rows, one per row.
 
     Each segment contributes spacing * L at its ``midpoint_geometry``
     point and midpoint time. Each row is summed with math.fsum, so a value
     does not depend on the other rows of the batch.
     """
-    qsys = sys.quadrature_system()
     n_seg = rows.shape[1] - 1
     h = (b - a) / n_seg
     tmid = a + h * (np.arange(n_seg) + 0.5)
     mid, vel = midpoint_geometry(rows, h)
-    terms = h * np.asarray(qsys.lagrangian(mid, vel, tmid), dtype=float)
+    terms = h * np.asarray(sys.lagrangian(mid, vel, tmid), dtype=float)
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def curve_action(sys, curve: DiscretizedCurve) -> float:
     """Midpoint-rule action of a discretized curve: its one-row
-    ``exact_row_actions`` plus the system's exact boundary term (tilts
-    have one)."""
-    value = exact_row_actions(sys, curve.t0, curve.t1, curve.samples[None, :])[0]
-    offset = sys.action_offset(curve.samples[0], curve.samples[-1], curve.t0, curve.t1)
-    return float(value) + float(offset)
+    ``exact_row_actions``."""
+    return float(exact_row_actions(sys, curve.t0, curve.t1, curve.samples[None, :])[0])

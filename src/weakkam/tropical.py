@@ -25,6 +25,9 @@ from .systems import DiscretizedCurve, exact_row_actions
 # symmetries, and the largest gap allowed between the two values
 SYMMETRY_SAMPLE = 32
 SYMMETRY_TOLERANCE = 1e-12
+# floats of lifted samples that one assembly batch may hold over all its
+# candidate windings; a batch is a whole number of grid rows' worth of pairs
+BATCH_FLOATS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def symmetry_orbits(maps, n: int) -> np.ndarray:
         label = lowered
 
 
-def _bound_gap(qsys, a, b, n_seg, starts, ends, best_e):
+def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
     """How far a certified lower bound on the midpoint-rule action over
     [a, b] in ``n_seg`` segments of every row from ``starts`` to the lifted
     ``ends`` clears ``best_e``, net of rounding: where the gap is
@@ -101,12 +104,12 @@ def _bound_gap(qsys, a, b, n_seg, starts, ends, best_e):
     """
     duration = b - a
     h = duration / n_seg
-    sup_u = qsys.potential_upper_bound()
-    ceiling, u, lip = qsys.critical_subsolution()
-    r = lip * h / (4.0 * qsys.mass)
+    sup_u = sys.potential_upper_bound()
+    ceiling, u, lip = sys.critical_subsolution()
+    r = lip * h / (4.0 * sys.mass)
     s = math.sqrt(1.0 + r * r) - r
     ceiling_sum = h * math.fsum(ceiling(a + h * (np.arange(n_seg) + 0.5)))
-    kinetic = qsys.mass * (ends - starts) ** 2 / (2.0 * duration)
+    kinetic = sys.mass * (ends - starts) ** 2 / (2.0 * duration)
     u0, u1 = u(starts), u(ends)
     lower = np.maximum(kinetic, s * np.abs(u1 - u0)) - ceiling_sum
     scale = (np.abs(best_e) + 2.0 * duration * sup_u + abs(ceiling_sum)
@@ -121,8 +124,8 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     b, over every winding: those of ``winding_candidates(b - a, settings)``
     and any beyond them that the action bound cannot rule out.
 
-    Returns (values, rows, windings): fsum quadrature values plus the
-    system's ``action_offset``, the winning lifted samples, and the winning
+    Returns (values, rows, windings): the fsum quadrature values
+    (``exact_row_actions``), the winning lifted samples, and the winning
     windings. The zero-winding problems run first. A nonzero (pair,
     winding) row whose certified lower bound (``_bound_gap``: the larger of
     the kinetic bound and the critical-subsolution bound) clears the
@@ -140,7 +143,6 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     """
     windings = winding_candidates(b - a, settings)
     n_seg = segments_for(b - a, settings)
-    qsys = sys.quadrature_system()
 
     z0 = _straight_lifts(starts, ends, n_seg)
     rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0)
@@ -150,7 +152,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     shell, k = np.array(windings[1:], dtype=int), cap
     while True:
         ends_k = ends[None, :] + shell[:, None]
-        w_idx, pair = np.nonzero(_bound_gap(qsys, a, b, n_seg, starts, ends_k, best_e) <= 0.0)
+        w_idx, pair = np.nonzero(_bound_gap(sys, a, b, n_seg, starts, ends_k, best_e) <= 0.0)
         if pair.size:
             zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
             zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
@@ -175,9 +177,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
             best_value=float(best_e[bad]),
             best_curve=DiscretizedCurve(a, b, rows[bad], int(best_winding[bad])))
 
-    values = exact_row_actions(sys, a, b, rows)
-    values += np.asarray(sys.action_offset(starts, ends + best_winding, a, b), dtype=float)
-    return values, rows, best_winding
+    return exact_row_actions(sys, a, b, rows), rows, best_winding
 
 
 def _worker_count() -> int:
@@ -249,8 +249,7 @@ def _solve_jobs(solve, jobs, workers: int) -> list:
 
 
 def assemble_kernel(sys, grid: Grid, s, delta,
-                    settings: MinimizationSettings | None = None,
-                    row_chunk: int | None = None) -> TropicalKernel:
+                    settings: MinimizationSettings | None = None) -> TropicalKernel:
     """Minimal action between all grid-point pairs over [s, s + delta].
 
     The system declares index maps under which the kernel is invariant
@@ -262,8 +261,9 @@ def assemble_kernel(sys, grid: Grid, s, delta,
 
     Pairs go through ``winding_search``, the same search as
     ``minimal_action``, in batches of at most ``row_chunk`` grid rows'
-    worth of pairs; this is the hot loop of the whole toolkit. The default
-    chunk keeps one batch with all its windings under a million floats.
+    worth of pairs, the most that keep one batch with all its windings
+    within ``BATCH_FLOATS`` floats; this is the hot loop of the whole
+    toolkit.
     Entries agree with ``minimal_action`` to rounding (1e-12), not bit for
     bit, because a one-pair batch runs its BLAS products through a
     different routine.
@@ -284,10 +284,9 @@ def assemble_kernel(sys, grid: Grid, s, delta,
         raise ConfigurationError("kernel duration must lie in (0, 1]")
     n = grid.n
     pts = grid.points
-    if row_chunk is None:
-        n_wind = len(winding_candidates(delta, settings))
-        n_seg = segments_for(delta, settings)
-        row_chunk = min(n, max(1, 1_000_000 // (n * n_wind * (n_seg + 1))))
+    n_wind = len(winding_candidates(delta, settings))
+    n_seg = segments_for(delta, settings)
+    row_chunk = min(n, max(1, BATCH_FLOATS // (n * n_wind * (n_seg + 1))))
 
     a, b = float(s), float(s) + float(delta)
 

@@ -89,11 +89,12 @@ MAX_PERIOD = 4
 
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                     settings: MinimizationSettings | None = None,
-                    t_frac: float = 0.0, *, kernel: TropicalKernel) -> BarrierMatrix:
+                    t_frac: float | None = None, *, kernel: TropicalKernel) -> BarrierMatrix:
     """Minimum over one cycle of tropical powers of the c-shifted unit kernel.
 
     ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
-    the barrier starts at its offset s_frac = ``kernel.s``.
+    the barrier starts at its offset s_frac = ``kernel.s`` and, unless
+    ``t_frac`` is given, ends there too.
 
     Each new power P^m is compared with the previous ``MAX_PERIOD``
     powers, and the products stop at the first m with
@@ -132,6 +133,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
         raise ConfigurationError(f"barrier needs a unit-time kernel, not one "
                                  f"over {kernel.delta:g}")
     s_frac = kernel.s
+    if t_frac is None:
+        t_frac = s_frac
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
     held = [shifted]  # P^(m - len(held) + 1) .. P^m

@@ -14,8 +14,8 @@ MECH = LagrangianSystem(family="mechanical-cos")
 def discrete_el_residual(sys, curve):
     """Sup norm of the discrete action gradient at a curve (its discrete
     Euler-Lagrange residual)."""
-    _, g, _, _ = action._evaluate(sys.quadrature_system(), curve.samples[None, :],
-                                  curve.spacing, curve.midpoint_times())
+    _, g, _, _ = action._evaluate(sys, curve.samples[None, :], curve.spacing,
+                                  curve.midpoint_times())
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 

@@ -153,15 +153,34 @@ def test_unknown_flags_exit_2(capsys):
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
-    # the tilt sweep runs on a fixed lattice and assembles no kernel
-    with pytest.raises(SystemExit) as info:
-        dispatch(["tilt", "--f", "maupertuis", "--c", "1", "--grid", "16"])
-    assert info.value.code == 2
+    for argv in (
+            # the tilt sweep runs on a fixed lattice and assembles no kernel
+            ["tilt", "--f", "maupertuis", "--c", "1", "--grid", "16"],
+            # a constant subsolution tilts like the zero one: no kappa, no tag
+            ["tilt", "--f", "zero", "--c", "1", "--kappa", "2"],
+            ["tilt", "--f", "constant", "--c", "1"]):
+        with pytest.raises(SystemExit) as info:
+            dispatch(argv)
+        assert info.value.code == 2, argv
 
 
 def test_config_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "critical-value", "--grid", "4")
     assert code == 2 and "configuration error" in err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_tilt_rejects_a_non_finite_critical_value(capsys, c):
+    code, out, err = run_cli(capsys, "tilt", "--f", "zero", "--c", c)
+    assert code == 2 and "configuration error" in err and out == ""
+
+
+def test_kernel_rejects_a_non_finite_amplitude(tmp_path, capsys):
+    out_file = tmp_path / "k.csv"
+    code, _, err = run_cli(capsys, "kernel", "--amp", "nan", "--grid", "8",
+                           "--out", str(out_file))
+    assert code == 2 and "configuration error" in err
+    assert not out_file.exists()
 
 
 def test_kernel_requires_out(capsys):

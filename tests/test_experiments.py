@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import weakkam.experiments as experiments
 from weakkam import (ConfigurationError, Grid, InsufficientDataError,
                      LagrangianSystem, NumericalError, PhasePoint, assemble_kernel,
                      detect_aubry_orbits, dwell_statistics,
@@ -83,6 +84,15 @@ def test_convergence_validation():
         run_convergence(MECH, Grid(16), u0_tag="what", k_max=10)
     with pytest.raises(ConfigurationError):
         run_convergence(MECH, Grid(16), tau_frac=1.5, k_max=10)
+
+
+def test_convergence_checks_its_start_before_it_assembles(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a kernel for a bad start")
+
+    monkeypatch.setattr(experiments, "assemble_kernel", no_assembly)
+    with pytest.raises(ConfigurationError, match="unknown initial condition"):
+        run_convergence(MECH, Grid(256), u0_tag="what")
 
 
 def test_convergence_rejects_a_kernel_from_another_offset():

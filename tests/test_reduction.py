@@ -5,9 +5,8 @@ import pytest
 
 from weakkam import (ConfigurationError, DiscretizedCurve,
                      InvalidSubsolutionError, Grid, LagrangianSystem,
-                     assemble_kernel, curve_action, karp_eigenvalue, lift_curve,
-                     lift_system, minimal_action, subsolution_from_tag,
-                     tilt_system)
+                     curve_action, karp_eigenvalue, lift_curve, lift_system,
+                     minimal_action, subsolution_from_tag, tilt_system)
 from weakkam.acceptance import legendre_gap, random_curves
 from weakkam.flow import _el_rhs, _rk4
 
@@ -91,17 +90,12 @@ def test_lifts_are_systems_of_the_family_and_compose():
     assert lifted.label() == "lift(N=6) of mechanical-cos(A=1,q=1,eps=0.1)"
 
 
-def test_tilt_zero_and_constant():
+def test_tilt_zero():
     zero_tilt = tilt_system(FREE, "zero", 0.0)
     assert zero_tilt.tilt_minimum >= -1e-12
     rng = np.random.default_rng(14)
     x, v, t = rng.uniform(0, 1, 30), rng.uniform(-2, 2, 30), rng.uniform(0, 1, 30)
     assert np.allclose(zero_tilt.lagrangian(x, v, t), FREE.lagrangian(x, v, t))
-    # a constant subsolution tilts by c alone, valid from the critical value 1 on
-    const_tilt = tilt_system(MECH, "constant", 1.0, kappa=4.2)
-    assert const_tilt.tilt_minimum >= 0.0
-    assert np.allclose(const_tilt.lagrangian(x, v, t),
-                       MECH.lagrangian(x, v, t) + 1.0)
 
 
 def test_tilt_maupertuis_nonnegative():
@@ -121,13 +115,15 @@ def test_tilt_tag_compatibility():
         tilt_system(FREE, "maupertuis", 1.0)
     with pytest.raises(ConfigurationError):
         subsolution_from_tag("bogus", MECH)
+    with pytest.raises(ConfigurationError):
+        subsolution_from_tag("constant", MECH)
 
 
 def test_tilt_action_identity():
     tilted = tilt_system(MECH, "maupertuis", 1.0)
     worst = 0.0
     for curve in random_curves(15, 40):
-        lhs = curve_action(tilted, curve)
+        lhs = tilted.curve_action(curve)
         rhs = (curve_action(MECH, curve) + 1.0 * (curve.t1 - curve.t0)
                + float(tilted.sub.value(curve.start(), curve.t0))
                - float(tilted.sub.value(curve.end(), curve.t1)))
@@ -145,15 +141,19 @@ def test_tilt_subsolution_derivative_consistency():
         assert abs(fd - sub.dx(x, 0.0)) < 1e-5
 
 
-def test_tilt_preserves_minimizers():
-    tilted = tilt_system(MECH, "maupertuis", 1.0)
-    _, base_curve = minimal_action(MECH, 0.3, 0.0, 0.7, 1.0)
-    _, tilt_curve = minimal_action(tilted, 0.3, 0.0, 0.7, 1.0)
-    assert np.max(np.abs(base_curve.samples - tilt_curve.samples)) <= 1e-6
-    assert base_curve.winding == tilt_curve.winding
-
-
 def test_tilted_kernel_eigenvalue_vanishes():
     tilted = tilt_system(MECH, "maupertuis", 1.0)
-    kernel = assemble_kernel(tilted, Grid(16), 0.0, 1.0)
+    kernel = tilted.kernel(Grid(16), 0.0, 1.0)
     assert abs(karp_eigenvalue(kernel)) <= 2e-2
+
+
+def test_tilt_kernel_is_the_base_action_plus_the_boundary_term():
+    grid = Grid(16)
+    pts = grid.points
+    base = np.array([[minimal_action(MECH, x, 0.0, y, 1.0)[0] for y in pts] for x in pts])
+    for f_tag in ("maupertuis", "zero"):
+        tilted = tilt_system(MECH, f_tag, 1.0)
+        f = tilted.sub.value(pts, 0.0)
+        expected = base + 1.0 + f[:, None] - f[None, :]
+        kernel = tilted.kernel(grid, 0.0, 1.0)
+        assert np.max(np.abs(kernel.matrix - expected)) <= 1e-12, f_tag

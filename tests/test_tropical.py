@@ -99,15 +99,17 @@ class MissingBound:
             raise AttributeError(name)
         return getattr(self.base, name)
 
-    def quadrature_system(self):
-        return self
-
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
-def test_kernel_bits_independent_of_row_chunk(sys):
+def test_kernel_bits_independent_of_row_chunk(monkeypatch, sys):
     reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
+    settings = MinimizationSettings()
+    # floats of one grid row's worth of pairs with all their windings
+    row_floats = (32 * len(winding_candidates(1.0, settings))
+                  * (segments_for(1.0, settings) + 1))
     for row_chunk in (1, 3, 7):
-        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0, row_chunk=row_chunk)
+        monkeypatch.setattr(tropical, "BATCH_FLOATS", row_chunk * row_floats)
+        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
         assert np.array_equal(kernel.matrix, reference), row_chunk
 
 
