@@ -17,8 +17,7 @@ from .experiments import (ConvergenceReport, DwellReport, detect_aubry_orbits,
                           run_convergence)
 from .flow import (PeriodicOrbit, floquet_analysis, flow_map, flow_trajectory,
                    monodromy, refine_periodic_orbit)
-from .reduction import (MaupertuisSubsolution, TiltedSystem, lift_curve,
-                        lift_system, subsolution_from_tag, tilt_system)
+from .reduction import TiltedSystem, lift_curve, lift_system, tilt_system
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, reduce_mod_1, torus_distance)
 from .tropical import (Grid, TropicalKernel, assemble_kernel, karp_eigenvalue,

@@ -81,6 +81,19 @@ def legendre_gap(sys, x, p, t) -> float:
     return abs(float(p * v_star - sys.lagrangian(x, v_star, t) - sys.hamiltonian(x, p, t)))
 
 
+def lift_identity_gaps(sys, n: int, seed: int, count: int):
+    """(worst action gap, worst Legendre gap) of the order-n lift of sys:
+    |n A_lift - A| over ``count`` ``random_curves(seed)`` and their lifts,
+    and ``legendre_gap`` of the lift at 100 points drawn with seed + 1."""
+    lifted = lift_system(sys, n)
+    worst_action = max(abs(n * curve_action(lifted, lift_curve(curve, n))
+                           - curve_action(sys, curve)) for curve in random_curves(seed, count))
+    rng = np.random.default_rng(seed + 1)
+    worst_legendre = max(legendre_gap(lifted, rng.uniform(0, 1), rng.uniform(-3, 3),
+                                      rng.uniform(0, 1)) for _ in range(100))
+    return worst_action, worst_legendre
+
+
 class AcceptanceContext:
     """Caches the expensive shared objects of the acceptance matrix."""
 
@@ -277,19 +290,8 @@ def criterion_06_main_theorem(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_07_reduction(ctx: AcceptanceContext) -> CriterionResult:
     """Period-lift identities for actions and Hamiltonians."""
     sys = ctx.system(1, 0.1)
-    worst_action = 0.0
-    for curve in random_curves(ctx.seed, 200):
-        for n_lift in (2, 3):
-            lifted_sys = lift_system(sys, n_lift)
-            lifted = lift_curve(curve, n_lift)
-            gap = abs(n_lift * curve_action(lifted_sys, lifted) - curve_action(sys, curve))
-            worst_action = max(worst_action, gap)
-    rng = np.random.default_rng(ctx.seed + 1)
-    lifted_sys = lift_system(sys, 2)
-    worst_legendre = 0.0
-    for _ in range(100):
-        x, p, t = rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(0, 1)
-        worst_legendre = max(worst_legendre, legendre_gap(lifted_sys, x, p, t))
+    worst_action, worst_legendre = lift_identity_gaps(sys, 2, ctx.seed, 200)
+    worst_action = max(worst_action, lift_identity_gaps(sys, 3, ctx.seed, 200)[0])
     passed = worst_action <= 1e-10 and worst_legendre <= 1e-12
     return CriterionResult(
         7, "reduction identities", bool(passed),
@@ -306,8 +308,7 @@ def criterion_08_tilt(ctx: AcceptanceContext) -> CriterionResult:
     for curve in random_curves(ctx.seed, 200):
         lhs = tilted.curve_action(curve)
         rhs = (curve_action(sys, curve) + ORACLE_C * (curve.t1 - curve.t0)
-               + float(tilted.sub.value(curve.start(), curve.t0))
-               - float(tilted.sub.value(curve.end(), curve.t1)))
+               + float(tilted.f(curve.start())) - float(tilted.f(curve.end())))
         worst = max(worst, abs(lhs - rhs))
     lattice_min = tilted.tilt_minimum
     kernel = tilted.kernel(Grid(ctx.scale.n_small), 0.0, 1.0, ctx.settings)

@@ -363,6 +363,8 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
 
     if settings is None:
         settings = MinimizationSettings()
+    if not all(math.isfinite(z) for z in (x, a, y, b)):
+        raise ConfigurationError("minimal_action needs finite endpoints and times")
     if not b > a:
         raise ConfigurationError("minimal_action requires b > a")
     starts = np.array([float(reduce_mod_1(x))])

@@ -12,17 +12,18 @@ import sys as _sys
 
 import numpy as np
 
-from .acceptance import (AcceptanceContext, AcceptanceScale, legendre_gap,
-                         random_curves, run_all)
+from .acceptance import (AcceptanceContext, AcceptanceScale, lift_identity_gaps,
+                         run_all)
 from .action import MinimizationSettings, minimal_action
 from .errors import ConfigurationError, WeakKamError
-from .experiments import detect_aubry_orbits, dwell_statistics, run_convergence
+from .experiments import (check_dwell_window, detect_aubry_orbits, dwell_statistics,
+                          run_convergence)
 from .flow import refine_periodic_orbit
-from .reduction import SUBSOLUTION_TAGS, lift_curve, lift_system, tilt_system
-from .systems import LagrangianSystem, PhasePoint, curve_action
+from .reduction import SUBSOLUTION_TAGS, tilt_system
+from .systems import LagrangianSystem, PhasePoint
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
-from .weak_kam import (AUBRY_TOLERANCE, aubry_set, connection_graph,
-                       peierls_barrier)
+from .weak_kam import (AUBRY_TOLERANCE, aubry_set, check_barrier_horizon,
+                       connection_graph, peierls_barrier)
 from .reporting import fmt, write_csv
 
 
@@ -195,6 +196,7 @@ def _cmd_critical_value(args) -> int:
 def _barrier_for(args, horizon, t_frac=0.0):
     """Barrier from the unit kernel at offset 0; warns on stderr when its
     powers found no cycle within the horizon."""
+    check_barrier_horizon(horizon)
     sys = _system(args)
     grid = Grid(args.grid)
     settings = _settings(args)
@@ -260,18 +262,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    sys = _system(args)
-    lifted = lift_system(sys, args.n)
-    worst_action = 0.0
-    for curve in random_curves(args.seed, 50):
-        gap = abs(args.n * curve_action(lifted, lift_curve(curve, args.n))
-                  - curve_action(sys, curve))
-        worst_action = max(worst_action, gap)
-    rng = np.random.default_rng(args.seed + 1)
-    worst_h = 0.0
-    for _ in range(100):
-        x, p, t = rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(0, 1)
-        worst_h = max(worst_h, legendre_gap(lifted, x, p, t))
+    worst_action, worst_h = lift_identity_gaps(_system(args), args.n, args.seed, 50)
     print(f"action_identity_residual,{fmt(worst_action)}")
     print(f"hamiltonian_legendre_residual,{fmt(worst_h)}")
     return 0
@@ -305,6 +296,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_dwell(args) -> int:
+    check_dwell_window(0.0, args.horizon, args.delta)
     sys, _, settings, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,

@@ -19,7 +19,8 @@ from .errors import ConfigurationError, InsufficientDataError, WeakKamError
 from .flow import PeriodicOrbit, flow_trajectory, refine_periodic_orbit
 from .systems import PhasePoint, midpoint_geometry, reduce_mod_1, torus_distance
 from .tropical import Grid, assemble_kernel, karp_eigenvalue, minplus_apply
-from .weak_kam import BarrierMatrix, aubry_set, peierls_barrier, semigroup_limit
+from .weak_kam import (BarrierMatrix, aubry_set, check_barrier_horizon,
+                       peierls_barrier, semigroup_limit)
 
 EXACT_CONVERGENCE_TOL = 1e-12
 FIT_FLOOR_FACTOR = 100.0
@@ -160,6 +161,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     if u0_tag not in U0_TAGS:
         raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
                                  f"choose one of {U0_TAGS}")
+    check_barrier_horizon(horizon)
     if settings is None:
         settings = MinimizationSettings()
     n = grid.n
@@ -235,6 +237,15 @@ def _orbit_reference(sys, orbit: PeriodicOrbit, times: np.ndarray):
     return x_ref, v_ref
 
 
+def check_dwell_window(a, b, delta) -> None:
+    """Raise ``ConfigurationError`` unless [a, b] is a finite dwell horizon
+    of at least 4 and ``delta`` a finite positive neighborhood radius."""
+    if not (math.isfinite(b - a) and b - a >= 4.0):
+        raise ConfigurationError("dwell diagnostics need a finite horizon of at least 4")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigurationError("dwell neighborhood radius must be finite and positive")
+
+
 def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05,
                      settings: MinimizationSettings | None = None) -> DwellReport:
     """Time a minimizer spends outside the union of orbit neighborhoods,
@@ -243,8 +254,7 @@ def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05,
     Distances are Euclidean in (torus position, velocity); the minimizer
     states are the midpoint states of the discrete minimizer.
     """
-    if b - a < 4.0:
-        raise ConfigurationError("dwell diagnostics need a horizon of at least 4")
+    check_dwell_window(a, b, delta)
     if not orbits:
         raise ConfigurationError("dwell diagnostics need at least one refined orbit")
     _, curve = minimal_action(sys, x, a, y, b, settings)

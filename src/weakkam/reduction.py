@@ -10,17 +10,21 @@ closed forms.
 
 ``tilt_system`` subtracts the exact differential of a subsolution f and
 adds the critical value c, producing a pointwise-nonnegative Lagrangian
-that vanishes precisely on the Aubry set. The differential part integrates
-exactly (it telescopes to boundary values), so the tilt changes the action
-from (x0, t0) to (x1, t1) by c (t1 - t0) + f(x0) - f(x1) and leaves
-minimizers untouched, which is the whole point of the construction. So a
-tilt is a record, not a system: its kernel is the base's kernel plus that
-boundary term, and its curve action the base's plus the same term.
+that vanishes precisely on the Aubry set. The ``maupertuis`` f is the
+system's own ``critical_subsolution`` folded at the maxima of the
+potential, for every system without time modulation; ``zero`` is f = 0.
+The differential part integrates exactly (it telescopes to boundary
+values), so the tilt changes the action from (x0, t0) to (x1, t1) by
+c (t1 - t0) + f(x0) - f(x1) and leaves minimizers untouched, which is the
+whole point of the construction. So a tilt is a record, not a system: its
+kernel is the base's kernel plus that boundary term, and its curve action
+the base's plus the same term.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .systems import DiscretizedCurve, LagrangianSystem, curve_action, reduce_mo
 from .tropical import Grid, TropicalKernel, assemble_kernel
 
 SUBSOLUTION_TAGS = ("zero", "maupertuis")
-BLEND_HALF_WIDTH = 1e-2
 
 
 def lift_system(sys: LagrangianSystem, n: int) -> LagrangianSystem:
@@ -50,76 +53,40 @@ def lift_curve(curve: DiscretizedCurve, n: int) -> DiscretizedCurve:
                             samples=curve.samples.copy(), winding=curve.winding)
 
 
-class ZeroSubsolution:
-    """f = 0: the tilt adds the critical value alone."""
+def _subsolution(sys: LagrangianSystem, tag: str):
+    """(f, f_x) of a subsolution tag, both functions of x alone.
 
-    def value(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    dx = value
-
-
-class MaupertuisSubsolution:
-    """Primitive of the critical-speed field for the single-well cosine
-    potential (spatial frequency 1, no time modulation).
-
-    On [0, 1/2] the value is (2 sqrt(A) / pi)(1 - cos(pi x)), mirrored at
-    x = 1/2. The mirror corner is replaced on a band of half-width 1e-2 by
-    a C^2 blend whose slope stays below the critical speed, so the tilted
-    Lagrangian remains nonnegative there with a strict margin.
+    ``zero`` is f = 0. ``maupertuis`` folds the primitive u of the slope p
+    of ``sys.critical_subsolution`` at the zeros x0 + Z/q of p, the maxima
+    of the potential: f(x) = u(x0 + d) - u(x0), with d the distance from x
+    to the nearest zero, and f_x = +-p(x0 + d), signed by the side of that
+    zero. The corner halfway between two zeros is a maximum of f, so f
+    stays a viscosity subsolution. No time-independent f follows the
+    moving ceiling of eps != 0.
     """
-
-    def __init__(self, amp: float = 1.0):
-        if amp <= 0:
-            raise ConfigurationError("amplitude must be positive")
-        self.amp = float(amp)
-        w = BLEND_HALF_WIDTH
-        root = math.sqrt(self.amp)
-        g1 = 2.0 * root * math.sin(math.pi * (0.5 - w))
-        g2 = 2.0 * root * math.pi * math.cos(math.pi * (0.5 - w))
-        self._w = w
-        self._a = -(g1 + g2 * w) / w ** 2
-        self._b = g2 + 2.0 * self._a * w
-        self._edge_value = (2.0 * root / math.pi) * (1.0 - math.cos(math.pi * (0.5 - w)))
-        self._root = root
-
-    def _pieces(self, x):
-        u = reduce_mod_1(np.asarray(x, dtype=float))
-        folded = np.minimum(u, 1.0 - u)
-        sign = np.where(u <= 0.5, 1.0, -1.0)
-        xi = folded - 0.5  # in [-1/2, 0]
-        in_band = xi >= -self._w
-        return folded, sign, xi, in_band
-
-    def _blend_value(self, xi):
-        w, a, b = self._w, self._a, self._b
-        return (self._edge_value + a * (xi ** 3 + w ** 3) / 3.0
-                + b * (xi ** 2 - w ** 2) / 2.0)
-
-    def value(self, x, t):
-        folded, _, xi, in_band = self._pieces(x)
-        smooth = (2.0 * self._root / math.pi) * (1.0 - np.cos(math.pi * folded))
-        return np.where(in_band, self._blend_value(xi), smooth)
-
-    def dx(self, x, t):
-        folded, sign, xi, in_band = self._pieces(x)
-        smooth = 2.0 * self._root * np.sin(math.pi * folded)
-        blend = self._a * xi ** 2 + self._b * xi
-        return sign * np.where(in_band, blend, smooth)
-
-
-def subsolution_from_tag(tag: str, sys):
     if tag == "zero":
-        return ZeroSubsolution()
-    if tag == "maupertuis":
-        if not (isinstance(sys, LagrangianSystem) and sys.family == "mechanical-cos"
-                and sys.freq == 1 and sys.eps == 0.0 and sys.lift == 1):
-            raise ConfigurationError(
-                "the maupertuis subsolution fits the single-well cosine "
-                "potential without time modulation or lift only")
-        return MaupertuisSubsolution(amp=sys.amp)
-    raise ConfigurationError(f"unknown subsolution tag {tag!r}; "
-                             f"choose one of {SUBSOLUTION_TAGS}")
+        return (lambda x: np.zeros(np.shape(x)),) * 2
+    if tag != "maupertuis":
+        raise ConfigurationError(f"unknown subsolution tag {tag!r}; "
+                                 f"choose one of {SUBSOLUTION_TAGS}")
+    if sys.eps != 0.0:
+        raise ConfigurationError("the maupertuis subsolution is time-independent: "
+                                 "it needs a system without time modulation")
+    _, u, p, _ = sys.critical_subsolution()
+    q, x0 = sys.freq, sys.crest
+
+    def fold(x):
+        r = reduce_mod_1(q * (np.asarray(x, dtype=float) - x0))
+        return x0 + np.minimum(r, 1.0 - r) / q, np.where(r <= 0.5, 1.0, -1.0)
+
+    def f(x):
+        return u(fold(x)[0]) - u(x0)
+
+    def f_x(x):
+        z, sign = fold(x)
+        return sign * p(z)
+
+    return f, f_x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,19 +105,19 @@ class TiltedSystem:
     """
 
     base: LagrangianSystem
-    sub: ZeroSubsolution | MaupertuisSubsolution
+    f: Callable
+    f_x: Callable
     c: float
     tilt_minimum: float
     tilt_witness: tuple | None
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
-        return self.base.lagrangian(x, v, t) - self.sub.dx(x, t) * v + self.c
+        return self.base.lagrangian(x, v, t) - self.f_x(x) * v + self.c
 
     def _boundary_term(self, x0, x1, t0, t1):
-        """c (t1 - t0) + f(x0, t0) - f(x1, t1), for lifted x0 and x1."""
-        return (self.c * (t1 - t0) + self.sub.value(reduce_mod_1(x0), t0)
-                - self.sub.value(reduce_mod_1(x1), t1))
+        """c (t1 - t0) + f(x0) - f(x1), for lifted x0 and x1."""
+        return self.c * (t1 - t0) + self.f(reduce_mod_1(x0)) - self.f(reduce_mod_1(x1))
 
     def curve_action(self, curve: DiscretizedCurve) -> float:
         """The base's ``curve_action`` plus the boundary term."""
@@ -185,7 +152,7 @@ def tilt_system(sys: LagrangianSystem, f_tag: str, c: float) -> TiltedSystem:
     """
     if not math.isfinite(c):
         raise ConfigurationError("the tilt's critical value must be finite")
-    draft = TiltedSystem(sys, subsolution_from_tag(f_tag, sys), float(c), math.nan, None)
+    draft = TiltedSystem(sys, *_subsolution(sys, f_tag), float(c), math.nan, None)
     nx, nv, nt = TILT_LATTICE
     xs = np.arange(nx) / nx
     vs = np.linspace(-TILT_V_BOUND, TILT_V_BOUND, nv)

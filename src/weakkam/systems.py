@@ -17,10 +17,11 @@ spatial and temporal periodicity hold to the last bit whenever the
 shifted argument is representable.
 
 Each family also gives a critical subsolution (``critical_subsolution``):
-a ceiling c'(t) = max_x U(x, t) and a primitive u of a slope p with
-H(x, p, t) <= c'(t), so L + c'(t) >= p v. The winding search turns it
+a ceiling c'(t) = max_x U(x, t) and a slope p with H(x, p, t) <= c'(t),
+with its primitive u, so L + c'(t) >= p v. The winding search turns it
 into a lower bound on the action of every curve with given lifted
-endpoints, and prunes the windings that bound rules out.
+endpoints, and prunes the windings that bound rules out; folded at its
+zeros, it is the Maupertuis subsolution of a tilt.
 
 The minimizer, the winding search and kernel assembly read these systems
 and nothing else; a subsolution tilt is its base's kernel plus an exact
@@ -173,22 +174,27 @@ class LagrangianSystem:
         """Legendre-dual energy, H = p^2 / (2 mass) + U(x, t) = (N p)^2/2 + U."""
         return 0.5 * (np.asarray(p, dtype=float) * self.lift) ** 2 + self.potential(x, t)
 
+    @property
+    def crest(self) -> float:
+        """A maximum of the potential: 0, or 1/(2q) when A < 0."""
+        return 0.5 / self.freq if self._amp < 0 else 0.0
+
     def critical_subsolution(self):
-        """(c', u, Lambda): a ceiling c'(t) = max_x U(x, t), a primitive u
-        on the lifted line of a slope p with H(x, p, t) <= c'(t) everywhere,
-        and the Lipschitz constant Lambda of p; so L + c'(t) >= p v
+        """(c', u, p, Lambda): a ceiling c'(t) = max_x U(x, t), a slope p
+        with H(x, p, t) <= c'(t) everywhere, its primitive u on the lifted
+        line, and the Lipschitz constant Lambda of p; so L + c'(t) >= p v
         pointwise, the weak KAM subsolution inequality, whose ceiling
         averages to |A| over a period.
 
-        With a = |A| (1 - |eps|) = min_t c'(t) and x0 a maximum of the
-        cosine (0, or 1/(2q) when A < 0), p = 2 sqrt(mass a)
-        |sin(pi q (x - x0))| gives p^2 / (2 mass) = a (1 - cos), at most
-        c'(t) (1 - cos) = c'(t) - U(x, t). The free family is amplitude 0,
-        so u = 0.
+        With a = |A| (1 - |eps|) = min_t c'(t) and x0 = ``crest``,
+        p = 2 sqrt(mass a) |sin(pi q (x - x0))| gives p^2 / (2 mass) =
+        a (1 - cos), at most c'(t) (1 - cos) = c'(t) - U(x, t). Its zeros
+        x0 + Z/q are the maxima of the potential. The free family is
+        amplitude 0, so u = p = 0.
         """
         root = 2.0 * math.sqrt(self.mass * abs(self._amp) * (1.0 - abs(self.eps)))
         q = self.freq
-        x0 = 0.5 / q if self._amp < 0 else 0.0
+        x0 = self.crest
 
         def ceiling(t):
             return self.potential(np.full(np.shape(t), x0), t)
@@ -198,7 +204,10 @@ class LagrangianSystem:
             k = np.floor(w)
             return (root / (math.pi * q)) * (2.0 * k + 1.0 - np.cos(math.pi * (w - k)))
 
-        return ceiling, u, math.pi * q * root
+        def p(z):
+            return root * np.abs(np.sin(math.pi * q * (np.asarray(z, dtype=float) - x0)))
+
+        return ceiling, u, p, math.pi * q * root
 
     # -- kernel symmetries -----------------------------------------------
 

@@ -45,6 +45,8 @@ class Grid:
         return np.arange(self.n) / self.n
 
     def nearest_index(self, x) -> int:
+        if not math.isfinite(x):
+            raise ConfigurationError("a grid position must be finite")
         return int(round(float(x) * self.n)) % self.n
 
 
@@ -105,7 +107,7 @@ def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
     duration = b - a
     h = duration / n_seg
     sup_u = sys.potential_upper_bound()
-    ceiling, u, lip = sys.critical_subsolution()
+    ceiling, u, _, lip = sys.critical_subsolution()
     r = lip * h / (4.0 * sys.mass)
     s = math.sqrt(1.0 + r * r) - r
     ceiling_sum = h * math.fsum(ceiling(a + h * (np.arange(n_seg) + 0.5)))
@@ -282,13 +284,15 @@ def assemble_kernel(sys, grid: Grid, s, delta,
         settings = MinimizationSettings()
     if not (0.0 < delta <= 1.0):
         raise ConfigurationError("kernel duration must lie in (0, 1]")
+    a, b = float(s), float(s) + float(delta)
+    if not (math.isfinite(a) and b - a > 0.0):
+        raise ConfigurationError(f"kernel window [{a:g}, {b:g}] must be finite "
+                                 "with b > a in floating point")
     n = grid.n
     pts = grid.points
     n_wind = len(winding_candidates(delta, settings))
     n_seg = segments_for(delta, settings)
     row_chunk = min(n, max(1, BATCH_FLOATS // (n * n_wind * (n_seg + 1))))
-
-    a, b = float(s), float(s) + float(delta)
 
     def solve(pairs):
         """Entries at the given flat indices, in one search batch."""

@@ -10,12 +10,14 @@ returns the entrywise minimum over the p powers of the cycle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import MinimizationSettings
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
+from .systems import reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul)
 
@@ -87,6 +89,12 @@ class ConnectionGraph:
 MAX_PERIOD = 4
 
 
+def check_barrier_horizon(horizon) -> None:
+    """Raise ``ConfigurationError`` unless the barrier may take a power."""
+    if not horizon >= 2:
+        raise ConfigurationError("barrier horizon must be at least 2")
+
+
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
                     settings: MinimizationSettings | None = None,
                     t_frac: float | None = None, *, kernel: TropicalKernel) -> BarrierMatrix:
@@ -94,7 +102,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
 
     ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
     the barrier starts at its offset s_frac = ``kernel.s`` and, unless
-    ``t_frac`` is given, ends there too.
+    ``t_frac`` is given, ends there too. A given ``t_frac`` is a phase and
+    is reduced mod 1, so an end offset of 1 is the offset 0.
 
     Each new power P^m is compared with the previous ``MAX_PERIOD``
     powers, and the products stop at the first m with
@@ -123,8 +132,7 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     assembled with ``settings`` and shifted by c*df, where
     df = (t_frac - s_frac) mod 1.
     """
-    if horizon < 2:
-        raise ConfigurationError("barrier horizon must be at least 2")
+    check_barrier_horizon(horizon)
     if kernel.grid != grid:
         raise ConfigurationError(
             f"barrier grid of {grid.n} points does not match the kernel's "
@@ -133,8 +141,9 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
         raise ConfigurationError(f"barrier needs a unit-time kernel, not one "
                                  f"over {kernel.delta:g}")
     s_frac = kernel.s
-    if t_frac is None:
-        t_frac = s_frac
+    if t_frac is not None and not math.isfinite(t_frac):
+        raise ConfigurationError("barrier end offset must be finite")
+    t_frac = s_frac if t_frac is None else float(reduce_mod_1(t_frac))
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
     held = [shifted]  # P^(m - len(held) + 1) .. P^m
@@ -166,6 +175,8 @@ def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
     cluster's diagonal argmin."""
     if h.s_frac != h.t_frac:
         raise ConfigurationError("Aubry detection needs equal time offsets")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigurationError("Aubry tolerance must be finite and nonnegative")
     diag = np.diag(h.values)
     n = h.grid.n
     hits = np.flatnonzero(diag <= tol)
@@ -234,6 +245,8 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
     equals (within tol) the barrier from k to j plus the barrier from j to
     the target. Roots receive no segment. Acyclicity is checked and any
     violation reported with the offending cycle."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigurationError("graph tolerance must be finite and nonnegative")
     reps = list(aubry.representatives)
     if not reps:
         raise ConfigurationError("need at least one Aubry representative")

@@ -1,8 +1,11 @@
+import argparse
 import math
 
 import pytest
 
-from weakkam.cli import dispatch
+import weakkam.cli as cli
+import weakkam.experiments as experiments
+from weakkam.cli import build_parser, dispatch
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +184,83 @@ def test_kernel_rejects_a_non_finite_amplitude(tmp_path, capsys):
                            "--out", str(out_file))
     assert code == 2 and "configuration error" in err
     assert not out_file.exists()
+
+
+# a valid command line on grid 8 for every subcommand with a float flag
+_CHEAP_ARGV = {
+    "action": ["--from", "0.1", "--to", "0.2", "--bt", "1"],
+    "kernel": ["--grid", "8", "--out", "{out}"],
+    "critical-value": ["--grid", "8"],
+    "barrier": ["--grid", "8", "--horizon", "10"],
+    "aubry": ["--grid", "8", "--horizon", "10"],
+    "graph": ["--grid", "8", "--horizon", "10", "--target", "0.25"],
+    "orbit": ["--guess-x", "0.01", "--guess-v", "0.01"],
+    "reduce": ["--n", "2"],
+    "tilt": ["--f", "maupertuis", "--c", "1"],
+    "convergence": ["--grid", "8", "--kmax", "8", "--horizon", "10"],
+    "dwell": ["--grid", "8", "--from", "0.25", "--to", "0.25"],
+}
+
+
+def _float_flags():
+    """(subcommand, flag) for every float-valued flag of the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_non_finite_float_flags_are_configuration_errors(tmp_path, capsys, command, flag):
+    base = [arg.format(out=tmp_path / "k.csv") for arg in _CHEAP_ARGV[command]]
+    for value in ("nan", "inf"):
+        code, out, err = run_cli(capsys, command, *base, flag, value)
+        assert code == 2 and err.startswith("configuration error:"), (flag, value, err)
+        assert out == "", (flag, value)
+    assert not (tmp_path / "k.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # s + delta rounds to s
+    ["kernel", "--grid", "8", "--delta", "0.5", "--start", "1e300", "--out", "k.csv"],
+    ["aubry", "--grid", "8", "--horizon", "10", "--tol", "-1"],
+    ["graph", "--grid", "8", "--horizon", "10", "--target", "0", "--aubry-tol", "-1"],
+    ["graph", "--grid", "8", "--horizon", "10", "--target", "0", "--tol", "-1"],
+    ["dwell", "--grid", "8", "--from", "0.25", "--to", "0.25", "--delta", "0"]],
+    ids=["kernel-window", "aubry-tol", "graph-aubry-tol", "graph-tol", "dwell-delta"])
+def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("configuration error:") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--horizon", "1"],
+    ["barrier", "--horizon", "1"],
+    ["aubry", "--horizon", "1"],
+    ["dwell", "--from", "0.25", "--to", "0.25", "--horizon", "2"],
+    ["dwell", "--from", "0.25", "--to", "0.25", "--delta", "nan"]],
+    ids=["convergence", "barrier", "aubry", "dwell-horizon", "dwell-delta"])
+def test_bad_input_is_rejected_before_assembly(monkeypatch, capsys, argv):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a kernel for bad input")
+
+    monkeypatch.setattr(cli, "assemble_kernel", no_assembly)
+    monkeypatch.setattr(experiments, "assemble_kernel", no_assembly)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("configuration error:")
+
+
+def test_barrier_end_offset_one_is_offset_zero(tmp_path, capsys):
+    runs = []
+    for tfrac in ("0", "1"):
+        path = tmp_path / f"h{tfrac}.csv"
+        code, out, _ = run_cli(capsys, "barrier", "--grid", "8", "--horizon", "10",
+                               "--tfrac", tfrac, "--out", str(path))
+        assert code == 0
+        runs.append((out, path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_kernel_requires_out(capsys):

@@ -95,6 +95,15 @@ def test_convergence_checks_its_start_before_it_assembles(monkeypatch):
         run_convergence(MECH, Grid(256), u0_tag="what")
 
 
+def test_convergence_checks_its_horizon_before_it_assembles(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a kernel for a bad horizon")
+
+    monkeypatch.setattr(experiments, "assemble_kernel", no_assembly)
+    with pytest.raises(ConfigurationError, match="barrier horizon"):
+        run_convergence(MECH, Grid(256), horizon=1)
+
+
 def test_convergence_rejects_a_kernel_from_another_offset():
     sys = LagrangianSystem(family="mechanical-cos", eps=0.3)
     kernel = assemble_kernel(sys, Grid(16), 0.0, 1.0)

@@ -6,13 +6,14 @@ import pytest
 from weakkam import (ConfigurationError, DiscretizedCurve,
                      InvalidSubsolutionError, Grid, LagrangianSystem,
                      curve_action, karp_eigenvalue, lift_curve, lift_system,
-                     minimal_action, subsolution_from_tag, tilt_system)
+                     minimal_action, tilt_system)
 from weakkam.acceptance import legendre_gap, random_curves
 from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
 EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
+MECH_Q2 = LagrangianSystem(family="mechanical-cos", freq=2)
 
 
 def test_lift_identity_wrapper():
@@ -111,12 +112,17 @@ def test_tilt_rejects_subcritical_constant():
 
 
 def test_tilt_tag_compatibility():
+    # a time-independent f cannot follow the modulated ceiling of eps != 0
     with pytest.raises(ConfigurationError):
-        tilt_system(FREE, "maupertuis", 1.0)
+        tilt_system(EPS, "maupertuis", 1.0)
     with pytest.raises(ConfigurationError):
-        subsolution_from_tag("bogus", MECH)
+        tilt_system(MECH, "bogus", 1.0)
     with pytest.raises(ConfigurationError):
-        subsolution_from_tag("constant", MECH)
+        tilt_system(MECH, "constant", 1.0)
+    # the free family is amplitude 0: its maupertuis subsolution is f = 0
+    free = tilt_system(FREE, "maupertuis", 0.0)
+    x = np.linspace(0.0, 1.0, 17)
+    assert np.all(free.f(x) == 0.0) and np.all(free.f_x(x) == 0.0)
 
 
 def test_tilt_action_identity():
@@ -125,20 +131,20 @@ def test_tilt_action_identity():
     for curve in random_curves(15, 40):
         lhs = tilted.curve_action(curve)
         rhs = (curve_action(MECH, curve) + 1.0 * (curve.t1 - curve.t0)
-               + float(tilted.sub.value(curve.start(), curve.t0))
-               - float(tilted.sub.value(curve.end(), curve.t1)))
+               + float(tilted.f(curve.start())) - float(tilted.f(curve.end())))
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-9
 
 
 def test_tilt_subsolution_derivative_consistency():
-    sub = subsolution_from_tag("maupertuis", MECH)
     rng = np.random.default_rng(16)
     step = 1e-6
-    for _ in range(60):
-        x = rng.uniform(0, 1)
-        fd = (sub.value(x + step, 0.0) - sub.value(x - step, 0.0)) / (2 * step)
-        assert abs(fd - sub.dx(x, 0.0)) < 1e-5
+    for sys in (MECH, MECH_Q2):
+        tilted = tilt_system(sys, "maupertuis", 1.0)
+        for _ in range(60):
+            x = rng.uniform(0, 1)
+            fd = (tilted.f(x + step) - tilted.f(x - step)) / (2 * step)
+            assert abs(fd - tilted.f_x(x)) < 1e-5, (sys.label(), x)
 
 
 def test_tilted_kernel_eigenvalue_vanishes():
@@ -150,10 +156,12 @@ def test_tilted_kernel_eigenvalue_vanishes():
 def test_tilt_kernel_is_the_base_action_plus_the_boundary_term():
     grid = Grid(16)
     pts = grid.points
-    base = np.array([[minimal_action(MECH, x, 0.0, y, 1.0)[0] for y in pts] for x in pts])
-    for f_tag in ("maupertuis", "zero"):
-        tilted = tilt_system(MECH, f_tag, 1.0)
-        f = tilted.sub.value(pts, 0.0)
-        expected = base + 1.0 + f[:, None] - f[None, :]
-        kernel = tilted.kernel(grid, 0.0, 1.0)
-        assert np.max(np.abs(kernel.matrix - expected)) <= 1e-12, f_tag
+    for sys in (MECH, MECH_Q2):
+        base = np.array([[minimal_action(sys, x, 0.0, y, 1.0)[0] for y in pts]
+                         for x in pts])
+        for f_tag in ("maupertuis", "zero"):
+            tilted = tilt_system(sys, f_tag, 1.0)
+            f = tilted.f(pts)
+            expected = base + 1.0 + f[:, None] - f[None, :]
+            kernel = tilted.kernel(grid, 0.0, 1.0)
+            assert np.max(np.abs(kernel.matrix - expected)) <= 1e-12, (sys.label(), f_tag)

@@ -357,7 +357,7 @@ def test_subsolution_bound_holds_on_every_segment(sys, z, t, h):
     # segment, the inequality that winding_search sums into its bound;
     # checked on a lattice of midpoints m over a period from z and of
     # velocities D/h up to twice the escape speed
-    ceiling, u, lip = sys.critical_subsolution()
+    ceiling, u, _, lip = sys.critical_subsolution()
     r = lip * h / (4.0 * sys.mass)
     s = math.sqrt(1.0 + r * r) - r
     speed = 2.0 * math.sqrt(2.0 * sys.potential_upper_bound() / sys.mass) + 1.0
@@ -368,6 +368,21 @@ def test_subsolution_bound_holds_on_every_segment(sys, z, t, h):
     rise = np.abs(u(mid + 0.5 * h * vel) - u(mid - 0.5 * h * vel))
     allowance = 1e-13 * (1.0 + np.abs(mid)) * (np.abs(lhs) + h * abs(c) + np.abs(u(mid)))
     assert np.all(lhs >= s * rise - allowance)
+
+
+@pytest.mark.parametrize("sys", BOUND_SYSTEMS, ids=BOUND_IDS)
+def test_subsolution_slope_is_the_derivative_of_u_and_subcritical(sys):
+    # p = u' to the central difference's error, which the Lipschitz
+    # constant of p bounds across the kinks of p at its zeros, and
+    # H(x, p(x), t) <= c'(t) on a lattice of lifted x and of t
+    ceiling, u, p, lip = sys.critical_subsolution()
+    z = np.linspace(-3.0, 3.0, 601) + 1.0 / 7.0
+    step = 1e-6
+    fd = (u(z + step) - u(z - step)) / (2.0 * step)
+    assert np.all(np.abs(fd - p(z)) <= lip * step + 1e-8 * (1.0 + np.abs(u(z))))
+    t = np.arange(16)[:, None] / 16
+    gap = sys.hamiltonian(z[None, :], p(z)[None, :], t) - ceiling(t)
+    assert np.all(gap <= 1e-12 * (1.0 + lip))
 
 
 def unpruned_minimum(sys, a, b, starts, ends, windings):

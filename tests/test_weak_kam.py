@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,8 +217,25 @@ def test_aubry_free_all_points(free_kernel):
 
 
 def test_aubry_empty_raises(mech_barrier):
+    # a barrier lifted by 1 has no vanishing diagonal entry
+    lifted = dataclasses.replace(mech_barrier, values=mech_barrier.values + 1.0)
     with pytest.raises(EmptyAubrySetError):
-        aubry_set(mech_barrier, -1.0)
+        aubry_set(lifted, 1e-2)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_aubry_and_graph_reject_a_bad_tolerance(mech_barrier, tol):
+    with pytest.raises(ConfigurationError, match="Aubry tolerance"):
+        aubry_set(mech_barrier, tol)
+    with pytest.raises(ConfigurationError, match="graph tolerance"):
+        connection_graph(mech_barrier, aubry_set(mech_barrier, 1e-2), 0, tol)
+
+
+def test_barrier_end_offset_is_a_phase(mech_kernel):
+    c = karp_eigenvalue(mech_kernel)
+    at_zero, at_one = (peierls_barrier(MECH, Grid(N), c, horizon=24, t_frac=t,
+                                       kernel=mech_kernel) for t in (0.0, 1.0))
+    assert at_one.t_frac == 0.0 and np.array_equal(at_one.values, at_zero.values)
 
 
 def test_aubry_requires_equal_offsets(mech_kernel):
