@@ -345,6 +345,15 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     return z, e, gsup, converged, iterations
 
 
+def check_endpoints(x, a, y, b) -> None:
+    """Raise ``ConfigurationError`` unless the endpoints x, y and the times
+    a < b of a minimal action are finite."""
+    if not all(math.isfinite(z) for z in (x, a, y, b)):
+        raise ConfigurationError("minimal_action needs finite endpoints and times")
+    if not b > a:
+        raise ConfigurationError("minimal_action requires b > a")
+
+
 def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None):
     """Least action over curves from (x, a) to (y, b), with winding search.
 
@@ -363,10 +372,7 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
 
     if settings is None:
         settings = MinimizationSettings()
-    if not all(math.isfinite(z) for z in (x, a, y, b)):
-        raise ConfigurationError("minimal_action needs finite endpoints and times")
-    if not b > a:
-        raise ConfigurationError("minimal_action requires b > a")
+    check_endpoints(x, a, y, b)
     starts = np.array([float(reduce_mod_1(x))])
     ends = np.array([float(reduce_mod_1(y))])
     values, rows, windings = winding_search(sys, a, b, starts, ends, settings)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .acceptance import (AcceptanceContext, AcceptanceScale, lift_identity_gaps,
                          run_all)
-from .action import MinimizationSettings, minimal_action
+from .action import MinimizationSettings, check_endpoints, minimal_action
 from .errors import ConfigurationError, WeakKamError
 from .experiments import (check_dwell_window, detect_aubry_orbits, dwell_statistics,
                           run_convergence)
@@ -23,7 +23,7 @@ from .reduction import SUBSOLUTION_TAGS, tilt_system
 from .systems import LagrangianSystem, PhasePoint
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
 from .weak_kam import (AUBRY_TOLERANCE, aubry_set, check_barrier_horizon,
-                       connection_graph, peierls_barrier)
+                       check_tolerance, connection_graph, peierls_barrier)
 from .reporting import fmt, write_csv
 
 
@@ -196,7 +196,7 @@ def _cmd_critical_value(args) -> int:
 def _barrier_for(args, horizon, t_frac=0.0):
     """Barrier from the unit kernel at offset 0; warns on stderr when its
     powers found no cycle within the horizon."""
-    check_barrier_horizon(horizon)
+    check_barrier_horizon(horizon, t_frac)
     sys = _system(args)
     grid = Grid(args.grid)
     settings = _settings(args)
@@ -223,8 +223,10 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_aubry(args) -> int:
+    tol = AUBRY_TOLERANCE if args.tol is None else args.tol
+    check_tolerance(tol, "Aubry")
     _, grid, _, _, barrier = _barrier_for(args, args.horizon)
-    detected = aubry_set(barrier, AUBRY_TOLERANCE if args.tol is None else args.tol)
+    detected = aubry_set(barrier, tol)
     diag = np.diag(barrier.values)
     _emit(args.out, ("x", "h_diag"),
           [(idx / grid.n, diag[idx]) for idx in detected.indices])
@@ -234,10 +236,12 @@ def _cmd_aubry(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _, grid, _, _, barrier = _barrier_for(args, args.horizon)
+    target = Grid(args.grid).nearest_index(args.target)
+    check_tolerance(args.aubry_tol, "Aubry")
+    check_tolerance(args.tol, "graph")
+    _, _, _, _, barrier = _barrier_for(args, args.horizon)
     detected = aubry_set(barrier, args.aubry_tol)
-    graph = connection_graph(barrier, detected,
-                             grid.nearest_index(args.target), args.tol)
+    graph = connection_graph(barrier, detected, target, args.tol)
     rows = [("edge", graph.vertices[j], graph.vertices[k], slack)
             for j, k, slack in graph.edges]
     rows += [("root", graph.vertices[r], "", "") for r in graph.roots]
@@ -297,6 +301,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_dwell(args) -> int:
     check_dwell_window(0.0, args.horizon, args.delta)
+    check_endpoints(args.x_from, 0.0, args.x_to, args.horizon)
     sys, _, settings, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,

@@ -1,7 +1,9 @@
 """Euler-Lagrange flow, variational equations, shooting, Floquet data.
 
-Integration is classical fourth-order Runge-Kutta at a fixed step. The
-fixed step keeps flows, monodromies, and everything downstream bit-for-bit
+Integration is one classical fourth-order Runge-Kutta loop at a fixed
+step, batched over states: the segments of a shooting residual step
+together, each column exactly as its own one-state call would. The fixed
+step keeps flows, monodromies, and everything downstream bit-for-bit
 reproducible; adaptive stepping would make kernels run-dependent.
 """
 from __future__ import annotations
@@ -54,10 +56,14 @@ def _steps_for(duration):
 
 
 def _rk4(rhs, y0, t0, t1, n_steps):
-    """States at the step times t0 + h*i, i = 0..n_steps, one row each."""
+    """States at the step times t0 + h*i, i = 0..n_steps, one row each.
+
+    A (d, m) state holds m states as columns, with t0 and t1 scalars or
+    length-m arrays; each column steps with its own h = (t1 - t0) / n_steps,
+    bit for bit as its one-state call would."""
     h = (t1 - t0) / n_steps
     y = np.array(y0, dtype=float)
-    ys = np.empty((n_steps + 1, y.size))
+    ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
     for i in range(n_steps):
         t = t0 + h * i
@@ -96,21 +102,27 @@ def flow_map(sys, p: PhasePoint, t1) -> PhasePoint:
 
 
 def _flow_with_variational(sys, x0, v0, t0, t1):
-    """Integrate the flow together with its 2x2 variational matrix."""
+    """Integrate m states together with their 2x2 variational matrices.
+
+    The arguments are length-m arrays; every state takes the step count of
+    the first. Returns the m end positions and velocities and the
+    (m, 2, 2) matrices."""
     _check_mechanical(sys)
-    n = _steps_for(t1 - t0)
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    n = _steps_for(t1[0] - t0[0])
 
     def rhs(t, y):
-        x, v = y[0], y[1]
-        xi = y[2:].reshape(2, 2)
-        a = sys.lagrangian_x(x, v, t) / sys.mass
-        ax = sys.lagrangian_xx(x, v, t) / sys.mass
-        jac = np.array([[0.0, 1.0], [float(ax), 0.0]])
-        return np.hstack(([v, float(a)], (jac @ xi).reshape(-1)))
+        # rows x, v, xi00, xi01, xi10, xi11; J xi = [[xi10, xi11], [ax xi00, ax xi01]]
+        ax = sys.lagrangian_xx(y[0], y[1], t) / sys.mass
+        dy = np.empty_like(y)
+        dy[0], dy[1] = y[1], sys.lagrangian_x(y[0], y[1], t) / sys.mass
+        dy[2:4], dy[4:] = y[4:], ax * y[2:4]
+        return dy
 
-    y0 = np.hstack(([x0, v0], np.eye(2).reshape(-1)))
+    y0 = np.empty((6, t0.size))
+    y0[0], y0[1], y0[2:] = x0, v0, np.eye(2).reshape(4, 1)
     y = _rk4(rhs, y0, t0, t1, n)[-1]
-    return y[0], y[1], y[2:].reshape(2, 2)
+    return y[0], y[1], y[2:].T.reshape(-1, 2, 2)
 
 
 def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
@@ -120,15 +132,15 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
     """
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
-    x1, v1, mat = _flow_with_variational(sys, orbit_seed.x, orbit_seed.v,
-                                         orbit_seed.t, orbit_seed.t + period)
-    dx = x1 - orbit_seed.x
-    defect = float(np.hypot(dx - round(dx), v1 - orbit_seed.v))
+    x1, v1, mats = _flow_with_variational(sys, [orbit_seed.x], [orbit_seed.v],
+                                          [orbit_seed.t], [orbit_seed.t + period])
+    dx = x1[0] - orbit_seed.x
+    defect = float(np.hypot(dx - round(dx), v1[0] - orbit_seed.v))
     if defect > MONODROMY_DEFECT_TOL:
         raise NotPeriodicError(
             f"seed does not close up over period {period}: defect {defect:.3e}",
             defect=defect)
-    return mat
+    return mats[0]
 
 
 def floquet_analysis(mono: np.ndarray, period: int = 1):
@@ -171,35 +183,32 @@ def _multiple_shooting(sys, starts, period, tol):
     amplification small, so the Newton basin around a hyperbolic orbit is
     wide; single shooting over a full period mixes in the parabolic
     rotating circles of the autonomous cases and loses the nearby saddle.
-    One segment is single shooting, with the monodromy minus the identity
-    as Jacobian. Returns the refined starting state.
+    Each residual integrates all segments in one batched call. One segment
+    is single shooting, with the monodromy minus the identity as Jacobian.
+    Returns the refined starting state and the (m, 2, 2) segment matrices
+    of the last residual, which was evaluated at that state.
     """
     z = np.array(starts, dtype=float)
     m = z.shape[0]
-    dt = period / m
-    eye = np.eye(2)
+    times = period / m * np.arange(m + 1)
+    seg = np.arange(m)
 
     def residual(states):
-        res = np.empty((m, 2))
-        jac = np.zeros((2 * m, 2 * m))
-        for k in range(m):
-            x1, v1, a = _flow_with_variational(sys, states[k, 0], states[k, 1],
-                                               k * dt, (k + 1) * dt)
-            nxt = states[(k + 1) % m]
-            dx = x1 - nxt[0]
-            if k == m - 1:
-                dx -= round(dx)
-            res[k] = (dx, v1 - nxt[1])
-            jac[2 * k:2 * k + 2, 2 * k:2 * k + 2] = a
-            cols = 2 * ((k + 1) % m)
-            jac[2 * k:2 * k + 2, cols:cols + 2] -= eye
-        return res, jac
+        x1, v1, mats = _flow_with_variational(sys, states[:, 0], states[:, 1],
+                                              times[:-1], times[1:])
+        nxt = np.roll(states, -1, axis=0)
+        res = np.stack((x1 - nxt[:, 0], v1 - nxt[:, 1]), axis=1)
+        res[-1, 0] -= round(res[-1, 0])
+        jac = np.zeros((m, 2, m, 2))
+        jac[seg, :, seg, :] = mats
+        jac[seg, :, (seg + 1) % m, :] -= np.eye(2)
+        return res, jac.reshape(2 * m, 2 * m), mats
 
-    res, jac = residual(z)
+    res, jac, mats = residual(z)
     for _ in range(MAX_NEWTON):
         norm = float(np.max(np.abs(res)))
         if norm <= tol:
-            return z[0]
+            return z[0], mats
         if np.linalg.cond(jac) > 1e12:
             raise DegenerateOrbitError(
                 "I - monodromy is singular; the orbit direction is not hyperbolic")
@@ -207,9 +216,9 @@ def _multiple_shooting(sys, starts, period, tol):
         lam = 1.0
         while True:
             z_new = z + lam * step
-            res_new, jac_new = residual(z_new)
-            if float(np.max(np.abs(res_new))) < norm:
-                z, res, jac = z_new, res_new, jac_new
+            trial = residual(z_new)
+            if float(np.max(np.abs(trial[0]))) < norm:
+                z, (res, jac, mats) = z_new, trial
                 break
             lam *= 0.5
             if lam < 1e-6:
@@ -228,16 +237,17 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     ``SEGMENT_TOLERANCE``; then as its one-segment call over the full
     period, to ``SHOOTING_TOLERANCE``. The x component of the closing
     residual is wrapped to the nearest integer, so rotating orbits close
-    up mod 1.
+    up mod 1. The monodromy is the polish's last segment matrix, the
+    full-period variational flow from the refined state, which
+    ``monodromy`` would integrate a second time.
     """
     if period < 1:
         raise ConfigurationError("period must be a positive integer")
     period = int(period)
     starts = np.tile([guess.x, guess.v], (SHOTS_PER_UNIT_TIME * period, 1))
-    z = _multiple_shooting(sys, starts, period, SEGMENT_TOLERANCE)
-    z = _multiple_shooting(sys, z[None, :], period, SHOOTING_TOLERANCE)
-
-    mono = monodromy(sys, PhasePoint(x=z[0], v=z[1], t=0.0), period)
+    z, _ = _multiple_shooting(sys, starts, period, SEGMENT_TOLERANCE)
+    z, mats = _multiple_shooting(sys, z[None, :], period, SHOOTING_TOLERANCE)
+    mono = mats[0]
     if abs(np.linalg.det(mono - np.eye(2))) < 1e-10:
         raise DegenerateOrbitError(
             "I - monodromy is singular at the refined point; the orbit has a "

@@ -285,9 +285,12 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     if not (0.0 < delta <= 1.0):
         raise ConfigurationError("kernel duration must lie in (0, 1]")
     a, b = float(s), float(s) + float(delta)
-    if not (math.isfinite(a) and b - a > 0.0):
-        raise ConfigurationError(f"kernel window [{a:g}, {b:g}] must be finite "
-                                 "with b > a in floating point")
+    # the window must have the reported duration to the 1e-12 that entries
+    # are held to: Karp divides by delta, and the barrier adds c delta
+    if not (math.isfinite(a) and abs((b - a) - delta) <= 1e-12 * delta):
+        raise ConfigurationError(
+            f"kernel window [{a!r}, {b!r}] is {b - a!r} long in floating "
+            f"point, not delta = {float(delta)!r}")
     n = grid.n
     pts = grid.points
     n_wind = len(winding_candidates(delta, settings))

@@ -89,10 +89,20 @@ class ConnectionGraph:
 MAX_PERIOD = 4
 
 
-def check_barrier_horizon(horizon) -> None:
-    """Raise ``ConfigurationError`` unless the barrier may take a power."""
+def check_barrier_horizon(horizon, t_frac=None) -> None:
+    """Raise ``ConfigurationError`` unless the barrier may take a power and
+    its end offset, when given, is finite."""
     if not horizon >= 2:
         raise ConfigurationError("barrier horizon must be at least 2")
+    if t_frac is not None and not math.isfinite(t_frac):
+        raise ConfigurationError("barrier end offset must be finite")
+
+
+def check_tolerance(tol, name) -> None:
+    """Raise ``ConfigurationError`` unless the ``name`` tolerance is finite
+    and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigurationError(f"{name} tolerance must be finite and nonnegative")
 
 
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
@@ -132,7 +142,7 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     assembled with ``settings`` and shifted by c*df, where
     df = (t_frac - s_frac) mod 1.
     """
-    check_barrier_horizon(horizon)
+    check_barrier_horizon(horizon, t_frac)
     if kernel.grid != grid:
         raise ConfigurationError(
             f"barrier grid of {grid.n} points does not match the kernel's "
@@ -141,8 +151,6 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
         raise ConfigurationError(f"barrier needs a unit-time kernel, not one "
                                  f"over {kernel.delta:g}")
     s_frac = kernel.s
-    if t_frac is not None and not math.isfinite(t_frac):
-        raise ConfigurationError("barrier end offset must be finite")
     t_frac = s_frac if t_frac is None else float(reduce_mod_1(t_frac))
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
@@ -175,8 +183,7 @@ def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
     cluster's diagonal argmin."""
     if h.s_frac != h.t_frac:
         raise ConfigurationError("Aubry detection needs equal time offsets")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigurationError("Aubry tolerance must be finite and nonnegative")
+    check_tolerance(tol, "Aubry")
     diag = np.diag(h.values)
     n = h.grid.n
     hits = np.flatnonzero(diag <= tol)
@@ -245,8 +252,7 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
     equals (within tol) the barrier from k to j plus the barrier from j to
     the target. Roots receive no segment. Acyclicity is checked and any
     violation reported with the offending cycle."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigurationError("graph tolerance must be finite and nonnegative")
+    check_tolerance(tol, "graph")
     reps = list(aubry.representatives)
     if not reps:
         raise ConfigurationError("need at least one Aubry representative")

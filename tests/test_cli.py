@@ -240,8 +240,17 @@ def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, cap
     ["barrier", "--horizon", "1"],
     ["aubry", "--horizon", "1"],
     ["dwell", "--from", "0.25", "--to", "0.25", "--horizon", "2"],
-    ["dwell", "--from", "0.25", "--to", "0.25", "--delta", "nan"]],
-    ids=["convergence", "barrier", "aubry", "dwell-horizon", "dwell-delta"])
+    ["dwell", "--from", "0.25", "--to", "0.25", "--delta", "nan"],
+    ["dwell", "--from", "nan", "--to", "0.25"],
+    ["dwell", "--from", "0.25", "--to", "nan"],
+    ["graph", "--target", "nan"],
+    ["graph", "--target", "0", "--tol", "nan"],
+    ["graph", "--target", "0", "--aubry-tol", "nan"],
+    ["aubry", "--tol", "nan"],
+    ["barrier", "--tfrac", "nan"]],
+    ids=["convergence", "barrier", "aubry", "dwell-horizon", "dwell-delta",
+         "dwell-from", "dwell-to", "graph-target", "graph-tol", "graph-aubry-tol",
+         "aubry-tol", "barrier-tfrac"])
 def test_bad_input_is_rejected_before_assembly(monkeypatch, capsys, argv):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a kernel for bad input")

@@ -7,7 +7,8 @@ from weakkam import (ConfigurationError, DegenerateOrbitError,
                      LagrangianSystem, NotPeriodicError, PhasePoint,
                      floquet_analysis, flow_map, flow_trajectory, monodromy,
                      refine_periodic_orbit, tilt_system, torus_distance)
-from weakkam.flow import _el_rhs, _rk4
+from weakkam import flow
+from weakkam.flow import _el_rhs, _flow_with_variational, _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -79,6 +80,48 @@ def test_refine_is_idempotent():
     first = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
     second = refine_periodic_orbit(MECH, PhasePoint(first.x, first.v, 0.0), 1)
     assert abs(first.x - second.x) < 1e-12 and abs(first.v - second.v) < 1e-12
+
+
+def test_batched_variational_flow_equals_one_state_calls():
+    # the 24 segments of a period-3 shooting residual, from scattered states
+    rng = np.random.default_rng(0)
+    xs, vs = rng.uniform(0.0, 1.0, 24), rng.uniform(-0.5, 0.5, 24)
+    times = 3 / 24 * np.arange(25)
+    x1, v1, mats = _flow_with_variational(EPS, xs, vs, times[:-1], times[1:])
+    for k in range(24):
+        xk, vk, mk = _flow_with_variational(EPS, [xs[k]], [vs[k]], [times[k]],
+                                            [times[k + 1]])
+        assert np.array_equal(x1[k], xk[0]) and np.array_equal(v1[k], vk[0])
+        assert np.array_equal(mats[k], mk[0])
+
+
+def test_refined_monodromy_is_the_monodromy_at_the_refined_state():
+    for sys, x, period in ((MECH, 0.01, 1), (Q2, 0.49, 1), (EPS, 0.01, 3)):
+        orbit = refine_periodic_orbit(sys, PhasePoint(x, 0.01, 0.0), period)
+        mono = monodromy(sys, PhasePoint(orbit.x, orbit.v, 0.0), period)
+        assert np.max(np.abs(orbit.monodromy - mono)) <= 1e-12 * np.max(np.abs(mono))
+
+
+def test_refinement_integrates_each_residual_once(monkeypatch):
+    calls = []
+
+    def counted(sys, x0, v0, t0, t1):
+        out = _flow_with_variational(sys, x0, v0, t0, t1)
+        calls.append((len(x0), float(x0[0]), float(v0[0]),
+                      float(np.sum(np.subtract(t1, t0))), out[2]))
+        return out
+
+    monkeypatch.setattr(flow, "_flow_with_variational", counted)
+    orbit = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
+    # one batched call per residual, each covering the period once
+    assert {m for m, *_ in calls} == {flow.SHOTS_PER_UNIT_TIME, 1}
+    assert all(abs(span - 1.0) < 1e-12 for *_, span, _ in calls)
+    # the polish integrates each of its Newton iterates once, and its last
+    # integration is the monodromy
+    polish = [(x, v) for m, x, v, _, _ in calls if m == 1]
+    assert len(set(polish)) == len(polish)
+    assert calls[-1][0] == 1 and np.array_equal(orbit.monodromy, calls[-1][4][0])
+    assert len(calls) < 6  # periods integrated; the repeated monodromy made six
 
 
 def test_floquet_examples():

@@ -256,6 +256,12 @@ def test_kernel_duration_validation():
         assemble_kernel(FREE, Grid(8), 0.0, 1.5)
 
 
+def test_kernel_window_must_keep_its_duration():
+    # 1e15 + 0.3 - 1e15 is 0.25: the window would be a quarter, not 0.3
+    with pytest.raises(ConfigurationError, match="0.25 long"):
+        assemble_kernel(LagrangianSystem(), Grid(8), 1e15, 0.3)
+
+
 def test_minplus_apply_examples():
     kernel = np.array([[0.0, 3.0], [1.0, 5.0]])
     out = minplus_apply(kernel, np.zeros(2))
