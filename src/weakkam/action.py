@@ -31,7 +31,10 @@ ARMIJO = 1e-4
 MAX_BACKTRACK = 30
 NONMONOTONE_WINDOW = 5
 SPECTRAL_PHASE_BUDGET = 20
-POLISH_BUDGET = 100
+# Newton steps of the polish: a row whose Hessian has one soft eigenvalue
+# walks a long curved valley, one accepted step at a time (a two-well row
+# over 2.5 time units needs 169); a row that converges stops there
+POLISH_BUDGET = 400
 # sup norm of the discrete-action gradient below which a row has converged
 GRADIENT_TOLERANCE = 1e-9
 

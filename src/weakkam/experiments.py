@@ -140,7 +140,7 @@ def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
 def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.0,
                     k_max: int = 60, settings: MinimizationSettings | None = None,
                     horizon: int = 40, seed: int = 0,
-                    unit_kernel=None, orbits=None) -> ConvergenceReport:
+                    unit_kernel=None, orbits=None, barrier=None) -> ConvergenceReport:
     """Measure e_k = sup |S_{tau+k} u + c (tau+k) - limit| and fit its decay.
 
     The evolution applies the fractional kernel over [0, tau] once, then
@@ -150,7 +150,10 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     composition order and agree exactly once the iteration reaches its
     finite fixed point. A given ``unit_kernel`` must start at tau. A
     barrier whose powers found no cycle within ``horizon`` raises
-    ``NumericalError``: its limit would be wrong. The verdict is ``pass``
+    ``NumericalError``: its limit would be wrong. A given ``barrier`` is
+    used instead of building one; it must be a stabilized barrier of the
+    unit kernel's grid, offset and Karp value, or ``ConfigurationError``
+    is raised. The verdict is ``pass``
     only when the fitted rate is positive and the last error has reached
     its floor.
     """
@@ -172,8 +175,17 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         raise ConfigurationError(
             f"unit kernel starts at {unit_kernel.s:g}, not at tau_frac {tau_frac:g}")
     c = karp_eigenvalue(unit_kernel)
-    barrier = peierls_barrier(sys, grid, c, horizon, kernel=unit_kernel)
-    barrier.require_stabilized(sys.label())
+    if barrier is None:
+        barrier = peierls_barrier(sys, grid, c, horizon, kernel=unit_kernel)
+        barrier.require_stabilized(sys.label())
+    elif not (barrier.grid == unit_kernel.grid and barrier.c == c
+              and barrier.s_frac == barrier.t_frac == unit_kernel.s):
+        raise ConfigurationError(
+            f"barrier on grid {barrier.grid.n} from offset {barrier.s_frac:g} to "
+            f"{barrier.t_frac:g} at c = {barrier.c!r} is not the barrier of the unit "
+            f"kernel on grid {unit_kernel.grid.n} at offset {unit_kernel.s:g}, c = {c!r}")
+    elif not barrier.stabilized:
+        raise ConfigurationError(f"the given barrier of {sys.label()} is not stabilized")
     spike_index = int(np.argmax(np.diag(barrier.values)))
     u0 = _initial_condition(u0_tag, n, seed, spike_index)
 

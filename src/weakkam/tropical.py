@@ -26,7 +26,8 @@ from .systems import DiscretizedCurve, exact_row_actions
 SYMMETRY_SAMPLE = 32
 SYMMETRY_TOLERANCE = 1e-12
 # floats of lifted samples that one assembly batch may hold over all its
-# candidate windings; a batch is a whole number of grid rows' worth of pairs
+# candidate windings; a batch holds at most a whole number of grid rows'
+# worth of pairs, taken as a stride through the representatives
 BATCH_FLOATS = 1_000_000
 
 
@@ -128,44 +129,54 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
 
     Returns (values, rows, windings): the fsum quadrature values
     (``exact_row_actions``), the winning lifted samples, and the winning
-    windings. The zero-winding problems run first. A nonzero (pair,
-    winding) row whose certified lower bound (``_bound_gap``: the larger of
-    the kinetic bound and the critical-subsolution bound) clears the
-    pair's best energy so far can never win, so it is pruned, and every
-    surviving row of the candidate windings is minimized in one batch.
-    The same bound certifies the range: both bounds grow with |k| beyond
-    the cap, so the windings +-(cap + 1), +-(cap + 2), ... are bounded in
-    turn, the rows that their bound does not clear are minimized too, and
-    the search stops at the first pair of windings that every pair's bound
-    clears. Windings are taken in (|k|, k) order and replace the incumbent
-    only when strictly lower, so ties keep the smaller |winding|. A winner
-    that did not converge raises ``MinimizationError``. A pair's value
-    does not depend on the other pairs of the batch, up to BLAS rounding
-    of one-row products.
+    windings. Each pair first minimizes its nearest lift, the shorter way
+    round: winding -1, 0 or 1, and 0 for a pair exactly half a turn apart.
+    Every other (pair, winding) row, winding 0 included, whose certified
+    lower bound (``_bound_gap``: the larger of the kinetic bound and the
+    critical-subsolution bound) clears that value can never win, so it is
+    pruned, and every surviving row of the candidate windings is minimized
+    in one batch. The same bound certifies the range: both bounds grow
+    with |k| beyond the cap, so the windings +-(cap + 1), +-(cap + 2), ...
+    are bounded in turn, the rows that their bound does not clear are
+    minimized too, and the search stops at the first pair of windings that
+    every pair's bound clears. The least value wins, and an exact tie goes
+    to the smaller (|k|, k), whichever batch found it; a pruned row is
+    strictly worse than a value already found, so pruning never changes
+    the winner. A winner that did not converge raises
+    ``MinimizationError``. A pair's value does not depend on the other
+    pairs of the batch, up to BLAS rounding of one-row products.
     """
     windings = winding_candidates(b - a, settings)
     n_seg = segments_for(b - a, settings)
 
-    z0 = _straight_lifts(starts, ends, n_seg)
+    # the shorter way round: -1, 0 or 1, and 0 for an exact half
+    nearest = -np.round(ends - starts).astype(int)
+    z0 = _straight_lifts(starts, ends + nearest, n_seg)
     rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0)
-    best_winding = np.zeros(starts.size, dtype=int)
+    best_winding = nearest.copy()
+
+    def rank(k):  # position in (|k|, k) order
+        return 2 * np.abs(k) + (k > 0)
 
     cap = windings[-1]  # the windings are ordered by (|k|, k)
-    shell, k = np.array(windings[1:], dtype=int), cap
+    shell, k = np.array(windings, dtype=int), cap
     while True:
         ends_k = ends[None, :] + shell[:, None]
-        w_idx, pair = np.nonzero(_bound_gap(sys, a, b, n_seg, starts, ends_k, best_e) <= 0.0)
+        unclear = _bound_gap(sys, a, b, n_seg, starts, ends_k, best_e) <= 0.0
+        w_idx, pair = np.nonzero(unclear & (shell[:, None] != nearest))
         if pair.size:
             zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
             zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
             for w, kw in enumerate(shell):
                 sel = np.flatnonzero(w_idx == w)
-                better = sel[ek[sel] < best_e[pair[sel]]]  # strict: ties keep smaller |k|
+                e_w, e_best = ek[sel], best_e[pair[sel]]
+                better = sel[(e_w < e_best) | (  # a tie goes to the smaller (|k|, k)
+                    (e_w == e_best) & (rank(kw) < rank(best_winding[pair[sel]])))]
                 best_e[pair[better]] = ek[better]
                 rows[pair[better]] = zk[better]
                 best_winding[pair[better]] = kw
                 conv[pair[better]] = convk[better]
-        elif k > cap:
+        if k > cap and not unclear.any():
             break  # the bounds grow with |k|, so they clear every shell past this one
         k += 1
         shell = np.array([-k, k])
@@ -271,14 +282,18 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
-    calling process. The representatives are cut into batches of
-    ``min(row_chunk * n, ceil(reps / w))`` pairs, the symmetry sample is
-    one more batch, and process k solves batches k, k + w, k + 2w, ... in
-    order; the caller is process 0 and the others are forked for the call
-    and joined before it returns or raises. A pair's value does not depend
-    on the other pairs of its batch, so the kernel bits do not depend on
-    the chunk size or on w. With one CPU, no affinity to read, or a
-    daemonic caller, the batches are solved in this process.
+    calling process. With ``step = min(row_chunk * n, ceil(reps / w))``,
+    the representatives are dealt into ``m = ceil(reps / step)`` batches
+    as strides: batch b holds representatives b, b + m, b + 2m, ..., so
+    every batch draws its pairs from the whole kernel, cheap and costly
+    alike, and the processes finish at about the same time. The
+    symmetry sample is one more batch, and process k solves batches k,
+    k + w, k + 2w, ... in order; the caller is process 0 and the others
+    are forked for the call and joined before it returns or raises. A
+    pair's value does not depend on the other pairs of its batch, so the
+    kernel bits do not depend on the chunk size or on w. With one CPU, no
+    affinity to read, or a daemonic caller, the batches are solved in this
+    process.
     """
     if settings is None:
         settings = MinimizationSettings()
@@ -312,10 +327,12 @@ def assemble_kernel(sys, grid: Grid, s, delta,
 
     workers = _worker_count()
     step = min(row_chunk * n, -(-reps.size // workers))
-    jobs = [reps[p0:p0 + step] for p0 in range(0, reps.size, step)]
+    n_jobs = -(-reps.size // step)
+    jobs = [reps[k::n_jobs] for k in range(n_jobs)]
     solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
     values = np.empty(n * n)
-    values[reps] = np.concatenate(solved[:len(jobs)])
+    for job, share in zip(jobs, solved):
+        values[job] = share
     matrix = values[label].reshape(n, n)
 
     if sample.size:

@@ -7,7 +7,7 @@ once and shared by all criteria, as the command line bundle does.
 import numpy as np
 import pytest
 
-from weakkam import (NumericalError, acceptance, karp_eigenvalue,
+from weakkam import (NumericalError, acceptance, experiments, karp_eigenvalue,
                      peierls_barrier)
 from weakkam.acceptance import (AcceptanceContext, AcceptanceScale,
                                 CriterionResult,
@@ -106,6 +106,21 @@ def test_run_all_records_numerical_crashes(monkeypatch):
     assert results[0].details == {"error": "LinAlgError: Singular matrix"}
     assert results[1].details == {
         "error": "FloatingPointError: overflow encountered in exp"}
+
+
+def test_criteria_05_and_06_build_one_barrier_per_kernel(monkeypatch):
+    built = []
+
+    def counting(sys, grid, c, horizon, settings=None, t_frac=None, *, kernel):
+        built.append((sys.freq, sys.eps, grid.n))
+        return peierls_barrier(sys, grid, c, horizon, settings, t_frac, kernel=kernel)
+
+    monkeypatch.setattr(acceptance, "peierls_barrier", counting)
+    monkeypatch.setattr(experiments, "peierls_barrier", counting)
+    ctx = AcceptanceContext(AcceptanceScale(n_main=32, k_max=12))
+    criterion_05_converge_crosscheck(ctx)
+    criterion_06_main_theorem(ctx)
+    assert sorted(built) == [(1, 0.0, 32), (1, 0.1, 32), (2, 0.0, 32), (2, 0.1, 32)]
 
 
 def test_unstabilized_barrier_raises():

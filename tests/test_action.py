@@ -99,9 +99,11 @@ def test_settings_validation():
         minimal_action(FREE, 0.0, 1.0, 0.5, 1.0)
 
 
-def test_unconverged_winner_raises_with_its_iterate():
-    # the winning winding stops with a residual near 7e-5, far above the
-    # 1e-9 tolerance; the search must say so instead of returning it
+def test_unconverged_winner_raises_with_its_iterate(monkeypatch):
+    # with a polish budget of 100 steps the winning winding stops with a
+    # residual near 7e-5, far above the 1e-9 tolerance; the search must say
+    # so instead of returning it
+    monkeypatch.setattr(action, "POLISH_BUDGET", 100)
     two_well = LagrangianSystem(family="mechanical-cos", freq=2)
     with pytest.raises(MinimizationError) as info:
         minimal_action(two_well, 0.5, 0.0, 0.95, 2.5)
@@ -110,6 +112,17 @@ def test_unconverged_winner_raises_with_its_iterate():
     assert err.best_curve.samples[0] == 0.5
     assert err.best_curve.samples[-1] - err.best_curve.winding == 0.95
     assert discrete_el_residual(two_well, err.best_curve) > 1e-9
+
+
+def test_polish_walks_a_long_valley_to_convergence():
+    # the winner's Hessian has one soft eigenvalue (1e-4 to 1e-2 against
+    # about 5 for the next), so the Newton polish slides down a long curved
+    # valley: 0.132 in value over 169 accepted steps
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    value, curve = minimal_action(two_well, 0.10439897438197132, 0.0,
+                                  0.44241765155908375, 2.5)
+    assert discrete_el_residual(two_well, curve) <= 1e-9
+    assert value == pytest.approx(-1.9061897611713283, abs=1e-9)
 
 
 def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):

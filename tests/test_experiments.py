@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,35 @@ def test_convergence_refuses_an_unstabilized_barrier():
     with pytest.raises(NumericalError, match="not stabilized at horizon 2"):
         run_convergence(sys, Grid(64), u0_tag="spike", k_max=10, horizon=2,
                         orbits=[])
+
+
+def test_convergence_reads_a_given_barrier_of_its_kernel():
+    kernel = assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    barrier = peierls_barrier(MECH, Grid(16), karp_eigenvalue(kernel), 10, kernel=kernel)
+    built = run_convergence(MECH, Grid(16), u0_tag="spike", k_max=10, horizon=10,
+                            unit_kernel=kernel, orbits=[])
+    given_ = run_convergence(MECH, Grid(16), u0_tag="spike", k_max=10, horizon=10,
+                             unit_kernel=kernel, orbits=[], barrier=barrier)
+    assert np.array_equal(given_.errors, built.errors)
+    assert np.array_equal(given_.limit, built.limit)
+
+
+def test_convergence_refuses_a_barrier_of_another_kernel():
+    kernel = assemble_kernel(MECH, Grid(16), 0.0, 1.0)
+    c = karp_eigenvalue(kernel)
+    barrier = peierls_barrier(MECH, Grid(16), c, 10, kernel=kernel)
+    coarse = assemble_kernel(MECH, Grid(8), 0.0, 1.0)
+    others = [peierls_barrier(MECH, Grid(8), karp_eigenvalue(coarse), 10, kernel=coarse),
+              dataclasses.replace(barrier, s_frac=0.5),
+              dataclasses.replace(barrier, t_frac=0.5),
+              dataclasses.replace(barrier, c=c + 1e-3)]
+    for other in others:
+        with pytest.raises(ConfigurationError, match="is not the barrier of the unit kernel"):
+            run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
+                            orbits=[], barrier=other)
+    with pytest.raises(ConfigurationError, match="not stabilized"):
+        run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
+                        orbits=[], barrier=dataclasses.replace(barrier, stabilized=False))
 
 
 def test_limits_differ_by_constant_between_initial_conditions():

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from weakkam import (ConfigurationError, DiscretizedCurve,
                      InvalidSubsolutionError, Grid, LagrangianSystem,
                      curve_action, karp_eigenvalue, lift_curve, lift_system,
                      minimal_action, tilt_system)
-from weakkam.acceptance import legendre_gap, random_curves
+from weakkam.acceptance import legendre_gap, random_curves, tilt_quadrature_gap
 from weakkam.flow import _el_rhs, _rk4
 
 FREE = LagrangianSystem(family="free")
@@ -134,6 +135,22 @@ def test_tilt_action_identity():
                + float(tilted.f(curve.start())) - float(tilted.f(curve.end())))
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("sys", [MECH, MECH_Q2], ids=["q1", "q2"])
+def test_tilt_quadrature_stays_within_its_bound(sys):
+    # the pointwise tilted Lagrangian, integrated by the midpoint rule,
+    # misses the exact boundary term by at most the derived bound; with
+    # the sign of f_x flipped it misses it on most curves
+    tilted = tilt_system(sys, "maupertuis", 1.0)
+    flipped = dataclasses.replace(tilted, f_x=lambda x: -tilted.f_x(x))
+    misses = 0
+    for curve in random_curves(15, 40):
+        gap, bound = tilt_quadrature_gap(tilted, curve)
+        assert gap <= bound
+        flipped_gap, _ = tilt_quadrature_gap(flipped, curve)
+        misses += flipped_gap > bound
+    assert misses >= 30
 
 
 def test_tilt_subsolution_derivative_consistency():

@@ -129,11 +129,33 @@ def test_kernel_bits_independent_of_the_cpu_count(monkeypatch, sys):
     assert np.array_equal(kernels[2], kernels[0])
 
 
+def test_shares_are_strides_of_the_representatives(monkeypatch):
+    n = 16
+    label = symmetry_orbits(MECH.kernel_symmetries(n, 0.0, 1.0), n)
+    reps = np.flatnonzero(label == np.arange(n * n))
+    given = []
+    original = tropical._solve_jobs
+
+    def recording(solve, jobs, workers):
+        given.append((list(jobs), workers))
+        return original(solve, jobs, workers)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tropical, "_solve_jobs", recording)
+    assemble_kernel(MECH, Grid(n), 0.0, 1.0)
+    [(jobs, workers)] = given
+    shares = jobs[:-1]  # the last job is the symmetry sample
+    assert workers == 2 and len(shares) >= 2
+    for k, job in enumerate(shares):
+        assert np.array_equal(job, reps[k::len(shares)])
+    assert np.array_equal(np.sort(np.concatenate(shares)), reps)
+
+
 def fail_on_representative(monkeypatch, index, fail):
     """Make ``winding_search`` call ``fail()`` on the batch holding the
     ``index``-th representative pair of the grid-16 pendulum kernel. With
-    two CPUs the first representative is in the caller's share and the last
-    in the worker's."""
+    two CPUs the shares are strides of the representatives, so the first
+    is in the caller's share and the second in the worker's."""
     n = 16
     label = symmetry_orbits(MECH.kernel_symmetries(n, 0.0, 1.0), n)
     i, j = divmod(int(np.flatnonzero(label == np.arange(n * n))[index]), n)
@@ -149,7 +171,7 @@ def fail_on_representative(monkeypatch, index, fail):
     monkeypatch.setattr(tropical, "winding_search", failing)
 
 
-@pytest.mark.parametrize("index", [0, -1], ids=["caller", "worker"])
+@pytest.mark.parametrize("index", [0, 1], ids=["caller", "worker"])
 def test_an_error_in_either_share_reaches_the_caller_and_no_worker_outlives_it(
         monkeypatch, index):
     def stall():
@@ -168,7 +190,7 @@ def test_an_error_in_either_share_reaches_the_caller_and_no_worker_outlives_it(
 
 
 def test_a_worker_that_dies_raises(monkeypatch):
-    fail_on_representative(monkeypatch, -1, lambda: os._exit(3))
+    fail_on_representative(monkeypatch, 1, lambda: os._exit(3))
     with pytest.raises(ChildProcessError, match="exited with code 3"):
         assemble_kernel(MECH, Grid(16), 0.0, 1.0)
     assert multiprocessing.active_children() == []
@@ -421,6 +443,52 @@ def test_windings_beyond_the_range_are_solved_where_the_bound_fails():
     assert curve.winding == -1 and capped[1].winding == -1
     assert capped[0] == pytest.approx(value, abs=1e-12)
     assert value == pytest.approx(-0.98426617, abs=1e-6)
+
+
+def test_a_winding_zero_the_bound_clears_is_never_minimized(monkeypatch):
+    # pairs more than half a turn apart start at their nearest lift, winding
+    # +-1; where the bound at winding 0 clears that value, the long way
+    # round is never minimized at all
+    settings = MinimizationSettings()
+    pts = Grid(16).points
+    starts, ends = np.repeat(pts, 16), np.tile(pts, 16)
+    lifts, first = [], []
+    original = tropical.minimize_straight_batch
+
+    def recording(sys, a, b, n_seg, z0, **kwargs):
+        out = original(sys, a, b, n_seg, z0, **kwargs)
+        lifts.extend(zip(z0[:, 0].tolist(), z0[:, -1].tolist()))
+        first.append(out[1])
+        return out
+
+    monkeypatch.setattr(tropical, "minimize_straight_batch", recording)
+    winding_search(MECH_Q2, 0.0, 1.0, starts, ends, settings)
+    far = np.abs(ends - starts) > 0.5
+    n_seg = segments_for(1.0, settings)
+    clears = tropical._bound_gap(MECH_Q2, 0.0, 1.0, n_seg, starts, ends, first[0]) > 0.0
+    pruned = np.flatnonzero(far & clears)
+    assert pruned.size > 0
+    solved = set(lifts)
+    assert not any((starts[p], ends[p]) in solved for p in pruned)
+
+
+@pytest.mark.parametrize("tied, winner", [((-1, 1), -1), ((-1, 0, 1), 0)],
+                         ids=["plus-minus-one", "all-three"])
+def test_a_tie_goes_to_the_smaller_winding_whichever_batch_found_it(
+        monkeypatch, tied, winner):
+    # every row of a tied winding gets the value 10 and every other row
+    # 11; the pair from 0.75 to 0 starts at winding 1, the pair from 0 to 0
+    # at winding 0, and either way the tie goes to the smaller (|k|, k)
+    starts, ends = np.array([0.75, 0.0]), np.array([0.0, 0.0])
+
+    def tied_values(sys, a, b, n_seg, z0, **kwargs):
+        k = np.rint(z0[:, -1]).astype(int)  # every end is 0
+        value = np.where(np.isin(k, tied), 10.0, 11.0)
+        return z0, value, np.zeros(len(z0)), np.ones(len(z0), dtype=bool), 0
+
+    monkeypatch.setattr(tropical, "minimize_straight_batch", tied_values)
+    _, _, windings = winding_search(MECH, 0.0, 1.0, starts, ends, MinimizationSettings())
+    assert windings.tolist() == [winner, winner]
 
 
 @pytest.mark.parametrize("amp, freq, x, y", [(-1.0, 1, 0.9375, 0.0), (16.0, 2, 0.8125, 0.3125)])

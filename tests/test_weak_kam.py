@@ -273,6 +273,29 @@ def test_two_well_graph_roots(two_well_barrier):
     assert graph.cycles == []
 
 
+def test_zero_slack_cycle_is_reported():
+    # Aubry classes at 0, 3/8 and 6/8 of a hand-built grid-8 barrier: each
+    # reaches the target 2/8 at cost 1, and the hops 3/8 -> 0, 6/8 -> 3/8
+    # and 0 -> 6/8 cost nothing, so each class's barrier to the target
+    # decomposes through the next with slack exactly 0 and the edges
+    # 0 -> 1 -> 2 -> 0 close a cycle; the reverse hops cost 0.5, no edge
+    reps, target = [0, 3, 6], 2
+    values = np.ones((8, 8))
+    values[reps, reps] = 0.0
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        values[reps[b], reps[a]] = 0.0
+        values[reps[a], reps[b]] = 0.5
+    barrier = weak_kam.BarrierMatrix(grid=Grid(8), s_frac=0.0, t_frac=0.0,
+                                     values=values, horizon=2, defect=0.0,
+                                     stabilized=True, c=0.0, turnpike=2, period=1)
+    detected = aubry_set(barrier, 1e-12)
+    assert detected.representatives == reps
+    graph = connection_graph(barrier, detected, target, tol=1e-12)
+    assert sorted(graph.edges) == [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)]
+    assert graph.roots == []
+    assert graph.cycles == [[0, 1, 2, 0]]
+
+
 def test_semigroup_limit_examples(mech_barrier, free_kernel):
     free_barrier = peierls_barrier(FREE, Grid(N), 0.0, horizon=12,
                                    kernel=free_kernel)
