@@ -41,22 +41,18 @@ GRADIENT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class MinimizationSettings:
-    """Direct-method knobs.
-
-    ``n_segments`` counts segments per unit of elapsed time;
-    ``winding_range`` bounds the enumerated windings per unit of elapsed
-    time. A winning row whose gradient sup norm misses
-    ``GRADIENT_TOLERANCE`` raises ``MinimizationError``.
+    """The discretization: ``n_segments`` counts segments per unit of
+    elapsed time. Which windings are solved is not a setting; the certified
+    action bound of ``tropical.winding_search`` decides it. A winning row
+    whose gradient sup norm misses ``GRADIENT_TOLERANCE`` raises
+    ``MinimizationError``.
     """
 
     n_segments: int = 32
-    winding_range: int = 1
 
     def __post_init__(self):
         if self.n_segments < 2:
             raise ConfigurationError("n_segments must be at least 2")
-        if self.winding_range < 0:
-            raise ConfigurationError("winding_range must be nonnegative")
 
 
 def segments_for(duration: float, settings: MinimizationSettings) -> int:
@@ -64,9 +60,11 @@ def segments_for(duration: float, settings: MinimizationSettings) -> int:
 
 
 def winding_candidates(duration: float, settings: MinimizationSettings) -> list[int]:
-    """Windings ordered by (|k|, k); the cap grows with elapsed time."""
-    cap = settings.winding_range * int(math.ceil(duration))
-    return sorted(range(-cap, cap + 1), key=lambda k: (abs(k), k))
+    """The first shell of windings, ordered by (|k|, k), whatever the
+    duration: ``tropical.winding_search`` bounds the windings past it one
+    shell at a time. The parameters are unused; they keep the signature
+    that ``bench/tracing.py`` imports and calls."""
+    return [0, -1, 1]
 
 
 def _straight_lifts(starts, ends, n_seg):

@@ -38,12 +38,11 @@ def _add_system_flags(parser):
 _SHARED_FLAGS = {
     "grid": dict(type=int, default=256),
     "segments": dict(type=int, default=32),
-    "windings": dict(type=int, default=1),
     "seed": dict(type=int, default=0),
     "out": dict(default=None),
 }
 # the discretization flags that feed assemble_kernel or minimal_action
-_KERNEL_FLAGS = ("grid", "segments", "windings")
+_KERNEL_FLAGS = ("grid", "segments")
 # horizon of the barrier that locates the orbits for ``dwell``
 DWELL_BARRIER_HORIZON = 40
 
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("action", help="fixed-endpoint minimal action")
     _add_system_flags(p)
-    _add_shared_flags(p, "segments", "windings", "out")
+    _add_shared_flags(p, "segments", "out")
     p.add_argument("--from", dest="x_from", type=float, required=True)
     p.add_argument("--at", dest="t_from", type=float, default=0.0)
     p.add_argument("--to", dest="x_to", type=float, required=True)
@@ -152,8 +151,7 @@ def _system(args) -> LagrangianSystem:
 
 
 def _settings(args) -> MinimizationSettings:
-    return MinimizationSettings(n_segments=args.segments,
-                                winding_range=args.windings)
+    return MinimizationSettings(n_segments=args.segments)
 
 
 def _emit(path, header, rows):

@@ -8,6 +8,7 @@ reproducible; adaptive stepping would make kernels run-dependent.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
 
     The seed must close up (mod 1 in x) within ``MONODROMY_DEFECT_TOL``.
     """
-    if period < 1:
+    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
         raise ConfigurationError("period must be a positive integer")
     x1, v1, mats = _flow_with_variational(sys, [orbit_seed.x], [orbit_seed.v],
                                           [orbit_seed.t], [orbit_seed.t + period])
@@ -241,7 +242,7 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     full-period variational flow from the refined state, which
     ``monodromy`` would integrate a second time.
     """
-    if period < 1:
+    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
         raise ConfigurationError("period must be a positive integer")
     period = int(period)
     starts = np.tile([guess.x, guess.v], (SHOTS_PER_UNIT_TIME * period, 1))

@@ -11,6 +11,7 @@ products.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -25,9 +26,9 @@ from .systems import DiscretizedCurve, exact_row_actions
 # symmetries, and the largest gap allowed between the two values
 SYMMETRY_SAMPLE = 32
 SYMMETRY_TOLERANCE = 1e-12
-# floats of lifted samples that one assembly batch may hold over all its
-# candidate windings; a batch holds at most a whole number of grid rows'
-# worth of pairs, taken as a stride through the representatives
+# floats of lifted samples that one assembly batch may hold over the first
+# shell of windings; a batch's pairs are a stride through the
+# representatives
 BATCH_FLOATS = 1_000_000
 
 
@@ -38,8 +39,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ConfigurationError("grid needs at least 8 points")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 8:
+            raise ConfigurationError("grid size must be an integer of at least 8")
 
     @property
     def points(self) -> np.ndarray:
@@ -124,29 +125,26 @@ def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
 
 def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     """Minimal action from each start at time a to the matching end at time
-    b, over every winding: those of ``winding_candidates(b - a, settings)``
-    and any beyond them that the action bound cannot rule out.
+    b, over every winding the action bound cannot rule out.
 
     Returns (values, rows, windings): the fsum quadrature values
     (``exact_row_actions``), the winning lifted samples, and the winning
     windings. Each pair first minimizes its nearest lift, the shorter way
     round: winding -1, 0 or 1, and 0 for a pair exactly half a turn apart.
-    Every other (pair, winding) row, winding 0 included, whose certified
-    lower bound (``_bound_gap``: the larger of the kinetic bound and the
-    critical-subsolution bound) clears that value can never win, so it is
-    pruned, and every surviving row of the candidate windings is minimized
-    in one batch. The same bound certifies the range: both bounds grow
-    with |k| beyond the cap, so the windings +-(cap + 1), +-(cap + 2), ...
-    are bounded in turn, the rows that their bound does not clear are
-    minimized too, and the search stops at the first pair of windings that
-    every pair's bound clears. The least value wins, and an exact tie goes
-    to the smaller (|k|, k), whichever batch found it; a pruned row is
-    strictly worse than a value already found, so pruning never changes
-    the winner. A winner that did not converge raises
-    ``MinimizationError``. A pair's value does not depend on the other
-    pairs of the batch, up to BLAS rounding of one-row products.
+    Then come the shells of windings, first ``winding_candidates`` (0 and
+    +-1), then +-2, +-3, ...: every other (pair, winding) row of a shell
+    whose certified lower bound (``_bound_gap``: the larger of the kinetic
+    bound and the critical-subsolution bound) clears the pair's best value
+    so far can never win, so it is pruned, and the surviving rows of the
+    shell are minimized in one batch. Both bounds grow with |k|, so the
+    search stops at the first shell past the first that every pair's bound
+    clears. The least value wins, and an exact tie goes to the smaller
+    (|k|, k), whichever batch found it; a pruned row is strictly worse
+    than a value already found, so pruning never changes the winner. A
+    winner that did not converge raises ``MinimizationError``. A pair's
+    value does not depend on the other pairs of the batch, up to BLAS
+    rounding of one-row products.
     """
-    windings = winding_candidates(b - a, settings)
     n_seg = segments_for(b - a, settings)
 
     # the shorter way round: -1, 0 or 1, and 0 for an exact half
@@ -158,8 +156,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     def rank(k):  # position in (|k|, k) order
         return 2 * np.abs(k) + (k > 0)
 
-    cap = windings[-1]  # the windings are ordered by (|k|, k)
-    shell, k = np.array(windings, dtype=int), cap
+    shell, k = np.array(winding_candidates(b - a, settings)), 1  # 0 and +-1
     while True:
         ends_k = ends[None, :] + shell[:, None]
         unclear = _bound_gap(sys, a, b, n_seg, starts, ends_k, best_e) <= 0.0
@@ -176,7 +173,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
                 rows[pair[better]] = zk[better]
                 best_winding[pair[better]] = kw
                 conv[pair[better]] = convk[better]
-        if k > cap and not unclear.any():
+        if k > 1 and not unclear.any():
             break  # the bounds grow with |k|, so they clear every shell past this one
         k += 1
         shell = np.array([-k, k])
@@ -273,27 +270,27 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     above ``SYMMETRY_TOLERANCE`` raises.
 
     Pairs go through ``winding_search``, the same search as
-    ``minimal_action``, in batches of at most ``row_chunk`` grid rows'
-    worth of pairs, the most that keep one batch with all its windings
-    within ``BATCH_FLOATS`` floats; this is the hot loop of the whole
-    toolkit.
+    ``minimal_action``; this is the hot loop of the whole toolkit.
     Entries agree with ``minimal_action`` to rounding (1e-12), not bit for
     bit, because a one-pair batch runs its BLAS products through a
     different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
-    calling process. With ``step = min(row_chunk * n, ceil(reps / w))``,
-    the representatives are dealt into ``m = ceil(reps / step)`` batches
-    as strides: batch b holds representatives b, b + m, b + 2m, ..., so
-    every batch draws its pairs from the whole kernel, cheap and costly
-    alike, and the processes finish at about the same time. The
-    symmetry sample is one more batch, and process k solves batches k,
-    k + w, k + 2w, ... in order; the caller is process 0 and the others
-    are forked for the call and joined before it returns or raises. A
-    pair's value does not depend on the other pairs of its batch, so the
-    kernel bits do not depend on the chunk size or on w. With one CPU, no
-    affinity to read, or a daemonic caller, the batches are solved in this
-    process.
+    calling process. A batch holds ``step`` pairs: the fewer of
+    ``ceil(reps / w)`` and the pairs whose first shell of windings fits in
+    ``BATCH_FLOATS`` floats. The representatives are dealt into
+    ``m = ceil(reps / step)`` batches as strides: batch b holds
+    representatives b, b + m, b + 2m, ..., so every batch draws its pairs
+    from the whole kernel, cheap and costly alike, and the processes
+    finish at about the same time. The symmetry sample is one more batch,
+    and process k solves batches k, k + w, k + 2w, ... in order; the
+    caller is process 0 and the others are forked for the call and joined
+    before it returns or raises. A pair's value does not depend on the
+    other pairs of its batch, so the kernel bits depend neither on the
+    batch size nor on w, as long as every batch holds 16 pairs or more
+    (smaller ones take BLAS's small-matrix routines, which can move an
+    entry by an ulp). With one CPU, no affinity to read, or a daemonic
+    caller, the batches are solved in this process.
     """
     if settings is None:
         settings = MinimizationSettings()
@@ -308,9 +305,7 @@ def assemble_kernel(sys, grid: Grid, s, delta,
             f"point, not delta = {float(delta)!r}")
     n = grid.n
     pts = grid.points
-    n_wind = len(winding_candidates(delta, settings))
     n_seg = segments_for(delta, settings)
-    row_chunk = min(n, max(1, BATCH_FLOATS // (n * n_wind * (n_seg + 1))))
 
     def solve(pairs):
         """Entries at the given flat indices, in one search batch."""
@@ -326,7 +321,8 @@ def assemble_kernel(sys, grid: Grid, s, delta,
                                 replace=False))
 
     workers = _worker_count()
-    step = min(row_chunk * n, -(-reps.size // workers))
+    pair_floats = len(winding_candidates(delta, settings)) * (n_seg + 1)
+    step = min(max(1, BATCH_FLOATS // pair_floats), -(-reps.size // workers))
     n_jobs = -(-reps.size // step)
     jobs = [reps[k::n_jobs] for k in range(n_jobs)]
     solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)

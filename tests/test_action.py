@@ -94,8 +94,6 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         MinimizationSettings(n_segments=1)
     with pytest.raises(ConfigurationError):
-        MinimizationSettings(winding_range=-1)
-    with pytest.raises(ConfigurationError):
         minimal_action(FREE, 0.0, 1.0, 0.5, 1.0)
 
 
@@ -127,8 +125,8 @@ def test_polish_walks_a_long_valley_to_convergence():
 
 def test_dwell_minimizer_prunes_windings_in_one_batch(monkeypatch):
     # one zero-winding row, and no other: the critical-subsolution bound
-    # prunes all 16 nonzero windings at horizon 8 (the kinetic bound alone
-    # keeps 4), so the search runs a single batch
+    # prunes windings +-1 and +-2 at horizon 8 (the kinetic bound alone
+    # keeps all four), so the search runs a single batch
     orbit = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
     batches = []
     original = tropical.minimize_straight_batch

@@ -161,7 +161,9 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
             ["tilt", "--f", "maupertuis", "--c", "1", "--grid", "16"],
             # a constant subsolution tilts like the zero one: no kappa, no tag
             ["tilt", "--f", "zero", "--c", "1", "--kappa", "2"],
-            ["tilt", "--f", "constant", "--c", "1"]):
+            ["tilt", "--f", "constant", "--c", "1"],
+            # the action bound, not a flag, decides which windings are solved
+            ["kernel", "--windings", "1", "--grid", "16"]):
         with pytest.raises(SystemExit) as info:
             dispatch(argv)
         assert info.value.code == 2, argv

@@ -141,6 +141,18 @@ def test_floquet_examples():
     assert abs(exps2[1].real + math.log(2) / 2) < 1e-14
 
 
+@pytest.mark.parametrize("period", [1.5, 1.0, True, 0])
+def test_refinement_period_must_be_a_positive_integer(period):
+    with pytest.raises(ConfigurationError, match="positive integer"):
+        refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), period)
+
+
+@pytest.mark.parametrize("period", [1.5, 1.0, True, 0])
+def test_monodromy_period_must_be_a_positive_integer(period):
+    with pytest.raises(ConfigurationError, match="positive integer"):
+        monodromy(MECH, PhasePoint(0.0, 0.0, 0.0), period)
+
+
 def test_floquet_validates_shape():
     with pytest.raises(ConfigurationError):
         floquet_analysis(np.ones((3, 3)), 1)

@@ -48,6 +48,13 @@ def test_grid_validation():
         Grid(4)
     grid = Grid(8)
     assert grid.nearest_index(0.26) == 2
+    assert Grid(np.int64(16)).nearest_index(0.5) == 8
+
+
+@pytest.mark.parametrize("n", [16.5, 16.0, True, "16"])
+def test_grid_size_must_be_an_integer(n):
+    with pytest.raises(ConfigurationError, match="integer"):
+        Grid(n)
 
 
 def test_free_kernel_closed_form(free_kernel):
@@ -101,16 +108,16 @@ class MissingBound:
 
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
-def test_kernel_bits_independent_of_row_chunk(monkeypatch, sys):
+def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
     reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
     settings = MinimizationSettings()
-    # floats of one grid row's worth of pairs with all their windings
-    row_floats = (32 * len(winding_candidates(1.0, settings))
-                  * (segments_for(1.0, settings) + 1))
-    for row_chunk in (1, 3, 7):
-        monkeypatch.setattr(tropical, "BATCH_FLOATS", row_chunk * row_floats)
+    # floats of one pair with its first shell of windings
+    pair_floats = (len(winding_candidates(1.0, settings))
+                   * (segments_for(1.0, settings) + 1))
+    for step in (17, 32, 97):
+        monkeypatch.setattr(tropical, "BATCH_FLOATS", step * pair_floats)
         kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
-        assert np.array_equal(kernel.matrix, reference), row_chunk
+        assert np.array_equal(kernel.matrix, reference), step
 
 
 def use_cpus(monkeypatch, cpus):
@@ -415,11 +422,15 @@ def test_subsolution_slope_is_the_derivative_of_u_and_subcritical(sys):
 
 def unpruned_minimum(sys, a, b, starts, ends, windings):
     """Least midpoint-rule action over the given windings, each solved for
-    every pair with nothing pruned."""
+    every pair with nothing pruned, and the winding that attains it: on a
+    tie, the first in the given order."""
     n_seg = segments_for(b - a, MinimizationSettings())
-    return np.min([exact_row_actions(sys, a, b, minimize_straight_batch(
-        sys, a, b, n_seg, _straight_lifts(starts, ends + k, n_seg))[0])
-        for k in windings], axis=0)
+    lifted = np.concatenate([ends + k for k in windings])
+    rows = minimize_straight_batch(sys, a, b, n_seg, _straight_lifts(
+        np.tile(starts, len(windings)), lifted, n_seg))[0]
+    values = exact_row_actions(sys, a, b, rows).reshape(len(windings), -1)
+    best = np.argmin(values, axis=0)
+    return values[best, np.arange(len(starts))], np.asarray(windings)[best]
 
 
 @pytest.mark.parametrize("sys, s, delta", [(sys, 0.0, 1.0) for sys in BOUND_SYSTEMS]
@@ -429,20 +440,34 @@ def test_pruned_windings_never_win(sys, s, delta):
     pts = Grid(16).points
     starts, ends = np.repeat(pts, 16), np.tile(pts, 16)
     values, _, _ = winding_search(sys, s, s + delta, starts, ends, settings)
-    unpruned = unpruned_minimum(sys, s, s + delta, starts, ends,
-                                winding_candidates(delta, settings))
+    unpruned, _ = unpruned_minimum(sys, s, s + delta, starts, ends,
+                                   winding_candidates(delta, settings))
     assert np.max(np.abs(values - unpruned)) <= 1e-12
 
 
 def test_windings_beyond_the_range_are_solved_where_the_bound_fails():
     # the pendulum's action from 0.05 to 0.95 over unit time is -0.984 at
-    # winding -1; a search capped at winding 0 used to return 0.265, but
-    # the bound at winding -1 does not clear 0.265, so it is solved too
-    capped = minimal_action(MECH, 0.05, 0.0, 0.95, 1.0, MinimizationSettings(winding_range=0))
+    # winding -1, the nearest lift; a search of winding 0 alone would
+    # return 0.265
     value, curve = minimal_action(MECH, 0.05, 0.0, 0.95, 1.0)
-    assert curve.winding == -1 and capped[1].winding == -1
-    assert capped[0] == pytest.approx(value, abs=1e-12)
+    assert curve.winding == -1
     assert value == pytest.approx(-0.98426617, abs=1e-6)
+
+
+@pytest.mark.parametrize("duration", [2.5, 6.0])
+@pytest.mark.parametrize("sys", [MECH, MECH_Q2], ids=["q1", "q2"])
+def test_long_searches_need_no_winding_cap(sys, duration):
+    # past unit time the search still bounds one first shell and walks
+    # outward until the bound clears; it finds the least action over
+    # windings -8..8 solved unpruned, at the same winding
+    rng = np.random.default_rng(0)
+    starts, ends = rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)
+    values, _, windings = winding_search(sys, 0.3, 0.3 + duration, starts, ends,
+                                         MinimizationSettings())
+    unpruned, winners = unpruned_minimum(sys, 0.3, 0.3 + duration, starts, ends,
+                                         sorted(range(-8, 9), key=lambda k: (abs(k), k)))
+    assert np.max(np.abs(values - unpruned)) <= 1e-12
+    assert windings.tolist() == winners.tolist()
 
 
 def test_a_winding_zero_the_bound_clears_is_never_minimized(monkeypatch):
@@ -494,8 +519,9 @@ def test_a_tie_goes_to_the_smaller_winding_whichever_batch_found_it(
 @pytest.mark.parametrize("amp, freq, x, y", [(-1.0, 1, 0.9375, 0.0), (16.0, 2, 0.8125, 0.3125)])
 def test_windings_past_the_cap_are_solved_where_the_bound_misses(monkeypatch, amp, freq, x, y):
     # at eps = 0.3 the bound at winding 2 does not clear these pairs' best
-    # energy within the range, so winding 2 is minimized in a third batch;
-    # the value is still the least over windings -3..3 solved unpruned
+    # energy over the first shell, so winding 2 is minimized in a third
+    # batch; the value is still the least over windings -3..3 solved
+    # unpruned
     sys = LagrangianSystem(family="mechanical-cos", amp=amp, freq=freq, eps=0.3)
     batches = []
     original = tropical.minimize_straight_batch
@@ -509,5 +535,5 @@ def test_windings_past_the_cap_are_solved_where_the_bound_misses(monkeypatch, am
     values, _, _ = winding_search(sys, 0.0, 1.0, starts, ends, MinimizationSettings())
     assert len(batches) == 3
     monkeypatch.undo()
-    unpruned = unpruned_minimum(sys, 0.0, 1.0, starts, ends, range(-3, 4))
+    unpruned, _ = unpruned_minimum(sys, 0.0, 1.0, starts, ends, range(-3, 4))
     assert values[0] == pytest.approx(unpruned[0], abs=1e-12)

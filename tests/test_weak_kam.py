@@ -273,6 +273,28 @@ def test_two_well_graph_roots(two_well_barrier):
     assert graph.cycles == []
 
 
+@pytest.mark.parametrize("q, n, target, edges, roots", [
+    # four classes: the one at 1/2 reaches 1/8 through 1/4, the one at 3/4
+    # through 0
+    (4, 64, 1 / 8, [(0.25, 0.5), (0.0, 0.75)], [0.0, 0.25]),
+    # three classes: the one at 2/3 reaches 1/6 through 1/3 and through 0,
+    # a tie at slack 0
+    (3, 48, 1 / 6, [(1 / 3, 2 / 3), (0.0, 2 / 3)], [0.0, 1 / 3])],
+    ids=["q4", "q3"])
+def test_graph_edges_on_an_assembled_kernel(q, n, target, edges, roots):
+    sys = LagrangianSystem(family="mechanical-cos", freq=q)
+    kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
+    barrier = peierls_barrier(sys, Grid(n), karp_eigenvalue(kernel), horizon=24,
+                              kernel=kernel)
+    graph = connection_graph(barrier, aubry_set(barrier, 2e-2),
+                             Grid(n).nearest_index(target), tol=1e-3)
+    pos = graph.positions
+    assert sorted((pos[a], pos[b]) for a, b, _ in graph.edges) == sorted(edges)
+    assert all(slack == 0.0 for _, _, slack in graph.edges)
+    assert sorted(pos[r] for r in graph.roots) == roots
+    assert graph.cycles == []
+
+
 def test_zero_slack_cycle_is_reported():
     # Aubry classes at 0, 3/8 and 6/8 of a hand-built grid-8 barrier: each
     # reaches the target 2/8 at cost 1, and the hops 3/8 -> 0, 6/8 -> 3/8
