@@ -7,7 +7,7 @@ Floquet data of hyperbolic periodic orbits, and convergence-rate
 experiments.
 """
 
-from .action import MinimizationSettings, minimal_action
+from .action import minimal_action
 from .errors import (ConfigurationError, DegenerateOrbitError,
                      EmptyAubrySetError, InsufficientDataError,
                      InvalidSubsolutionError, MinimizationError, NoOrbitError,

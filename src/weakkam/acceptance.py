@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import MinimizationSettings
 from .errors import WeakKamError
 from .experiments import dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
@@ -123,10 +122,8 @@ def lift_identity_gaps(sys, n: int, seed: int, count: int):
 class AcceptanceContext:
     """Caches the expensive shared objects of the acceptance matrix."""
 
-    def __init__(self, scale: AcceptanceScale | None = None,
-                 settings: MinimizationSettings | None = None, seed: int = 0):
+    def __init__(self, scale: AcceptanceScale | None = None, seed: int = 0):
         self.scale = scale or AcceptanceScale()
-        self.settings = settings or MinimizationSettings()
         self.seed = int(seed)
         self._kernels = {}
         self._barriers = {}
@@ -141,7 +138,7 @@ class AcceptanceContext:
         if key not in self._kernels:
             start = time.perf_counter()
             self._kernels[key] = assemble_kernel(self.system(freq, eps), Grid(n),
-                                                 0.0, 1.0, self.settings)
+                                                 0.0, 1.0)
             self.assembly_seconds[key] = time.perf_counter() - start
         return self._kernels[key]
 
@@ -155,7 +152,7 @@ class AcceptanceContext:
             c = karp_eigenvalue(kernel)
             sys = self.system(freq, eps)
             barrier = peierls_barrier(sys, Grid(n), c, self.scale.horizon,
-                                      self.settings, kernel=kernel)
+                                      kernel=kernel)
             barrier.require_stabilized(sys.label())
             self._barriers[key] = barrier
         return self._barriers[key]
@@ -276,8 +273,7 @@ def criterion_05_converge_crosscheck(ctx: AcceptanceContext) -> CriterionResult:
     for freq, eps, u0_tag in itertools.product((1, 2), (0.0, 0.1), ("zero", "spike")):
         report = run_convergence(
             ctx.system(freq, eps), Grid(ctx.scale.n_main), u0_tag=u0_tag,
-            k_max=ctx.scale.k_max, settings=ctx.settings,
-            horizon=ctx.scale.horizon, seed=ctx.seed,
+            k_max=ctx.scale.k_max, horizon=ctx.scale.horizon, seed=ctx.seed,
             unit_kernel=ctx.kernel(freq, eps, ctx.scale.n_main),
             orbits=[], barrier=ctx.barrier(freq, eps, ctx.scale.n_main))
         final = float(report.errors[-1])
@@ -298,8 +294,7 @@ def criterion_06_main_theorem(ctx: AcceptanceContext) -> CriterionResult:
         orbit = ctx.orbit(1, eps, 0.01)
         report = run_convergence(
             ctx.system(1, eps), Grid(ctx.scale.n_main), u0_tag="spike",
-            k_max=ctx.scale.k_max, settings=ctx.settings,
-            horizon=ctx.scale.horizon, seed=ctx.seed,
+            k_max=ctx.scale.k_max, horizon=ctx.scale.horizon, seed=ctx.seed,
             unit_kernel=ctx.kernel(1, eps, ctx.scale.n_main), orbits=[orbit],
             barrier=ctx.barrier(1, eps, ctx.scale.n_main))
         ok = (report.verdict == "pass" and report.mu is not None
@@ -343,7 +338,7 @@ def criterion_08_tilt(ctx: AcceptanceContext) -> CriterionResult:
         worst_quadrature = max(worst_quadrature, gap)
         within_bound = within_bound and gap <= bound
     lattice_min = tilted.tilt_minimum
-    kernel = tilted.kernel(Grid(ctx.scale.n_small), 0.0, 1.0, ctx.settings)
+    kernel = tilted.kernel(Grid(ctx.scale.n_small), 0.0, 1.0)
     karp = karp_eigenvalue(kernel)
     passed = (worst <= 1e-9 and within_bound and lattice_min >= -1e-6
               and abs(karp) <= 2e-2)
@@ -399,26 +394,48 @@ def criterion_09_tropical_core(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def criterion_10_connection_graph(ctx: AcceptanceContext) -> CriterionResult:
-    """Two-well graph is acyclic with barrier values at the oracle."""
+    """Two-well graph is acyclic with barrier values at the oracle; the
+    four-well graph has the edges and roots its geometry gives."""
     n = ctx.scale.n_main
+    at = Grid(n).nearest_index
     barrier = ctx.barrier(2, 0.0, n)
     aubry = aubry_set(barrier, 2e-2)
-    graph = connection_graph(barrier, aubry, Grid(n).nearest_index(0.25), tol=1e-3)
-    i0 = Grid(n).nearest_index(0.0)
-    ihalf = Grid(n).nearest_index(0.5)
+    graph = connection_graph(barrier, aubry, at(0.25), tol=1e-3)
+    i0 = at(0.0)
+    ihalf = at(0.5)
     oracle = 2.0 / math.pi
     e1 = abs(barrier.values[i0, ihalf] - oracle)
     e2 = abs(barrier.values[ihalf, i0] - oracle)
-    passed = (not graph.cycles) and max(e1, e2) <= 2e-2
+    # wells at k/4 and a target at 1/8, between the classes at 0 and 1/4:
+    # those two are roots, the class at 1/2 reaches the target through 1/4
+    # and the class at 3/4 through 0; edges and roots compare by position
+    barrier4 = ctx.barrier(4, 0.0, n)
+    graph4 = connection_graph(barrier4, aubry_set(barrier4, 2e-2), at(0.125), tol=1e-3)
+
+    def arrows(edges):
+        return ";".join(sorted(f"{fmt_pt(j / n)}>{fmt_pt(k / n)}" for j, k in edges))
+
+    v = graph4.vertices
+    edges4 = arrows((v[j], v[k]) for j, k, _ in graph4.edges)
+    oracle_edges = arrows([(at(0.25), at(0.5)), (at(0.0), at(0.75))])
+    roots4 = ";".join(sorted(fmt_pt(v[r] / n) for r in graph4.roots))
+    oracle_roots = ";".join(fmt_pt(at(x) / n) for x in (0.0, 0.25))
+    slack4 = max((abs(slack) for _, _, slack in graph4.edges), default=0.0)
+    passed = ((not graph.cycles) and max(e1, e2) <= 2e-2 and not graph4.cycles
+              and edges4 == oracle_edges and roots4 == oracle_roots)
     rows = [("h(0,1/2)", barrier.values[i0, ihalf], oracle, e1),
             ("h(1/2,0)", barrier.values[ihalf, i0], oracle, e2),
             ("edges", len(graph.edges), "", ""),
             ("roots", len(graph.roots), "", ""),
-            ("cycles", len(graph.cycles), "", "")]
+            ("cycles", len(graph.cycles), "", ""),
+            ("q4 edges", edges4, oracle_edges, slack4),
+            ("q4 roots", roots4, oracle_roots, ""),
+            ("q4 cycles", len(graph4.cycles), "", "")]
     return CriterionResult(
         10, "connection graph", bool(passed),
         {"cycles": len(graph.cycles), "barrier_error": f"{max(e1, e2):.3e}",
-         "roots": len(graph.roots), "edges": len(graph.edges)},
+         "roots": len(graph.roots), "edges": len(graph.edges),
+         "q4_edges": len(graph4.edges), "q4_cycles": len(graph4.cycles)},
         rows, ("quantity", "value", "oracle", "error"))
 
 
@@ -426,8 +443,7 @@ def criterion_11_dwell(ctx: AcceptanceContext) -> CriterionResult:
     """Horizon-independent outside time; linear growth of the longest stay."""
     orbit = ctx.orbit(1, 0.0, 0.01)
     sys = ctx.system(1, 0.0)
-    reports = [dwell_statistics(sys, [orbit], 0.25, 0.0, 0.25, horizon,
-                                delta=0.05, settings=ctx.settings)
+    reports = [dwell_statistics(sys, [orbit], 0.25, 0.0, 0.25, horizon, delta=0.05)
                for horizon in DWELL_HORIZONS]
     out = [r.time_outside for r in reports]
     stay = [r.longest_stay for r in reports]
@@ -451,10 +467,9 @@ def criterion_12_determinism(ctx: AcceptanceContext) -> CriterionResult:
     def probe() -> bytes:
         n = ctx.scale.n_small
         sys = ctx.system(1, 0.1)
-        kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0, ctx.settings)
+        kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
         report = run_convergence(sys, Grid(n), u0_tag="random-seeded",
-                                 k_max=max(8, ctx.scale.k_max // 4),
-                                 settings=ctx.settings, horizon=12,
+                                 k_max=max(8, ctx.scale.k_max // 4), horizon=12,
                                  seed=ctx.seed, unit_kernel=kernel, orbits=[])
         orbit = refine_periodic_orbit(sys, PhasePoint(0.01, 0.01, 0.0), 1)
         chunks = [csv_text(("i", "j", "value"),

@@ -15,7 +15,8 @@ spectral (Barzilai-Borwein) step length and a nonmonotone backtracking
 line search. The spectral phase, its backtracking, the Newton polish and
 the saddle test all evaluate full sample rows at the points of
 ``systems.midpoint_geometry``, the geometry of ``exact_row_actions``,
-through one evaluator. Everything is deterministic for fixed settings.
+through one evaluator. Every curve has ``SEGMENTS_PER_UNIT_TIME``
+segments per unit time, and everything is deterministic.
 """
 from __future__ import annotations
 
@@ -37,29 +38,22 @@ SPECTRAL_PHASE_BUDGET = 20
 POLISH_BUDGET = 400
 # sup norm of the discrete-action gradient below which a row has converged
 GRADIENT_TOLERANCE = 1e-9
+# midpoint segments per unit of elapsed time, the one resolution of every curve
+SEGMENTS_PER_UNIT_TIME = 32
 
 
 @dataclass(frozen=True)
 class MinimizationSettings:
-    """The discretization: ``n_segments`` counts segments per unit of
-    elapsed time. Which windings are solved is not a setting; the certified
-    action bound of ``tropical.winding_search`` decides it. A winning row
-    whose gradient sup norm misses ``GRADIENT_TOLERANCE`` raises
-    ``MinimizationError``.
-    """
-
-    n_segments: int = 32
-
-    def __post_init__(self):
-        if self.n_segments < 2:
-            raise ConfigurationError("n_segments must be at least 2")
+    """No field: the resolution is ``SEGMENTS_PER_UNIT_TIME``. Kept only
+    because ``bench/tracing.py`` builds one to call ``winding_candidates``;
+    nothing in the toolkit reads it."""
 
 
-def segments_for(duration: float, settings: MinimizationSettings) -> int:
-    return max(2, int(round(settings.n_segments * duration)))
+def segments_for(duration: float) -> int:
+    return max(2, int(round(SEGMENTS_PER_UNIT_TIME * duration)))
 
 
-def winding_candidates(duration: float, settings: MinimizationSettings) -> list[int]:
+def winding_candidates(duration=None, settings=None) -> list[int]:
     """The first shell of windings, ordered by (|k|, k), whatever the
     duration: ``tropical.winding_search`` bounds the windings past it one
     shell at a time. The parameters are unused; they keep the signature
@@ -355,7 +349,7 @@ def check_endpoints(x, a, y, b) -> None:
         raise ConfigurationError("minimal_action requires b > a")
 
 
-def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None):
+def minimal_action(sys, x, a, y, b):
     """Least action over curves from (x, a) to (y, b), with winding search.
 
     Returns (value, curve). The value is ``curve_action`` of the returned
@@ -371,11 +365,9 @@ def minimal_action(sys, x, a, y, b, settings: MinimizationSettings | None = None
     # tropical imports this module, so the search is imported at call time
     from .tropical import winding_search
 
-    if settings is None:
-        settings = MinimizationSettings()
     check_endpoints(x, a, y, b)
     starts = np.array([float(reduce_mod_1(x))])
     ends = np.array([float(reduce_mod_1(y))])
-    values, rows, windings = winding_search(sys, a, b, starts, ends, settings)
+    values, rows, windings = winding_search(sys, a, b, starts, ends)
     curve = DiscretizedCurve(t0=a, t1=b, samples=rows[0], winding=int(windings[0]))
     return float(values[0]), curve

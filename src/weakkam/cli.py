@@ -14,7 +14,7 @@ import numpy as np
 
 from .acceptance import (AcceptanceContext, AcceptanceScale, lift_identity_gaps,
                          run_all)
-from .action import MinimizationSettings, check_endpoints, minimal_action
+from .action import check_endpoints, minimal_action
 from .errors import ConfigurationError, WeakKamError
 from .experiments import (check_dwell_window, detect_aubry_orbits, dwell_statistics,
                           run_convergence)
@@ -37,12 +37,9 @@ def _add_system_flags(parser):
 
 _SHARED_FLAGS = {
     "grid": dict(type=int, default=256),
-    "segments": dict(type=int, default=32),
     "seed": dict(type=int, default=0),
     "out": dict(default=None),
 }
-# the discretization flags that feed assemble_kernel or minimal_action
-_KERNEL_FLAGS = ("grid", "segments")
 # horizon of the barrier that locates the orbits for ``dwell``
 DWELL_BARRIER_HORIZON = 40
 
@@ -64,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("action", help="fixed-endpoint minimal action")
     _add_system_flags(p)
-    _add_shared_flags(p, "segments", "out")
+    _add_shared_flags(p, "out")
     p.add_argument("--from", dest="x_from", type=float, required=True)
     p.add_argument("--at", dest="t_from", type=float, default=0.0)
     p.add_argument("--to", dest="x_to", type=float, required=True)
@@ -72,29 +69,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="assemble and export the action kernel")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=1.0)
 
     p = sub.add_parser("critical-value", help="tropical eigenvalue of the unit kernel")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS)
+    _add_shared_flags(p, "grid")
 
     p = sub.add_parser("barrier", help="Peierls barrier matrix")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--tfrac", type=float, default=0.0)
 
     p = sub.add_parser("aubry", help="diagonal-barrier Aubry detection")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("graph", help="connection graph between Aubry classes")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -119,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "seed", "out")
+    _add_shared_flags(p, "grid", "seed", "out")
     p.add_argument("--u0", choices=("zero", "spike", "random-seeded"),
                    default="spike")
     p.add_argument("--tau", type=float, default=0.0)
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dwell", help="dwell-time diagnostics along a minimizer")
     _add_system_flags(p)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "out")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--from", dest="x_from", type=float, required=True)
     p.add_argument("--to", dest="x_to", type=float, required=True)
     p.add_argument("--horizon", type=float, default=8.0)
@@ -136,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full acceptance matrix")
     p.add_argument("--out-dir", required=True)
-    _add_shared_flags(p, *_KERNEL_FLAGS, "seed")
+    _add_shared_flags(p, "grid", "seed")
     p.add_argument("--confirm-grid", type=int, default=512)
     p.add_argument("--small-grid", type=int, default=64)
     p.add_argument("--horizon", type=int, default=40)
@@ -150,10 +147,6 @@ def _system(args) -> LagrangianSystem:
                             eps=args.eps)
 
 
-def _settings(args) -> MinimizationSettings:
-    return MinimizationSettings(n_segments=args.segments)
-
-
 def _emit(path, header, rows):
     if path is None:
         from .reporting import csv_text
@@ -164,7 +157,7 @@ def _emit(path, header, rows):
 
 def _cmd_action(args) -> int:
     value, curve = minimal_action(_system(args), args.x_from, args.t_from,
-                                  args.x_to, args.t_to, _settings(args))
+                                  args.x_to, args.t_to)
     print(f"value,{fmt(value)}")
     print(f"winding,{curve.winding}")
     if args.out:
@@ -177,16 +170,14 @@ def _cmd_action(args) -> int:
 def _cmd_kernel(args) -> int:
     if args.out is None:
         raise ConfigurationError("kernel export needs --out FILE")
-    kernel = assemble_kernel(_system(args), Grid(args.grid), args.start,
-                             args.delta, _settings(args))
+    kernel = assemble_kernel(_system(args), Grid(args.grid), args.start, args.delta)
     from .reporting import matrix_rows
     write_csv(args.out, ("i", "j", "value"), matrix_rows(kernel.matrix))
     return 0
 
 
 def _cmd_critical_value(args) -> int:
-    kernel = assemble_kernel(_system(args), Grid(args.grid), 0.0, 1.0,
-                             _settings(args))
+    kernel = assemble_kernel(_system(args), Grid(args.grid), 0.0, 1.0)
     print(f"c,{fmt(karp_eigenvalue(kernel))}")
     return 0
 
@@ -197,19 +188,17 @@ def _barrier_for(args, horizon, t_frac=0.0):
     check_barrier_horizon(horizon, t_frac)
     sys = _system(args)
     grid = Grid(args.grid)
-    settings = _settings(args)
-    kernel = assemble_kernel(sys, grid, 0.0, 1.0, settings)
+    kernel = assemble_kernel(sys, grid, 0.0, 1.0)
     c = karp_eigenvalue(kernel)
-    barrier = peierls_barrier(sys, grid, c, horizon, settings,
-                              t_frac=t_frac, kernel=kernel)
+    barrier = peierls_barrier(sys, grid, c, horizon, t_frac=t_frac, kernel=kernel)
     if not barrier.stabilized:
         print(f"warning: barrier not stabilized (defect {fmt(barrier.defect)})",
               file=_sys.stderr)
-    return sys, grid, settings, c, barrier
+    return sys, grid, c, barrier
 
 
 def _cmd_barrier(args) -> int:
-    _, _, _, c, barrier = _barrier_for(args, args.horizon, t_frac=args.tfrac)
+    _, _, c, barrier = _barrier_for(args, args.horizon, t_frac=args.tfrac)
     from .reporting import matrix_rows
     _emit(args.out, ("i", "j", "h"), matrix_rows(barrier.values))
     print(f"c,{fmt(c)}")
@@ -223,7 +212,7 @@ def _cmd_barrier(args) -> int:
 def _cmd_aubry(args) -> int:
     tol = AUBRY_TOLERANCE if args.tol is None else args.tol
     check_tolerance(tol, "Aubry")
-    _, grid, _, _, barrier = _barrier_for(args, args.horizon)
+    _, grid, _, barrier = _barrier_for(args, args.horizon)
     detected = aubry_set(barrier, tol)
     diag = np.diag(barrier.values)
     _emit(args.out, ("x", "h_diag"),
@@ -237,7 +226,7 @@ def _cmd_graph(args) -> int:
     target = Grid(args.grid).nearest_index(args.target)
     check_tolerance(args.aubry_tol, "Aubry")
     check_tolerance(args.tol, "graph")
-    _, _, _, _, barrier = _barrier_for(args, args.horizon)
+    _, _, _, barrier = _barrier_for(args, args.horizon)
     detected = aubry_set(barrier, args.aubry_tol)
     graph = connection_graph(barrier, detected, target, args.tol)
     rows = [("edge", graph.vertices[j], graph.vertices[k], slack)
@@ -281,8 +270,7 @@ def _cmd_tilt(args) -> int:
 def _cmd_convergence(args) -> int:
     report = run_convergence(_system(args), Grid(args.grid), u0_tag=args.u0,
                              tau_frac=args.tau, k_max=args.kmax,
-                             settings=_settings(args), horizon=args.horizon,
-                             seed=args.seed)
+                             horizon=args.horizon, seed=args.seed)
     rows = [(k, e, math.log(e) if e > 0 else -math.inf)
             for k, e in enumerate(report.errors)]
     rows.append(("summary", "", ""))
@@ -300,10 +288,10 @@ def _cmd_convergence(args) -> int:
 def _cmd_dwell(args) -> int:
     check_dwell_window(0.0, args.horizon, args.delta)
     check_endpoints(args.x_from, 0.0, args.x_to, args.horizon)
-    sys, _, settings, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
+    sys, _, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,
-                              args.horizon, delta=args.delta, settings=settings)
+                              args.horizon, delta=args.delta)
     _emit(args.out,
           ("horizon", "delta", "time_outside", "longest_stay", "n_hat"),
           [(report.horizon, report.delta, report.time_outside,
@@ -315,7 +303,7 @@ def _cmd_paper_suite(args) -> int:
     scale = AcceptanceScale(n_main=args.grid, n_confirm=args.confirm_grid,
                             n_small=args.small_grid, horizon=args.horizon,
                             k_max=args.kmax)
-    ctx = AcceptanceContext(scale=scale, settings=_settings(args), seed=args.seed)
+    ctx = AcceptanceContext(scale=scale, seed=args.seed)
     results = run_all(ctx, out_dir=args.out_dir)
     return 0 if all(r.passed for r in results) else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import MinimizationSettings, minimal_action
+from .action import minimal_action
 from .errors import ConfigurationError, InsufficientDataError, WeakKamError
 from .flow import PeriodicOrbit, flow_trajectory, refine_periodic_orbit
 from .systems import PhasePoint, midpoint_geometry, reduce_mod_1, torus_distance
@@ -138,8 +138,7 @@ def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
 
 
 def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.0,
-                    k_max: int = 60, settings: MinimizationSettings | None = None,
-                    horizon: int = 40, seed: int = 0,
+                    k_max: int = 60, horizon: int = 40, seed: int = 0,
                     unit_kernel=None, orbits=None, barrier=None) -> ConvergenceReport:
     """Measure e_k = sup |S_{tau+k} u + c (tau+k) - limit| and fit its decay.
 
@@ -165,12 +164,10 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
                                  f"choose one of {U0_TAGS}")
     check_barrier_horizon(horizon)
-    if settings is None:
-        settings = MinimizationSettings()
     n = grid.n
 
     if unit_kernel is None:
-        unit_kernel = assemble_kernel(sys, grid, tau_frac, 1.0, settings)
+        unit_kernel = assemble_kernel(sys, grid, tau_frac, 1.0)
     elif unit_kernel.s != tau_frac:
         raise ConfigurationError(
             f"unit kernel starts at {unit_kernel.s:g}, not at tau_frac {tau_frac:g}")
@@ -193,7 +190,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         w = u0.copy()
         const = 0.0
     else:
-        fractional_kernel = assemble_kernel(sys, grid, 0.0, tau_frac, settings)
+        fractional_kernel = assemble_kernel(sys, grid, 0.0, tau_frac)
         w = minplus_apply(fractional_kernel.matrix, u0)
         const = c * tau_frac
     limit = semigroup_limit(w, barrier) + const
@@ -258,8 +255,7 @@ def check_dwell_window(a, b, delta) -> None:
         raise ConfigurationError("dwell neighborhood radius must be finite and positive")
 
 
-def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05,
-                     settings: MinimizationSettings | None = None) -> DwellReport:
+def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05) -> DwellReport:
     """Time a minimizer spends outside the union of orbit neighborhoods,
     and its longest uninterrupted stay inside a single one.
 
@@ -269,7 +265,7 @@ def dwell_statistics(sys, orbits, x, a, y, b, delta: float = 0.05,
     check_dwell_window(a, b, delta)
     if not orbits:
         raise ConfigurationError("dwell diagnostics need at least one refined orbit")
-    _, curve = minimal_action(sys, x, a, y, b, settings)
+    _, curve = minimal_action(sys, x, a, y, b)
     h = curve.spacing
     tmid = curve.midpoint_times()
     (mid,), (vel,) = midpoint_geometry(curve.samples[None, :], h)

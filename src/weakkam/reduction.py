@@ -28,7 +28,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .action import MinimizationSettings
 from .errors import ConfigurationError, InvalidSubsolutionError
 from .systems import DiscretizedCurve, LagrangianSystem, curve_action, reduce_mod_1
 from .tropical import Grid, TropicalKernel, assemble_kernel
@@ -124,11 +123,10 @@ class TiltedSystem:
         term = self._boundary_term(curve.samples[0], curve.samples[-1], curve.t0, curve.t1)
         return curve_action(self.base, curve) + float(term)
 
-    def kernel(self, grid: Grid, s, delta,
-               settings: MinimizationSettings | None = None) -> TropicalKernel:
+    def kernel(self, grid: Grid, s, delta) -> TropicalKernel:
         """The base's ``assemble_kernel``, with its symmetry reduction, plus
         the boundary term of every grid pair."""
-        kernel = assemble_kernel(self.base, grid, s, delta, settings)
+        kernel = assemble_kernel(self.base, grid, s, delta)
         pts = grid.points
         term = self._boundary_term(pts[:, None], pts[None, :], kernel.s,
                                   kernel.s + kernel.delta)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (MinimizationSettings, minimize_straight_batch,
-                     segments_for, winding_candidates, _straight_lifts)
+from .action import (minimize_straight_batch, segments_for, winding_candidates,
+                     _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
 from .systems import DiscretizedCurve, exact_row_actions
 
@@ -30,6 +30,10 @@ SYMMETRY_TOLERANCE = 1e-12
 # shell of windings; a batch's pairs are a stride through the
 # representatives
 BATCH_FLOATS = 1_000_000
+# the fewest pairs an assembly batch holds when the kernel has as many
+# representatives: smaller batches take BLAS's small-matrix routines, which
+# round differently
+MIN_BATCH_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
     return lower - best_e - allowance
 
 
-def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
+def winding_search(sys, a, b, starts, ends):
     """Minimal action from each start at time a to the matching end at time
     b, over every winding the action bound cannot rule out.
 
@@ -145,7 +149,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     value does not depend on the other pairs of the batch, up to BLAS
     rounding of one-row products.
     """
-    n_seg = segments_for(b - a, settings)
+    n_seg = segments_for(b - a)
 
     # the shorter way round: -1, 0 or 1, and 0 for an exact half
     nearest = -np.round(ends - starts).astype(int)
@@ -156,7 +160,7 @@ def winding_search(sys, a, b, starts, ends, settings: MinimizationSettings):
     def rank(k):  # position in (|k|, k) order
         return 2 * np.abs(k) + (k > 0)
 
-    shell, k = np.array(winding_candidates(b - a, settings)), 1  # 0 and +-1
+    shell, k = np.array(winding_candidates()), 1  # 0 and +-1
     while True:
         ends_k = ends[None, :] + shell[:, None]
         unclear = _bound_gap(sys, a, b, n_seg, starts, ends_k, best_e) <= 0.0
@@ -258,8 +262,7 @@ def _solve_jobs(solve, jobs, workers: int) -> list:
             recv_end.close()
 
 
-def assemble_kernel(sys, grid: Grid, s, delta,
-                    settings: MinimizationSettings | None = None) -> TropicalKernel:
+def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     """Minimal action between all grid-point pairs over [s, s + delta].
 
     The system declares index maps under which the kernel is invariant
@@ -276,24 +279,23 @@ def assemble_kernel(sys, grid: Grid, s, delta,
     different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
-    calling process. A batch holds ``step`` pairs: the fewer of
+    calling process. A batch holds about ``step`` pairs: the fewer of
     ``ceil(reps / w)`` and the pairs whose first shell of windings fits in
     ``BATCH_FLOATS`` floats. The representatives are dealt into
-    ``m = ceil(reps / step)`` batches as strides: batch b holds
-    representatives b, b + m, b + 2m, ..., so every batch draws its pairs
-    from the whole kernel, cheap and costly alike, and the processes
-    finish at about the same time. The symmetry sample is one more batch,
-    and process k solves batches k, k + w, k + 2w, ... in order; the
-    caller is process 0 and the others are forked for the call and joined
-    before it returns or raises. A pair's value does not depend on the
-    other pairs of its batch, so the kernel bits depend neither on the
-    batch size nor on w, as long as every batch holds 16 pairs or more
-    (smaller ones take BLAS's small-matrix routines, which can move an
-    entry by an ulp). With one CPU, no affinity to read, or a daemonic
-    caller, the batches are solved in this process.
+    ``m = ceil(reps / step)`` batches as strides, but never so many that a
+    batch holds fewer than ``MIN_BATCH_PAIRS`` pairs (one batch when the
+    kernel has fewer representatives): batch b holds representatives b,
+    b + m, b + 2m, ..., so every batch draws its pairs from the whole
+    kernel, cheap and costly alike, and the processes finish at about the
+    same time. The symmetry sample is one more batch, and process k solves
+    batches k, k + w, k + 2w, ... in order; the caller is process 0 and the
+    others are forked for the call and joined before it returns or raises.
+    A pair's value does not depend on the other pairs of its batch, and
+    the floor keeps every batch off BLAS's small-matrix routines, so the
+    kernel bits depend neither on the batch size nor on w. With one CPU,
+    no affinity to read, or a daemonic caller, the batches are solved in
+    this process.
     """
-    if settings is None:
-        settings = MinimizationSettings()
     if not (0.0 < delta <= 1.0):
         raise ConfigurationError("kernel duration must lie in (0, 1]")
     a, b = float(s), float(s) + float(delta)
@@ -305,11 +307,11 @@ def assemble_kernel(sys, grid: Grid, s, delta,
             f"point, not delta = {float(delta)!r}")
     n = grid.n
     pts = grid.points
-    n_seg = segments_for(delta, settings)
+    n_seg = segments_for(delta)
 
     def solve(pairs):
         """Entries at the given flat indices, in one search batch."""
-        values, _, _ = winding_search(sys, a, b, pts[pairs // n], pts[pairs % n], settings)
+        values, _, _ = winding_search(sys, a, b, pts[pairs // n], pts[pairs % n])
         return values
 
     label = symmetry_orbits(sys.kernel_symmetries(n, a, float(delta)), n)
@@ -321,9 +323,9 @@ def assemble_kernel(sys, grid: Grid, s, delta,
                                 replace=False))
 
     workers = _worker_count()
-    pair_floats = len(winding_candidates(delta, settings)) * (n_seg + 1)
+    pair_floats = len(winding_candidates()) * (n_seg + 1)
     step = min(max(1, BATCH_FLOATS // pair_floats), -(-reps.size // workers))
-    n_jobs = -(-reps.size // step)
+    n_jobs = max(1, min(-(-reps.size // step), reps.size // MIN_BATCH_PAIRS))
     jobs = [reps[k::n_jobs] for k in range(n_jobs)]
     solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
     values = np.empty(n * n)

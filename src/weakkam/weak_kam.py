@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import MinimizationSettings
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
 from .systems import reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
@@ -38,12 +37,16 @@ class BarrierMatrix:
     values: np.ndarray
     horizon: int
     defect: float
-    stabilized: bool
     c: float
     # first power m that repeats P^(m - period) within rounding, or None
     # if the horizon was reached before the powers repeated
     turnpike: int | None
     period: int | None
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether the powers entered their cycle within the horizon."""
+        return self.period is not None
 
     def require_stabilized(self, label: str) -> None:
         """Raise ``NumericalError`` unless the powers entered their cycle
@@ -105,9 +108,8 @@ def check_tolerance(tol, name) -> None:
         raise ConfigurationError(f"{name} tolerance must be finite and nonnegative")
 
 
-def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
-                    settings: MinimizationSettings | None = None,
-                    t_frac: float | None = None, *, kernel: TropicalKernel) -> BarrierMatrix:
+def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
+                    t_frac: float | None = None, kernel: TropicalKernel) -> BarrierMatrix:
     """Minimum over one cycle of tropical powers of the c-shifted unit kernel.
 
     ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
@@ -139,7 +141,7 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
 
     For offsets (s_frac, t_frac) with t_frac != s_frac the cycle minimum is
     post-composed with the fractional kernel over [s_frac, s_frac + df],
-    assembled with ``settings`` and shifted by c*df, where
+    assembled by ``assemble_kernel`` and shifted by c*df, where
     df = (t_frac - s_frac) mod 1.
     """
     check_barrier_horizon(horizon, t_frac)
@@ -169,11 +171,10 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int,
     values = np.minimum.reduce(held[-cycle:])
     if t_frac != s_frac:
         df = (t_frac - s_frac) % 1.0
-        fractional = assemble_kernel(sys, grid, s_frac, df, settings)
+        fractional = assemble_kernel(sys, grid, s_frac, df)
         values = minplus_matmul(values, fractional.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
-                         values=values, horizon=int(horizon), defect=defect,
-                         stabilized=period is not None, c=float(c),
+                         values=values, horizon=int(horizon), defect=defect, c=float(c),
                          turnpike=None if period is None else m, period=period)
 
 

@@ -111,9 +111,9 @@ def test_run_all_records_numerical_crashes(monkeypatch):
 def test_criteria_05_and_06_build_one_barrier_per_kernel(monkeypatch):
     built = []
 
-    def counting(sys, grid, c, horizon, settings=None, t_frac=None, *, kernel):
+    def counting(sys, grid, c, horizon, *, t_frac=None, kernel):
         built.append((sys.freq, sys.eps, grid.n))
-        return peierls_barrier(sys, grid, c, horizon, settings, t_frac, kernel=kernel)
+        return peierls_barrier(sys, grid, c, horizon, t_frac=t_frac, kernel=kernel)
 
     monkeypatch.setattr(acceptance, "peierls_barrier", counting)
     monkeypatch.setattr(experiments, "peierls_barrier", counting)

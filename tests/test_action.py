@@ -4,8 +4,8 @@ import pytest
 import weakkam.action as action
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, LagrangianSystem, MinimizationError,
-                     MinimizationSettings, PhasePoint, curve_action,
-                     dwell_statistics, minimal_action, refine_periodic_orbit)
+                     PhasePoint, curve_action, dwell_statistics, minimal_action,
+                     refine_periodic_orbit)
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -80,19 +80,17 @@ def test_subadditivity():
         assert whole <= first + second + 1e-8
 
 
-def test_refinement_is_second_order():
+def test_refinement_is_second_order(monkeypatch):
     values = {}
     for n_seg in (16, 32, 64, 128):
-        settings = MinimizationSettings(n_segments=n_seg)
-        values[n_seg], _ = minimal_action(MECH, 0.1, 0.0, 0.35, 1.0, settings)
+        monkeypatch.setattr(action, "SEGMENTS_PER_UNIT_TIME", n_seg)
+        values[n_seg], _ = minimal_action(MECH, 0.1, 0.0, 0.35, 1.0)
     change_coarse = abs(values[32] - values[16])
     change_fine = abs(values[64] - values[32])
     assert 3.0 <= change_coarse / change_fine <= 6.0
 
 
 def test_settings_validation():
-    with pytest.raises(ConfigurationError):
-        MinimizationSettings(n_segments=1)
     with pytest.raises(ConfigurationError):
         minimal_action(FREE, 0.0, 1.0, 0.5, 1.0)
 

@@ -163,10 +163,20 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
             ["tilt", "--f", "zero", "--c", "1", "--kappa", "2"],
             ["tilt", "--f", "constant", "--c", "1"],
             # the action bound, not a flag, decides which windings are solved
-            ["kernel", "--windings", "1", "--grid", "16"]):
+            ["kernel", "--windings", "1", "--grid", "16"],
+            # the midpoint resolution is fixed
+            ["kernel", "--segments", "64", "--grid", "16"]):
         with pytest.raises(SystemExit) as info:
             dispatch(argv)
         assert info.value.code == 2, argv
+
+
+def test_no_subcommand_takes_a_segment_count():
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action.choices, dict)]
+    assert len(commands) == 12
+    for name, parser in commands.items():
+        assert "--segments" not in parser._option_string_actions, name
 
 
 def test_config_error_exit_2(capsys):

@@ -146,9 +146,10 @@ def test_convergence_refuses_a_barrier_of_another_kernel():
         with pytest.raises(ConfigurationError, match="is not the barrier of the unit kernel"):
             run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
                             orbits=[], barrier=other)
+    unstabilized = dataclasses.replace(barrier, period=None, turnpike=None)
     with pytest.raises(ConfigurationError, match="not stabilized"):
         run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
-                        orbits=[], barrier=dataclasses.replace(barrier, stabilized=False))
+                        orbits=[], barrier=unstabilized)
 
 
 def test_limits_differ_by_constant_between_initial_conditions():

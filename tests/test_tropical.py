@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, Grid, LagrangianSystem,
-                     MinimizationError, MinimizationSettings, NumericalError,
+                     MinimizationError, NumericalError,
                      assemble_kernel, karp_eigenvalue, lift_system,
                      minimal_action, minplus_apply, minplus_matmul)
 from weakkam.action import (_straight_lifts, minimize_straight_batch,
@@ -110,10 +110,8 @@ class MissingBound:
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
 def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
     reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
-    settings = MinimizationSettings()
     # floats of one pair with its first shell of windings
-    pair_floats = (len(winding_candidates(1.0, settings))
-                   * (segments_for(1.0, settings) + 1))
+    pair_floats = len(winding_candidates()) * (segments_for(1.0) + 1)
     for step in (17, 32, 97):
         monkeypatch.setattr(tropical, "BATCH_FLOATS", step * pair_floats)
         kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
@@ -125,13 +123,17 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(tropical.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-@pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, lift_system(MECH_EPS, 2)],
-                         ids=["q1", "q2", "eps", "lift"])
-def test_kernel_bits_independent_of_the_cpu_count(monkeypatch, sys):
+@pytest.mark.parametrize("sys, n", [
+    (MECH, 32), (MECH_Q2, 32), (MECH_EPS, 32), (lift_system(MECH_EPS, 2), 32),
+    (MECH_Q2_EPS, 32), (MECH_Q2_EPS, 8)],
+    ids=["q1", "q2", "eps", "lift", "q2-eps", "q2-eps-grid8"])
+def test_kernel_bits_independent_of_the_cpu_count(monkeypatch, sys, n):
+    # grid 8 of q=2, eps=0.1 has 13 representatives: split over processes
+    # they would make batches under 16 pairs, which round differently
     kernels = []
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
-        kernels.append(assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix)
+        kernels.append(assemble_kernel(sys, Grid(n), 0.0, 1.0).matrix)
     assert np.array_equal(kernels[1], kernels[0])
     assert np.array_equal(kernels[2], kernels[0])
 
@@ -169,10 +171,10 @@ def fail_on_representative(monkeypatch, index, fail):
     x, y = i / n, j / n
     original = tropical.winding_search
 
-    def failing(sys, a, b, starts, ends, settings):
+    def failing(sys, a, b, starts, ends):
         if np.any((starts == x) & (ends == y)):
             fail()
-        return original(sys, a, b, starts, ends, settings)
+        return original(sys, a, b, starts, ends)
 
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(tropical, "winding_search", failing)
@@ -424,7 +426,7 @@ def unpruned_minimum(sys, a, b, starts, ends, windings):
     """Least midpoint-rule action over the given windings, each solved for
     every pair with nothing pruned, and the winding that attains it: on a
     tie, the first in the given order."""
-    n_seg = segments_for(b - a, MinimizationSettings())
+    n_seg = segments_for(b - a)
     lifted = np.concatenate([ends + k for k in windings])
     rows = minimize_straight_batch(sys, a, b, n_seg, _straight_lifts(
         np.tile(starts, len(windings)), lifted, n_seg))[0]
@@ -436,12 +438,10 @@ def unpruned_minimum(sys, a, b, starts, ends, windings):
 @pytest.mark.parametrize("sys, s, delta", [(sys, 0.0, 1.0) for sys in BOUND_SYSTEMS]
                          + [(MECH, 0.1, 0.45)], ids=BOUND_IDS + ["window"])
 def test_pruned_windings_never_win(sys, s, delta):
-    settings = MinimizationSettings()
     pts = Grid(16).points
     starts, ends = np.repeat(pts, 16), np.tile(pts, 16)
-    values, _, _ = winding_search(sys, s, s + delta, starts, ends, settings)
-    unpruned, _ = unpruned_minimum(sys, s, s + delta, starts, ends,
-                                   winding_candidates(delta, settings))
+    values, _, _ = winding_search(sys, s, s + delta, starts, ends)
+    unpruned, _ = unpruned_minimum(sys, s, s + delta, starts, ends, winding_candidates())
     assert np.max(np.abs(values - unpruned)) <= 1e-12
 
 
@@ -462,8 +462,7 @@ def test_long_searches_need_no_winding_cap(sys, duration):
     # windings -8..8 solved unpruned, at the same winding
     rng = np.random.default_rng(0)
     starts, ends = rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)
-    values, _, windings = winding_search(sys, 0.3, 0.3 + duration, starts, ends,
-                                         MinimizationSettings())
+    values, _, windings = winding_search(sys, 0.3, 0.3 + duration, starts, ends)
     unpruned, winners = unpruned_minimum(sys, 0.3, 0.3 + duration, starts, ends,
                                          sorted(range(-8, 9), key=lambda k: (abs(k), k)))
     assert np.max(np.abs(values - unpruned)) <= 1e-12
@@ -474,7 +473,6 @@ def test_a_winding_zero_the_bound_clears_is_never_minimized(monkeypatch):
     # pairs more than half a turn apart start at their nearest lift, winding
     # +-1; where the bound at winding 0 clears that value, the long way
     # round is never minimized at all
-    settings = MinimizationSettings()
     pts = Grid(16).points
     starts, ends = np.repeat(pts, 16), np.tile(pts, 16)
     lifts, first = [], []
@@ -487,9 +485,9 @@ def test_a_winding_zero_the_bound_clears_is_never_minimized(monkeypatch):
         return out
 
     monkeypatch.setattr(tropical, "minimize_straight_batch", recording)
-    winding_search(MECH_Q2, 0.0, 1.0, starts, ends, settings)
+    winding_search(MECH_Q2, 0.0, 1.0, starts, ends)
     far = np.abs(ends - starts) > 0.5
-    n_seg = segments_for(1.0, settings)
+    n_seg = segments_for(1.0)
     clears = tropical._bound_gap(MECH_Q2, 0.0, 1.0, n_seg, starts, ends, first[0]) > 0.0
     pruned = np.flatnonzero(far & clears)
     assert pruned.size > 0
@@ -512,7 +510,7 @@ def test_a_tie_goes_to_the_smaller_winding_whichever_batch_found_it(
         return z0, value, np.zeros(len(z0)), np.ones(len(z0), dtype=bool), 0
 
     monkeypatch.setattr(tropical, "minimize_straight_batch", tied_values)
-    _, _, windings = winding_search(MECH, 0.0, 1.0, starts, ends, MinimizationSettings())
+    _, _, windings = winding_search(MECH, 0.0, 1.0, starts, ends)
     assert windings.tolist() == [winner, winner]
 
 
@@ -532,7 +530,7 @@ def test_windings_past_the_cap_are_solved_where_the_bound_misses(monkeypatch, am
 
     monkeypatch.setattr(tropical, "minimize_straight_batch", counting)
     starts, ends = np.array([x]), np.array([y])
-    values, _, _ = winding_search(sys, 0.0, 1.0, starts, ends, MinimizationSettings())
+    values, _, _ = winding_search(sys, 0.0, 1.0, starts, ends)
     assert len(batches) == 3
     monkeypatch.undo()
     unpruned, _ = unpruned_minimum(sys, 0.0, 1.0, starts, ends, range(-3, 4))

@@ -308,8 +308,8 @@ def test_zero_slack_cycle_is_reported():
         values[reps[b], reps[a]] = 0.0
         values[reps[a], reps[b]] = 0.5
     barrier = weak_kam.BarrierMatrix(grid=Grid(8), s_frac=0.0, t_frac=0.0,
-                                     values=values, horizon=2, defect=0.0,
-                                     stabilized=True, c=0.0, turnpike=2, period=1)
+                                     values=values, horizon=2, defect=0.0, c=0.0,
+                                     turnpike=2, period=1)
     detected = aubry_set(barrier, 1e-12)
     assert detected.representatives == reps
     graph = connection_graph(barrier, detected, target, tol=1e-12)
