@@ -2,9 +2,13 @@
 
 Integration is one classical fourth-order Runge-Kutta loop at a fixed
 step, batched over states: the segments of a shooting residual step
-together, each column exactly as its own one-state call would. The fixed
-step keeps flows, monodromies, and everything downstream bit-for-bit
-reproducible; adaptive stepping would make kernels run-dependent.
+together, each column exactly as its own one-state call would. The
+right-hand sides read no time: the loop tabulates the system's
+modulation once per integration at every stage time, and each stage
+reads L_x and L_xx from one phase evaluation at its tabulated value
+(``LagrangianSystem.lagrangian_x_and_xx``). The fixed step keeps flows,
+monodromies, and everything downstream bit-for-bit reproducible;
+adaptive stepping would make kernels run-dependent.
 """
 from __future__ import annotations
 
@@ -56,31 +60,36 @@ def _steps_for(duration):
     return max(1, int(round(STEPS_PER_UNIT_TIME * abs(duration))))
 
 
-def _rk4(rhs, y0, t0, t1, n_steps):
+def _rk4(rhs, modulation, y0, t0, t1, n_steps):
     """States at the step times t0 + h*i, i = 0..n_steps, one row each.
 
+    The right-hand side reads no time: ``rhs(m, y)`` takes the stage's
+    modulation, which one ``modulation`` call tabulates at every stage time
+    t0 + h*i, its midpoint + 0.5*h (shared by k2 and k3) and its end + h.
     A (d, m) state holds m states as columns, with t0 and t1 scalars or
     length-m arrays; each column steps with its own h = (t1 - t0) / n_steps,
     bit for bit as its one-state call would."""
     h = (t1 - t0) / n_steps
+    t = t0 + np.multiply.outer(np.arange(n_steps), h)
+    stages = np.stack((t, t + 0.5 * h, t + h))
+    m1, m2, m4 = np.broadcast_to(modulation(stages), stages.shape)
     y = np.array(y0, dtype=float)
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
     for i in range(n_steps):
-        t = t0 + h * i
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = rhs(m1[i], y)
+        k2 = rhs(m2[i], y + 0.5 * h * k1)
+        k3 = rhs(m2[i], y + 0.5 * h * k2)
+        k4 = rhs(m4[i], y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ys[i + 1] = y
     return ys
 
 
 def _el_rhs(sys):
-    def rhs(t, y):
+    def rhs(m, y):
         x, v = y
-        return np.array([v, sys.lagrangian_x(x, v, t) / sys.mass])
+        return np.array([v, sys.lagrangian_x_and_xx(x, m)[0] / sys.mass])
     return rhs
 
 
@@ -91,7 +100,7 @@ def flow_trajectory(sys, p: PhasePoint, t1):
     """
     _check_mechanical(sys)
     n = _steps_for(t1 - p.t)
-    ys = _rk4(_el_rhs(sys), [p.x, p.v], p.t, t1, n)
+    ys = _rk4(_el_rhs(sys), sys.modulation, [p.x, p.v], p.t, t1, n)
     times = p.t + (t1 - p.t) / n * np.arange(n + 1)
     return times, ys[:, 0], ys[:, 1]
 
@@ -112,17 +121,18 @@ def _flow_with_variational(sys, x0, v0, t0, t1):
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     n = _steps_for(t1[0] - t0[0])
 
-    def rhs(t, y):
-        # rows x, v, xi00, xi01, xi10, xi11; J xi = [[xi10, xi11], [ax xi00, ax xi01]]
-        ax = sys.lagrangian_xx(y[0], y[1], t) / sys.mass
+    def rhs(m, y):
+        # rows x, v, xi00, xi01, xi10, xi11; J xi = [[xi10, xi11], [a xi00, a xi01]]
+        # with a = L_xx / mass
+        lx, lxx = sys.lagrangian_x_and_xx(y[0], m)
         dy = np.empty_like(y)
-        dy[0], dy[1] = y[1], sys.lagrangian_x(y[0], y[1], t) / sys.mass
-        dy[2:4], dy[4:] = y[4:], ax * y[2:4]
+        dy[0], dy[1] = y[1], lx / sys.mass
+        dy[2:4], dy[4:] = y[4:], lxx / sys.mass * y[2:4]
         return dy
 
     y0 = np.empty((6, t0.size))
     y0[0], y0[1], y0[2:] = x0, v0, np.eye(2).reshape(4, 1)
-    y = _rk4(rhs, y0, t0, t1, n)[-1]
+    y = _rk4(rhs, sys.modulation, y0, t0, t1, n)[-1]
     return y[0], y[1], y[2:].T.reshape(-1, 2, 2)
 
 
@@ -240,10 +250,14 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     residual is wrapped to the nearest integer, so rotating orbits close
     up mod 1. The monodromy is the polish's last segment matrix, the
     full-period variational flow from the refined state, which
-    ``monodromy`` would integrate a second time.
+    ``monodromy`` would integrate a second time. The shooting grid starts
+    at t = 0 and the orbit carries no time, so the guess must be at t = 0.
     """
     if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
         raise ConfigurationError("period must be a positive integer")
+    if guess.t != 0.0:
+        raise ConfigurationError(f"the shooting grid starts at t = 0; got a guess at "
+                                 f"t = {guess.t:g}")
     period = int(period)
     starts = np.tile([guess.x, guess.v], (SHOTS_PER_UNIT_TIME * period, 1))
     z, _ = _multiple_shooting(sys, starts, period, SEGMENT_TOLERANCE)

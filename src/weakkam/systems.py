@@ -10,11 +10,14 @@ Both are one closed form: the free family is the cosine family at
 amplitude 0. A period lift of order N, L(x, v/N, N t), is the same family
 with ``lift`` = N: its mass is 1/N^2 and its modulation runs N times as
 fast. Every evaluator reads one phase 2 pi q (x mod 1) and one modulation
-1 + eps cos(2 pi N t), so L from ``lagrangian`` and from
-``lagrangian_and_grads`` agree bit for bit, and so does L_x. Evaluators
-accept scalars or numpy arrays and reduce x and t mod 1 internally, so
-spatial and temporal periodicity hold to the last bit whenever the
-shifted argument is representable.
+1 + eps cos(2 pi N t) (``modulation``), so L from ``lagrangian`` and from
+``lagrangian_and_grads`` agree bit for bit, and so does L_x. The flow's
+evaluator ``lagrangian_x_and_xx`` takes the modulation in place of t, so
+an integrator tabulates it once per integration and evaluates one phase
+per stage, bit for bit as ``lagrangian_x`` and ``lagrangian_xx``.
+Evaluators accept scalars or numpy arrays and reduce x and t mod 1
+internally, so spatial and temporal periodicity hold to the last bit
+whenever the shifted argument is representable.
 
 Each family also gives a critical subsolution (``critical_subsolution``):
 a ceiling c'(t) = max_x U(x, t) and a slope p with H(x, p, t) <= c'(t),
@@ -65,8 +68,8 @@ def torus_distance(a, b):
 class LagrangianSystem:
     """A built-in Lagrangian family with exact derivative evaluators.
 
-    Every quantity is read from one evaluator of the potential's phase,
-    2 pi q (x mod 1), and its modulation, 1 + eps cos 2 pi N t; the free
+    Every quantity reads the potential's phase, 2 pi q (x mod 1), and its
+    modulation, 1 + eps cos 2 pi N t, each from one evaluator; the free
     family is the cosine family at amplitude 0. The kinetic part is
     ``mass`` v^2/2 with the constant mass 1/N^2 of the lift order N =
     ``lift``, so L_v depends on v alone and the flow reduces to
@@ -108,26 +111,30 @@ class LagrangianSystem:
         """The potential's amplitude; the free family is amplitude 0."""
         return 0.0 if self.family == "free" else self.amp
 
-    def _phase_and_modulation(self, x, t):
-        """(2 pi q (x mod 1), 1 + eps cos(2 pi N t)), read by every closed
-        form. A tiny negative x rounds x - floor(x) up to exactly 1.0, which
-        folds to phase 0 as in ``reduce_mod_1``; the fold is masked in
-        place because this runs in the minimizer's hot loop, and ``out``
-        keeps a scalar input a writable 0-d array."""
+    def _phase(self, x):
+        """2 pi q (x mod 1), read by every closed form. A tiny negative x
+        rounds x - floor(x) up to exactly 1.0, which folds to phase 0 as in
+        ``reduce_mod_1``; the fold is masked in place because this runs in
+        the minimizer's hot loop, and ``out`` keeps a scalar input a
+        writable 0-d array."""
         x = np.asarray(x, dtype=float)
         phase = np.subtract(x, np.floor(x), out=np.empty_like(x))
         phase[phase == 1.0] = 0.0
         phase *= TWO_PI * self.freq
+        return phase
+
+    def modulation(self, t):
+        """1 + eps cos(2 pi N t), the one closed form of the time
+        modulation; the scalar 1.0 when eps = 0."""
         if self.eps == 0.0:
-            return phase, 1.0
+            return 1.0
         if self.lift != 1:
             t = np.asarray(t, dtype=float) * self.lift
-        return phase, 1.0 + self.eps * np.cos(TWO_PI * reduce_mod_1(t))
+        return 1.0 + self.eps * np.cos(TWO_PI * reduce_mod_1(t))
 
     def potential(self, x, t):
         """Potential energy U(x, t); the Lagrangian is v^2/2 - U."""
-        phase, m = self._phase_and_modulation(x, t)
-        return np.cos(phase) * (self._amp * m)
+        return np.cos(self._phase(x)) * (self._amp * self.modulation(t))
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
@@ -136,13 +143,21 @@ class LagrangianSystem:
         return 0.5 * v * v - self.potential(x, t)
 
     def lagrangian_x(self, x, v, t):
-        phase, m = self._phase_and_modulation(x, t)
-        return np.sin(phase) * (self._amp * (TWO_PI * self.freq) * m)
+        w = TWO_PI * self.freq
+        return np.sin(self._phase(x)) * (self._amp * w * self.modulation(t))
 
     def lagrangian_xx(self, x, v, t):
-        phase, m = self._phase_and_modulation(x, t)
         w = TWO_PI * self.freq
-        return self._amp * w * w * np.cos(phase) * m
+        return self._amp * w * w * np.cos(self._phase(x)) * self.modulation(t)
+
+    def lagrangian_x_and_xx(self, x, m):
+        """(L_x, L_xx) from one phase at a given modulation m =
+        ``modulation(t)``: the flow's force and its derivative, neither of
+        which depends on v. Equals ``lagrangian_x`` and ``lagrangian_xx``
+        bit for bit."""
+        phase = self._phase(x)
+        w = TWO_PI * self.freq
+        return np.sin(phase) * (self._amp * w * m), self._amp * w * w * np.cos(phase) * m
 
     def lagrangian_and_grads(self, x, v, t):
         """(L, L_x, L_v) in one call; shares the phase and the modulation,
@@ -154,7 +169,7 @@ class LagrangianSystem:
         v = np.asarray(v, dtype=float)
         if self.lift != 1:
             v = v / self.lift
-        phase, m = self._phase_and_modulation(x, t)
+        phase, m = self._phase(x), self.modulation(t)
         lag = np.cos(phase)
         lag *= -(self._amp * m)
         lag += 0.5 * v * v

@@ -95,6 +95,89 @@ def test_batched_variational_flow_equals_one_state_calls():
         assert np.array_equal(mats[k], mk[0])
 
 
+def _reference_rk4(rhs, y0, t0, t1, n_steps):
+    # the stepping of one RK4 whose right-hand side reads the stage time t
+    h = (t1 - t0) / n_steps
+    ys = [np.array(y0, dtype=float)]
+    for i in range(n_steps):
+        t, y = t0 + h * i, ys[-1]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        ys.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(ys)
+
+
+def _reference_variational(sys, x0, v0, t0, t1):
+    # every stage reads L_x and L_xx from the pointwise closed forms at t
+    def rhs(t, y):
+        ax = sys.lagrangian_xx(y[0], y[1], t) / sys.mass
+        dy = np.empty_like(y)
+        dy[0], dy[1] = y[1], sys.lagrangian_x(y[0], y[1], t) / sys.mass
+        dy[2:4], dy[4:] = y[4:], ax * y[2:4]
+        return dy
+
+    y0 = np.empty((6, len(x0)))
+    y0[0], y0[1], y0[2:] = x0, v0, np.eye(2).reshape(4, 1)
+    y = _reference_rk4(rhs, y0, np.asarray(t0), np.asarray(t1),
+                       flow._steps_for(t1[0] - t0[0]))[-1]
+    return y[0], y[1], y[2:].T.reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("sys", [EPS, LagrangianSystem(family="mechanical-cos", eps=0.1,
+                                                       lift=2)], ids=lambda s: s.label())
+def test_variational_flow_equals_the_stagewise_closed_forms(sys):
+    # the 24 segments of a period-3 shooting residual: the tabulated
+    # modulation and the one-phase force change no bit
+    rng = np.random.default_rng(1)
+    xs, vs = rng.uniform(0.0, 1.0, 24), rng.uniform(-0.5, 0.5, 24)
+    times = 3 / 24 * np.arange(25)
+    got = _flow_with_variational(sys, xs, vs, times[:-1], times[1:])
+    ref = _reference_variational(sys, xs, vs, times[:-1], times[1:])
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("t0", [0.0, -0.3])
+def test_flow_trajectory_equals_the_stagewise_closed_form(t0):
+    def rhs(t, y):
+        return np.array([y[1], EPS.lagrangian_x(y[0], y[1], t) / EPS.mass])
+
+    times, xs, vs = flow_trajectory(EPS, PhasePoint(0.2, 0.3, t0), t0 + 2.5)
+    ref = _reference_rk4(rhs, [0.2, 0.3], t0, t0 + 2.5, times.size - 1)
+    assert times.size == 501
+    assert np.array_equal(xs, ref[:, 0]) and np.array_equal(vs, ref[:, 1])
+
+
+def test_refinement_reads_one_phase_per_stage_and_one_modulation_per_integration(
+        monkeypatch):
+    counts = dict.fromkeys(("phase", "modulation", "rk4", "stages"), 0)
+    real_phase, real_modulation = LagrangianSystem._phase, LagrangianSystem.modulation
+    real_rk4 = flow._rk4
+
+    def counted_phase(self, x):
+        counts["phase"] += 1
+        return real_phase(self, x)
+
+    def counted_modulation(self, t):
+        counts["modulation"] += 1
+        return real_modulation(self, t)
+
+    def counted_rk4(rhs, modulation, y0, t0, t1, n_steps):
+        counts["rk4"] += 1
+        counts["stages"] += 4 * n_steps
+        return real_rk4(rhs, modulation, y0, t0, t1, n_steps)
+
+    monkeypatch.setattr(LagrangianSystem, "_phase", counted_phase)
+    monkeypatch.setattr(LagrangianSystem, "modulation", counted_modulation)
+    monkeypatch.setattr(flow, "_rk4", counted_rk4)
+    refine_periodic_orbit(EPS, PhasePoint(0.01, 0.01, 0.0), 2)
+    assert counts["rk4"] >= 2 and counts["stages"] >= 4 * 400
+    assert counts["phase"] == counts["stages"]
+    assert counts["modulation"] == counts["rk4"]
+
+
 def test_refined_monodromy_is_the_monodromy_at_the_refined_state():
     for sys, x, period in ((MECH, 0.01, 1), (Q2, 0.49, 1), (EPS, 0.01, 3)):
         orbit = refine_periodic_orbit(sys, PhasePoint(x, 0.01, 0.0), period)
@@ -147,6 +230,13 @@ def test_refinement_period_must_be_a_positive_integer(period):
         refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), period)
 
 
+@pytest.mark.parametrize("t", [0.3, 1.0, -0.5])
+def test_refinement_guess_must_start_at_time_zero(t):
+    # the shooting grid starts at t = 0 and the orbit carries no time
+    with pytest.raises(ConfigurationError, match="t = 0"):
+        refine_periodic_orbit(EPS, PhasePoint(0.01, 0.01, t), 1)
+
+
 @pytest.mark.parametrize("period", [1.5, 1.0, True, 0])
 def test_monodromy_period_must_be_a_positive_integer(period):
     with pytest.raises(ConfigurationError, match="positive integer"):
@@ -171,10 +261,10 @@ def test_flow_composition():
 
 def test_fourth_order_step_halving():
     rhs = _el_rhs(EPS)
-    ref = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, 2000)[-1]
+    ref = _rk4(rhs, EPS.modulation, [0.2, 0.3], 0.0, 1.0, 2000)[-1]
 
     def err(n):
-        end = _rk4(rhs, [0.2, 0.3], 0.0, 1.0, n)[-1]
+        end = _rk4(rhs, EPS.modulation, [0.2, 0.3], 0.0, 1.0, n)[-1]
         return math.hypot(end[0] - ref[0], end[1] - ref[1])
 
     ratio = err(200) / err(400)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,52 @@ def test_one_closed_form_for_l_and_l_x(amp, eps):
     assert np.array_equal(sys.lagrangian(x, v, t), lag)
     assert np.array_equal(sys.lagrangian_x(x, v, t), lx)
     assert lx[-1] == 0.0
+
+
+# the free family, q in {1, 2, 3} at eps in {0, 0.1, -0.3}, a lift of order
+# 2, and an amplitude other than 1, which rounds amp * w * w differently
+FORCE_SYSTEMS = [FREE] + [LagrangianSystem(family="mechanical-cos", freq=q, eps=eps)
+                          for q in (1, 2, 3) for eps in (0.0, 0.1, -0.3)] + [
+    LagrangianSystem(family="mechanical-cos", eps=0.1, lift=2),
+    LagrangianSystem(family="mechanical-cos", amp=0.3, freq=3, eps=0.1)]
+# integers and half-integers, where the modulation is exactly 1 +- eps
+HALF_INTEGERS = np.arange(-6, 6) / 2.0
+
+
+@pytest.mark.parametrize("sys", FORCE_SYSTEMS, ids=lambda s: s.label())
+def test_force_evaluator_is_l_x_and_l_xx_at_the_modulation(sys):
+    # the flow reads (L_x, L_xx) from one phase at a tabulated modulation;
+    # both equal the pointwise closed forms bit for bit, in arrays and in
+    # the scalar calls of a one-state flow, and -1e-18 folds to phase 0
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 400), [-1e-18, 0.0, 0.5, -1.0]])
+    t = np.concatenate([rng.uniform(-2.0, 2.0, x.size - HALF_INTEGERS.size), HALF_INTEGERS])
+    v = rng.uniform(-3.0, 3.0, x.size)
+    lx, lxx = sys.lagrangian_x_and_xx(x, sys.modulation(t))
+    assert np.array_equal(lx, sys.lagrangian_x(x, v, t))
+    assert np.array_equal(lxx, sys.lagrangian_xx(x, v, t))
+    assert lx[400] == 0.0 and lxx[400] == sys.lagrangian_xx(0.0, 0.0, t[400])
+    for k in range(390, x.size):
+        lx_k, lxx_k = sys.lagrangian_x_and_xx(x[k], sys.modulation(t[k]))
+        assert lx_k == sys.lagrangian_x(x[k], v[k], t[k])
+        assert lxx_k == sys.lagrangian_xx(x[k], v[k], t[k])
+
+
+@pytest.mark.parametrize("sys", FORCE_SYSTEMS, ids=lambda s: s.label())
+def test_modulation_is_the_one_the_potential_reads(sys):
+    rng = np.random.default_rng(12)
+    t = np.concatenate([rng.uniform(-2.0, 2.0, 200), HALF_INTEGERS])
+    m = sys.modulation(t)
+    if sys.eps == 0.0:
+        assert m == 1.0 and np.ndim(m) == 0
+    # at the crest x = 0 the phase is 0 and its cosine exactly 1, so a unit
+    # amplitude potential is its modulation; the free family is amplitude 0
+    unit = dataclasses.replace(sys, family="mechanical-cos", amp=1.0)
+    assert np.array_equal(unit.potential(np.zeros_like(t), t), np.broadcast_to(m, t.shape))
+    # 1 + eps cos(2 pi N t) at the integers and half-integers
+    even = (2 * sys.lift * HALF_INTEGERS) % 2 == 0
+    expected = np.where(even, 1.0 + sys.eps, 1.0 - sys.eps)
+    assert np.array_equal(np.broadcast_to(m, t.shape)[200:], expected)
 
 
 def test_eval_mech_quarter_kills_potential():
