@@ -10,6 +10,7 @@ explicit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,8 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     only when the fitted rate is positive and the last error has reached
     its floor.
     """
-    if k_max < 8:
-        raise ConfigurationError("k_max must be at least 8")
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 8:
+        raise ConfigurationError("k_max must be an integer of at least 8")
     if not 0.0 <= tau_frac < 1.0:
         raise ConfigurationError("tau_frac must lie in [0, 1)")
     if u0_tag not in U0_TAGS:

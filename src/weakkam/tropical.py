@@ -359,6 +359,8 @@ def minplus_matmul(a, b):
     inner index; min is exact, so the order of accumulation does not
     change a bit of the result.
     """
+    if a.ndim != 2 or b.ndim != 2:
+        raise ConfigurationError("min-plus matmul needs two 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
     out = np.full((a.shape[0], b.shape[1]), np.inf)
@@ -369,13 +371,60 @@ def minplus_matmul(a, b):
     return out
 
 
+def row_orbits(matrix):
+    """Orbit representatives of the rows of a square matrix under its exact
+    row symmetries, and the gather that rebuilds every row from them.
+
+    A row symmetry is a map g with M[g(i), g(j)] == M[i, j] bit for bit.
+    The maps looked for are i -> +-i + t (mod n): the shifts by multiples
+    of the least divisor d of n whose shift holds, and the reflections
+    i -> t - i, which hold for one class of t mod d or for none. Each is
+    compared on the whole matrix before it is used, so a matrix with none
+    gets every row as its own representative. The transpose is never
+    used: min-plus powers of a symmetric matrix are symmetric only up to
+    rounding. A min-plus product merely reindexes its sums under such a
+    map, so every power of the matrix keeps the symmetries bit for bit.
+
+    Returns (reps, orbit, cols): the least index of every row orbit, in
+    increasing order; the position in ``reps`` of every row's
+    representative; and n x n columns with X[i, j] == X[reps[orbit[i]],
+    cols[i, j]] for every X with these symmetries. So
+    X[reps][orbit[:, None], cols] rebuilds X, and v[reps][orbit] an
+    invariant vector v.
+    """
+    n = matrix.shape[0]
+    idx = np.arange(n)
+
+    # a map g can hold only where M[g(0), g(0)] == M[0, 0]; it is then
+    # tried on row 0 before the whole matrix
+    lands = np.diagonal(matrix) == matrix[0, 0]
+
+    def holds(g):
+        return ((matrix[g[0], g] == matrix[0]).all()
+                and np.array_equal(matrix[g[:, None], g], matrix))
+
+    d = next(d for d in range(1, n + 1)
+             if n % d == 0 and (d == n or lands[d] and holds((idx + d) % n)))
+    group = (idx + np.arange(0, n, d)[:, None]) % n
+    t = next((t for t in np.flatnonzero(lands[:d]) if holds((t - idx) % n)), None)
+    if t is not None:
+        group = np.concatenate([group, (t - group) % n])
+    least = np.argmin(group, axis=0)  # the element taking each row to its representative
+    reps, orbit = np.unique(group[least, idx], return_inverse=True)
+    return reps, orbit, group[least]
+
+
 def karp_eigenvalue(kernel) -> float:
     """Critical value per unit time: minus the minimum cycle mean of the
     kernel graph over the kernel duration, which is 1 for a raw matrix.
 
     Karp's DP: D[k][v] is the least weight of a k-edge walk ending at v
     (any start), and the minimum cycle mean is
-    min_v max_k (D[n][v] - D[k][v]) / (n - k).
+    min_v max_k (D[n][v] - D[k][v]) / (n - k). Each D[k] is constant on
+    the row orbits of the matrix (``row_orbits``), so the DP computes it
+    at the representatives only, from D[k - 1] gathered to full length,
+    and takes the minimum over them: the value is the unreduced one bit
+    for bit, since every representative sums the same terms.
     """
     if isinstance(kernel, TropicalKernel):
         mat, delta = kernel.matrix, kernel.delta
@@ -383,13 +432,17 @@ def karp_eigenvalue(kernel) -> float:
         mat, delta = np.asarray(kernel, dtype=float), 1.0
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigurationError("kernel must be square")
+    if mat.size == 0:
+        raise ConfigurationError("kernel must have at least one entry")
     if not np.all(np.isfinite(mat)):
         raise ConfigurationError("kernel entries must be finite")
     n = mat.shape[0]
-    d = np.empty((n + 1, n))
+    reps, orbit, _ = row_orbits(mat)
+    columns = mat[:, reps]
+    d = np.empty((n + 1, reps.size))  # D at the representative columns
     d[0] = 0.0
     for k in range(1, n + 1):
-        d[k] = np.min(d[k - 1][:, None] + mat, axis=0)
+        d[k] = np.min(d[k - 1][orbit][:, None] + columns, axis=0)
     denom = (n - np.arange(n)).astype(float)
     ratios = (d[n][None, :] - d[:n]) / denom[:, None]
     return -float(np.min(np.max(ratios, axis=0))) / float(delta)

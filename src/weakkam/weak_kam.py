@@ -6,11 +6,14 @@ max-plus cyclicity its powers repeat with some period p after a
 transient, P^(m+p) = P^m + p * lambda, and lambda vanishes at the
 critical value c up to the rounding of c. The barrier multiplies until
 the first power that repeats an earlier one within that rounding and
-returns the entrywise minimum over the p powers of the cycle.
+returns the entrywise minimum over the p powers of the cycle. Every power
+keeps the exact row symmetries of the kernel (``tropical.row_orbits``),
+so only the rows of the orbit representatives are multiplied.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
 from .systems import reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
-                       minplus_matmul)
+                       minplus_matmul, row_orbits)
 
 # diagonal barrier up to which ``weakkam aubry`` counts a grid point as
 # Aubry when no tolerance is given: a rounding floor, since the free
@@ -95,8 +98,8 @@ MAX_PERIOD = 4
 def check_barrier_horizon(horizon, t_frac=None) -> None:
     """Raise ``ConfigurationError`` unless the barrier may take a power and
     its end offset, when given, is finite."""
-    if not horizon >= 2:
-        raise ConfigurationError("barrier horizon must be at least 2")
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 2:
+        raise ConfigurationError("barrier horizon must be an integer of at least 2")
     if t_frac is not None and not math.isfinite(t_frac):
         raise ConfigurationError("barrier end offset must be finite")
 
@@ -117,6 +120,13 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     ``t_frac`` is given, ends there too. A given ``t_frac`` is a phase and
     is reduced mod 1, so an end offset of 1 is the offset 0.
 
+    Each power keeps the exact row symmetries of the shifted kernel
+    (``row_orbits``), so only the rows of the orbit representatives are
+    multiplied, compared and held, and the values are gathered to the
+    full matrix at the end, bit for bit the same as multiplying every row.
+    Every other row is a permutation of a held one, so the largest entry
+    and the changes below are those of the full powers.
+
     Each new power P^m is compared with the previous ``MAX_PERIOD``
     powers, and the products stop at the first m with
     max|P^m - P^(m - p)| <= (2 (n + 2)^2 + m) eps M for some p: n is the
@@ -133,11 +143,11 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     ``defect`` = its residual max|P^m - P^(m - p)|, ``stabilized`` is
     True, and the values are the entrywise minimum of P^(m - p + 1) ..
     P^m. Early powers can dip below the barrier, so none from before the
-    cycle enters the minimum. ``horizon`` only caps m: with no cycle
-    within it (a kernel not shifted by its critical value, or the free
-    system on grid n before power n/2 + 1) the values are P^horizon, the
-    defect is max|P^horizon - P^(horizon - 1)|, and ``stabilized`` is
-    False.
+    cycle enters the minimum. The integer ``horizon`` only caps m: with
+    no cycle within it (a kernel not shifted by its critical value, or
+    the free system on grid n before power n/2 + 1) the values are
+    P^horizon, the defect is max|P^horizon - P^(horizon - 1)|, and
+    ``stabilized`` is False.
 
     For offsets (s_frac, t_frac) with t_frac != s_frac the cycle minimum is
     post-composed with the fractional kernel over [s_frac, s_frac + df],
@@ -156,7 +166,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     t_frac = s_frac if t_frac is None else float(reduce_mod_1(t_frac))
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
-    held = [shifted]  # P^(m - len(held) + 1) .. P^m
+    reps, orbit, cols = row_orbits(shifted)
+    held = [shifted[reps]]  # the representative rows of P^(m - len(held) + 1) .. P^m
     m, period = 1, None
     while m < horizon and period is None:
         power = minplus_matmul(held[-1], shifted)
@@ -168,7 +179,7 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
         held = (held + [power])[-MAX_PERIOD:]
     cycle = period or 1
     defect = changes[cycle - 1]
-    values = np.minimum.reduce(held[-cycle:])
+    values = np.minimum.reduce(held[-cycle:])[orbit[:, None], cols]
     if t_frac != s_frac:
         df = (t_frac - s_frac) % 1.0
         fractional = assemble_kernel(sys, grid, s_frac, df)

@@ -105,6 +105,19 @@ def test_convergence_checks_its_horizon_before_it_assembles(monkeypatch):
         run_convergence(MECH, Grid(256), horizon=1)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k_max": 20.5}, "k_max must be an integer"),
+    ({"k_max": 20.0}, "k_max must be an integer"),
+    ({"horizon": 2.5}, "barrier horizon must be an integer")])
+def test_convergence_needs_integer_step_counts(monkeypatch, kwargs, match):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a kernel for a bad step count")
+
+    monkeypatch.setattr(experiments, "assemble_kernel", no_assembly)
+    with pytest.raises(ConfigurationError, match=match):
+        run_convergence(MECH, Grid(16), **kwargs)
+
+
 def test_convergence_rejects_a_kernel_from_another_offset():
     sys = LagrangianSystem(family="mechanical-cos", eps=0.3)
     kernel = assemble_kernel(sys, Grid(16), 0.0, 1.0)

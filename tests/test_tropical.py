@@ -310,6 +310,15 @@ def test_karp_examples():
     assert karp_eigenvalue(np.array([[2.0, 1.0], [4.0, 3.0]])) == -2.0
 
 
+def test_karp_and_minplus_matmul_reject_malformed_operands():
+    with pytest.raises(ConfigurationError, match="at least one entry"):
+        karp_eigenvalue(np.empty((0, 0)))
+    with pytest.raises(ConfigurationError, match="2-D"):
+        minplus_matmul(np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(ConfigurationError, match="2-D"):
+        minplus_matmul(np.zeros((3, 3)), np.zeros((3, 3, 1)))
+
+
 def test_karp_free_kernel(free_kernel):
     assert abs(karp_eigenvalue(free_kernel)) < 1e-12
 

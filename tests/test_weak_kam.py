@@ -9,7 +9,8 @@ from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
                      LagrangianSystem, TropicalKernel, aubry_set,
                      assemble_kernel, connection_graph, karp_eigenvalue,
                      minplus_apply, peierls_barrier, run_convergence,
-                     semigroup_limit)
+                     semigroup_limit, tilt_system)
+from weakkam.tropical import row_orbits
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -187,9 +188,16 @@ def test_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(barrier_cases, case):
     assert barrier.defect >= 0.99e-10
 
 
-def test_barrier_requires_horizon(mech_kernel):
-    with pytest.raises(ConfigurationError):
-        peierls_barrier(MECH, Grid(N), 1.0, horizon=1, kernel=mech_kernel)
+@pytest.mark.parametrize("horizon", [1, 2.5, 3.0, True])
+def test_barrier_requires_horizon(mech_kernel, horizon):
+    with pytest.raises(ConfigurationError, match="integer of at least 2"):
+        peierls_barrier(MECH, Grid(N), 1.0, horizon=horizon, kernel=mech_kernel)
+
+
+def test_barrier_takes_a_numpy_integer_horizon(mech_barrier, mech_kernel):
+    barrier = peierls_barrier(MECH, Grid(N), mech_barrier.c, horizon=np.int64(24),
+                              kernel=mech_kernel)
+    assert np.array_equal(barrier.values, mech_barrier.values)
 
 
 def test_barrier_rejects_a_kernel_of_another_grid_or_duration():
@@ -362,3 +370,115 @@ def test_convergence_passes_only_at_its_error_floor():
                              orbits=[])
     assert report.errors[-1] > 0.1
     assert report.verdict == "fail"
+
+
+def _unreduced_karp(matrix):
+    """Karp's DP over every column, with no orbit reduction."""
+    n = matrix.shape[0]
+    d = np.empty((n + 1, n))
+    d[0] = 0.0
+    for k in range(1, n + 1):
+        d[k] = np.min(d[k - 1][:, None] + matrix, axis=0)
+    denom = (n - np.arange(n)).astype(float)
+    ratios = (d[n][None, :] - d[:n]) / denom[:, None]
+    return -float(np.min(np.max(ratios, axis=0)))
+
+
+def _unreduced_barrier(kernel, c, horizon):
+    """The barrier's products over every row, with no orbit reduction:
+    (values, defect, turnpike, period)."""
+    shifted = kernel.matrix + c
+    largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
+    held = [shifted]
+    m, period = 1, None
+    while m < horizon and period is None:
+        power = weak_kam.minplus_matmul(held[-1], shifted)
+        m += 1
+        largest = max(largest, float(np.max(np.abs(power))))
+        bound = (2 * (kernel.grid.n + 2) ** 2 + m) * np.finfo(float).eps * largest
+        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, len(held) + 1)]
+        period = next((p for p, change in enumerate(changes, 1) if change <= bound), None)
+        held = (held + [power])[-weak_kam.MAX_PERIOD:]
+    cycle = period or 1
+    return (np.minimum.reduce(held[-cycle:]), changes[cycle - 1],
+            None if period is None else m, period)
+
+
+def _assert_matches_unreduced(kernel):
+    """Karp and the barrier, at the Karp value and 1e-10 off it, equal
+    their unreduced computations bit for bit."""
+    c = karp_eigenvalue(kernel)
+    assert c == _unreduced_karp(kernel.matrix)
+    for shift in (c, c + 1e-10):
+        barrier = peierls_barrier(None, kernel.grid, shift, 40, kernel=kernel)
+        values, defect, turnpike, period = _unreduced_barrier(kernel, shift, 40)
+        assert np.array_equal(barrier.values, values)
+        assert barrier.defect == defect
+        assert (barrier.turnpike, barrier.period) == (turnpike, period)
+        assert barrier.stabilized == (period is not None)
+
+
+@pytest.fixture(scope="module")
+def symmetry_cases(mech_kernel):
+    """(kernel, representative rows) per case."""
+    rng = np.random.default_rng(11)
+    tilted = tilt_system(MECH, "maupertuis", 1.0)
+    return {
+        "free": (assemble_kernel(FREE, Grid(16), 0.0, 1.0), 1),  # every shift
+        "q1": (mech_kernel, N // 2 + 1),  # the reflection
+        "q2-eps": (assemble_kernel(LagrangianSystem(family="mechanical-cos", freq=2, eps=0.1),
+                                   Grid(N), 0.0, 1.0), N // 4 + 1),  # and the half shift
+        "q3": (assemble_kernel(LagrangianSystem(family="mechanical-cos", freq=3),
+                               Grid(48), 0.0, 1.0), 9),  # shifts by 16
+        "tilt": (tilted.kernel(Grid(32), 0.0, 1.0), 17),
+        "random": (TropicalKernel(grid=Grid(12), s=0.0, delta=1.0,
+                                  matrix=rng.integers(-9, 10, (12, 12)).astype(float)), 12),
+        "cycle-2": (_cyclic_kernel(2), 8),
+        "cycle-3": (_cyclic_kernel(3), 8),
+    }
+
+
+@pytest.mark.parametrize("case", ["free", "q1", "q2-eps", "q3", "tilt", "random",
+                                  "cycle-2", "cycle-3"])
+def test_orbit_reduction_is_bit_for_bit(symmetry_cases, case):
+    kernel, n_reps = symmetry_cases[case]
+    reps, orbit, cols = row_orbits(kernel.matrix)
+    assert reps.size == n_reps
+    assert np.array_equal(kernel.matrix[reps][orbit[:, None], cols], kernel.matrix)
+    _assert_matches_unreduced(kernel)
+
+
+@pytest.mark.parametrize("moved, n_reps", [
+    ([(3, 5)], N),  # breaks every map
+    ([(3, 5), (3 + N // 2, 5 + N // 2)], N // 2)],  # keeps the half shift
+    ids=["all", "reflection"])
+def test_a_symmetry_one_ulp_off_is_dropped(symmetry_cases, moved, n_reps):
+    kernel, _ = symmetry_cases["q2-eps"]
+    matrix = kernel.matrix.copy()
+    for i, j in moved:
+        matrix[i, j] = np.nextafter(matrix[i, j], np.inf)
+    assert row_orbits(matrix)[0].size == n_reps
+    _assert_matches_unreduced(dataclasses.replace(kernel, matrix=matrix))
+
+
+def test_a_transpose_symmetric_matrix_gets_no_symmetry():
+    # min-plus powers of B + B^T are symmetric only up to rounding
+    b = np.random.default_rng(4).normal(size=(16, 16))
+    kernel = TropicalKernel(grid=Grid(16), s=0.0, delta=1.0, matrix=b + b.T)
+    assert np.array_equal(row_orbits(kernel.matrix)[0], np.arange(16))
+    _assert_matches_unreduced(kernel)
+
+
+def test_barrier_multiplies_representative_rows_only(symmetry_cases, monkeypatch):
+    kernel, _ = symmetry_cases["q2-eps"]
+    shapes = []
+    real = weak_kam.minplus_matmul
+
+    def recording(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(weak_kam, "minplus_matmul", recording)
+    barrier = peierls_barrier(None, kernel.grid, karp_eigenvalue(kernel), 40, kernel=kernel)
+    assert len(shapes) == barrier.turnpike - 1
+    assert set(shapes) == {((17, N), (N, N))}
