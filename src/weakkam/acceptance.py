@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WeakKamError
-from .experiments import dwell_statistics, run_convergence
+from .experiments import check_seed, dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
@@ -110,6 +110,7 @@ def lift_identity_gaps(sys, n: int, seed: int, count: int):
     """(worst action gap, worst Legendre gap) of the order-n lift of sys:
     |n A_lift - A| over ``count`` ``random_curves(seed)`` and their lifts,
     and ``legendre_gap`` of the lift at 100 points drawn with seed + 1."""
+    check_seed(seed)
     lifted = lift_system(sys, n)
     worst_action = max(abs(n * curve_action(lifted, lift_curve(curve, n))
                            - curve_action(sys, curve)) for curve in random_curves(seed, count))
@@ -123,6 +124,7 @@ class AcceptanceContext:
     """Caches the expensive shared objects of the acceptance matrix."""
 
     def __init__(self, scale: AcceptanceScale | None = None, seed: int = 0):
+        check_seed(seed)
         self.scale = scale or AcceptanceScale()
         self.seed = int(seed)
         self._kernels = {}

@@ -109,6 +109,13 @@ def fit_exponential_rate(errors, floor) -> FitResult:
     return best
 
 
+def check_seed(seed) -> None:
+    """Raise ``ConfigurationError`` unless ``seed`` is a nonnegative
+    integer, which is what ``np.random.default_rng`` takes."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError("seed must be a nonnegative integer")
+
+
 def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.ndarray:
     """The start named by one of ``U0_TAGS``, which the caller has checked."""
     if u0_tag == "zero":
@@ -165,6 +172,7 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
         raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
                                  f"choose one of {U0_TAGS}")
     check_barrier_horizon(horizon)
+    check_seed(seed)
     n = grid.n
 
     if unit_kernel is None:

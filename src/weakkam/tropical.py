@@ -346,6 +346,8 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
 
 def minplus_apply(mat, u):
     """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K."""
+    if mat.ndim != 2:
+        raise ConfigurationError("min-plus apply needs a 2-D kernel")
     u = np.asarray(u, dtype=float)
     if u.shape != (mat.shape[0],):
         raise ConfigurationError("shape mismatch in min-plus apply")

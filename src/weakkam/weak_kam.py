@@ -4,11 +4,15 @@ graph between Aubry classes.
 The barrier is one tropical cycle of the c-shifted unit kernel. By
 max-plus cyclicity its powers repeat with some period p after a
 transient, P^(m+p) = P^m + p * lambda, and lambda vanishes at the
-critical value c up to the rounding of c. The barrier multiplies until
-the first power that repeats an earlier one within that rounding and
-returns the entrywise minimum over the p powers of the cycle. Every power
-keeps the exact row symmetries of the kernel (``tropical.row_orbits``),
-so only the rows of the orbit representatives are multiplied.
+critical value c up to the rounding of c. The period is the lcm of the
+cyclicities of the components of the critical graph (Cohen, Dubois,
+Quadrat & Viot, IEEE TAC 30, 1985), the tropical form of the lcm of the
+periods of the Aubry orbits, and has no bound set in advance. So the
+barrier holds every power, multiplies until the first power that repeats
+any earlier one within that rounding, and returns the entrywise minimum
+over the p powers of the cycle. Every power keeps the exact row
+symmetries of the kernel (``tropical.row_orbits``), so only the rows of
+the orbit representatives are multiplied.
 """
 from __future__ import annotations
 
@@ -91,10 +95,6 @@ class ConnectionGraph:
     cycles: list
 
 
-# the longest cycle of powers the barrier looks for
-MAX_PERIOD = 4
-
-
 def check_barrier_horizon(horizon, t_frac=None) -> None:
     """Raise ``ConfigurationError`` unless the barrier may take a power and
     its end offset, when given, is finite."""
@@ -127,17 +127,18 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     Every other row is a permutation of a held one, so the largest entry
     and the changes below are those of the full powers.
 
-    Each new power P^m is compared with the previous ``MAX_PERIOD``
-    powers, and the products stop at the first m with
-    max|P^m - P^(m - p)| <= (2 (n + 2)^2 + m) eps M for some p: n is the
-    grid size, eps machine epsilon and M the largest |entry| of the
+    Each new power P^m is compared with every power held since P^1, and
+    the products stop at the first m with
+    max|P^m - P^(m - p)| <= (p (n + 2)^2 / 2 + m) eps M for some p: n is
+    the grid size, eps machine epsilon and M the largest |entry| of the
     kernel and of P^1 .. P^m. The bound is what rounding alone can leave
-    in a cycle when c is the Karp value of the kernel (u = eps / 2).
-    Karp's walk sums of up to n steps, with the shift by c, move the
-    cycle mean of the shifted kernel by less than (n + 2)^2 u M, so a
-    cycle of p <= 4 powers drifts by less than 2 (n + 2)^2 eps M; the
-    m - 1 rounded products move P^m and P^(m - p) by at most (m - 1) u M
-    each. A larger change shows the powers have not entered their cycle.
+    in a cycle of p powers when c is the Karp value of the kernel
+    (u = eps / 2). Karp's walk sums of up to n steps, with the shift by
+    c, move the cycle mean of the shifted kernel by less than
+    (n + 2)^2 u M, so p powers drift by less than p (n + 2)^2 eps M / 2;
+    the m - 1 rounded products move P^m and P^(m - p) by at most
+    (m - 1) u M each, less than m eps M together. A larger change shows
+    the powers have not entered their cycle.
 
     At the first such m, ``turnpike`` = m, ``period`` = the least such p,
     ``defect`` = its residual max|P^m - P^(m - p)|, ``stabilized`` is
@@ -155,6 +156,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     df = (t_frac - s_frac) mod 1.
     """
     check_barrier_horizon(horizon, t_frac)
+    if not math.isfinite(c):
+        raise ConfigurationError("barrier shift c must be finite")
     if kernel.grid != grid:
         raise ConfigurationError(
             f"barrier grid of {grid.n} points does not match the kernel's "
@@ -167,16 +170,17 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
     reps, orbit, cols = row_orbits(shifted)
-    held = [shifted[reps]]  # the representative rows of P^(m - len(held) + 1) .. P^m
+    held = [shifted[reps]]  # the representative rows of P^1 .. P^m
     m, period = 1, None
     while m < horizon and period is None:
         power = minplus_matmul(held[-1], shifted)
         m += 1
         largest = max(largest, float(np.max(np.abs(power))))
-        bound = (2 * (grid.n + 2) ** 2 + m) * np.finfo(float).eps * largest
-        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, len(held) + 1)]
-        period = next((p for p, change in enumerate(changes, 1) if change <= bound), None)
-        held = (held + [power])[-MAX_PERIOD:]
+        unit = np.finfo(float).eps * largest
+        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, m)]
+        period = next((p for p, change in enumerate(changes, 1)
+                       if change <= (p * (grid.n + 2) ** 2 / 2 + m) * unit), None)
+        held.append(power)
     cycle = period or 1
     defect = changes[cycle - 1]
     values = np.minimum.reduce(held[-cycle:])[orbit[:, None], cols]
@@ -263,8 +267,13 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
     Vertex j points to vertex k when the barrier from k to the target
     equals (within tol) the barrier from k to j plus the barrier from j to
     the target. Roots receive no segment. Acyclicity is checked and any
-    violation reported with the offending cycle."""
+    violation reported with the offending cycle. ``target_index`` must be
+    a grid index in [0, n)."""
     check_tolerance(tol, "graph")
+    if (isinstance(target_index, bool) or not isinstance(target_index, numbers.Integral)
+            or not 0 <= target_index < h.grid.n):
+        raise ConfigurationError(
+            f"graph target index must be an integer in [0, {h.grid.n})")
     reps = list(aubry.representatives)
     if not reps:
         raise ConfigurationError("need at least one Aubry representative")

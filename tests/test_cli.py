@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import weakkam.acceptance as acceptance
 import weakkam.cli as cli
 import weakkam.experiments as experiments
 from weakkam.cli import build_parser, dispatch
@@ -259,16 +260,23 @@ def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, cap
     ["graph", "--target", "0", "--tol", "nan"],
     ["graph", "--target", "0", "--aubry-tol", "nan"],
     ["aubry", "--tol", "nan"],
-    ["barrier", "--tfrac", "nan"]],
+    ["barrier", "--tfrac", "nan"],
+    ["convergence", "--u0", "random-seeded", "--seed", "-1"],
+    ["reduce", "--n", "2", "--seed", "-1"],
+    ["paper-suite", "--out-dir", "suite", "--grid", "16", "--confirm-grid", "32",
+     "--small-grid", "16", "--seed", "-1"]],
     ids=["convergence", "barrier", "aubry", "dwell-horizon", "dwell-delta",
          "dwell-from", "dwell-to", "graph-target", "graph-tol", "graph-aubry-tol",
-         "aubry-tol", "barrier-tfrac"])
-def test_bad_input_is_rejected_before_assembly(monkeypatch, capsys, argv):
+         "aubry-tol", "barrier-tfrac", "convergence-seed", "reduce-seed",
+         "paper-suite-seed"])
+def test_bad_input_is_rejected_before_assembly(tmp_path, monkeypatch, capsys, argv):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a kernel for bad input")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "assemble_kernel", no_assembly)
     monkeypatch.setattr(experiments, "assemble_kernel", no_assembly)
+    monkeypatch.setattr(acceptance, "assemble_kernel", no_assembly)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("configuration error:")
 

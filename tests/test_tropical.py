@@ -319,6 +319,13 @@ def test_karp_and_minplus_matmul_reject_malformed_operands():
         minplus_matmul(np.zeros((3, 3)), np.zeros((3, 3, 1)))
 
 
+@pytest.mark.parametrize("kernel", [np.array([1.0, 2.0, 3.0]), np.zeros((3, 3, 2))],
+                         ids=["1-D", "3-D"])
+def test_minplus_apply_rejects_a_kernel_that_is_not_2d(kernel):
+    with pytest.raises(ConfigurationError, match="2-D"):
+        minplus_apply(kernel, np.zeros(3))
+
+
 def test_karp_free_kernel(free_kernel):
     assert abs(karp_eigenvalue(free_kernel)) < 1e-12
 

@@ -188,6 +188,43 @@ def test_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(barrier_cases, case):
     assert barrier.defect >= 0.99e-10
 
 
+def _two_cycle_kernel(n=8):
+    """Kernel whose zero-weight cycles are 0 -> 1 -> 0 and 2 -> 3 -> 4 -> 2,
+    every other entry in [1.0, 1.4]: its powers end up periodic with period
+    lcm(2, 3) = 6."""
+    i, j = np.indices((n, n))
+    matrix = 1.0 + 0.1 * ((i + 2 * j) % 5)
+    for a, b in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
+        matrix[a, b] = 0.0
+    return TropicalKernel(grid=Grid(n), s=0.0, delta=1.0, matrix=matrix)
+
+
+def test_barrier_finds_the_lcm_period_of_two_critical_cycles():
+    kernel = _two_cycle_kernel()
+    c = karp_eigenvalue(kernel)
+    assert c == 0.0
+    barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
+    assert barrier.stabilized and barrier.period == 6 and barrier.defect == 0.0
+    _, powers = _full_loop_barrier(kernel.matrix + c, barrier.turnpike)
+    cycle_min = np.minimum.reduce(powers[barrier.turnpike - 6:barrier.turnpike])
+    assert barrier.values.tobytes() == cycle_min.tobytes()
+    values, defect, turnpike, period = _unreduced_barrier(kernel, c, 40)
+    assert np.array_equal(barrier.values, values)
+    assert (barrier.defect, barrier.turnpike, barrier.period) == (defect, turnpike, period)
+
+
+def test_barrier_finds_a_cycle_of_five():
+    kernel = _cyclic_kernel(5)
+    barrier = peierls_barrier(None, kernel.grid, 0.0, 40, kernel=kernel)
+    assert barrier.stabilized and barrier.period == 5 and barrier.defect == 0.0
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_barrier_rejects_a_non_finite_shift(mech_kernel, c):
+    with pytest.raises(ConfigurationError, match="shift c must be finite"):
+        peierls_barrier(MECH, Grid(N), c, horizon=24, kernel=mech_kernel)
+
+
 @pytest.mark.parametrize("horizon", [1, 2.5, 3.0, True])
 def test_barrier_requires_horizon(mech_kernel, horizon):
     with pytest.raises(ConfigurationError, match="integer of at least 2"):
@@ -361,6 +398,15 @@ def test_connection_graph_single_orbit(mech_barrier):
     assert graph.edges == [] and graph.roots == [0] and graph.cycles == []
 
 
+@pytest.mark.parametrize("target", [-1, 32, 32.0, True], ids=["-1", "n", "float", "bool"])
+def test_connection_graph_rejects_a_target_off_the_grid(two_well_barrier, target):
+    # two Aubry representatives, so an index n would reach past the matrix
+    detected = aubry_set(two_well_barrier, 1e-9)
+    assert len(detected.representatives) == 2
+    with pytest.raises(ConfigurationError, match="target index"):
+        connection_graph(two_well_barrier, detected, target, tol=1e-3)
+
+
 def test_convergence_passes_only_at_its_error_floor():
     # the cycle-2 kernel's corrected semigroup is 2-periodic and never
     # reaches the single limit: its errors level off at 0.144, and that
@@ -395,10 +441,11 @@ def _unreduced_barrier(kernel, c, horizon):
         power = weak_kam.minplus_matmul(held[-1], shifted)
         m += 1
         largest = max(largest, float(np.max(np.abs(power))))
-        bound = (2 * (kernel.grid.n + 2) ** 2 + m) * np.finfo(float).eps * largest
-        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, len(held) + 1)]
-        period = next((p for p, change in enumerate(changes, 1) if change <= bound), None)
-        held = (held + [power])[-weak_kam.MAX_PERIOD:]
+        unit = np.finfo(float).eps * largest
+        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, m)]
+        period = next((p for p, change in enumerate(changes, 1)
+                       if change <= (p * (kernel.grid.n + 2) ** 2 / 2 + m) * unit), None)
+        held.append(power)
     cycle = period or 1
     return (np.minimum.reduce(held[-cycle:]), changes[cycle - 1],
             None if period is None else m, period)
