@@ -155,14 +155,13 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     from the cycle-minimum barrier of the same offset-tau kernel applied
     after the same fractional step, so the two computations share one
     composition order and agree exactly once the iteration reaches its
-    finite fixed point. A given ``unit_kernel`` must start at tau. A
-    barrier whose powers found no cycle within ``horizon`` raises
-    ``NumericalError``: its limit would be wrong. A given ``barrier`` is
-    used instead of building one; it must be a stabilized barrier of the
-    unit kernel's grid, offset and Karp value, or ``ConfigurationError``
-    is raised. The verdict is ``pass``
-    only when the fitted rate is positive and the last error has reached
-    its floor.
+    finite fixed point. A given ``unit_kernel`` must start at tau, on
+    ``grid``. A barrier whose powers found no cycle within ``horizon``
+    raises ``NumericalError``: its limit would be wrong. A given
+    ``barrier`` is used instead of building one; it must be a stabilized
+    barrier of the unit kernel's grid, offset and Karp value, or
+    ``ConfigurationError`` is raised. The verdict is ``pass`` only when the
+    fitted rate is positive and the last error has reached its floor.
     """
     if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 8:
         raise ConfigurationError("k_max must be an integer of at least 8")
@@ -180,6 +179,9 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     elif unit_kernel.s != tau_frac:
         raise ConfigurationError(
             f"unit kernel starts at {unit_kernel.s:g}, not at tau_frac {tau_frac:g}")
+    elif unit_kernel.grid != grid:
+        raise ConfigurationError(
+            f"unit kernel is on grid {unit_kernel.grid.n}, not on grid {grid.n}")
     c = karp_eigenvalue(unit_kernel)
     if barrier is None:
         barrier = peierls_barrier(sys, grid, c, horizon, kernel=unit_kernel)

@@ -37,6 +37,7 @@ on the lift, not on the projection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,11 @@ class LagrangianSystem:
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown Lagrangian family {self.family!r}; "
                                      f"choose one of {FAMILIES}")
-        if not (isinstance(self.freq, int) and self.freq >= 1):
-            raise ConfigurationError("spatial frequency must be a positive integer")
-        if not (isinstance(self.lift, int) and self.lift >= 1):
-            raise ConfigurationError("lift order must be a positive integer")
+        for name, what in (("freq", "spatial frequency"), ("lift", "lift order")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(f"{what} must be a positive integer")
+            object.__setattr__(self, name, int(value))
         if not math.isfinite(self.amp):
             raise ConfigurationError("potential amplitude must be finite")
         if self.family == "mechanical-cos":
@@ -227,25 +229,19 @@ class LagrangianSystem:
     # -- kernel symmetries -----------------------------------------------
 
     def kernel_symmetries(self, n: int, s: float, delta: float):
-        """Index maps (i, j) -> (i', j') that leave the n-point kernel over
-        [s, s + delta] invariant.
-
-        Reflection x -> -x always does. Time reversal about the window's
-        middle transposes the kernel when the modulation is even about it,
-        that is when eps = 0 or N (2s + delta) is an integer. A shift by 1/q
-        is a grid shift when q divides n; the free kernel is invariant
-        under every grid shift, so one step generates them all.
+        """(shift, reverses) of the n-point kernel over [s, s + delta],
+        whose reflection x -> -x always holds. ``shift`` is the least
+        declared grid shift that leaves it invariant: 1 for the free
+        kernel, n / q (a shift by 1/q) when q divides n, else n (none).
+        ``reverses`` says that time reversal about the window's middle
+        transposes the kernel, as it does when the modulation is even about
+        it: when eps = 0 or N (2s + delta) is an integer.
         """
-        maps = [lambda i, j: (-i % n, -j % n)]
-        if self.eps == 0.0 or float(self.lift * (2.0 * s + delta)).is_integer():
-            maps.append(lambda i, j: (j, i))
         if self.family == "free":
-            step = 1
+            shift = 1
         else:
-            step = n // self.freq if n % self.freq == 0 else n
-        if step < n:
-            maps.append(lambda i, j: ((i + step) % n, (j + step) % n))
-        return tuple(maps)
+            shift = n // self.freq if n % self.freq == 0 else n
+        return shift, self.eps == 0.0 or float(self.lift * (2.0 * s + delta)).is_integer()
 
     def label(self):
         if self.family == "free":

@@ -66,26 +66,21 @@ class TropicalKernel:
     matrix: np.ndarray
 
 
-def symmetry_orbits(maps, n: int) -> np.ndarray:
-    """Orbit label of every flat kernel index i * n + j under the group the
-    index maps generate: the smallest flat index of its orbit.
-
-    Min-label closure: each pass lowers a label to the label of its image
-    under every map and then to the label of its label, until nothing
-    changes. The maps are permutations, so a fixed point is constant on
-    orbits, and every label is an orbit member no larger than its index.
+def pair_orbits(n: int, shift: int, reverses: bool) -> np.ndarray:
+    """Orbit label, the least flat index of the orbit, of every kernel pair
+    i * n + j under the reflection (-i, -j), the shifts by multiples of
+    ``shift`` (a divisor of n) and, when ``reverses`` holds, the transpose
+    (j, i). Each group element is a shift after one of at most four maps,
+    and the least shift image of a pair moves its row i to i mod ``shift``.
     """
-    i, j = np.divmod(np.arange(n * n), n)
-    images = [mi * n + mj for mi, mj in (f(i, j) for f in maps)]
-    label = np.arange(n * n)
-    while True:
-        lowered = label
-        for image in images:
-            lowered = np.minimum(lowered, lowered[image])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, label):
-            return label
-        label = lowered
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+
+    def least_shift(i, j):
+        r = i % shift
+        return r * n + (j - i + r) % n
+
+    maps = [(i, j), (-i % n, -j % n)] + ([(j, i), (-j % n, -i % n)] if reverses else [])
+    return np.minimum.reduce([least_shift(*m) for m in maps]).ravel()
 
 
 def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
@@ -265,9 +260,10 @@ def _solve_jobs(solve, jobs, workers: int) -> list:
 def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     """Minimal action between all grid-point pairs over [s, s + delta].
 
-    The system declares index maps under which the kernel is invariant
-    (``sys.kernel_symmetries``); one representative pair per orbit, its
-    smallest flat index, is minimized and its value copied to the rest of
+    The system declares the kernel's least grid shift and whether time
+    reversal transposes it (``sys.kernel_symmetries``); the reflection
+    always holds. One pair per orbit of that group, its least flat index
+    (``pair_orbits``), is minimized and its value copied to the rest of
     the orbit. Before the copy is trusted, a fixed seeded sample of
     ``SYMMETRY_SAMPLE`` mirrored entries is solved directly, and any gap
     above ``SYMMETRY_TOLERANCE`` raises.
@@ -314,7 +310,7 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
         values, _, _ = winding_search(sys, a, b, pts[pairs // n], pts[pairs % n])
         return values
 
-    label = symmetry_orbits(sys.kernel_symmetries(n, a, float(delta)), n)
+    label = pair_orbits(n, *sys.kernel_symmetries(n, a, float(delta)))
     flat = np.arange(n * n)
     reps = np.flatnonzero(label == flat)
     mirrored = np.flatnonzero(label != flat)

@@ -1,8 +1,13 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weakkam
 import weakkam.acceptance as acceptance
 import weakkam.cli as cli
 import weakkam.experiments as experiments
@@ -13,6 +18,26 @@ def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m weakkam`` in a child process that imports this package."""
+    src = str(Path(weakkam.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "weakkam", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_the_executable_prints_its_table_and_exits_0():
+    done = run_module("critical-value", "--grid", "8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "c,1\n", "")
+
+
+def test_a_numerical_failure_exits_1_with_one_error_line():
+    done = run_module("orbit", "--system", "free", "--guess-x", "0.3", "--guess-v", "0.3")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: I - monodromy is singular; the orbit direction is not hyperbolic"]
 
 
 def test_critical_value_free(capsys):

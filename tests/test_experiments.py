@@ -126,6 +126,20 @@ def test_convergence_rejects_a_kernel_from_another_offset():
                         unit_kernel=kernel, orbits=[])
 
 
+@pytest.mark.parametrize("u0_tag", ["spike", "zero", "random-seeded"])
+def test_convergence_rejects_a_kernel_on_another_grid(monkeypatch, u0_tag):
+    kernel = assemble_kernel(MECH, Grid(32), 0.0, 1.0)
+    barrier = peierls_barrier(MECH, Grid(32), karp_eigenvalue(kernel), 10, kernel=kernel)
+
+    def no_iteration(*args):
+        raise AssertionError("the kernel's grid is checked before the iteration")
+
+    monkeypatch.setattr(experiments, "minplus_apply", no_iteration)
+    with pytest.raises(ConfigurationError, match="unit kernel is on grid 32, not on grid 16"):
+        run_convergence(MECH, Grid(16), u0_tag=u0_tag, k_max=10, horizon=10,
+                        unit_kernel=kernel, barrier=barrier, orbits=[])
+
+
 def test_convergence_refuses_an_unstabilized_barrier():
     # amp 0.3 on grid 64 reaches its turnpike at power 5; a barrier cut
     # at power 2 is no barrier, and a limit built from it is wrong

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakkam import (ConfigurationError, DegenerateOrbitError,
-                     LagrangianSystem, NotPeriodicError, PhasePoint,
+                     LagrangianSystem, NoOrbitError, NotPeriodicError, PhasePoint,
                      floquet_analysis, flow_map, flow_trajectory, monodromy,
                      refine_periodic_orbit, tilt_system, torus_distance)
 from weakkam import flow
@@ -74,6 +74,40 @@ def test_refine_two_wells():
 def test_refine_rest_point_of_free_system_is_degenerate():
     with pytest.raises(DegenerateOrbitError):
         refine_periodic_orbit(FREE, PhasePoint(0.3, 0.0, 0.0), 1)
+
+
+def test_a_singular_newton_jacobian_is_degenerate():
+    # the free flow is a shear: I - monodromy is singular on every orbit
+    with pytest.raises(DegenerateOrbitError,
+                       match="^I - monodromy is singular; the orbit direction is not hyperbolic$"):
+        refine_periodic_orbit(FREE, PhasePoint(0.3, 0.3, 0.0), 1)
+
+
+def test_a_damped_step_halves_and_still_lands_on_the_saddle(monkeypatch):
+    # every residual is one batched flow and every Newton step one solve;
+    # each of the two shootings evaluates one residual before its first
+    # step, so the calls left over are rejected trial steps
+    calls = {"flow": 0, "solve": 0}
+    flow_, solve = flow._flow_with_variational, np.linalg.solve
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(flow, "_flow_with_variational", counted("flow", flow_))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+    orbit = refine_periodic_orbit(MECH, PhasePoint(0.15, 0.3, 0.0), 1)
+    assert calls["flow"] - 2 - calls["solve"] == 1
+    assert torus_distance(orbit.x, 0.0) < 1e-12 and abs(orbit.v) < 1e-12
+    assert orbit.hyperbolic
+
+
+def test_a_rotating_orbit_exhausts_the_newton_budget():
+    with pytest.raises(NoOrbitError,
+                       match=r"^shooting did not converge; last defect 1\.549e-08$"):
+        refine_periodic_orbit(MECH, PhasePoint(0.3, 5.0, 0.0), 1)
 
 
 def test_refine_is_idempotent():

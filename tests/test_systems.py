@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from weakkam import (ConfigurationError, DiscretizedCurve, LagrangianSystem,
-                     PhasePoint, curve_action, reduce_mod_1, torus_distance)
+from weakkam import (ConfigurationError, DiscretizedCurve, Grid, LagrangianSystem,
+                     PhasePoint, assemble_kernel, curve_action, reduce_mod_1,
+                     torus_distance)
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -100,6 +101,20 @@ def test_unknown_family_rejected():
         LagrangianSystem(family="mechanical-cos", freq=0)
     with pytest.raises(ConfigurationError):  # amplitude 0 of the same family
         LagrangianSystem(family="free", freq=0)
+
+
+@pytest.mark.parametrize("field", ["freq", "lift"])
+def test_integer_fields_reject_booleans(field):
+    with pytest.raises(ConfigurationError, match="positive integer"):
+        LagrangianSystem(**{field: True})
+
+
+def test_integer_fields_take_any_integer_type():
+    numpy_q = LagrangianSystem(freq=np.int64(2), lift=np.int32(1))
+    assert type(numpy_q.freq) is int and type(numpy_q.lift) is int
+    assert numpy_q.label() == "mechanical-cos(A=1,q=2,eps=0)"
+    plain = assemble_kernel(LagrangianSystem(freq=2), Grid(16), 0.0, 1.0)
+    assert np.array_equal(assemble_kernel(numpy_q, Grid(16), 0.0, 1.0).matrix, plain.matrix)
 
 
 def test_legendre_mech_at_maximum():

@@ -16,7 +16,7 @@ from weakkam import (ConfigurationError, Grid, LagrangianSystem,
 from weakkam.action import (_straight_lifts, minimize_straight_batch,
                             segments_for, winding_candidates)
 from weakkam.systems import exact_row_actions
-from weakkam.tropical import symmetry_orbits, winding_search
+from weakkam.tropical import pair_orbits, winding_search
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -79,21 +79,6 @@ def test_kernel_independent_of_integer_start_shift():
     assert np.array_equal(k0.matrix, k1.matrix)
 
 
-class Declaring:
-    """A built-in system that declares the given kernel symmetries instead
-    of its own."""
-
-    def __init__(self, base, maps=()):
-        self.base = base
-        self.maps = maps
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-    def kernel_symmetries(self, n, s, delta):
-        return self.maps
-
-
 class MissingBound:
     """A system whose quadrature side lacks one of the two bounds."""
 
@@ -140,7 +125,7 @@ def test_kernel_bits_independent_of_the_cpu_count(monkeypatch, sys, n):
 
 def test_shares_are_strides_of_the_representatives(monkeypatch):
     n = 16
-    label = symmetry_orbits(MECH.kernel_symmetries(n, 0.0, 1.0), n)
+    label = pair_orbits(n, *MECH.kernel_symmetries(n, 0.0, 1.0))
     reps = np.flatnonzero(label == np.arange(n * n))
     given = []
     original = tropical._solve_jobs
@@ -166,7 +151,7 @@ def fail_on_representative(monkeypatch, index, fail):
     two CPUs the shares are strides of the representatives, so the first
     is in the caller's share and the second in the worker's."""
     n = 16
-    label = symmetry_orbits(MECH.kernel_symmetries(n, 0.0, 1.0), n)
+    label = pair_orbits(n, *MECH.kernel_symmetries(n, 0.0, 1.0))
     i, j = divmod(int(np.flatnonzero(label == np.arange(n * n))[index]), n)
     x, y = i / n, j / n
     original = tropical.winding_search
@@ -218,29 +203,54 @@ def test_symmetric_kernel_matches_direct_solves(sys, s, delta):
 
 
 def test_transpose_needs_an_even_modulation():
-    n = 12
-    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.25, 1.0), n)
-    assert label[0 * n + 1] != label[1 * n + 0]
-    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.0, 1.0), n)
-    assert label[0 * n + 1] == label[1 * n + 0]
+    assert MECH_EPS.kernel_symmetries(12, 0.25, 1.0) == (12, False)
+    assert MECH_EPS.kernel_symmetries(12, 0.0, 1.0) == (12, True)
 
 
 def test_half_period_shift_needs_an_even_grid():
     # the orbit of (0, 0) holds (n/2, n/2) exactly when the shift is declared
-    label = symmetry_orbits(MECH_Q2.kernel_symmetries(9, 0.0, 1.0), 9)
-    assert np.flatnonzero(label == 0).tolist() == [0]
-    label = symmetry_orbits(MECH_Q2.kernel_symmetries(8, 0.0, 1.0), 8)
-    assert np.flatnonzero(label == 0).tolist() == [0, 4 * 8 + 4]
+    assert MECH_Q2.kernel_symmetries(9, 0.0, 1.0) == (9, True)
+    assert MECH_Q2.kernel_symmetries(8, 0.0, 1.0) == (4, True)
+    assert np.flatnonzero(pair_orbits(8, 4, True) == 0).tolist() == [0, 4 * 8 + 4]
 
 
-def test_representatives_match_the_unreduced_kernel_bit_for_bit():
-    n = 12
-    kernel = assemble_kernel(MECH_EPS, Grid(n), 0.0, 1.0)
-    plain = assemble_kernel(Declaring(MECH_EPS), Grid(n), 0.0, 1.0)
-    label = symmetry_orbits(MECH_EPS.kernel_symmetries(n, 0.0, 1.0), n)
-    reps = np.flatnonzero(label == np.arange(n * n))
+def brute_force_orbits(n, shift, reverses):
+    """Least flat index over the images of every pair under every group
+    element, each applied explicitly: a shift by a multiple of ``shift``
+    after the identity, the reflection and, when ``reverses`` holds, the
+    transpose and the transposed reflection."""
+    label = np.empty(n * n, dtype=int)
+    for i in range(n):
+        for j in range(n):
+            images = [(i, j), (-i % n, -j % n)]
+            if reverses:
+                images += [(j, i), (-j % n, -i % n)]
+            label[i * n + j] = min((a + k) % n * n + (b + k) % n
+                                   for a, b in images for k in range(0, n, shift))
+    return label
+
+
+@pytest.mark.parametrize("reverses", [False, True])
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_pair_orbits_match_a_brute_force_enumeration(n, reverses):
+    for shift in (d for d in range(1, n + 1) if n % d == 0):
+        assert np.array_equal(pair_orbits(n, shift, reverses),
+                              brute_force_orbits(n, shift, reverses)), shift
+
+
+@pytest.mark.parametrize("sys, n, s, delta", [
+    (MECH_EPS, 12, 0.0, 1.0), (MECH_Q2_EPS, 12, 0.25, 1.0),
+    (lift_system(MECH_EPS, 2), 16, 0.0, 0.5)], ids=["eps", "q2-eps-shifted", "lift"])
+def test_representatives_match_the_unreduced_kernel_bit_for_bit(sys, n, s, delta):
+    # one direct search over all n^2 pairs, no symmetry used
+    kernel = assemble_kernel(sys, Grid(n), s, delta)
+    pts = Grid(n).points
+    plain, _, _ = winding_search(sys, s, s + delta, np.repeat(pts, n), np.tile(pts, n))
+    reps = np.flatnonzero(pair_orbits(n, *sys.kernel_symmetries(n, s, delta))
+                          == np.arange(n * n))
     assert reps.size < n * n
-    assert np.array_equal(kernel.matrix.flat[reps], plain.matrix.flat[reps])
+    assert np.array_equal(kernel.matrix.flat[reps], plain[reps])
+    assert np.max(np.abs(kernel.matrix.ravel() - plain)) <= 1e-12
 
 
 def test_symmetric_trap_entry_is_a_minimum():
@@ -252,19 +262,22 @@ def test_symmetric_trap_entry_is_a_minimum():
 
 def test_a_lift_declares_the_time_reversal_its_base_lacks():
     # over [0, 1/2] the base modulation cos(2 pi t) is not even about the
-    # window's middle, the order-2 lift's cos(4 pi t) is
-    n = 16
-    lifted = lift_system(MECH_EPS, 2)
-    for sys, reversed_ in ((MECH_EPS, False), (lifted, True)):
-        label = symmetry_orbits(sys.kernel_symmetries(n, 0.0, 0.5), n)
-        assert (label[0 * n + 1] == label[1 * n + 0]) == reversed_
-    kernel = assemble_kernel(lifted, Grid(n), 0.0, 0.5)
-    plain = assemble_kernel(Declaring(lifted), Grid(n), 0.0, 0.5)
-    assert np.max(np.abs(kernel.matrix - plain.matrix)) <= 1e-12
+    # window's middle, the order-2 lift's cos(4 pi t) is; the lift's
+    # kernel there is checked against direct solves above
+    assert MECH_EPS.kernel_symmetries(16, 0.0, 0.5) == (16, False)
+    assert lift_system(MECH_EPS, 2).kernel_symmetries(16, 0.0, 0.5) == (16, True)
+
+
+class Reversing(LagrangianSystem):
+    """A built-in system that declares a time reversal in every window."""
+
+    def kernel_symmetries(self, n, s, delta):
+        return n, True
 
 
 def test_false_symmetry_declaration_raises():
-    wrong = Declaring(MECH_EPS, (lambda i, j: (j, i),))
+    # the modulation of eps = 0.1 is not even about the middle of [0.25, 1.25]
+    wrong = Reversing(family="mechanical-cos", eps=0.1)
     with pytest.raises(NumericalError, match="symmetry fails at K"):
         assemble_kernel(wrong, Grid(12), 0.25, 1.0)
 

@@ -8,7 +8,7 @@ import weakkam.weak_kam as weak_kam
 from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
                      LagrangianSystem, TropicalKernel, aubry_set,
                      assemble_kernel, connection_graph, karp_eigenvalue,
-                     minplus_apply, peierls_barrier, run_convergence,
+                     minplus_apply, minplus_matmul, peierls_barrier, run_convergence,
                      semigroup_limit, tilt_system)
 from weakkam.tropical import row_orbits
 
@@ -405,6 +405,23 @@ def test_connection_graph_rejects_a_target_off_the_grid(two_well_barrier, target
     assert len(detected.representatives) == 2
     with pytest.raises(ConfigurationError, match="target index"):
         connection_graph(two_well_barrier, detected, target, tol=1e-3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda h: minplus_apply(h.values, np.zeros(N - 1)), "shape mismatch in min-plus apply"),
+    (lambda h: minplus_matmul(np.zeros((3, 4)), np.zeros((3, 3))),
+     "shape mismatch in min-plus matmul"),
+    (lambda h: karp_eigenvalue(np.zeros((3, 4))), "kernel must be square"),
+    (lambda h: karp_eigenvalue(np.array([[0.0, np.inf], [1.0, 0.0]])),
+     "kernel entries must be finite"),
+    (lambda h: semigroup_limit(np.zeros(N + 1), h), "shape mismatch between u0 and barrier"),
+    (lambda h: connection_graph(h, dataclasses.replace(aubry_set(h, 1e-9), representatives=[]),
+                                0, tol=1e-3), "need at least one Aubry representative")],
+    ids=["apply-length", "matmul-inner", "karp-non-square", "karp-non-finite",
+         "limit-length", "graph-no-representative"])
+def test_malformed_operands_are_configuration_errors(mech_barrier, call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call(mech_barrier)
 
 
 def test_convergence_passes_only_at_its_error_floor():
