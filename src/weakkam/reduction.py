@@ -29,7 +29,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import ConfigurationError, InvalidSubsolutionError
-from .systems import DiscretizedCurve, LagrangianSystem, curve_action, reduce_mod_1
+from .systems import (DiscretizedCurve, LagrangianSystem, curve_action, positive_integer,
+                      reduce_mod_1)
 from .tropical import Grid, TropicalKernel, assemble_kernel
 
 SUBSOLUTION_TAGS = ("zero", "maupertuis")
@@ -37,17 +38,16 @@ SUBSOLUTION_TAGS = ("zero", "maupertuis")
 
 def lift_system(sys: LagrangianSystem, n: int) -> LagrangianSystem:
     """The order-n period lift of a built-in system: the same family with
-    its lift order multiplied by n, so lifts compose. An order below 1 is
-    rejected by the system's own validation."""
-    return dataclasses.replace(sys, lift=sys.lift * n)
+    its lift order multiplied by n, so lifts compose. The order is checked
+    as the system checks its own: a positive integer, not a bool."""
+    return dataclasses.replace(sys, lift=sys.lift * positive_integer(n, "lift order"))
 
 
 def lift_curve(curve: DiscretizedCurve, n: int) -> DiscretizedCurve:
     """Time-rescale a curve by 1/n; sample values are unchanged, so the
     quadrature nodes of base and lift align and N * A_lift = A_base holds
-    to rounding."""
-    if n < 1:
-        raise ConfigurationError("lift order must be a positive integer")
+    to rounding. The order is checked as ``lift_system`` checks it."""
+    n = positive_integer(n, "lift order")
     return DiscretizedCurve(t0=curve.t0 / n, t1=curve.t1 / n,
                             samples=curve.samples.copy(), winding=curve.winding)
 

@@ -59,6 +59,14 @@ def reduce_mod_1(z):
     return np.where(r == 1.0, 0.0, r)
 
 
+def positive_integer(value, what: str) -> int:
+    """``value`` as an int, or ``ConfigurationError`` naming ``what``
+    unless it is a positive integer: any integer type, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{what} must be a positive integer")
+    return int(value)
+
+
 def torus_distance(a, b):
     """Shortest distance on the unit circle, vectorized."""
     d = np.abs(reduce_mod_1(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
@@ -92,10 +100,7 @@ class LagrangianSystem:
             raise ConfigurationError(f"unknown Lagrangian family {self.family!r}; "
                                      f"choose one of {FAMILIES}")
         for name, what in (("freq", "spatial frequency"), ("lift", "lift order")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigurationError(f"{what} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, positive_integer(getattr(self, name), what))
         if not math.isfinite(self.amp):
             raise ConfigurationError("potential amplitude must be finite")
         if self.family == "mechanical-cos":
@@ -232,15 +237,17 @@ class LagrangianSystem:
         """(shift, reverses) of the n-point kernel over [s, s + delta],
         whose reflection x -> -x always holds. ``shift`` is the least
         declared grid shift that leaves it invariant: 1 for the free
-        kernel, n / q (a shift by 1/q) when q divides n, else n (none).
-        ``reverses`` says that time reversal about the window's middle
-        transposes the kernel, as it does when the modulation is even about
-        it: when eps = 0 or N (2s + delta) is an integer.
+        kernel, else n / gcd(n, q), the fewest grid steps k whose length
+        k/n is a multiple of the potential's period 1/q (n, none, when n
+        and q are coprime). ``reverses`` says that time reversal about the
+        window's middle transposes the kernel, as it does when the
+        modulation is even about it: when eps = 0 or N (2s + delta) is an
+        integer.
         """
         if self.family == "free":
             shift = 1
         else:
-            shift = n // self.freq if n % self.freq == 0 else n
+            shift = n // math.gcd(n, self.freq)
         return shift, self.eps == 0.0 or float(self.lift * (2.0 * s + delta)).is_integer()
 
     def label(self):

@@ -351,21 +351,23 @@ def minplus_apply(mat, u):
 
 
 def minplus_matmul(a, b):
-    """C[i][j] = min_m A[i][m] + B[m][j], accumulated in place over m.
+    """C[i][j] = min_m A[i][m] + B[m][j], one output row at a time.
 
-    One n x n output and one n x n scratch row-sum are reused for every
-    inner index; min is exact, so the order of accumulation does not
-    change a bit of the result.
+    Row i adds A[i] as a column to the whole of B in one reused scratch of
+    B's shape and reduces it by min over m into the output row. Each entry
+    is one IEEE add per m followed by exact mins, so the order of the
+    reduction does not change a bit of the result; an empty inner
+    dimension gives +inf, the tropical zero.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ConfigurationError("min-plus matmul needs two 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    out = np.full((a.shape[0], b.shape[1]), np.inf)
-    tmp = np.empty_like(out)
-    for m in range(a.shape[1]):
-        np.add(a[:, m, None], b[m], out=tmp)
-        np.minimum(out, tmp, out=out)
+    out = np.empty((a.shape[0], b.shape[1]))
+    tmp = np.empty(b.shape)
+    for i in range(a.shape[0]):
+        np.add(a[i][:, None], b, out=tmp)
+        np.min(tmp, axis=0, out=out[i], initial=np.inf)
     return out
 
 

@@ -210,3 +210,37 @@ def test_batch_returns_the_evaluation_of_its_rows(monkeypatch):
     e, g, _, _ = evaluate(two_well, z, 1.0 / n_seg, tmid)
     assert np.array_equal(e_quad, e)
     assert np.array_equal(gsup, np.max(np.abs(g), axis=1))
+
+
+def explicit_preconditioner(n_int, h, sigma):
+    """tridiag(-1/h, 2/h + sigma, -1/h), written out in full."""
+    return (np.diag(np.full(n_int, 2.0 / h + sigma)) - np.diag(np.full(n_int - 1, 1.0 / h), 1)
+            - np.diag(np.full(n_int - 1, 1.0 / h), -1))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5 / 32 * 4 * np.pi ** 2], ids=["free", "q1"])
+@pytest.mark.parametrize("n_int", [1, 2, 31, 255, 1023])
+def test_closed_form_preconditioner_is_the_inverse(n_int, sigma):
+    h = 1.0 / 32
+    closed = action._preconditioner_inverse(n_int, h, sigma)
+    dense = np.linalg.inv(explicit_preconditioner(n_int, h, sigma))
+    assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.array_equal(closed, closed.T)
+
+
+def test_the_minimizer_builds_no_dense_inverse(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    value, curve = minimal_action(MECH, 0.3, 0.0, 0.8, 1.5)
+    assert curve_action(MECH, curve) == value
+    assert discrete_el_residual(MECH, curve) <= 1e-9
+
+
+@pytest.mark.parametrize("horizon, value", [
+    (8.0, -7.626919382547067), (16.0, -15.626919382547067), (32.0, -31.62691938254707)])
+def test_dwell_minimizer_values_bit_for_bit(horizon, value):
+    # the loops at x = 1/4 of the dwell diagnostics: 255, 511 and 1023
+    # interior samples, the largest preconditioners the toolkit builds
+    assert minimal_action(MECH, 0.25, 0.0, 0.25, horizon)[0] == value

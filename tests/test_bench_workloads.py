@@ -29,3 +29,13 @@ def test_small_workload_passes_its_oracles(worker, name):
     work.check(work.run(), checks)
     assert checks.attempted > 0
     assert checks.failures == []
+
+
+def test_full_scale_dwell_pass_passes_its_oracles(worker):
+    # the full scale's T = 32 horizon is the one place the benchmark builds
+    # the 1023-sample preconditioner; the small scale stops at 255
+    work = worker.OrbitsAndDwell(worker.SCALES["full"], 0)
+    checks = worker.Checks()
+    work.check(work.run(), checks)
+    assert checks.attempted > 0
+    assert checks.failures == []

@@ -77,11 +77,19 @@ def test_lift_flow_commutation():
     assert abs(lifted_end[1] - 2.0 * base_end[1]) < 1e-8
 
 
-def test_lift_validation():
-    with pytest.raises(ConfigurationError):
-        lift_system(MECH, 0)
-    with pytest.raises(ConfigurationError):
-        lift_curve(DiscretizedCurve(0.0, 1.0, np.zeros(3), 0), 0)
+@pytest.mark.parametrize("order", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_lift_orders_must_be_positive_integers(order):
+    with pytest.raises(ConfigurationError, match="lift order must be a positive integer"):
+        lift_system(MECH, order)
+    with pytest.raises(ConfigurationError, match="lift order must be a positive integer"):
+        lift_curve(DiscretizedCurve(0.0, 1.0, np.zeros(3), 0), order)
+
+
+def test_lift_orders_of_any_integer_type_are_accepted():
+    lifted = lift_system(EPS, np.int64(2))
+    assert lifted == lift_system(EPS, 2) and type(lifted.lift) is int
+    curve = lift_curve(DiscretizedCurve(0.0, 1.0, np.zeros(3), 0), np.int64(2))
+    assert (curve.t0, curve.t1) == (0.0, 0.5)
 
 
 def test_lifts_are_systems_of_the_family_and_compose():

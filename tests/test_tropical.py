@@ -238,17 +238,29 @@ def test_pair_orbits_match_a_brute_force_enumeration(n, reverses):
                               brute_force_orbits(n, shift, reverses)), shift
 
 
-@pytest.mark.parametrize("sys, n, s, delta", [
-    (MECH_EPS, 12, 0.0, 1.0), (MECH_Q2_EPS, 12, 0.25, 1.0),
-    (lift_system(MECH_EPS, 2), 16, 0.0, 0.5)], ids=["eps", "q2-eps-shifted", "lift"])
-def test_representatives_match_the_unreduced_kernel_bit_for_bit(sys, n, s, delta):
+def mech_eps(q):
+    return LagrangianSystem(family="mechanical-cos", freq=q, eps=0.1)
+
+
+# (system, n, s, delta, declared symmetries, representatives); in the last
+# three q does not divide n, and the least shift is n / gcd(n, q)
+@pytest.mark.parametrize("sys, n, s, delta, symmetries, n_reps", [
+    (MECH_EPS, 12, 0.0, 1.0, (12, True), 43),
+    (MECH_Q2_EPS, 12, 0.25, 1.0, (6, False), 38),
+    (lift_system(MECH_EPS, 2), 16, 0.0, 0.5, (16, True), 73),
+    (mech_eps(4), 10, 0.0, 1.0, (5, True), 18),
+    (mech_eps(8), 12, 0.0, 1.0, (3, True), 14),
+    (mech_eps(4), 30, 0.0, 1.0, (15, True), 128)],
+    ids=["eps", "q2-eps-shifted", "lift", "q4-grid10", "q8-grid12", "q4-grid30"])
+def test_representatives_match_the_unreduced_kernel_bit_for_bit(sys, n, s, delta,
+                                                                symmetries, n_reps):
     # one direct search over all n^2 pairs, no symmetry used
     kernel = assemble_kernel(sys, Grid(n), s, delta)
     pts = Grid(n).points
     plain, _, _ = winding_search(sys, s, s + delta, np.repeat(pts, n), np.tile(pts, n))
-    reps = np.flatnonzero(pair_orbits(n, *sys.kernel_symmetries(n, s, delta))
-                          == np.arange(n * n))
-    assert reps.size < n * n
+    assert sys.kernel_symmetries(n, s, delta) == symmetries
+    reps = np.flatnonzero(pair_orbits(n, *symmetries) == np.arange(n * n))
+    assert reps.size == n_reps
     assert np.array_equal(kernel.matrix.flat[reps], plain[reps])
     assert np.max(np.abs(kernel.matrix.ravel() - plain)) <= 1e-12
 
@@ -399,6 +411,33 @@ def test_minplus_matmul_matches_broadcast_min(m, k, n):
     b = rng.integers(1, 5, size=(k, n)).astype(float)
     expected = np.min(a[:, :, None] + b[None], axis=1)
     assert minplus_matmul(a, b).tobytes() == expected.tobytes()
+
+
+def _broadcast_minplus(a, b, rows=16):
+    # the broadcast reference, taken 16 rows at a time so a 256-row operand
+    # needs no 128 MB temporary
+    return np.concatenate([np.min(a[i:i + rows, :, None] + b[None], axis=1)
+                           for i in range(0, a.shape[0], rows)])
+
+
+@pytest.mark.parametrize("m", [1, 65, 256])
+def test_minplus_matmul_is_bit_identical_on_real_valued_operands(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, 256)) * 10.0
+    b = rng.standard_normal((256, 256)) * 10.0
+    assert np.array_equal(minplus_matmul(a, b), _broadcast_minplus(a, b))
+
+
+def test_minplus_matmul_over_no_inner_index_is_the_tropical_zero():
+    assert np.array_equal(minplus_matmul(np.zeros((2, 0)), np.zeros((0, 3))),
+                          np.full((2, 3), np.inf))
+
+
+def test_minplus_matmul_is_bit_identical_on_an_assembled_kernel():
+    kmat = assemble_kernel(MECH, Grid(16), 0.0, 1.0).matrix
+    squared = minplus_matmul(kmat, kmat)
+    assert np.array_equal(squared, _broadcast_minplus(kmat, kmat))
+    assert np.array_equal(minplus_matmul(squared, kmat), _broadcast_minplus(squared, kmat))
 
 
 @given(arrays(np.float64, (5, 5), elements=st.integers(-6, 6).map(float)))
