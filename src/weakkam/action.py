@@ -4,8 +4,12 @@ The discrete objective is the midpoint-rule action of a broken line with
 the endpoints pinned; the straight lift in each winding class seeds a
 first-order descent. Many endpoint pairs are minimized simultaneously as
 rows of one batch, which is what makes kernel assembly affordable: every
-iteration is a handful of vectorized trig evaluations over the whole
-batch. The search over windings, with its pruning and tie policy, is
+iteration is a handful of vectorized trig evaluations over many rows.
+The descent runs on contiguous blocks of the batch of at most
+``systems.BLOCK_FLOATS`` floats of samples (``systems.row_blocks``), so
+its temporaries stay cache-sized whatever the batch size; the rows no
+block finishes are polished, and the saddles of every block escape, once
+per batch. The search over windings, with its pruning and tie policy, is
 ``tropical.winding_search``; ``minimal_action`` is its one-pair call.
 
 For every system, descent is preconditioned by the inverse of the
@@ -14,7 +18,7 @@ per-row spectral (Barzilai-Borwein) step length and a nonmonotone
 backtracking line search. That matrix is a constant tridiagonal Toeplitz
 matrix, so its inverse is written down from its pivots in O(n^2)
 operations (``_preconditioner_inverse``), and one dense inverse serves
-every row as one matrix product. The spectral phase, its backtracking,
+a block's rows as one matrix product. The spectral phase, its backtracking,
 the Newton polish and the saddle test all evaluate full sample rows at
 the points of ``systems.midpoint_geometry``, the geometry of
 ``exact_row_actions``, through one evaluator. Every curve has
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .systems import DiscretizedCurve, midpoint_geometry, reduce_mod_1
+from .systems import DiscretizedCurve, midpoint_geometry, reduce_mod_1, row_blocks
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 30
@@ -83,29 +87,47 @@ def _evaluate(sys, rows, h, tmid):
     return e, g, mid, vel
 
 
+def _forward_sweep(diag, off, rhs=None):
+    """Forward elimination of symmetric tridiagonal systems stored
+    transposed, one column per system, so each step reads one contiguous
+    row: (pivots, eliminated right-hand side), the latter None when no
+    ``rhs`` is given."""
+    piv = np.empty_like(diag)
+    piv[0] = diag[0]
+    y = None if rhs is None else np.empty_like(rhs)
+    if y is not None:
+        y[0] = rhs[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, diag.shape[0]):
+            w = off[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - w * off[i - 1]
+            if y is not None:
+                y[i] = rhs[i] - w * y[i - 1]
+    return piv, y
+
+
+def _positive_definite(diag, off):
+    """Whether each row's symmetric tridiagonal matrix is positive
+    definite: all its elimination pivots are positive. This is the ``ok``
+    of ``_thomas_spd`` without a right-hand side or back substitution."""
+    piv, _ = _forward_sweep(np.ascontiguousarray(diag.T), np.ascontiguousarray(off.T))
+    return np.all(piv > 0.0, axis=0)
+
+
 def _thomas_spd(diag, off, rhs):
     """Vectorized symmetric tridiagonal solve, one system per row.
 
     Returns (x, ok); ``ok`` is False for rows whose elimination pivots are
     not all positive (matrix not positive definite), whose solutions are
     garbage and must be retried after regularization. The elimination
-    runs on transposed copies, so each step reads one contiguous column of
-    the batch.
+    runs on transposed copies (``_forward_sweep``).
     """
     diag, off, rhs = (np.ascontiguousarray(a.T) for a in (diag, off, rhs))
-    n = diag.shape[0]
-    piv = np.empty_like(diag)
-    y = np.empty_like(rhs)
-    piv[0] = diag[0]
-    y[0] = rhs[0]
+    piv, y = _forward_sweep(diag, off, rhs)
+    x = np.empty_like(rhs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, n):
-            w = off[i - 1] / piv[i - 1]
-            piv[i] = diag[i] - w * off[i - 1]
-            y[i] = rhs[i] - w * y[i - 1]
-        x = np.empty_like(rhs)
         x[-1] = y[-1] / piv[-1]
-        for i in range(n - 2, -1, -1):
+        for i in range(diag.shape[0] - 2, -1, -1):
             x[i] = (y[i] - off[i] * x[i + 1]) / piv[i]
     ok = np.all(piv > 0.0, axis=0) & np.all(np.isfinite(x), axis=0)
     return x.T, ok
@@ -220,49 +242,18 @@ def _preconditioner_inverse(n_int, h, sigma):
 SADDLE_ESCAPE_BUMP = 0.05
 
 
-def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
-    """Minimize rows of ``z0`` (endpoints fixed) over interior samples.
-
-    Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
-    per-row midpoint quadrature value, a plain sum. Every
-    phase evaluates full rows through ``_evaluate``, so for every row
-    ``e_quad`` and ``gsup`` are its value and gradient sup norm at the
-    returned samples.
-
-    The preconditioner is the inverse of the kinetic-part Hessian plus
-    half the system's curvature bound on the diagonal, built in closed form
-    by ``_preconditioner_inverse`` in O(n_seg^2) and applied to every row as
-    one dense product. Steps are per-row spectral (Barzilai-Borwein)
-    lengths with a nonmonotone Armijo backtracking safeguard; every trial
-    point costs one fused evaluation of value and gradient. Rows the
-    spectral phase leaves unconverged (a fraction of a percent, near
-    heteroclinic connections) get a per-row Newton polish.
-
-    Descent can end on a critical point of the discrete action that is
-    not a minimum: a start can sit on one (a constant lift at a symmetric
-    equilibrium of the potential), and a start symmetric under
-    z(t) -> 2 w - z(1 - t) about a well centre w keeps that symmetry and
-    ends on the best symmetric path, a saddle. So every converged row
-    whose Hessian is not positive definite (a nonpositive pivot of its
-    tridiagonal factorization) is re-minimized from two deterministic sine
-    bumps and keeps the lowest result.
-    """
-    z = np.array(z0, dtype=float)
-    m, n_pts = z.shape
-    if n_pts != n_seg + 1:
-        raise ConfigurationError("z0 shape inconsistent with n_seg")
-    h = (b - a) / n_seg
-    tmid = a + h * (np.arange(n_seg) + 0.5)
-    n_int = n_seg - 1
-
-    pinv = _preconditioner_inverse(n_int, h, 0.5 * h * sys.lagrangian_xx_bound())
-
+def _spectral_phase(sys, z, h, tmid, pinv):
+    """Preconditioned spectral descent of one block of rows, in place:
+    each row of ``z`` ends at its last accepted point. Returns (e, g, gsup,
+    converged, iterations) of the block, the value and gradient at the
+    returned samples and the iterations the block ran."""
     def descend(rows, step, d):
         # moves the interior samples only: the endpoints stay exact
         out = rows.copy()
         out[:, 1:-1] -= step[:, None] * d
         return out
 
+    m = z.shape[0]
     e, g = _evaluate(sys, z, h, tmid)[:2]
     gsup = np.max(np.abs(g), axis=1)
     converged = gsup <= GRADIENT_TOLERANCE
@@ -335,6 +326,62 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
         hist_ptr[rows] = (hist_ptr[rows] + 1) % NONMONOTONE_WINDOW
         gsup[rows] = np.max(np.abs(g_acc), axis=1)
         converged[rows] = gsup[rows] <= GRADIENT_TOLERANCE
+    return e, g, gsup, converged, iterations
+
+
+def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
+    """Minimize rows of ``z0`` (endpoints fixed) over interior samples.
+
+    Returns (z, e_quad, gsup, converged, iterations). ``e_quad`` is the
+    per-row midpoint quadrature value, a plain sum. Every
+    phase evaluates full rows through ``_evaluate``, so for every row
+    ``e_quad`` and ``gsup`` are its value and gradient sup norm at the
+    returned samples. ``iterations`` is the most spectral iterations any
+    block ran.
+
+    The spectral phase runs on the contiguous blocks of ``row_blocks``,
+    each to its own convergence or budget, so only the samples, values,
+    gradients and flags are batch-sized. The preconditioner is the inverse
+    of the kinetic-part Hessian plus half the system's curvature bound on
+    the diagonal, built in closed form by ``_preconditioner_inverse`` in
+    O(n_seg^2) and applied to a block's rows as one dense product. Steps
+    are per-row spectral (Barzilai-Borwein) lengths with a nonmonotone
+    Armijo backtracking safeguard; every trial point costs one fused
+    evaluation of value and gradient. The rows no block converges (a
+    fraction of a percent, near heteroclinic connections) get one Newton
+    polish per batch: its tail of steps costs about as much for a few rows
+    as for many.
+
+    Descent can end on a critical point of the discrete action that is
+    not a minimum: a start can sit on one (a constant lift at a symmetric
+    equilibrium of the potential), and a start symmetric under
+    z(t) -> 2 w - z(1 - t) about a well centre w keeps that symmetry and
+    ends on the best symmetric path, a saddle. So every converged row
+    whose Hessian is not positive definite (a nonpositive pivot of its
+    tridiagonal elimination, tested block by block) is re-minimized from
+    two deterministic sine bumps and keeps the lowest result; the trapped
+    rows of every block escape together in one batch. A row's arithmetic
+    does not depend on its block or batch, up to BLAS rounding of a
+    one-row product.
+    """
+    z = np.array(z0, dtype=float)
+    m, n_pts = z.shape
+    if n_pts != n_seg + 1:
+        raise ConfigurationError("z0 shape inconsistent with n_seg")
+    h = (b - a) / n_seg
+    tmid = a + h * (np.arange(n_seg) + 0.5)
+    n_int = n_seg - 1
+
+    pinv = _preconditioner_inverse(n_int, h, 0.5 * h * sys.lagrangian_xx_bound())
+    blocks = row_blocks(m, n_pts)
+    e, gsup = np.empty(m), np.empty(m)
+    g = np.empty((m, n_int))
+    converged = np.empty(m, dtype=bool)
+    iterations = 0
+    for block in blocks:
+        e[block], g[block], gsup[block], converged[block], its = _spectral_phase(
+            sys, z[block], h, tmid, pinv)
+        iterations = max(iterations, its)
 
     leftovers = np.flatnonzero(~converged)
     if leftovers.size:
@@ -345,12 +392,13 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
         gsup[leftovers] = gsup_p
         converged[leftovers] = gsup_p <= GRADIENT_TOLERANCE
 
-    if _escape and converged.any():
-        candidates = np.flatnonzero(converged)
-        diag, off = _tridiagonal_hessian(sys, *midpoint_geometry(z[candidates], h),
-                                         tmid, h)
-        _, pd_ok = _thomas_spd(diag, off, np.zeros_like(diag))
-        trapped = candidates[~pd_ok]
+    if _escape:
+        trapped = []
+        for block in blocks:
+            rows = block.start + np.flatnonzero(converged[block])
+            hessian = _tridiagonal_hessian(sys, *midpoint_geometry(z[rows], h), tmid, h)
+            trapped.append(rows[~_positive_definite(*hessian)])
+        trapped = np.concatenate(trapped)
         if trapped.size:
             frac = np.arange(n_seg + 1) / n_seg
             bump = SADDLE_ESCAPE_BUMP * np.sin(np.pi * frac)

@@ -47,6 +47,12 @@ from .errors import ConfigurationError
 TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("free", "mechanical-cos")
+# floats of lifted samples that one evaluation block holds, 256 KiB per
+# array: a block's working set stays in cache, whatever the batch size
+BLOCK_FLOATS = 32_768
+# the fewest rows a batch or block holds when it has as many: fewer rows
+# take BLAS's small-matrix routines, which round differently
+MIN_BATCH_PAIRS = 16
 
 
 def reduce_mod_1(z):
@@ -325,19 +331,32 @@ def midpoint_geometry(rows, h):
     return mid, (rows[:, 1:] - rows[:, :-1]) * (1.0 / h)
 
 
+def row_blocks(m: int, width: int) -> list:
+    """Contiguous slices of near-equal size covering m rows of ``width``
+    floats: as few as keep every block within ``BLOCK_FLOATS`` floats, but
+    none under ``MIN_BATCH_PAIRS`` rows unless m is."""
+    count = max(1, min(-(-m // max(1, BLOCK_FLOATS // width)), m // MIN_BATCH_PAIRS))
+    bounds = np.arange(count + 1) * m // count
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
 def exact_row_actions(sys, a, b, rows):
     """Midpoint-rule actions over [a, b] of the lifted sample rows, one per row.
 
     Each segment contributes spacing * L at its ``midpoint_geometry``
     point and midpoint time. Each row is summed with math.fsum, so a value
-    does not depend on the other rows of the batch.
+    does not depend on the other rows of the batch; the rows are evaluated
+    and summed one ``row_blocks`` block at a time.
     """
     n_seg = rows.shape[1] - 1
     h = (b - a) / n_seg
     tmid = a + h * (np.arange(n_seg) + 0.5)
-    mid, vel = midpoint_geometry(rows, h)
-    terms = h * np.asarray(sys.lagrangian(mid, vel, tmid), dtype=float)
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    values = np.empty(rows.shape[0])
+    for block in row_blocks(rows.shape[0], rows.shape[1]):
+        mid, vel = midpoint_geometry(rows[block], h)
+        terms = h * np.asarray(sys.lagrangian(mid, vel, tmid), dtype=float)
+        values[block] = [math.fsum(row) for row in terms.tolist()]
+    return values
 
 
 def curve_action(sys, curve: DiscretizedCurve) -> float:

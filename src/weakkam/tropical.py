@@ -20,7 +20,7 @@ import numpy as np
 from .action import (minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
-from .systems import DiscretizedCurve, exact_row_actions
+from .systems import MIN_BATCH_PAIRS, DiscretizedCurve, exact_row_actions
 
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
@@ -28,12 +28,9 @@ SYMMETRY_SAMPLE = 32
 SYMMETRY_TOLERANCE = 1e-12
 # floats of lifted samples that one assembly batch may hold over the first
 # shell of windings; a batch's pairs are a stride through the
-# representatives
+# representatives, and it holds at least ``MIN_BATCH_PAIRS`` of them when
+# the kernel has as many
 BATCH_FLOATS = 1_000_000
-# the fewest pairs an assembly batch holds when the kernel has as many
-# representatives: smaller batches take BLAS's small-matrix routines, which
-# round differently
-MIN_BATCH_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -277,7 +274,10 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     The work is split over w processes, one per CPU in the affinity of the
     calling process. A batch holds about ``step`` pairs: the fewer of
     ``ceil(reps / w)`` and the pairs whose first shell of windings fits in
-    ``BATCH_FLOATS`` floats. The representatives are dealt into
+    ``BATCH_FLOATS`` floats. That bounds the batch-level arrays of the
+    search (samples, values, gradients); the minimizer evaluates a batch in
+    blocks of ``systems.BLOCK_FLOATS`` floats, which bound the
+    evaluation's working set. The representatives are dealt into
     ``m = ceil(reps / step)`` batches as strides, but never so many that a
     batch holds fewer than ``MIN_BATCH_PAIRS`` pairs (one batch when the
     kernel has fewer representatives): batch b holds representatives b,
@@ -421,10 +421,13 @@ def karp_eigenvalue(kernel) -> float:
     Karp's DP: D[k][v] is the least weight of a k-edge walk ending at v
     (any start), and the minimum cycle mean is
     min_v max_k (D[n][v] - D[k][v]) / (n - k). Each D[k] is constant on
-    the row orbits of the matrix (``row_orbits``), so the DP computes it
-    at the representatives only, from D[k - 1] gathered to full length,
-    and takes the minimum over them: the value is the unreduced one bit
-    for bit, since every representative sums the same terms.
+    the row orbits of the matrix (``row_orbits``), so the DP runs on the
+    orbit quotient: R[r][v], the least entry of representative column v
+    over the rows of orbit r, is taken once, and D[k][v] is
+    min_r D[k - 1][r] + R[r][v] over representatives only. Rounding to
+    nearest is monotone, so min_u fl(d + K[u][v]) = fl(d + min_u K[u][v])
+    for the one value d that D[k - 1] takes on an orbit, and the value is
+    the unreduced one bit for bit.
     """
     if isinstance(kernel, TropicalKernel):
         mat, delta = kernel.matrix, kernel.delta
@@ -438,11 +441,12 @@ def karp_eigenvalue(kernel) -> float:
         raise ConfigurationError("kernel entries must be finite")
     n = mat.shape[0]
     reps, orbit, _ = row_orbits(mat)
-    columns = mat[:, reps]
-    d = np.empty((n + 1, reps.size))  # D at the representative columns
+    quotient = np.full((reps.size, reps.size), np.inf)  # R
+    np.minimum.at(quotient, orbit, mat[:, reps])
+    d = np.empty((n + 1, reps.size))  # D at the representatives
     d[0] = 0.0
     for k in range(1, n + 1):
-        d[k] = np.min(d[k - 1][orbit][:, None] + columns, axis=0)
+        d[k] = np.min(d[k - 1][:, None] + quotient, axis=0)
     denom = (n - np.arange(n)).astype(float)
     ratios = (d[n][None, :] - d[:n]) / denom[:, None]
     return -float(np.min(np.max(ratios, axis=0))) / float(delta)

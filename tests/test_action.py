@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import weakkam.action as action
+import weakkam.systems as systems
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, LagrangianSystem, MinimizationError,
                      PhasePoint, curve_action, dwell_statistics, minimal_action,
@@ -244,3 +247,96 @@ def test_dwell_minimizer_values_bit_for_bit(horizon, value):
     # the loops at x = 1/4 of the dwell diagnostics: 255, 511 and 1023
     # interior samples, the largest preconditioners the toolkit builds
     assert minimal_action(MECH, 0.25, 0.0, 0.25, horizon)[0] == value
+
+
+def tridiagonal_case(name):
+    """(diag, off) rows of symmetric tridiagonals of 31 unknowns: random
+    positive definite ones, the same with one diagonal entry drawn from
+    [-2, 0.5] (a mix of definite and indefinite), a singular one whose
+    second pivot is zero, and two with a NaN entry."""
+    rng = np.random.default_rng(3)
+    off = rng.uniform(-1.0, 1.0, (64, 30))
+    spd = 2.0 + rng.uniform(0.0, 1.0, (64, 31))  # diagonally dominant
+    if name == "spd":
+        return spd, off
+    if name == "indefinite":
+        spd[:, 17] = rng.uniform(-2.0, 0.5, 64)
+        return spd, off
+    if name == "zero-pivot":
+        return np.ones((1, 31)), np.ones((1, 30))  # pivots 1, 0, ...
+    spd[0, 5] = off[1, 9] = np.nan
+    return spd[:2], off[:2]
+
+
+@pytest.mark.parametrize("name", ["spd", "indefinite", "zero-pivot", "nan"])
+def test_pivot_verdict_is_the_solve_verdict(name):
+    diag, off = tridiagonal_case(name)
+    verdict = action._positive_definite(diag, off)
+    rhs = np.random.default_rng(4).normal(size=diag.shape)
+    for b in (rhs, np.zeros_like(diag)):
+        _, ok = action._thomas_spd(diag, off, b)
+        assert np.array_equal(verdict, ok)
+    definite = int(verdict.sum())
+    expected = {"spd": definite == verdict.size, "indefinite": 0 < definite < verdict.size}
+    assert expected.get(name, definite == 0), definite
+
+
+def grid_256_lifts(rows):
+    """Nearest-lift start rows of ``rows`` grid-256 pairs, a stride
+    through all of them."""
+    flat = np.arange(rows) * (256 * 256 // rows)
+    starts, ends = (flat // 256) / 256, (flat % 256) / 256
+    return action._straight_lifts(starts, ends - np.round(ends - starts), 32)
+
+
+def test_batch_memory_does_not_grow_with_the_batch():
+    # two and eight full blocks: only the samples, values, gradients and
+    # flags are batch-sized, about two arrays of 33 floats per row, where
+    # evaluating a whole batch at once holds about seventeen
+    block = systems.BLOCK_FLOATS // 33
+    peaks = []
+    for rows in (2 * block, 8 * block):
+        z0 = grid_256_lifts(rows)
+        tracemalloc.start()
+        try:
+            action.minimize_straight_batch(MECH, 0.0, 1.0, 32, z0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_row = (peaks[1] - peaks[0]) / (6 * block)
+    assert per_row <= 3 * 33 * 8, per_row
+
+
+def test_one_polish_and_one_escape_per_batch(monkeypatch):
+    # the two-well batch of test_batch_returns_the_evaluation_of_its_rows,
+    # in blocks of 16 rows: the blocks stall and trap rows of their own,
+    # which are polished together and escape together, bit for bit as in
+    # one block
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    pts = np.arange(16) / 16
+    starts, ends = (grid.ravel() for grid in np.meshgrid(pts, pts, indexing="ij"))
+    z0 = action._straight_lifts(starts, ends, 32)
+    reference = action.minimize_straight_batch(two_well, 0.0, 1.0, 32, z0)
+    calls = {"polish": 0, "escape": 0}
+    escaping = []
+    polish, batch = action._polish_rows, action.minimize_straight_batch
+
+    def counting_polish(*args):
+        calls["polish"] += not any(escaping)  # the escape batch polishes its own rows
+        return polish(*args)
+
+    def counting_batch(*args, **kwargs):
+        escaping.append(kwargs.get("_escape") is False)
+        calls["escape"] += escaping[-1]
+        try:
+            return batch(*args, **kwargs)
+        finally:
+            escaping.pop()
+
+    monkeypatch.setattr(action, "_polish_rows", counting_polish)
+    monkeypatch.setattr(action, "minimize_straight_batch", counting_batch)
+    monkeypatch.setattr(systems, "BLOCK_FLOATS", 16 * 33)
+    blocked = counting_batch(two_well, 0.0, 1.0, 32, z0)
+    assert calls == {"polish": 1, "escape": 1}
+    for got, want in zip(blocked, reference):
+        assert np.array_equal(got, want)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import weakkam.systems as systems
 from weakkam import (ConfigurationError, DiscretizedCurve, Grid, LagrangianSystem,
                      PhasePoint, assemble_kernel, curve_action, reduce_mod_1,
                      torus_distance)
@@ -174,6 +175,32 @@ def test_curve_action_additive_at_sample_split():
     total = curve_action(MECH, whole)
     split = curve_action(MECH, left) + curve_action(MECH, right)
     assert abs(total - split) <= 1e-14 * (1 + abs(total))
+
+
+@pytest.mark.parametrize("block_rows", [16, 37, 999, 1000, 4096])
+def test_exact_row_actions_are_per_row_fsums_whatever_the_block(monkeypatch, block_rows):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(0.0, 0.3, (1000, 33)).cumsum(axis=1)
+    h = 1.0 / 32
+    tmid = h * (np.arange(32) + 0.5)
+    mid, vel = systems.midpoint_geometry(rows, h)
+    terms = h * EPS.lagrangian(mid, vel, tmid)
+    expected = [math.fsum(row) for row in terms]
+    monkeypatch.setattr(systems, "BLOCK_FLOATS", block_rows * 33)
+    assert systems.exact_row_actions(EPS, 0.0, 1.0, rows).tolist() == expected
+
+
+@pytest.mark.parametrize("m, width, count, sizes", [
+    (0, 33, 1, {0}), (15, 33, 1, {15}), (992, 33, 1, {992}),  # 992 rows fill 32,768 floats
+    (993, 33, 2, {496, 497}), (8192, 33, 9, {910, 911}), (100, 1025, 4, {25}),
+    (40, 40_000, 2, {20})],  # no block under 16 rows, even past 32,768 floats
+    ids=["empty", "under-the-floor", "one-block", "two", "batch", "long-rows", "floor"])
+def test_row_blocks_are_contiguous_near_equal_and_bounded(m, width, count, sizes):
+    blocks = systems.row_blocks(m, width)
+    assert len(blocks) == count
+    assert {block.stop - block.start for block in blocks} == sizes
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
 def test_phase_point_reduces_and_validates():

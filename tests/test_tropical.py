@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import weakkam.systems as systems
 import weakkam.tropical as tropical
 from weakkam import (ConfigurationError, Grid, LagrangianSystem,
                      MinimizationError, NumericalError,
@@ -101,6 +102,16 @@ def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
         monkeypatch.setattr(tropical, "BATCH_FLOATS", step * pair_floats)
         kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
         assert np.array_equal(kernel.matrix, reference), step
+
+
+@pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, MECH_Q2_EPS, lift_system(MECH, 2)],
+                         ids=["q1", "q2", "eps", "q2-eps", "lift"])
+def test_kernel_bits_independent_of_block_size(monkeypatch, sys):
+    reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
+    for rows in (16, 17, 97):
+        monkeypatch.setattr(systems, "BLOCK_FLOATS", rows * (segments_for(1.0) + 1))
+        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
+        assert np.array_equal(kernel.matrix, reference), rows
 
 
 def use_cpus(monkeypatch, cpus):

@@ -10,7 +10,7 @@ from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
                      assemble_kernel, connection_graph, karp_eigenvalue,
                      minplus_apply, minplus_matmul, peierls_barrier, run_convergence,
                      semigroup_limit, tilt_system)
-from weakkam.tropical import row_orbits
+from weakkam.tropical import pair_orbits, row_orbits
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -523,6 +523,21 @@ def test_a_symmetry_one_ulp_off_is_dropped(symmetry_cases, moved, n_reps):
         matrix[i, j] = np.nextafter(matrix[i, j], np.inf)
     assert row_orbits(matrix)[0].size == n_reps
     _assert_matches_unreduced(dataclasses.replace(kernel, matrix=matrix))
+
+
+@pytest.mark.parametrize("n, shift", [(12, 4), (12, 12), (15, 5), (16, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_karp_on_the_orbit_quotient_is_the_unreduced_dp(n, shift, seed):
+    # entries drawn from five floats whose sums round, so there are ties
+    # within and across orbits, planted on the pair orbits of the shift
+    # by ``shift`` and the reflection
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-0.7, -0.1, 0.1, 0.3, 1.1 / 3], size=n * n)
+    matrix = values[pair_orbits(n, shift, False)].reshape(n, n)
+    assert row_orbits(matrix)[0].size <= shift // 2 + 1
+    c = karp_eigenvalue(matrix)
+    for shifted in (matrix, matrix + c):
+        assert karp_eigenvalue(shifted) == _unreduced_karp(shifted)
 
 
 def test_a_transpose_symmetric_matrix_gets_no_symmetry():
