@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WeakKamError
-from .experiments import check_seed, dwell_statistics, run_convergence
+from .experiments import dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
-                      curve_action, exact_row_actions, torus_distance)
+                      curve_action, exact_row_actions, positive_integer, torus_distance)
 from .tropical import (Grid, assemble_kernel, karp_eigenvalue,
                        minplus_apply, minplus_matmul)
-from .weak_kam import aubry_set, connection_graph, peierls_barrier
+from .weak_kam import BARRIER_HORIZON, aubry_set, connection_graph, peierls_barrier
 
 ORACLE_C = 1.0  # max of the potential for the built-in amplitude
 # seconds criterion 01 allows for the main-grid kernels and their Karp
@@ -39,7 +39,7 @@ class AcceptanceScale:
     n_main: int = 256
     n_confirm: int = 512
     n_small: int = 64
-    horizon: int = 40
+    horizon: int = BARRIER_HORIZON
     k_max: int = 60
 
 
@@ -110,7 +110,7 @@ def lift_identity_gaps(sys, n: int, seed: int, count: int):
     """(worst action gap, worst Legendre gap) of the order-n lift of sys:
     |n A_lift - A| over ``count`` ``random_curves(seed)`` and their lifts,
     and ``legendre_gap`` of the lift at 100 points drawn with seed + 1."""
-    check_seed(seed)
+    positive_integer(seed, "seed", 0)
     lifted = lift_system(sys, n)
     worst_action = max(abs(n * curve_action(lifted, lift_curve(curve, n))
                            - curve_action(sys, curve)) for curve in random_curves(seed, count))
@@ -124,9 +124,8 @@ class AcceptanceContext:
     """Caches the expensive shared objects of the acceptance matrix."""
 
     def __init__(self, scale: AcceptanceScale | None = None, seed: int = 0):
-        check_seed(seed)
+        self.seed = positive_integer(seed, "seed", 0)
         self.scale = scale or AcceptanceScale()
-        self.seed = int(seed)
         self._kernels = {}
         self._barriers = {}
         self._orbits = {}

@@ -20,16 +20,15 @@ from .experiments import (check_dwell_window, detect_aubry_orbits, dwell_statist
                           run_convergence)
 from .flow import refine_periodic_orbit
 from .reduction import SUBSOLUTION_TAGS, tilt_system
-from .systems import LagrangianSystem, PhasePoint
+from .systems import FAMILIES, LagrangianSystem, PhasePoint
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
-from .weak_kam import (AUBRY_TOLERANCE, aubry_set, check_barrier_horizon,
+from .weak_kam import (AUBRY_TOLERANCE, BARRIER_HORIZON, aubry_set, check_barrier_horizon,
                        check_tolerance, connection_graph, peierls_barrier)
 from .reporting import fmt, write_csv
 
 
 def _add_system_flags(parser):
-    parser.add_argument("--system", choices=("free", "mechanical-cos"),
-                        default="mechanical-cos")
+    parser.add_argument("--system", choices=FAMILIES, default="mechanical-cos")
     parser.add_argument("--amp", type=float, default=1.0)
     parser.add_argument("--freq", type=int, default=1)
     parser.add_argument("--eps", type=float, default=0.0)
@@ -39,9 +38,8 @@ _SHARED_FLAGS = {
     "grid": dict(type=int, default=256),
     "seed": dict(type=int, default=0),
     "out": dict(default=None),
+    "horizon": dict(type=int, default=BARRIER_HORIZON),
 }
-# horizon of the barrier that locates the orbits for ``dwell``
-DWELL_BARRIER_HORIZON = 40
 
 
 def _add_shared_flags(parser, *names):
@@ -79,20 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barrier", help="Peierls barrier matrix")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out")
-    p.add_argument("--horizon", type=int, default=40)
+    _add_shared_flags(p, "grid", "out", "horizon")
     p.add_argument("--tfrac", type=float, default=0.0)
 
     p = sub.add_parser("aubry", help="diagonal-barrier Aubry detection")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out")
-    p.add_argument("--horizon", type=int, default=40)
+    _add_shared_flags(p, "grid", "out", "horizon")
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("graph", help="connection graph between Aubry classes")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out")
-    p.add_argument("--horizon", type=int, default=40)
+    _add_shared_flags(p, "grid", "out", "horizon")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--aubry-tol", type=float, default=2e-2)
@@ -116,12 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "seed", "out")
+    _add_shared_flags(p, "grid", "seed", "out", "horizon")
     p.add_argument("--u0", choices=("zero", "spike", "random-seeded"),
                    default="spike")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--kmax", type=int, default=60)
-    p.add_argument("--horizon", type=int, default=40)
 
     p = sub.add_parser("dwell", help="dwell-time diagnostics along a minimizer")
     _add_system_flags(p)
@@ -133,10 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full acceptance matrix")
     p.add_argument("--out-dir", required=True)
-    _add_shared_flags(p, "grid", "seed")
+    _add_shared_flags(p, "grid", "seed", "horizon")
     p.add_argument("--confirm-grid", type=int, default=512)
     p.add_argument("--small-grid", type=int, default=64)
-    p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--kmax", type=int, default=60)
 
     return parser
@@ -288,7 +281,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_dwell(args) -> int:
     check_dwell_window(0.0, args.horizon, args.delta)
     check_endpoints(args.x_from, 0.0, args.x_to, args.horizon)
-    sys, _, _, barrier = _barrier_for(args, DWELL_BARRIER_HORIZON)
+    sys, _, _, barrier = _barrier_for(args, BARRIER_HORIZON)  # --horizon is a time here
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,
                               args.horizon, delta=args.delta)

@@ -10,7 +10,6 @@ explicit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,10 @@ import numpy as np
 from .action import minimal_action
 from .errors import ConfigurationError, InsufficientDataError, WeakKamError
 from .flow import PeriodicOrbit, flow_trajectory, refine_periodic_orbit
-from .systems import PhasePoint, midpoint_geometry, reduce_mod_1, torus_distance
+from .systems import (PhasePoint, midpoint_geometry, positive_integer, reduce_mod_1,
+                      torus_distance)
 from .tropical import Grid, assemble_kernel, karp_eigenvalue, minplus_apply
-from .weak_kam import (BarrierMatrix, aubry_set, check_barrier_horizon,
+from .weak_kam import (BARRIER_HORIZON, BarrierMatrix, aubry_set, check_barrier_horizon,
                        peierls_barrier, semigroup_limit)
 
 EXACT_CONVERGENCE_TOL = 1e-12
@@ -109,13 +109,6 @@ def fit_exponential_rate(errors, floor) -> FitResult:
     return best
 
 
-def check_seed(seed) -> None:
-    """Raise ``ConfigurationError`` unless ``seed`` is a nonnegative
-    integer, which is what ``np.random.default_rng`` takes."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigurationError("seed must be a nonnegative integer")
-
-
 def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.ndarray:
     """The start named by one of ``U0_TAGS``, which the caller has checked."""
     if u0_tag == "zero":
@@ -146,7 +139,7 @@ def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
 
 
 def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.0,
-                    k_max: int = 60, horizon: int = 40, seed: int = 0,
+                    k_max: int = 60, horizon: int = BARRIER_HORIZON, seed: int = 0,
                     unit_kernel=None, orbits=None, barrier=None) -> ConvergenceReport:
     """Measure e_k = sup |S_{tau+k} u + c (tau+k) - limit| and fit its decay.
 
@@ -163,15 +156,15 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
     ``ConfigurationError`` is raised. The verdict is ``pass`` only when the
     fitted rate is positive and the last error has reached its floor.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 8:
-        raise ConfigurationError("k_max must be an integer of at least 8")
+    positive_integer(k_max, "k_max", 8)
     if not 0.0 <= tau_frac < 1.0:
         raise ConfigurationError("tau_frac must lie in [0, 1)")
     if u0_tag not in U0_TAGS:
         raise ConfigurationError(f"unknown initial condition {u0_tag!r}; "
                                  f"choose one of {U0_TAGS}")
     check_barrier_horizon(horizon)
-    check_seed(seed)
+    # a seed is what np.random.default_rng takes: a nonnegative integer
+    positive_integer(seed, "seed", 0)
     n = grid.n
 
     if unit_kernel is None:

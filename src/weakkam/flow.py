@@ -12,14 +12,13 @@ adaptive stepping would make kernels run-dependent.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateOrbitError, NoOrbitError,
                      NotPeriodicError, NumericalError)
-from .systems import PhasePoint, reduce_mod_1
+from .systems import PhasePoint, positive_integer, reduce_mod_1
 
 STEPS_PER_UNIT_TIME = 200
 UNIT_CIRCLE_TOL = 1e-6
@@ -141,8 +140,7 @@ def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
 
     The seed must close up (mod 1 in x) within ``MONODROMY_DEFECT_TOL``.
     """
-    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
-        raise ConfigurationError("period must be a positive integer")
+    positive_integer(period, "period")
     x1, v1, mats = _flow_with_variational(sys, [orbit_seed.x], [orbit_seed.v],
                                           [orbit_seed.t], [orbit_seed.t + period])
     dx = x1[0] - orbit_seed.x
@@ -253,12 +251,10 @@ def refine_periodic_orbit(sys, guess: PhasePoint, period: int) -> PeriodicOrbit:
     ``monodromy`` would integrate a second time. The shooting grid starts
     at t = 0 and the orbit carries no time, so the guess must be at t = 0.
     """
-    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
-        raise ConfigurationError("period must be a positive integer")
+    period = positive_integer(period, "period")
     if guess.t != 0.0:
         raise ConfigurationError(f"the shooting grid starts at t = 0; got a guess at "
                                  f"t = {guess.t:g}")
-    period = int(period)
     starts = np.tile([guess.x, guess.v], (SHOTS_PER_UNIT_TIME * period, 1))
     z, _ = _multiple_shooting(sys, starts, period, SEGMENT_TOLERANCE)
     z, mats = _multiple_shooting(sys, z[None, :], period, SHOOTING_TOLERANCE)

@@ -11,10 +11,11 @@ amplitude 0. A period lift of order N, L(x, v/N, N t), is the same family
 with ``lift`` = N: its mass is 1/N^2 and its modulation runs N times as
 fast. Every evaluator reads one phase 2 pi q (x mod 1) and one modulation
 1 + eps cos(2 pi N t) (``modulation``), so L from ``lagrangian`` and from
-``lagrangian_and_grads`` agree bit for bit, and so does L_x. The flow's
-evaluator ``lagrangian_x_and_xx`` takes the modulation in place of t, so
-an integrator tabulates it once per integration and evaluates one phase
-per stage, bit for bit as ``lagrangian_x`` and ``lagrangian_xx``.
+``lagrangian_and_grads`` agree bit for bit. The flow's evaluator
+``lagrangian_x_and_xx`` takes the modulation in place of t, so an
+integrator tabulates it once per integration and evaluates one phase per
+stage; its L_x is that of ``lagrangian_and_grads`` and its L_xx that of
+``lagrangian_xx``, bit for bit.
 Evaluators accept scalars or numpy arrays and reduce x and t mod 1
 internally, so spatial and temporal periodicity hold to the last bit
 whenever the shifted argument is representable.
@@ -65,11 +66,14 @@ def reduce_mod_1(z):
     return np.where(r == 1.0, 0.0, r)
 
 
-def positive_integer(value, what: str) -> int:
+def positive_integer(value, what: str, least: int = 1) -> int:
     """``value`` as an int, or ``ConfigurationError`` naming ``what``
-    unless it is a positive integer: any integer type, but not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigurationError(f"{what} must be a positive integer")
+    unless it is an integer of at least ``least``: any integer type, but
+    not a bool. The one integer check of every count, size and index."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        bound = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ConfigurationError(f"{what} must be {bound}")
     return int(value)
 
 
@@ -109,20 +113,16 @@ class LagrangianSystem:
             object.__setattr__(self, name, positive_integer(getattr(self, name), what))
         if not math.isfinite(self.amp):
             raise ConfigurationError("potential amplitude must be finite")
-        if self.family == "mechanical-cos":
-            if not abs(self.eps) < 1.0:
-                raise ConfigurationError("time-modulation amplitude must satisfy |eps| < 1")
+        if not abs(self.eps) < 1.0:
+            raise ConfigurationError("time-modulation amplitude must satisfy |eps| < 1")
+        if self.family == "free":
+            object.__setattr__(self, "amp", 0.0)
 
     # -- closed forms ----------------------------------------------------
 
     @property
     def mass(self) -> float:
         return 1.0 / self.lift ** 2
-
-    @property
-    def _amp(self) -> float:
-        """The potential's amplitude; the free family is amplitude 0."""
-        return 0.0 if self.family == "free" else self.amp
 
     def _phase(self, x):
         """2 pi q (x mod 1), read by every closed form. A tiny negative x
@@ -147,7 +147,7 @@ class LagrangianSystem:
 
     def potential(self, x, t):
         """Potential energy U(x, t); the Lagrangian is v^2/2 - U."""
-        return np.cos(self._phase(x)) * (self._amp * self.modulation(t))
+        return np.cos(self._phase(x)) * (self.amp * self.modulation(t))
 
     def lagrangian(self, x, v, t):
         v = np.asarray(v, dtype=float)
@@ -155,26 +155,22 @@ class LagrangianSystem:
             v = v / self.lift
         return 0.5 * v * v - self.potential(x, t)
 
-    def lagrangian_x(self, x, v, t):
-        w = TWO_PI * self.freq
-        return np.sin(self._phase(x)) * (self._amp * w * self.modulation(t))
-
     def lagrangian_xx(self, x, v, t):
         w = TWO_PI * self.freq
-        return self._amp * w * w * np.cos(self._phase(x)) * self.modulation(t)
+        return self.amp * w * w * np.cos(self._phase(x)) * self.modulation(t)
 
     def lagrangian_x_and_xx(self, x, m):
         """(L_x, L_xx) from one phase at a given modulation m =
         ``modulation(t)``: the flow's force and its derivative, neither of
-        which depends on v. Equals ``lagrangian_x`` and ``lagrangian_xx``
-        bit for bit."""
+        which depends on v. Equals the L_x of ``lagrangian_and_grads`` and
+        ``lagrangian_xx`` bit for bit."""
         phase = self._phase(x)
         w = TWO_PI * self.freq
-        return np.sin(phase) * (self._amp * w * m), self._amp * w * w * np.cos(phase) * m
+        return np.sin(phase) * (self.amp * w * m), self.amp * w * w * np.cos(phase) * m
 
     def lagrangian_and_grads(self, x, v, t):
         """(L, L_x, L_v) in one call; shares the phase and the modulation,
-        and equals ``lagrangian`` and ``lagrangian_x`` bit for bit.
+        and its L equals ``lagrangian`` bit for bit.
 
         Inputs must already have a common shape (the hot loops guarantee
         it); on a base system L_v aliases v and must not be mutated.
@@ -184,19 +180,19 @@ class LagrangianSystem:
             v = v / self.lift
         phase, m = self._phase(x), self.modulation(t)
         lag = np.cos(phase)
-        lag *= -(self._amp * m)
+        lag *= -(self.amp * m)
         lag += 0.5 * v * v
         lx = np.sin(phase)
-        lx *= self._amp * (TWO_PI * self.freq) * m
+        lx *= self.amp * (TWO_PI * self.freq) * m
         return lag, lx, v if self.lift == 1 else v / self.lift
 
     def lagrangian_xx_bound(self) -> float:
         """Sup of |L_xx| over phase space, used to scale preconditioners."""
-        return abs(self._amp) * (TWO_PI * self.freq) ** 2 * (1.0 + abs(self.eps))
+        return abs(self.amp) * (TWO_PI * self.freq) ** 2 * (1.0 + abs(self.eps))
 
     def potential_upper_bound(self) -> float:
         """Sup of the potential; L >= v^2/2 - this bound pointwise."""
-        return abs(self._amp) * (1.0 + abs(self.eps))
+        return abs(self.amp) * (1.0 + abs(self.eps))
 
     def hamiltonian(self, x, p, t):
         """Legendre-dual energy, H = p^2 / (2 mass) + U(x, t) = (N p)^2/2 + U."""
@@ -205,7 +201,7 @@ class LagrangianSystem:
     @property
     def crest(self) -> float:
         """A maximum of the potential: 0, or 1/(2q) when A < 0."""
-        return 0.5 / self.freq if self._amp < 0 else 0.0
+        return 0.5 / self.freq if self.amp < 0 else 0.0
 
     def critical_subsolution(self):
         """(c', u, p, Lambda): a ceiling c'(t) = max_x U(x, t), a slope p
@@ -220,7 +216,7 @@ class LagrangianSystem:
         x0 + Z/q are the maxima of the potential. The free family is
         amplitude 0, so u = p = 0.
         """
-        root = 2.0 * math.sqrt(self.mass * abs(self._amp) * (1.0 - abs(self.eps)))
+        root = 2.0 * math.sqrt(self.mass * abs(self.amp) * (1.0 - abs(self.eps)))
         q = self.freq
         x0 = self.crest
 
@@ -242,18 +238,15 @@ class LagrangianSystem:
     def kernel_symmetries(self, n: int, s: float, delta: float):
         """(shift, reverses) of the n-point kernel over [s, s + delta],
         whose reflection x -> -x always holds. ``shift`` is the least
-        declared grid shift that leaves it invariant: 1 for the free
-        kernel, else n / gcd(n, q), the fewest grid steps k whose length
-        k/n is a multiple of the potential's period 1/q (n, none, when n
-        and q are coprime). ``reverses`` says that time reversal about the
-        window's middle transposes the kernel, as it does when the
-        modulation is even about it: when eps = 0 or N (2s + delta) is an
-        integer.
+        declared grid shift that leaves it invariant: 1 at amplitude 0
+        (the free family), else n / gcd(n, q), the fewest grid steps k
+        whose length k/n is a multiple of the potential's period 1/q (n,
+        none, when n and q are coprime). ``reverses`` says that time
+        reversal about the window's middle transposes the kernel, as it
+        does when the modulation is even about it: when eps = 0 or
+        N (2s + delta) is an integer.
         """
-        if self.family == "free":
-            shift = 1
-        else:
-            shift = n // math.gcd(n, self.freq)
+        shift = 1 if self.amp == 0.0 else n // math.gcd(n, self.freq)
         return shift, self.eps == 0.0 or float(self.lift * (2.0 * s + delta)).is_integer()
 
     def label(self):

@@ -11,7 +11,6 @@ products.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -20,7 +19,8 @@ import numpy as np
 from .action import (minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
-from .systems import MIN_BATCH_PAIRS, DiscretizedCurve, exact_row_actions
+from .systems import (MIN_BATCH_PAIRS, DiscretizedCurve, exact_row_actions,
+                      positive_integer, reduce_mod_1)
 
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
@@ -40,8 +40,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 8:
-            raise ConfigurationError("grid size must be an integer of at least 8")
+        object.__setattr__(self, "n", positive_integer(self.n, "grid size", 8))
 
     @property
     def points(self) -> np.ndarray:
@@ -50,7 +49,8 @@ class Grid:
     def nearest_index(self, x) -> int:
         if not math.isfinite(x):
             raise ConfigurationError("a grid position must be finite")
-        return int(round(float(x) * self.n)) % self.n
+        # reduced first, so a huge position cannot overflow the scaling
+        return int(round(float(reduce_mod_1(x)) * self.n)) % self.n
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,12 @@ the orbit representatives are multiplied.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
-from .systems import reduce_mod_1
+from .systems import positive_integer, reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul, row_orbits)
 
@@ -32,6 +31,8 @@ from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
 # kernel, whose straight minimizers the midpoint rule integrates exactly,
 # equals its closed form on grids 16, 64 and 256
 AUBRY_TOLERANCE = 1e-12
+# the default cap on the barrier's powers, for every caller that sets none
+BARRIER_HORIZON = 40
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,7 @@ class ConnectionGraph:
 def check_barrier_horizon(horizon, t_frac=None) -> None:
     """Raise ``ConfigurationError`` unless the barrier may take a power and
     its end offset, when given, is finite."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 2:
-        raise ConfigurationError("barrier horizon must be an integer of at least 2")
+    positive_integer(horizon, "barrier horizon", 2)
     if t_frac is not None and not math.isfinite(t_frac):
         raise ConfigurationError("barrier end offset must be finite")
 
@@ -270,10 +270,8 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
     violation reported with the offending cycle. ``target_index`` must be
     a grid index in [0, n)."""
     check_tolerance(tol, "graph")
-    if (isinstance(target_index, bool) or not isinstance(target_index, numbers.Integral)
-            or not 0 <= target_index < h.grid.n):
-        raise ConfigurationError(
-            f"graph target index must be an integer in [0, {h.grid.n})")
+    if positive_integer(target_index, "graph target index", 0) >= h.grid.n:
+        raise ConfigurationError(f"graph target index must be below the grid size {h.grid.n}")
     reps = list(aubry.representatives)
     if not reps:
         raise ConfigurationError("need at least one Aubry representative")

@@ -26,6 +26,15 @@ def free_oracle(x, y, duration):
     return min((y - x + k) ** 2 / (2.0 * duration) for k in range(-3, 4))
 
 
+@pytest.mark.xfail(strict=True, raises=MinimizationError,
+                   reason="a minimizer over six periods can stall in a wrong basin; "
+                          "long horizons need dynamic programming over unit kernels")
+def test_a_long_horizon_minimizer_converges():
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    value, curve = minimal_action(two_well, 0.845074792798, 0.3, 0.428164499094, 6.3)
+    assert value == curve_action(two_well, curve)
+
+
 def test_free_short_way():
     value, curve = minimal_action(FREE, 0.0, 0.0, 0.4, 1.0)
     assert abs(value - 0.08) < 1e-12

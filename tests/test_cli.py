@@ -252,11 +252,18 @@ def _float_flags():
 @pytest.mark.parametrize("command, flag", _float_flags())
 def test_non_finite_float_flags_are_configuration_errors(tmp_path, capsys, command, flag):
     base = [arg.format(out=tmp_path / "k.csv") for arg in _CHEAP_ARGV[command]]
-    for value in ("nan", "inf"):
-        code, out, err = run_cli(capsys, command, *base, flag, value)
-        assert code == 2 and err.startswith("configuration error:"), (flag, value, err)
-        assert out == "", (flag, value)
+    # the free family checks every field too: it is amplitude 0, not exempt
+    for family in ([], ["--system", "free"]):
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(capsys, command, *base, *family, flag, value)
+            assert code == 2 and err.startswith("configuration error:"), (family, flag, value, err)
+            assert out == "", (family, flag, value)
     assert not (tmp_path / "k.csv").exists()
+
+
+def test_a_huge_graph_target_is_reduced_mod_1(capsys):
+    code, out, err = run_cli(capsys, "graph", "--grid", "8", "--target", "1e308")
+    assert code == 0 and err == "" and out.endswith("cycles,0\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -140,6 +140,14 @@ def test_convergence_rejects_a_kernel_on_another_grid(monkeypatch, u0_tag):
                         unit_kernel=kernel, barrier=barrier, orbits=[])
 
 
+def test_a_non_hyperbolic_aubry_set_never_passes():
+    # the free system breaks the paper's hypothesis: its Aubry set is the
+    # whole circle, with no hyperbolic orbit, and its grid-128 barrier has
+    # not entered its cycle by power 40, so no verdict is given
+    with pytest.raises(NumericalError, match="not stabilized at horizon 40"):
+        run_convergence(FREE, Grid(128), horizon=40, orbits=[])
+
+
 def test_convergence_refuses_an_unstabilized_barrier():
     # amp 0.3 on grid 64 reaches its turnpike at power 5; a barrier cut
     # at power 2 is no barrier, and a limit built from it is wrong

@@ -144,11 +144,12 @@ def _reference_rk4(rhs, y0, t0, t1, n_steps):
 
 
 def _reference_variational(sys, x0, v0, t0, t1):
-    # every stage reads L_x and L_xx from the pointwise closed forms at t
+    # every stage reads L_x and L_xx from the pointwise closed forms at t:
+    # L_x from the minimizer's fused evaluator
     def rhs(t, y):
         ax = sys.lagrangian_xx(y[0], y[1], t) / sys.mass
         dy = np.empty_like(y)
-        dy[0], dy[1] = y[1], sys.lagrangian_x(y[0], y[1], t) / sys.mass
+        dy[0], dy[1] = y[1], sys.lagrangian_and_grads(y[0], y[1], t)[1] / sys.mass
         dy[2:4], dy[4:] = y[4:], ax * y[2:4]
         return dy
 
@@ -176,7 +177,7 @@ def test_variational_flow_equals_the_stagewise_closed_forms(sys):
 @pytest.mark.parametrize("t0", [0.0, -0.3])
 def test_flow_trajectory_equals_the_stagewise_closed_form(t0):
     def rhs(t, y):
-        return np.array([y[1], EPS.lagrangian_x(y[0], y[1], t) / EPS.mass])
+        return np.array([y[1], EPS.lagrangian_and_grads(y[0], y[1], t)[1] / EPS.mass])
 
     times, xs, vs = flow_trajectory(EPS, PhasePoint(0.2, 0.3, t0), t0 + 2.5)
     ref = _reference_rk4(rhs, [0.2, 0.3], t0, t0 + 2.5, times.size - 1)

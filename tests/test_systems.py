@@ -16,7 +16,7 @@ EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 
 def test_eval_free_closed_form():
     x, v, t = 0.3, 2.0, 0.7
-    values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x(x, v, t),
+    values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x_and_xx(x, FREE.modulation(t))[0],
               FREE.lagrangian_and_grads(x, v, t)[2], FREE.mass)
     assert values == (2.0, 0.0, 2.0, 1.0)
 
@@ -39,7 +39,7 @@ def test_one_closed_form_for_l_and_l_x(amp, eps):
     t = rng.uniform(-2.0, 2.0, x.size)
     lag, lx, _ = sys.lagrangian_and_grads(x, v, t)
     assert np.array_equal(sys.lagrangian(x, v, t), lag)
-    assert np.array_equal(sys.lagrangian_x(x, v, t), lx)
+    assert np.array_equal(sys.lagrangian_x_and_xx(x, sys.modulation(t))[0], lx)
     assert lx[-1] == 0.0
 
 
@@ -57,18 +57,19 @@ HALF_INTEGERS = np.arange(-6, 6) / 2.0
 def test_force_evaluator_is_l_x_and_l_xx_at_the_modulation(sys):
     # the flow reads (L_x, L_xx) from one phase at a tabulated modulation;
     # both equal the pointwise closed forms bit for bit, in arrays and in
-    # the scalar calls of a one-state flow, and -1e-18 folds to phase 0
+    # the scalar calls of a one-state flow, and -1e-18 folds to phase 0;
+    # L_x is compared with that of the minimizer's fused evaluator at t
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-3.0, 3.0, 400), [-1e-18, 0.0, 0.5, -1.0]])
     t = np.concatenate([rng.uniform(-2.0, 2.0, x.size - HALF_INTEGERS.size), HALF_INTEGERS])
     v = rng.uniform(-3.0, 3.0, x.size)
     lx, lxx = sys.lagrangian_x_and_xx(x, sys.modulation(t))
-    assert np.array_equal(lx, sys.lagrangian_x(x, v, t))
+    assert np.array_equal(lx, sys.lagrangian_and_grads(x, v, t)[1])
     assert np.array_equal(lxx, sys.lagrangian_xx(x, v, t))
     assert lx[400] == 0.0 and lxx[400] == sys.lagrangian_xx(0.0, 0.0, t[400])
     for k in range(390, x.size):
         lx_k, lxx_k = sys.lagrangian_x_and_xx(x[k], sys.modulation(t[k]))
-        assert lx_k == sys.lagrangian_x(x[k], v[k], t[k])
+        assert lx_k == sys.lagrangian_and_grads(x[k], v[k], t[k])[1]
         assert lxx_k == sys.lagrangian_xx(x[k], v[k], t[k])
 
 
@@ -102,6 +103,37 @@ def test_unknown_family_rejected():
         LagrangianSystem(family="mechanical-cos", freq=0)
     with pytest.raises(ConfigurationError):  # amplitude 0 of the same family
         LagrangianSystem(family="free", freq=0)
+
+
+@pytest.mark.parametrize("family", ["free", "mechanical-cos"])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 1.0])
+def test_every_family_checks_its_modulation(family, eps):
+    with pytest.raises(ConfigurationError, match=r"\|eps\| < 1"):
+        LagrangianSystem(family=family, eps=eps)
+
+
+def test_the_free_family_is_stored_as_amplitude_0():
+    free = LagrangianSystem(family="free", amp=2.5, eps=0.3)
+    assert free.amp == 0.0 and free == LagrangianSystem(family="free", eps=0.3)
+    assert free.label() == "free"
+    with pytest.raises(ConfigurationError, match="amplitude must be finite"):
+        LagrangianSystem(family="free", amp=math.nan)
+    # the one-step shift is declared from the amplitude, not the tag
+    for sys in (free, LagrangianSystem(amp=0.0, freq=4)):
+        assert sys.kernel_symmetries(16, 0.0, 1.0)[0] == 1
+    assert LagrangianSystem(freq=4).kernel_symmetries(16, 0.0, 1.0)[0] == 4
+
+
+@pytest.mark.parametrize("value, least, match", [
+    (True, 0, "seed must be a nonnegative integer"),
+    (-1, 0, "seed must be a nonnegative integer"),
+    (0, 1, "seed must be a positive integer"),
+    (7, 8, "seed must be an integer of at least 8"),
+    (8.0, 8, "seed must be an integer of at least 8")])
+def test_positive_integer_names_its_least_value(value, least, match):
+    with pytest.raises(ConfigurationError, match=match):
+        systems.positive_integer(value, "seed", least)
+    assert systems.positive_integer(np.int64(least), "seed", least) == least
 
 
 @pytest.mark.parametrize("field", ["freq", "lift"])
@@ -151,9 +183,12 @@ def test_derivatives_match_finite_differences():
             fd_x = (sys.lagrangian(x + step, v, t) - sys.lagrangian(x - step, v, t)) / (2 * step)
             fd_v = (sys.lagrangian(x, v + step, t) - sys.lagrangian(x, v - step, t)) / (2 * step)
             scale = 1.0 + abs(fd_x) + abs(fd_v)
-            assert abs(fd_x - sys.lagrangian_x(x, v, t)) / scale < 1e-6
+            def l_x(x):
+                return sys.lagrangian_x_and_xx(x, sys.modulation(t))[0]
+
+            assert abs(fd_x - l_x(x)) / scale < 1e-6
             assert abs(fd_v - sys.lagrangian_and_grads(x, v, t)[2]) / scale < 1e-6
-            fd_xx = (sys.lagrangian_x(x + step, v, t) - sys.lagrangian_x(x - step, v, t)) / (2 * step)
+            fd_xx = (l_x(x + step) - l_x(x - step)) / (2 * step)
             assert abs(fd_xx - sys.lagrangian_xx(x, v, t)) / (1 + abs(fd_xx)) < 1e-5
 
 

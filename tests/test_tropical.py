@@ -50,6 +50,10 @@ def test_grid_validation():
     grid = Grid(8)
     assert grid.nearest_index(0.26) == 2
     assert Grid(np.int64(16)).nearest_index(0.5) == 8
+    # a position is reduced mod 1 before it is scaled: 1e308 * 8 overflows
+    assert grid.nearest_index(1e308) == 0 and grid.nearest_index(-1e308) == 0
+    assert [grid.nearest_index(i / 8) for i in range(8)] == list(range(8))
+    assert grid.nearest_index(0.99) == 0 and grid.nearest_index(2.26) == 2
 
 
 @pytest.mark.parametrize("n", [16.5, 16.0, True, "16"])
@@ -93,25 +97,51 @@ class MissingBound:
         return getattr(self.base, name)
 
 
+def assembled_with_rows(monkeypatch, sys):
+    """The grid-32 unit kernel of ``sys`` and the lifted rows that
+    ``winding_search`` returned for every pair it solved (the orbit
+    representatives and the symmetry sample), keyed by (start, end). One
+    CPU, so that every search runs in this process."""
+    rows = {}
+
+    def recording(sys, a, b, starts, ends):
+        values, found, windings = winding_search(sys, a, b, starts, ends)
+        rows.update(zip(zip(starts.tolist(), ends.tolist()), found))
+        return values, found, windings
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(tropical, "winding_search", recording)
+    return assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix, rows
+
+
+def assert_same_assembly(got, reference, label):
+    # a converged row's fsum value can stay put while its samples move, so
+    # the rows are compared too: to rounding, since a row left alone in a
+    # descent step takes BLAS's one-row product (3.5e-18 at q=1, batches of
+    # 17 pairs), while a block-wide nonmonotone reference moves one by 5e-11
+    assert np.array_equal(got[0], reference[0]), label
+    assert got[1].keys() == reference[1].keys(), label
+    for key, row in reference[1].items():
+        assert np.max(np.abs(got[1][key] - row)) <= 1e-14, (label, key)
+
+
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
 def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
-    reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
+    reference = assembled_with_rows(monkeypatch, sys)
     # floats of one pair with its first shell of windings
     pair_floats = len(winding_candidates()) * (segments_for(1.0) + 1)
     for step in (17, 32, 97):
         monkeypatch.setattr(tropical, "BATCH_FLOATS", step * pair_floats)
-        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
-        assert np.array_equal(kernel.matrix, reference), step
+        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, step)
 
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, MECH_Q2_EPS, lift_system(MECH, 2)],
                          ids=["q1", "q2", "eps", "q2-eps", "lift"])
 def test_kernel_bits_independent_of_block_size(monkeypatch, sys):
-    reference = assemble_kernel(sys, Grid(32), 0.0, 1.0).matrix
+    reference = assembled_with_rows(monkeypatch, sys)
     for rows in (16, 17, 97):
         monkeypatch.setattr(systems, "BLOCK_FLOATS", rows * (segments_for(1.0) + 1))
-        kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
-        assert np.array_equal(kernel.matrix, reference), rows
+        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, rows)
 
 
 def use_cpus(monkeypatch, cpus):
