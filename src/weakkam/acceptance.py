@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import WeakKamError
-from .experiments import dwell_statistics, run_convergence
+from .experiments import K_MAX, dwell_statistics, run_convergence
 from .flow import PeriodicOrbit, flow_map, refine_periodic_orbit
 from .reduction import lift_curve, lift_system, tilt_system
+from .reporting import csv_text, write_csv
 from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, exact_row_actions, positive_integer, torus_distance)
 from .tropical import (Grid, assemble_kernel, karp_eigenvalue,
@@ -40,7 +42,7 @@ class AcceptanceScale:
     n_confirm: int = 512
     n_small: int = 64
     horizon: int = BARRIER_HORIZON
-    k_max: int = 60
+    k_max: int = K_MAX
 
 
 @dataclass
@@ -463,7 +465,6 @@ def criterion_11_dwell(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_12_determinism(ctx: AcceptanceContext) -> CriterionResult:
     """Byte-identical reruns of the seeded pipeline pieces."""
-    from .reporting import csv_text
 
     def probe() -> bytes:
         n = ctx.scale.n_small
@@ -513,8 +514,6 @@ def run_all(ctx: AcceptanceContext | None = None, out_dir=None, echo=print):
     singular LAPACK solve, a trapped floating-point fault) is recorded as
     failed with the exception type and message, and the remaining criteria
     still run, so partial results survive a hard failure."""
-    import os
-
     ctx = ctx or AcceptanceContext()
     results = []
     for cid, criterion in enumerate(CRITERIA, start=1):
@@ -527,7 +526,6 @@ def run_all(ctx: AcceptanceContext | None = None, out_dir=None, echo=print):
         if echo:
             echo(result.line())
     if out_dir is not None:
-        from .reporting import write_csv
         os.makedirs(out_dir, exist_ok=True)
         for result in results:
             if result.rows:

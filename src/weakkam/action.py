@@ -7,10 +7,12 @@ rows of one batch, which is what makes kernel assembly affordable: every
 iteration is a handful of vectorized trig evaluations over many rows.
 The descent runs on contiguous blocks of the batch of at most
 ``systems.BLOCK_FLOATS`` floats of samples (``systems.row_blocks``), so
-its temporaries stay cache-sized whatever the batch size; the rows no
-block finishes are polished, and the saddles of every block escape, once
-per batch. The search over windings, with its pruning and tie policy, is
-``tropical.winding_search``; ``minimal_action`` is its one-pair call.
+its temporaries stay cache-sized whatever the batch size. Every phase
+updates one batch state, the samples, values and gradients, in place:
+the rows no block finishes are polished, and the saddles of every block
+escape, once per batch. The search over windings, with its pruning and
+tie policy, is ``tropical.winding_search``; ``minimal_action`` is its
+one-pair call.
 
 For every system, descent is preconditioned by the inverse of the
 kinetic Hessian plus half the curvature bound on its diagonal, with a
@@ -77,14 +79,14 @@ def _straight_lifts(starts, ends, n_seg):
 
 
 def _evaluate(sys, rows, h, tmid):
-    """(value, interior gradient, midpoints, velocities) of the batched
-    midpoint-rule action of full sample rows, endpoints held fixed; the
-    values are plain sums, not the fsum of ``exact_row_actions``."""
+    """(value, interior gradient) of the batched midpoint-rule action of
+    full sample rows, endpoints held fixed; the values are plain sums, not
+    the fsum of ``exact_row_actions``."""
     mid, vel = midpoint_geometry(rows, h)
     lag, lx, lv = sys.lagrangian_and_grads(mid, vel, tmid)
     e = h * np.sum(lag, axis=1)
     g = 0.5 * h * (lx[:, :-1] + lx[:, 1:]) + (lv[:, :-1] - lv[:, 1:])
-    return e, g, mid, vel
+    return e, g
 
 
 def _forward_sweep(diag, off, rhs=None):
@@ -144,31 +146,29 @@ def _tridiagonal_hessian(sys, mid, vel, tmid, h):
     return diag, off
 
 
-def _polish_rows(sys, z, h, tmid, e, g):
+def _polish_rows(sys, z, h, tmid, e, g, gsup):
     """Damped regularized Newton on the discrete stationarity system,
-    batched over rows, until every gradient sup norm is within
-    ``GRADIENT_TOLERANCE`` or ``POLISH_BUDGET`` steps are spent.
+    batched over the rows whose ``gsup`` exceeds ``GRADIENT_TOLERANCE``,
+    until none does or ``POLISH_BUDGET`` steps are spent.
 
     Near-heteroclinic entries put the minimizer in a long curved valley
     where spectral first-order steps stall with a small but stubborn
     gradient and a genuinely wrong value (observed 3e-3 on the two-well
     system); the exact tridiagonal Hessian fixes those few rows cheaply.
     Assumes the Lagrangian has no xv coupling, which holds for
-    every built-in family and lift. Starts from the rows' value ``e`` and
-    gradient ``g`` as ``_evaluate`` gave them, so only their midpoint
-    geometry is computed; an accepted trial point keeps the value,
-    gradient and geometry its line search evaluated. Mutates ``z``, ``e``
-    and ``g`` in place and returns (e, gsup).
+    every built-in family and lift. Starts from the batch's ``e``, ``g``
+    and ``gsup`` as ``_evaluate`` gave them; each step reads its Hessian
+    from the samples' midpoint geometry, and an accepted trial point keeps
+    the value and gradient its line search evaluated. Updates ``z``, ``e``,
+    ``g`` and ``gsup`` in place; a row within the tolerance is never touched.
     """
-    mid, vel = midpoint_geometry(z, h)
     reg = np.zeros(z.shape[0])
-    gsup = np.max(np.abs(g), axis=1)
     for _ in range(POLISH_BUDGET):
         idx = np.flatnonzero(gsup > GRADIENT_TOLERANCE)
         if idx.size == 0:
             break
         za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]
-        diag, off = _tridiagonal_hessian(sys, mid[idx], vel[idx], tmid, h)
+        diag, off = _tridiagonal_hessian(sys, *midpoint_geometry(za, h), tmid, h)
         scale = np.max(np.abs(diag), axis=1)
         rid = reg[idx].copy()
         step = np.empty_like(ga)
@@ -193,7 +193,7 @@ def _polish_rows(sys, z, h, tmid, e, g):
                 break
             cand = za[trial].copy()
             cand[:, 1:-1] += t[trial, None] * step[trial]
-            e_c, g_c, mid_c, vel_c = _evaluate(sys, cand, h, tmid)
+            e_c, g_c = _evaluate(sys, cand, h, tmid)
             gsup_c = np.max(np.abs(g_c), axis=1)
             # absolute noise allowance keeps the endgame alive once the
             # decrease drops below float resolution of the action value;
@@ -204,13 +204,12 @@ def _polish_rows(sys, z, h, tmid, e, g):
             ok = armijo & (g_drop | (e_c <= e0[trial]))
             hit = idx[trial[ok]]
             z[hit], e[hit], g[hit] = cand[ok], e_c[ok], g_c[ok]
-            mid[hit], vel[hit], gsup[hit] = mid_c[ok], vel_c[ok], gsup_c[ok]
+            gsup[hit] = gsup_c[ok]
             accepted[trial[ok]] = True
             t[trial[~ok]] *= 0.5
         rid[~accepted] = np.maximum(10.0 * rid[~accepted], 1e-8 * scale[~accepted])
         rid[accepted & (t == 1.0)] *= 0.25
         reg[idx] = rid
-    return e, gsup
 
 
 def _preconditioner_inverse(n_int, h, sigma):
@@ -242,11 +241,11 @@ def _preconditioner_inverse(n_int, h, sigma):
 SADDLE_ESCAPE_BUMP = 0.05
 
 
-def _spectral_phase(sys, z, h, tmid, pinv):
+def _spectral_phase(sys, z, e, g, gsup, h, tmid, pinv):
     """Preconditioned spectral descent of one block of rows, in place:
-    each row of ``z`` ends at its last accepted point. Returns (e, g, gsup,
-    converged, iterations) of the block, the value and gradient at the
-    returned samples and the iterations the block ran."""
+    ``z``, ``e``, ``g`` and ``gsup`` are the block's views of the batch
+    state, and each row ends at its last accepted point with its value,
+    gradient and gradient sup norm there. Returns the iterations run."""
     def descend(rows, step, d):
         # moves the interior samples only: the endpoints stay exact
         out = rows.copy()
@@ -254,8 +253,8 @@ def _spectral_phase(sys, z, h, tmid, pinv):
         return out
 
     m = z.shape[0]
-    e, g = _evaluate(sys, z, h, tmid)[:2]
-    gsup = np.max(np.abs(g), axis=1)
+    e[:], g[:] = _evaluate(sys, z, h, tmid)
+    gsup[:] = np.max(np.abs(g), axis=1)
     converged = gsup <= GRADIENT_TOLERANCE
     stalled = np.zeros(m, dtype=bool)
     alpha = np.ones(m)
@@ -278,7 +277,7 @@ def _spectral_phase(sys, z, h, tmid, pinv):
 
         # fused first trial: gradient comes along for free when accepted
         cand = descend(za, step, d)
-        e_t, g_t = _evaluate(sys, cand, h, tmid)[:2]
+        e_t, g_t = _evaluate(sys, cand, h, tmid)
         accepted = e_t <= ref - ARMIJO * step * dd
         if accepted.all():
             z_next, e_next, g_next = cand, e_t, g_t
@@ -293,7 +292,7 @@ def _spectral_phase(sys, z, h, tmid, pinv):
                 break
             step[pending] *= 0.5
             cand = descend(za[pending], step[pending], d[pending])
-            e_c, g_c = _evaluate(sys, cand, h, tmid)[:2]
+            e_c, g_c = _evaluate(sys, cand, h, tmid)
             ok = e_c <= ref[pending] - ARMIJO * step[pending] * dd[pending]
             hit = pending[ok]
             z_next[hit], e_next[hit], g_next[hit] = cand[ok], e_c[ok], g_c[ok]
@@ -326,7 +325,7 @@ def _spectral_phase(sys, z, h, tmid, pinv):
         hist_ptr[rows] = (hist_ptr[rows] + 1) % NONMONOTONE_WINDOW
         gsup[rows] = np.max(np.abs(g_acc), axis=1)
         converged[rows] = gsup[rows] <= GRADIENT_TOLERANCE
-    return e, g, gsup, converged, iterations
+    return iterations
 
 
 def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
@@ -376,21 +375,12 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     blocks = row_blocks(m, n_pts)
     e, gsup = np.empty(m), np.empty(m)
     g = np.empty((m, n_int))
-    converged = np.empty(m, dtype=bool)
     iterations = 0
     for block in blocks:
-        e[block], g[block], gsup[block], converged[block], its = _spectral_phase(
-            sys, z[block], h, tmid, pinv)
-        iterations = max(iterations, its)
-
-    leftovers = np.flatnonzero(~converged)
-    if leftovers.size:
-        sub = z[leftovers]
-        e_p, gsup_p = _polish_rows(sys, sub, h, tmid, e[leftovers], g[leftovers])
-        z[leftovers] = sub
-        e[leftovers] = e_p
-        gsup[leftovers] = gsup_p
-        converged[leftovers] = gsup_p <= GRADIENT_TOLERANCE
+        iterations = max(iterations, _spectral_phase(
+            sys, z[block], e[block], g[block], gsup[block], h, tmid, pinv))
+    _polish_rows(sys, z, h, tmid, e, g, gsup)
+    converged = gsup <= GRADIENT_TOLERANCE
 
     if _escape:
         trapped = []

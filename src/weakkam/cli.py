@@ -16,15 +16,15 @@ from .acceptance import (AcceptanceContext, AcceptanceScale, lift_identity_gaps,
                          run_all)
 from .action import check_endpoints, minimal_action
 from .errors import ConfigurationError, WeakKamError
-from .experiments import (check_dwell_window, detect_aubry_orbits, dwell_statistics,
-                          run_convergence)
+from .experiments import (K_MAX, U0_TAGS, check_dwell_window, detect_aubry_orbits,
+                          dwell_statistics, run_convergence)
 from .flow import refine_periodic_orbit
 from .reduction import SUBSOLUTION_TAGS, tilt_system
+from .reporting import csv_text, fmt, matrix_rows, write_csv
 from .systems import FAMILIES, LagrangianSystem, PhasePoint
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
 from .weak_kam import (AUBRY_TOLERANCE, BARRIER_HORIZON, aubry_set, check_barrier_horizon,
                        check_tolerance, connection_graph, peierls_barrier)
-from .reporting import fmt, write_csv
 
 
 def _add_system_flags(parser):
@@ -35,10 +35,11 @@ def _add_system_flags(parser):
 
 
 _SHARED_FLAGS = {
-    "grid": dict(type=int, default=256),
+    "grid": dict(type=int, default=AcceptanceScale.n_main),
     "seed": dict(type=int, default=0),
     "out": dict(default=None),
     "horizon": dict(type=int, default=BARRIER_HORIZON),
+    "kmax": dict(type=int, default=K_MAX),
 }
 
 
@@ -112,10 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
     _add_shared_flags(p, "grid", "seed", "out", "horizon")
-    p.add_argument("--u0", choices=("zero", "spike", "random-seeded"),
-                   default="spike")
+    p.add_argument("--u0", choices=U0_TAGS, default="spike")
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--kmax", type=int, default=60)
+    _add_shared_flags(p, "kmax")
 
     p = sub.add_parser("dwell", help="dwell-time diagnostics along a minimizer")
     _add_system_flags(p)
@@ -128,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-suite", help="run the full acceptance matrix")
     p.add_argument("--out-dir", required=True)
     _add_shared_flags(p, "grid", "seed", "horizon")
-    p.add_argument("--confirm-grid", type=int, default=512)
-    p.add_argument("--small-grid", type=int, default=64)
-    p.add_argument("--kmax", type=int, default=60)
+    p.add_argument("--confirm-grid", type=int, default=AcceptanceScale.n_confirm)
+    p.add_argument("--small-grid", type=int, default=AcceptanceScale.n_small)
+    _add_shared_flags(p, "kmax")
 
     return parser
 
@@ -142,7 +142,6 @@ def _system(args) -> LagrangianSystem:
 
 def _emit(path, header, rows):
     if path is None:
-        from .reporting import csv_text
         _sys.stdout.write(csv_text(header, rows))
     else:
         write_csv(path, header, rows)
@@ -164,7 +163,6 @@ def _cmd_kernel(args) -> int:
     if args.out is None:
         raise ConfigurationError("kernel export needs --out FILE")
     kernel = assemble_kernel(_system(args), Grid(args.grid), args.start, args.delta)
-    from .reporting import matrix_rows
     write_csv(args.out, ("i", "j", "value"), matrix_rows(kernel.matrix))
     return 0
 
@@ -192,7 +190,6 @@ def _barrier_for(args, horizon, t_frac=0.0):
 
 def _cmd_barrier(args) -> int:
     _, _, c, barrier = _barrier_for(args, args.horizon, t_frac=args.tfrac)
-    from .reporting import matrix_rows
     _emit(args.out, ("i", "j", "h"), matrix_rows(barrier.values))
     print(f"c,{fmt(c)}")
     print(f"defect,{fmt(barrier.defect)}")

@@ -33,6 +33,8 @@ MIN_FIT_POINTS = 3
 ORBIT_DETECTION_TOL = 1e-7
 
 U0_TAGS = ("zero", "spike", "random-seeded")
+# unit steps of a convergence experiment at desk scale
+K_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
 
 
 def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.0,
-                    k_max: int = 60, horizon: int = BARRIER_HORIZON, seed: int = 0,
+                    k_max: int = K_MAX, horizon: int = BARRIER_HORIZON, seed: int = 0,
                     unit_kernel=None, orbits=None, barrier=None) -> ConvergenceReport:
     """Measure e_k = sup |S_{tau+k} u + c (tau+k) - limit| and fit its decay.
 

@@ -222,8 +222,7 @@ def _solve_jobs(solve, jobs, workers: int) -> list:
         return [solve(job) for job in jobs]
     import multiprocessing
 
-    # fork, not spawn: a system may hold lambdas or forward attributes, and
-    # neither survives pickling
+    # fork, not spawn: ``solve`` is a closure, which spawn cannot pickle
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
@@ -341,13 +340,13 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
 
 
 def minplus_apply(mat, u):
-    """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K."""
+    """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K: one row of ``minplus_matmul``."""
     if mat.ndim != 2:
         raise ConfigurationError("min-plus apply needs a 2-D kernel")
     u = np.asarray(u, dtype=float)
     if u.shape != (mat.shape[0],):
         raise ConfigurationError("shape mismatch in min-plus apply")
-    return np.min(u[:, None] + mat, axis=0)
+    return minplus_matmul(u[None, :], mat)[0]
 
 
 def minplus_matmul(a, b):

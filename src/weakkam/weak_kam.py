@@ -268,8 +268,12 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
     equals (within tol) the barrier from k to j plus the barrier from j to
     the target. Roots receive no segment. Acyclicity is checked and any
     violation reported with the offending cycle. ``target_index`` must be
-    a grid index in [0, n)."""
+    a grid index in [0, n), and ``aubry`` must come from the barrier's
+    grid."""
     check_tolerance(tol, "graph")
+    if aubry.grid != h.grid:
+        raise ConfigurationError(f"Aubry set is on a grid of {aubry.grid.n} points, "
+                                 f"the barrier on one of {h.grid.n}")
     if positive_integer(target_index, "graph target index", 0) >= h.grid.n:
         raise ConfigurationError(f"graph target index must be below the grid size {h.grid.n}")
     reps = list(aubry.representatives)

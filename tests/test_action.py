@@ -17,8 +17,8 @@ MECH = LagrangianSystem(family="mechanical-cos")
 def discrete_el_residual(sys, curve):
     """Sup norm of the discrete action gradient at a curve (its discrete
     Euler-Lagrange residual)."""
-    _, g, _, _ = action._evaluate(sys, curve.samples[None, :], curve.spacing,
-                                  curve.midpoint_times())
+    _, g = action._evaluate(sys, curve.samples[None, :], curve.spacing,
+                            curve.midpoint_times())
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
@@ -219,7 +219,7 @@ def test_batch_returns_the_evaluation_of_its_rows(monkeypatch):
     assert all(count > 0 for count in calls.values()), calls
     assert converged.all()
     tmid = (np.arange(n_seg) + 0.5) / n_seg
-    e, g, _, _ = evaluate(two_well, z, 1.0 / n_seg, tmid)
+    e, g = evaluate(two_well, z, 1.0 / n_seg, tmid)
     assert np.array_equal(e_quad, e)
     assert np.array_equal(gsup, np.max(np.abs(g), axis=1))
 
@@ -348,4 +348,44 @@ def test_one_polish_and_one_escape_per_batch(monkeypatch):
     blocked = counting_batch(two_well, 0.0, 1.0, 32, z0)
     assert calls == {"polish": 1, "escape": 1}
     for got, want in zip(blocked, reference):
+        assert np.array_equal(got, want)
+
+
+def two_well_polish_state():
+    """(system, z, e, g, gsup, h, tmid) of sixteen two-well rows over one
+    unit of time: even rows are the minimizers of their pairs, odd rows are
+    straight lifts, with the value, gradient and gradient sup norm of each."""
+    two_well = LagrangianSystem(family="mechanical-cos", freq=2)
+    n_seg = 32
+    h, tmid = 1.0 / n_seg, (np.arange(n_seg) + 0.5) / n_seg
+    pts = np.arange(16) / 16
+    z = action._straight_lifts(pts, pts[::-1], n_seg)
+    z[::2] = action.minimize_straight_batch(two_well, 0.0, 1.0, n_seg, z[::2])[0]
+    e, g = action._evaluate(two_well, z, h, tmid)
+    return two_well, z, e, g, np.max(np.abs(g), axis=1), h, tmid
+
+
+def test_polish_moves_only_the_rows_above_tolerance():
+    two_well, z, e, g, gsup, h, tmid = two_well_polish_state()
+    done = gsup <= action.GRADIENT_TOLERANCE
+    assert done.any() and not done.all()
+    before = [a.copy() for a in (z, e, g, gsup)]
+    action._polish_rows(two_well, z, h, tmid, e, g, gsup)
+    for got, want in zip((z, e, g, gsup), before):
+        assert np.array_equal(got[done], want[done])
+    assert not np.array_equal(z[~done], before[0][~done])
+    assert np.all(gsup <= action.GRADIENT_TOLERANCE)
+    e_fresh, g_fresh = action._evaluate(two_well, z[~done], h, tmid)
+    assert np.array_equal(e[~done], e_fresh)
+    assert np.array_equal(g[~done], g_fresh)
+    assert np.array_equal(gsup[~done], np.max(np.abs(g_fresh), axis=1))
+
+
+def test_polish_leaves_a_converged_batch_untouched():
+    two_well, z, e, g, gsup, h, tmid = two_well_polish_state()
+    done = gsup <= action.GRADIENT_TOLERANCE
+    state = [a[done] for a in (z, e, g, gsup)]
+    before = [a.copy() for a in state]
+    action._polish_rows(two_well, state[0], h, tmid, *state[1:])
+    for got, want in zip(state, before):
         assert np.array_equal(got, want)

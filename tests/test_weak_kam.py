@@ -407,6 +407,22 @@ def test_connection_graph_rejects_a_target_off_the_grid(two_well_barrier, target
         connection_graph(two_well_barrier, detected, target, tol=1e-3)
 
 
+@pytest.mark.parametrize("set_grid, barrier_grid", [(32, 16), (16, 32)],
+                         ids=["finer-set", "coarser-set"])
+def test_connection_graph_rejects_an_aubry_set_of_another_grid(set_grid, barrier_grid):
+    # two-well barriers: a finer set indexes past the barrier, and a coarser
+    # one would put the wells at 0 and 1/4 of the barrier's grid, not 0 and 1/2
+    sys = LagrangianSystem(family="mechanical-cos", freq=2)
+    barriers = {}
+    for n in (set_grid, barrier_grid):
+        kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
+        barriers[n] = peierls_barrier(sys, Grid(n), karp_eigenvalue(kernel), horizon=24,
+                                      kernel=kernel)
+    detected = aubry_set(barriers[set_grid], 1e-9)
+    with pytest.raises(ConfigurationError, match="Aubry set is on a grid of"):
+        connection_graph(barriers[barrier_grid], detected, 0, tol=1e-3)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda h: minplus_apply(h.values, np.zeros(N - 1)), "shape mismatch in min-plus apply"),
     (lambda h: minplus_matmul(np.zeros((3, 4)), np.zeros((3, 3))),
