@@ -187,9 +187,16 @@ def test_flow_trajectory_equals_the_stagewise_closed_form(t0):
 
 def test_refinement_reads_one_phase_per_stage_and_one_modulation_per_integration(
         monkeypatch):
-    counts = dict.fromkeys(("phase", "modulation", "rk4", "stages"), 0)
+    # every column evaluates one float phase per stage, through the float
+    # evaluator alone, and every integration tabulates one modulation
+    counts = dict.fromkeys(("force", "phase", "modulation", "rk4", "stages"), 0)
+    real_force = LagrangianSystem.lagrangian_x_and_xx
     real_phase, real_modulation = LagrangianSystem._phase, LagrangianSystem.modulation
     real_rk4 = flow._rk4
+
+    def counted_force(self, x, m):
+        counts["force"] += 1
+        return real_force(self, x, m)
 
     def counted_phase(self, x):
         counts["phase"] += 1
@@ -201,16 +208,38 @@ def test_refinement_reads_one_phase_per_stage_and_one_modulation_per_integration
 
     def counted_rk4(rhs, modulation, y0, t0, t1, n_steps):
         counts["rk4"] += 1
-        counts["stages"] += 4 * n_steps
+        counts["stages"] += 4 * n_steps * (np.size(y0) // len(y0))
         return real_rk4(rhs, modulation, y0, t0, t1, n_steps)
 
+    monkeypatch.setattr(LagrangianSystem, "lagrangian_x_and_xx", counted_force)
     monkeypatch.setattr(LagrangianSystem, "_phase", counted_phase)
     monkeypatch.setattr(LagrangianSystem, "modulation", counted_modulation)
     monkeypatch.setattr(flow, "_rk4", counted_rk4)
     refine_periodic_orbit(EPS, PhasePoint(0.01, 0.01, 0.0), 2)
     assert counts["rk4"] >= 2 and counts["stages"] >= 4 * 400
-    assert counts["phase"] == counts["stages"]
+    assert counts["force"] == counts["stages"] and counts["phase"] == 0
     assert counts["modulation"] == counts["rk4"]
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.7])
+def test_backward_flows_equal_the_stagewise_closed_forms(t0):
+    # t1 < t0: every column steps with a negative h
+    def rhs(t, y):
+        return np.array([y[1], EPS.lagrangian_and_grads(y[0], y[1], t)[1] / EPS.mass])
+
+    times, xs, vs = flow_trajectory(EPS, PhasePoint(0.2, 0.3, t0), t0 - 2.5)
+    ref = _reference_rk4(rhs, [0.2, 0.3], t0, t0 - 2.5, times.size - 1)
+    assert times.size == 501
+    assert np.array_equal(xs, ref[:, 0]) and np.array_equal(vs, ref[:, 1])
+
+    # the 24 segments of a period-3 residual, each run from its end to its start
+    rng = np.random.default_rng(2)
+    x0, v0 = rng.uniform(0.0, 1.0, 24), rng.uniform(-0.5, 0.5, 24)
+    ends = t0 + 3 / 24 * np.arange(25)
+    got = _flow_with_variational(EPS, x0, v0, ends[1:], ends[:-1])
+    ref = _reference_variational(EPS, x0, v0, ends[1:], ends[:-1])
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
 
 
 def test_refined_monodromy_is_the_monodromy_at_the_refined_state():
@@ -276,6 +305,22 @@ def test_refinement_guess_must_start_at_time_zero(t):
 def test_monodromy_period_must_be_a_positive_integer(period):
     with pytest.raises(ConfigurationError, match="positive integer"):
         monodromy(MECH, PhasePoint(0.0, 0.0, 0.0), period)
+
+
+@pytest.mark.parametrize("period", [0, -1, 2.5, True])
+def test_floquet_period_must_be_a_positive_integer(period):
+    # an unchecked period 0 divides by zero, and -1 flips the exponents'
+    # signs, so that lam reads the stable rate
+    with pytest.raises(ConfigurationError, match="^period must be a positive integer$"):
+        floquet_analysis(np.diag([2.0, 0.5]), period)
+
+
+@pytest.mark.parametrize("t1", [math.inf, -math.inf, math.nan])
+def test_flows_reject_a_non_finite_end_time(t1):
+    p = PhasePoint(0.1, 0.2, 0.0)
+    for call in (flow_map, flow_trajectory):
+        with pytest.raises(ConfigurationError, match="end time must be finite"):
+            call(MECH, p, t1)
 
 
 def test_floquet_validates_shape():

@@ -39,7 +39,10 @@ def test_one_closed_form_for_l_and_l_x(amp, eps):
     t = rng.uniform(-2.0, 2.0, x.size)
     lag, lx, _ = sys.lagrangian_and_grads(x, v, t)
     assert np.array_equal(sys.lagrangian(x, v, t), lag)
-    assert np.array_equal(sys.lagrangian_x_and_xx(x, sys.modulation(t))[0], lx)
+    # the flow's evaluator takes floats: compared element by element
+    m = np.broadcast_to(sys.modulation(t), t.shape)
+    assert [sys.lagrangian_x_and_xx(xk, mk)[0]
+            for xk, mk in zip(x.tolist(), m.tolist())] == lx.tolist()
     assert lx[-1] == 0.0
 
 
@@ -55,15 +58,18 @@ HALF_INTEGERS = np.arange(-6, 6) / 2.0
 
 @pytest.mark.parametrize("sys", FORCE_SYSTEMS, ids=lambda s: s.label())
 def test_force_evaluator_is_l_x_and_l_xx_at_the_modulation(sys):
-    # the flow reads (L_x, L_xx) from one phase at a tabulated modulation;
-    # both equal the pointwise closed forms bit for bit, in arrays and in
-    # the scalar calls of a one-state flow, and -1e-18 folds to phase 0;
-    # L_x is compared with that of the minimizer's fused evaluator at t
+    # the flow reads (L_x, L_xx) of a float from one phase at a tabulated
+    # modulation; both equal the pointwise closed forms bit for bit, at
+    # every point and at numpy scalars, and -1e-18 folds to phase 0; L_x is
+    # compared with that of the minimizer's fused evaluator at t
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-3.0, 3.0, 400), [-1e-18, 0.0, 0.5, -1.0]])
     t = np.concatenate([rng.uniform(-2.0, 2.0, x.size - HALF_INTEGERS.size), HALF_INTEGERS])
     v = rng.uniform(-3.0, 3.0, x.size)
-    lx, lxx = sys.lagrangian_x_and_xx(x, sys.modulation(t))
+    m = np.broadcast_to(sys.modulation(t), t.shape)
+    lx, lxx = np.array([sys.lagrangian_x_and_xx(xk, mk)
+                        for xk, mk in zip(x.tolist(), m.tolist())]).T
+    assert lx.size == lxx.size == 404
     assert np.array_equal(lx, sys.lagrangian_and_grads(x, v, t)[1])
     assert np.array_equal(lxx, sys.lagrangian_xx(x, v, t))
     assert lx[400] == 0.0 and lxx[400] == sys.lagrangian_xx(0.0, 0.0, t[400])
