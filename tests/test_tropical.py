@@ -481,6 +481,84 @@ def test_minplus_matmul_is_bit_identical_on_an_assembled_kernel():
     assert np.array_equal(minplus_matmul(squared, kmat), _broadcast_minplus(squared, kmat))
 
 
+def _assert_same_product(got, want):
+    """Equal entries with NaN at the same places, and the same bits where
+    ``want`` is neither NaN nor zero: a NaN's payload and the sign of a
+    zero that ties +0 with -0 follow the order of the reduction (numpy's
+    min returns the later of two equal operands)."""
+    assert np.array_equal(got, want, equal_nan=True)
+    plain = ~np.isnan(want) & (want != 0.0)
+    assert np.array_equal(got[plain].view(np.int64), want[plain].view(np.int64))
+
+
+# few distinct values, so sums tie across tiles, with both infinities,
+# overflowing sums, NaN and both zeros
+special_floats = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308, -1e308,
+                                  math.inf, -math.inf, math.nan])
+
+
+@given(st.sampled_from([1, 2, 17]), st.sampled_from([1, 31, 32, 33, 65]),
+       st.sampled_from([1, 3, 40]), st.data())
+def test_minplus_matmul_matches_the_broadcast_reference_on_special_values(
+        rows, inner, cols, data):
+    # a tile bound of NaN or inf - inf is never above a value, so no NaN
+    # sum is pruned; a tile of 32 splits the inner sizes 31 to 65 unevenly
+    a = data.draw(arrays(np.float64, (rows, inner), elements=special_floats))
+    b = data.draw(arrays(np.float64, (inner, cols), elements=special_floats))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = minplus_matmul(a, b), _broadcast_minplus(a, b)
+        applied = minplus_apply(b, a[0])
+    _assert_same_product(got, want)
+    _assert_same_product(applied, want[0])
+
+
+@pytest.fixture(scope="module")
+def shifted_kernels():
+    """The c-shifted grid-64 unit kernels of q in {1, 2, 4} and eps in {0, 0.1}."""
+    out = {}
+    for q in (1, 2, 4):
+        for eps in (0.0, 0.1):
+            kernel = assemble_kernel(LagrangianSystem(family="mechanical-cos", freq=q, eps=eps),
+                                     Grid(64), 0.0, 1.0)
+            out[q, eps] = kernel.matrix + karp_eigenvalue(kernel)
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_minplus_powers_of_shifted_kernels_are_bit_identical(shifted_kernels, q, eps):
+    # one, two and four wells: the minimizers gather in one tile, in a few,
+    # or in every tile
+    shifted = shifted_kernels[q, eps]
+    power = shifted
+    for _ in range(3):  # the 2nd to 4th powers
+        expected = _broadcast_minplus(power, shifted)
+        power = minplus_matmul(power, shifted)
+        assert power.tobytes() == expected.tobytes()
+    for row in (shifted[0], power[17]):
+        assert minplus_apply(shifted, row).tobytes() == minplus_matmul(row[None, :], shifted).tobytes()
+
+
+def test_a_shifted_power_evaluates_few_tiles(monkeypatch):
+    # the chains of the one-well c-shifted kernel pass through x = 0, so the
+    # tile holding it is every row's seed and rules out every other tile;
+    # on grid 256 that is 1 tile of 8 per row (at grid 64 a row has only 2)
+    kernel = assemble_kernel(MECH, Grid(256), 0.0, 1.0)
+    shifted = kernel.matrix + karp_eigenvalue(kernel)
+    evaluated = []
+    real = tropical._add_min
+
+    def counting(a, b, lo, hi, out, scratch):
+        assert hi - lo <= tropical.TILE  # one tile of a run of rows per call
+        evaluated.append(out.shape[0])
+        return real(a, b, lo, hi, out, scratch)
+
+    monkeypatch.setattr(tropical, "_add_min", counting)
+    power = minplus_matmul(shifted, shifted)
+    assert sum(evaluated) < 0.25 * 256 * (256 // tropical.TILE)
+    assert power.tobytes() == _broadcast_minplus(shifted, shifted).tobytes()
+
+
 @given(arrays(np.float64, (5, 5), elements=st.integers(-6, 6).map(float)))
 def test_normalized_iteration_eventually_periodic(kernel):
     u = np.zeros(5)

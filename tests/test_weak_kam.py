@@ -225,6 +225,21 @@ def test_barrier_rejects_a_non_finite_shift(mech_kernel, c):
         peierls_barrier(MECH, Grid(N), c, horizon=24, kernel=mech_kernel)
 
 
+@pytest.mark.parametrize("entry, shift", [
+    (math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (1.7e308, 1e308)],
+    ids=["inf", "-inf", "nan", "shift-overflows"])
+def test_barrier_rejects_a_non_finite_kernel_entry(entry, shift):
+    # an inf would make the stop bound inf, so that any change passes as a
+    # cycle, and a NaN would make every power NaN
+    kernel = assemble_kernel(MECH, Grid(8), 0.0, 1.0)
+    matrix = kernel.matrix.copy()
+    matrix[2, 5] = matrix[5, 2] = entry
+    c = karp_eigenvalue(kernel) + shift
+    with pytest.raises(ConfigurationError, match="kernel entries.*must be finite"), \
+            np.errstate(over="ignore"):
+        peierls_barrier(MECH, Grid(8), c, 40, kernel=dataclasses.replace(kernel, matrix=matrix))
+
+
 @pytest.mark.parametrize("horizon", [1, 2.5, 3.0, True])
 def test_barrier_requires_horizon(mech_kernel, horizon):
     with pytest.raises(ConfigurationError, match="integer of at least 2"):
@@ -398,6 +413,17 @@ def test_connection_graph_single_orbit(mech_barrier):
     assert graph.edges == [] and graph.roots == [0] and graph.cycles == []
 
 
+def test_connection_graph_requires_equal_offsets(two_well_barrier):
+    # h(k, target) = h(k, j) + h(j, target) holds only when every barrier
+    # starts and ends at the same offset
+    sys = LagrangianSystem(family="mechanical-cos", freq=2)
+    kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
+    shifted = peierls_barrier(sys, Grid(32), two_well_barrier.c, horizon=24, t_frac=0.5,
+                              kernel=kernel)
+    with pytest.raises(ConfigurationError, match="equal time offsets"):
+        connection_graph(shifted, aubry_set(two_well_barrier, 1e-9), 0, tol=1e-3)
+
+
 @pytest.mark.parametrize("target", [-1, 32, 32.0, True], ids=["-1", "n", "float", "bool"])
 def test_connection_graph_rejects_a_target_off_the_grid(two_well_barrier, target):
     # two Aubry representatives, so an index n would reach past the matrix
@@ -565,15 +591,28 @@ def test_a_transpose_symmetric_matrix_gets_no_symmetry():
 
 
 def test_barrier_multiplies_representative_rows_only(symmetry_cases, monkeypatch):
-    kernel, _ = symmetry_cases["q2-eps"]
-    shapes = []
+    # the first product multiplies the 17 representative rows; each later
+    # one only those whose bits changed from the power before, since a row
+    # that stayed put has the same product again
+    kernel, n_reps = symmetry_cases["q2-eps"]
+    operands = []
     real = weak_kam.minplus_matmul
 
     def recording(a, b):
-        shapes.append((a.shape, b.shape))
+        operands.append(a.copy())
         return real(a, b)
 
     monkeypatch.setattr(weak_kam, "minplus_matmul", recording)
-    barrier = peierls_barrier(None, kernel.grid, karp_eigenvalue(kernel), 40, kernel=kernel)
-    assert len(shapes) == barrier.turnpike - 1
-    assert set(shapes) == {((17, N), (N, N))}
+    c = karp_eigenvalue(kernel)
+    barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
+    assert len(operands) == barrier.turnpike - 1
+    shifted = kernel.matrix + c
+    powers = [shifted[row_orbits(shifted)[0]]]  # P^1 .. P^(turnpike - 1)
+    for _ in operands[1:]:
+        powers.append(real(powers[-1], shifted))
+    assert operands[0].shape == (n_reps, N) == (17, N)
+    assert np.array_equal(operands[0], powers[0])
+    for k in range(1, len(operands)):
+        moved = (powers[k] != powers[k - 1]).any(axis=1)
+        assert np.array_equal(operands[k], powers[k][moved])
+    assert min(len(a) for a in operands) < n_reps  # some row did stay put
