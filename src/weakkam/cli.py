@@ -175,7 +175,7 @@ def _cmd_critical_value(args) -> int:
 
 def _barrier_for(args, horizon, t_frac=0.0):
     """Barrier from the unit kernel at offset 0; warns on stderr when its
-    powers found no cycle within the horizon."""
+    star did not reach its fixed points within the horizon."""
     check_barrier_horizon(horizon, t_frac)
     sys = _system(args)
     grid = Grid(args.grid)
@@ -194,7 +194,6 @@ def _cmd_barrier(args) -> int:
     print(f"c,{fmt(c)}")
     print(f"defect,{fmt(barrier.defect)}")
     print(f"stabilized,{fmt(barrier.stabilized)}")
-    print(f"turnpike,{fmt(barrier.turnpike)}")
     print(f"period,{fmt(barrier.period)}")
     return 0
 

@@ -147,12 +147,13 @@ def run_convergence(sys, grid: Grid, u0_tag: str = "spike", tau_frac: float = 0.
 
     The evolution applies the fractional kernel over [0, tau] once, then
     the unit kernel at offset tau, k times; the reference limit is built
-    from the cycle-minimum barrier of the same offset-tau kernel applied
-    after the same fractional step, so the two computations share one
-    composition order and agree exactly once the iteration reaches its
-    finite fixed point. A given ``unit_kernel`` must start at tau, on
-    ``grid``. A barrier whose powers found no cycle within ``horizon``
-    raises ``NumericalError``: its limit would be wrong. A given
+    from the barrier of the same offset-tau kernel, the Kleene star
+    through its critical nodes, applied after the same fractional step.
+    Past the transient every power passes through a critical node, so the
+    two agree once the iteration reaches its finite fixed point. A given
+    ``unit_kernel`` must start at tau, on ``grid``. A barrier whose star
+    did not reach its fixed points within ``horizon`` - 1 products raises
+    ``NumericalError``: its limit would be wrong. A given
     ``barrier`` is used instead of building one; it must be a stabilized
     barrier of the unit kernel's grid, offset and Karp value, or
     ``ConfigurationError`` is raised. The verdict is ``pass`` only when the

@@ -6,9 +6,10 @@ inf-convolution; its powers iterate the solution operator of the
 evolutionary Hamilton-Jacobi equation; its minimum cycle mean gives the
 critical value. The unit-time kernel is assembled once and reused for all
 integer steps, which turns semigroup iteration into tropical matrix-vector
-products. A product of many rows skips the tiles of inner indices that a
-certified lower bound rules out (``minplus_matmul``), bit for bit; a
-one-row product (``minplus_apply``) adds and reduces every inner index.
+products. Every min-plus product adds and reduces every inner index: an
+entry is one IEEE add per inner index followed by exact mins, so the
+order of the reduction changes no bit of it, save the payload of a NaN
+and the sign of a zero where +0 and -0 tie.
 """
 from __future__ import annotations
 
@@ -33,11 +34,6 @@ SYMMETRY_TOLERANCE = 1e-12
 # representatives, and it holds at least ``MIN_BATCH_PAIRS`` of them when
 # the kernel has as many
 BATCH_FLOATS = 1_000_000
-# inner indices per tile of a min-plus product, ruled out or evaluated
-# together: on a 2-CPU Xeon the grid-256 barrier of q = 1 took 30.9 ms
-# unpruned and 8.9, 7.9 and 9.4 ms at widths 16, 32 and 64, that of q = 2
-# 11.4 ms and 10.3, 10.0 and 11.3 ms (median of 15, alternated)
-TILE = 32
 
 
 @dataclass(frozen=True)
@@ -346,23 +342,9 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     return TropicalKernel(grid=grid, s=a, delta=float(delta), matrix=matrix)
 
 
-def _add_min(a, b, lo, hi, out, scratch):
-    """out[i][j] = min(out[i][j], min over lo <= m < hi of A[i][m] + B[m][j])
-    for the rows of ``a`` and ``out``, as many rows at a time as the sums
-    of [lo, hi) fit in ``scratch``."""
-    rows, cols = out.shape
-    group = max(1, scratch.size // max(1, (hi - lo) * cols))
-    for r in range(0, rows, group):
-        g = min(group, rows - r)
-        sums = scratch[:g * (hi - lo) * cols].reshape(g, hi - lo, cols)
-        np.add(a[r:r + g, lo:hi, None], b[lo:hi], out=sums)
-        np.minimum(out[r:r + g], np.minimum.reduce(sums, axis=1), out=out[r:r + g])
-
-
 def minplus_apply(mat, u):
-    """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K: a one-row
-    min-plus product, added and reduced over every i (``minplus_matmul``
-    says why one row is not pruned)."""
+    """u'[j] = min_i u[i] + K[i][j] for a kernel matrix K: the one-row
+    min-plus product."""
     if mat.ndim != 2:
         raise ConfigurationError("min-plus apply needs a 2-D kernel")
     u = np.asarray(u, dtype=float)
@@ -371,69 +353,22 @@ def minplus_apply(mat, u):
     return np.minimum.reduce(u[:, None] + mat, axis=0, initial=np.inf)
 
 
-def _runs(mask):
-    """(row, first, stop) of every run of consecutive True entries in the
-    rows of a boolean matrix, row by row."""
-    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), np.int8)
-    padded[:, 1:-1] = mask
-    edges = padded[:, 1:] - padded[:, :-1]
-    rows, first = np.nonzero(edges == 1)
-    stop = np.nonzero(edges == -1)[1]
-    return zip(rows.tolist(), first.tolist(), stop.tolist())
-
-
 def minplus_matmul(a, b):
-    """C[i][j] = min_m A[i][m] + B[m][j], skipping the sums a bound rules out.
-
-    The inner index is split into tiles of ``TILE``. With the tile minima
-    a[i, t] of A[i] and b[t, j] of B[:, j], the bound of tile t at (i, j)
-    is fl(a[i, t] + b[t, j]). Rounding to nearest is monotone, so every
-    sum of the tile is at least its bound, and a tile whose bound is
-    strictly above a value C[i][j] already has holds no minimizer of that
-    entry, nor a NaN. Each row first evaluates its seed tiles, those whose
-    bound is least at some j, then every other tile whose bound is not
-    strictly above the row's current value at some j. A NaN bound (a NaN
-    entry, or inf - inf) is never above, so such a tile is always
-    evaluated. A skipped tile stays above the final value, so each entry
-    is the min of a subset of its IEEE sums that holds the minimizer: bit
-    for bit the plain product, save what IEEE leaves to the order of the
-    reduction (the payload of a NaN, and the sign of a zero where +0 and
-    -0 tie). An empty inner dimension gives +inf, the tropical zero.
-
-    Rows go in blocks whose bounds fit in ``BLOCK_FLOATS`` floats, and a
-    tile is added and reduced over each run of consecutive rows of the
-    block that evaluate it, as many rows at a time as fit in a scratch of
-    the same size: all within ``BLOCK_FLOATS`` while ``TILE`` rows of B
-    fit too (grids up to 1,024 points). The bounds read all of B, which is
-    the whole cost of a one-row product, so ``minplus_apply`` adds and
-    reduces its one row over every inner index instead. Pruning pays where
-    most entries take their minimum in a few tiles, as in the powers of a
-    c-shifted kernel, whose minimizing chains pass through the Aubry set;
-    where every tile holds some entry's minimizer, it costs the bounds.
-    """
+    """C[i][j] = min_m A[i][m] + B[m][j], in blocks of rows whose sums fit
+    in one scratch of ``BLOCK_FLOATS`` floats, one row at a time when a
+    row's do not. An empty inner dimension gives +inf, the tropical zero."""
     if a.ndim != 2 or b.ndim != 2:
         raise ConfigurationError("min-plus matmul needs two 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    (rows, inner), cols = a.shape, b.shape[1]
-    out = np.full((rows, cols), np.inf)
-    if inner == 0:
-        return out
-    starts = np.arange(0, inner, TILE)
-    a_min = np.minimum.reduceat(a, starts, axis=1)
-    b_min = np.array([np.minimum.reduce(b[lo:lo + TILE]) for lo in starts])
-    block = max(1, BLOCK_FLOATS // max(1, b_min.size))
-    scratch = np.empty(max(BLOCK_FLOATS, TILE * cols))  # room for one row's tile
-    for r0 in range(0, rows, block):
-        bound = a_min[r0:r0 + block, :, None] + b_min
-        current = out[r0:r0 + block]
-        seeds = (bound == bound.min(axis=1, keepdims=True)).any(axis=2)
-        for tiles in (seeds, None):
-            if tiles is None:  # the bounds not strictly above a current value
-                tiles = ~(bound > current[:, None, :]).all(axis=2) & ~seeds
-            for t, first, stop in _runs(tiles.T):
-                _add_min(a[r0 + first:r0 + stop], b, t * TILE,
-                         min(t * TILE + TILE, inner), current[first:stop], scratch)
+    rows = a.shape[0]
+    out = np.empty((rows, b.shape[1]))
+    step = max(1, min(rows, BLOCK_FLOATS // max(1, b.size)))
+    sums = np.empty((step,) + b.shape)
+    for r in range(0, rows, step):
+        block = sums[:rows - r]
+        np.add(a[r:r + step, :, None], b, out=block)
+        np.min(block, axis=1, out=out[r:r + step], initial=np.inf)
     return out
 
 

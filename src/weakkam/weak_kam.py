@@ -1,21 +1,17 @@
 """Peierls barrier, Aubry set, the semigroup limit, and the connection
 graph between Aubry classes.
 
-The barrier is one tropical cycle of the c-shifted unit kernel. By
-max-plus cyclicity its powers repeat with some period p after a
-transient, P^(m+p) = P^m + p * lambda, and lambda vanishes at the
-critical value c up to the rounding of c. The period is the lcm of the
-cyclicities of the components of the critical graph (Cohen, Dubois,
-Quadrat & Viot, IEEE TAC 30, 1985), the tropical form of the lcm of the
-periods of the Aubry orbits, and has no bound set in advance. So the
-barrier holds every power, multiplies until the first power that repeats
-any earlier one within that rounding, and returns the entrywise minimum
-over the p powers of the cycle. Every power keeps the exact row
-symmetries of the kernel (``tropical.row_orbits``), so only the rows of
-the orbit representatives are multiplied, and of those only the rows that
-moved at the last power: the minimizing chains run through the Aubry set,
-so rows can settle before the whole matrix does (at q = 1 on grid 256,
-97 of the 129 representative rows of P^3 equal those of P^2).
+The barrier is the least sum of c-shifted kernel entries along a path
+through a critical node: the Kleene star of the shifted kernel B through
+the nodes on its cycles of least mean, the Aubry set on the grid. Past a
+transient every tropical power of B passes through a critical node (the
+CSR expansion of Sergeev & Schneider, Trans. AMS 364, 2012), so the star
+is the minimum over one cycle of powers, whose period is the cyclicity
+of the critical graph (Cohen, Dubois, Quadrat & Viot, IEEE TAC 30, 1985),
+the tropical form of the lcm of the periods of the Aubry orbits. The
+barrier finds a subeigenvector of B with matrix-vector products, reads
+the critical nodes off its tight graph, and iterates only the star rows
+and columns of those nodes.
 """
 from __future__ import annotations
 
@@ -27,14 +23,15 @@ import numpy as np
 from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
 from .systems import positive_integer, reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
-                       minplus_matmul, row_orbits)
+                       minplus_matmul)
 
 # diagonal barrier up to which ``weakkam aubry`` counts a grid point as
 # Aubry when no tolerance is given: a rounding floor, since the free
 # kernel, whose straight minimizers the midpoint rule integrates exactly,
 # equals its closed form on grids 16, 64 and 256
 AUBRY_TOLERANCE = 1e-12
-# the default cap on the barrier's powers, for every caller that sets none
+# the default cap on the barrier's horizon: each fixed point of the star
+# runs at most BARRIER_HORIZON - 1 products, for every caller that sets none
 BARRIER_HORIZON = 40
 
 
@@ -49,19 +46,18 @@ class BarrierMatrix:
     horizon: int
     defect: float
     c: float
-    # first power m that repeats P^(m - period) within rounding, or None
-    # if the horizon was reached before the powers repeated
-    turnpike: int | None
+    # the cyclicity of the critical graph, or None if a fixed point of the
+    # star did not arrive within the horizon
     period: int | None
 
     @property
     def stabilized(self) -> bool:
-        """Whether the powers entered their cycle within the horizon."""
+        """Whether every fixed point of the star arrived within the horizon."""
         return self.period is not None
 
     def require_stabilized(self, label: str) -> None:
-        """Raise ``NumericalError`` unless the powers entered their cycle
-        within the horizon; ``label`` names the system."""
+        """Raise ``NumericalError`` unless every fixed point of the star
+        arrived within the horizon; ``label`` names the system."""
         if not self.stabilized:
             raise NumericalError(
                 f"barrier of {label} on grid {self.grid.n} not stabilized at "
@@ -114,50 +110,100 @@ def check_tolerance(tol, name) -> None:
         raise ConfigurationError(f"{name} tolerance must be finite and nonnegative")
 
 
+def _fixed_point(step, start, products: int, tol: float):
+    """Iterate x = min(x, step(x)) from ``start`` for at most ``products``
+    steps, stopping at the first whose largest change is within ``tol``.
+    Returns the last iterate and the largest change of its step."""
+    x, change = start, math.inf
+    for _ in range(products):
+        new = np.minimum(x, step(x))
+        change, x = float(np.max(np.abs(new - x))), new
+        if change <= tol:
+            break
+    return x, change
+
+
+def _critical_classes(tight) -> list:
+    """The nodes of each strongly connected class of the graph ``tight``
+    (a boolean adjacency matrix) that holds a cycle, in increasing order.
+
+    A node with no edge from or to the other nodes left is on no cycle, so
+    such nodes are peeled off first; the reachability of the rest is
+    closed by Boolean squaring, and a node is on a cycle when it reaches
+    itself."""
+    nodes = np.arange(len(tight))
+    while True:
+        sub = tight[np.ix_(nodes, nodes)]
+        keep = sub.any(axis=0) & sub.any(axis=1)
+        if keep.all():
+            break
+        nodes = nodes[keep]
+    if nodes.size == 0:
+        return []
+    reach = sub
+    while True:  # paths of one or more edges
+        grown = reach | (reach.astype(float) @ reach > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    mutual = reach & reach.T
+    labels = np.argmax(mutual, axis=1)  # the least node of the class
+    return [nodes[(labels == label) & np.diagonal(reach)]
+            for label in np.unique(labels[np.diagonal(reach)])]
+
+
+def _cyclicity(graph) -> int:
+    """The gcd of the cycle lengths of a strongly connected graph: with the
+    levels d of a breadth-first search, the gcd of d(u) + 1 - d(v) over its
+    edges (u, v)."""
+    level = np.full(len(graph), -1)
+    level[0] = depth = 0
+    frontier = level == 0
+    while frontier.any():
+        depth += 1
+        frontier = graph[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    u, v = np.nonzero(graph)
+    return math.gcd(*(level[u] + 1 - level[v]).tolist())
+
+
 def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
                     t_frac: float | None = None, kernel: TropicalKernel) -> BarrierMatrix:
-    """Minimum over one cycle of tropical powers of the c-shifted unit kernel.
+    """The Kleene star of the c-shifted unit kernel B = K + c through the
+    critical nodes: h[i][j] = min over critical a of B*[i][a] + B*[a][j],
+    where B* holds the least sums over paths of one or more steps.
 
     ``kernel`` is the unit kernel over [s_frac, s_frac + 1] on ``grid``;
     the barrier starts at its offset s_frac = ``kernel.s`` and, unless
     ``t_frac`` is given, ends there too. A given ``t_frac`` is a phase and
-    is reduced mod 1, so an end offset of 1 is the offset 0.
+    is reduced mod 1, so an end offset of 1 is the offset 0. The entries
+    of the kernel, and their shift by c, must be finite.
 
-    Each power keeps the exact row symmetries of the shifted kernel
-    (``row_orbits``), so only the rows of the orbit representatives are
-    multiplied, compared and held, and the values are gathered to the
-    full matrix at the end, bit for bit the same as multiplying every row.
-    Every other row is a permutation of a held one, so the largest entry
-    and the changes below are those of the full powers. A representative
-    row of P^(m - 1) whose bits equal its row of P^(m - 2) is copied into
-    P^m, not multiplied: the same operands give the same product. The
-    entries of the kernel, and their shift by c, must be finite; an inf
-    would make the stop bound below inf and a NaN every change NaN.
+    Three fixed points are iterated as x = min(x, step(x)), each for at
+    most ``horizon`` - 1 steps, and stop at the first step that moves no
+    entry by more than tol = ((n + 2)^2 / 2 + horizon) eps M: n is the
+    grid size, eps machine epsilon and M the largest |entry| of K and B.
+    That is what rounding alone leaves in one step when c is the Karp
+    value of K (u = eps / 2): Karp's walk sums of up to n steps, with the
+    shift by c, move the cycle mean of B by less than (n + 2)^2 u M, and
+    each rounded step moves an entry by at most u M.
 
-    Each new power P^m is compared with every power held since P^1, and
-    the products stop at the first m with
-    max|P^m - P^(m - p)| <= (p (n + 2)^2 / 2 + m) eps M for some p: n is
-    the grid size, eps machine epsilon and M the largest |entry| of the
-    kernel and of P^1 .. P^m. The bound is what rounding alone can leave
-    in a cycle of p powers when c is the Karp value of the kernel
-    (u = eps / 2). Karp's walk sums of up to n steps, with the shift by
-    c, move the cycle mean of the shifted kernel by less than
-    (n + 2)^2 u M, so p powers drift by less than p (n + 2)^2 eps M / 2;
-    the m - 1 rounded products move P^m and P^(m - p) by at most
-    (m - 1) u M each, less than m eps M together. A larger change shows
-    the powers have not entered their cycle.
+    1. A subeigenvector y <= y B from y = 0, by ``minplus_apply``.
+    2. The critical nodes A, those on the cycles of the tight graph
+       y_i + B_ij - y_j <= tol, whose cycles are the cycles of least mean.
+    3. The star rows B*[A, :] and columns B*[:, A], by |A|-row products
+       through ``minplus_matmul`` (the columns as rows of the transpose).
 
-    At the first such m, ``turnpike`` = m, ``period`` = the least such p,
-    ``defect`` = its residual max|P^m - P^(m - p)|, ``stabilized`` is
-    True, and the values are the entrywise minimum of P^(m - p + 1) ..
-    P^m. Early powers can dip below the barrier, so none from before the
-    cycle enters the minimum. The integer ``horizon`` only caps m: with
-    no cycle within it (a kernel not shifted by its critical value, or
-    the free system on grid n before power n/2 + 1) the values are
-    P^horizon, the defect is max|P^horizon - P^(horizon - 1)|, and
-    ``stabilized`` is False.
+    ``period`` is the cyclicity of the critical graph: the gcd of the
+    cycle lengths within each strongly connected class of the tight graph,
+    then the lcm over the classes. ``defect`` is the largest last change
+    of the three fixed points. When one does not arrive in time (a shift
+    below the critical value, or the free system on grid n, whose star
+    needs n/2 products) ``period`` is None and ``stabilized`` is False. A
+    shift that leaves no critical node, as one above the critical value
+    does, raises ``NumericalError``.
 
-    For offsets (s_frac, t_frac) with t_frac != s_frac the cycle minimum is
+    For offsets (s_frac, t_frac) with t_frac != s_frac the values are
     post-composed with the fractional kernel over [s_frac, s_frac + df],
     assembled by ``assemble_kernel`` and shifted by c*df, where
     df = (t_frac - s_frac) mod 1.
@@ -180,32 +226,34 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
                             -shifted.min(), shifted.max()]))
     if not math.isfinite(largest):
         raise ConfigurationError("barrier kernel entries, and their shift by c, must be finite")
-    reps, orbit, cols = row_orbits(shifted)
-    held = [shifted[reps]]  # the representative rows of P^1 .. P^m
-    moved = np.ones(reps.size, dtype=bool)
-    m, period = 1, None
-    while m < horizon and period is None:
-        power = held[-1].copy()
-        power[moved] = minplus_matmul(held[-1][moved], shifted)
-        m += 1
-        largest = max(largest, float(np.max(np.abs(power))))
-        unit = np.finfo(float).eps * largest
-        changes = [float(np.max(np.abs(power - held[-p]))) for p in range(1, m)]
-        period = next((p for p, change in enumerate(changes, 1)
-                       if change <= (p * (grid.n + 2) ** 2 / 2 + m) * unit), None)
-        # a row whose bits did not change has the same product next time
-        moved = (power.view(np.int64) != held[-1].view(np.int64)).any(axis=1)
-        held.append(power)
-    cycle = period or 1
-    defect = changes[cycle - 1]
-    values = np.minimum.reduce(held[-cycle:])[orbit[:, None], cols]
+    tol = ((grid.n + 2) ** 2 / 2 + horizon) * np.finfo(float).eps * largest
+    steps = horizon - 1
+    y, defect = _fixed_point(lambda y: minplus_apply(shifted, y), np.zeros(grid.n), steps, tol)
+    tight = y[:, None] + shifted - y[None, :] <= tol
+    classes = _critical_classes(tight)
+    if not classes:
+        raise NumericalError(
+            f"the barrier shift c = {c!r} leaves no critical node on grid {grid.n}: "
+            f"c is not the critical value of the kernel")
+    critical = np.concatenate(classes)
+    rows, row_change = _fixed_point(lambda r: minplus_matmul(r, shifted),
+                                    shifted[critical], steps, tol)
+    cols, col_change = _fixed_point(lambda r: minplus_matmul(r, shifted.T),
+                                    shifted.T[critical], steps, tol)
+    defect = max(defect, row_change, col_change)
+    values = np.full((grid.n, grid.n), np.inf)
+    for col, row in zip(cols, rows):
+        np.minimum(values, col[:, None] + row, out=values)
+    period = None
+    if defect <= tol:
+        period = math.lcm(*(_cyclicity(tight[np.ix_(nodes, nodes)]) for nodes in classes))
     if t_frac != s_frac:
         df = (t_frac - s_frac) % 1.0
         fractional = assemble_kernel(sys, grid, s_frac, df)
         values = minplus_matmul(values, fractional.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
                          values=values, horizon=int(horizon), defect=defect, c=float(c),
-                         turnpike=None if period is None else m, period=period)
+                         period=period)
 
 
 def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:

@@ -83,11 +83,15 @@ def test_criterion_12_determinism(ctx):
 
 
 def test_main_grid_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(ctx):
-    # the cycle bound grows with the grid, so it is largest on the main grid
+    # the rounding allowance grows with the grid, so it is largest on the
+    # main grid: 1e-10 above c leaves no critical node, and 1e-10 below it
+    # every fixed point of the star drifts
     kernel = ctx.kernel(1, 0.0, ctx.scale.n_main)
-    c = karp_eigenvalue(kernel) + 1e-10
-    barrier = peierls_barrier(None, kernel.grid, c, 8, kernel=kernel)
-    assert barrier.turnpike is None and barrier.defect >= 0.99e-10
+    c = karp_eigenvalue(kernel)
+    with pytest.raises(NumericalError, match="not the critical value"):
+        peierls_barrier(None, kernel.grid, c + 1e-10, 8, kernel=kernel)
+    barrier = peierls_barrier(None, kernel.grid, c - 1e-10, 8, kernel=kernel)
+    assert not barrier.stabilized and barrier.defect >= 0.99e-10
 
 
 def test_run_all_records_numerical_crashes(monkeypatch):
@@ -124,7 +128,8 @@ def test_criteria_05_and_06_build_one_barrier_per_kernel(monkeypatch):
 
 
 def test_unstabilized_barrier_raises():
-    # at grid 16 the powers first repeat at P^3, so horizon 2 still drifts
-    ctx = AcceptanceContext(AcceptanceScale(n_main=16, horizon=2))
-    with pytest.raises(NumericalError, match=r"q=1.*grid 16.*horizon 2: defect"):
-        ctx.barrier(1, 0.0, 16)
+    # at grid 16 the four-well star rows first repeat at the 4th product,
+    # so horizon 4, which allows 3, still drifts
+    ctx = AcceptanceContext(AcceptanceScale(n_main=16, horizon=4))
+    with pytest.raises(NumericalError, match=r"q=4.*grid 16.*horizon 4: defect"):
+        ctx.barrier(4, 0.0, 16)

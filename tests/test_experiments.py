@@ -149,8 +149,8 @@ def test_a_non_hyperbolic_aubry_set_never_passes():
 
 
 def test_convergence_refuses_an_unstabilized_barrier():
-    # amp 0.3 on grid 64 reaches its turnpike at power 5; a barrier cut
-    # at power 2 is no barrier, and a limit built from it is wrong
+    # the amp-0.3 star on grid 64 needs 2 products per fixed point; a
+    # barrier cut at 1 is no barrier, and a limit built from it is wrong
     sys = LagrangianSystem(family="mechanical-cos", amp=0.3)
     with pytest.raises(NumericalError, match="not stabilized at horizon 2"):
         run_convergence(sys, Grid(64), u0_tag="spike", k_max=10, horizon=2,
@@ -181,7 +181,7 @@ def test_convergence_refuses_a_barrier_of_another_kernel():
         with pytest.raises(ConfigurationError, match="is not the barrier of the unit kernel"):
             run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
                             orbits=[], barrier=other)
-    unstabilized = dataclasses.replace(barrier, period=None, turnpike=None)
+    unstabilized = dataclasses.replace(barrier, period=None)
     with pytest.raises(ConfigurationError, match="not stabilized"):
         run_convergence(MECH, Grid(16), k_max=10, horizon=10, unit_kernel=kernel,
                         orbits=[], barrier=unstabilized)

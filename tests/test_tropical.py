@@ -491,7 +491,7 @@ def _assert_same_product(got, want):
     assert np.array_equal(got[plain].view(np.int64), want[plain].view(np.int64))
 
 
-# few distinct values, so sums tie across tiles, with both infinities,
+# few distinct values, so sums tie, with both infinities,
 # overflowing sums, NaN and both zeros
 special_floats = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308, -1e308,
                                   math.inf, -math.inf, math.nan])
@@ -501,8 +501,8 @@ special_floats = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308, -1e308
        st.sampled_from([1, 3, 40]), st.data())
 def test_minplus_matmul_matches_the_broadcast_reference_on_special_values(
         rows, inner, cols, data):
-    # a tile bound of NaN or inf - inf is never above a value, so no NaN
-    # sum is pruned; a tile of 32 splits the inner sizes 31 to 65 unevenly
+    # NaN, inf - inf and overflowing sums reach the minimum as they do in
+    # the broadcast reference, whatever the block of rows
     a = data.draw(arrays(np.float64, (rows, inner), elements=special_floats))
     b = data.draw(arrays(np.float64, (inner, cols), elements=special_floats))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -527,8 +527,8 @@ def shifted_kernels():
 @pytest.mark.parametrize("q", [1, 2, 4])
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_minplus_powers_of_shifted_kernels_are_bit_identical(shifted_kernels, q, eps):
-    # one, two and four wells: the minimizers gather in one tile, in a few,
-    # or in every tile
+    # one, two and four wells: the minimizers gather at one grid point, at
+    # a few, or spread over the grid
     shifted = shifted_kernels[q, eps]
     power = shifted
     for _ in range(3):  # the 2nd to 4th powers
@@ -538,25 +538,6 @@ def test_minplus_powers_of_shifted_kernels_are_bit_identical(shifted_kernels, q,
     for row in (shifted[0], power[17]):
         assert minplus_apply(shifted, row).tobytes() == minplus_matmul(row[None, :], shifted).tobytes()
 
-
-def test_a_shifted_power_evaluates_few_tiles(monkeypatch):
-    # the chains of the one-well c-shifted kernel pass through x = 0, so the
-    # tile holding it is every row's seed and rules out every other tile;
-    # on grid 256 that is 1 tile of 8 per row (at grid 64 a row has only 2)
-    kernel = assemble_kernel(MECH, Grid(256), 0.0, 1.0)
-    shifted = kernel.matrix + karp_eigenvalue(kernel)
-    evaluated = []
-    real = tropical._add_min
-
-    def counting(a, b, lo, hi, out, scratch):
-        assert hi - lo <= tropical.TILE  # one tile of a run of rows per call
-        evaluated.append(out.shape[0])
-        return real(a, b, lo, hi, out, scratch)
-
-    monkeypatch.setattr(tropical, "_add_min", counting)
-    power = minplus_matmul(shifted, shifted)
-    assert sum(evaluated) < 0.25 * 256 * (256 // tropical.TILE)
-    assert power.tobytes() == _broadcast_minplus(shifted, shifted).tobytes()
 
 
 @given(arrays(np.float64, (5, 5), elements=st.integers(-6, 6).map(float)))

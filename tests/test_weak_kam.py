@@ -6,7 +6,7 @@ import pytest
 
 import weakkam.weak_kam as weak_kam
 from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
-                     LagrangianSystem, TropicalKernel, aubry_set,
+                     LagrangianSystem, NumericalError, TropicalKernel, aubry_set,
                      assemble_kernel, connection_graph, karp_eigenvalue,
                      minplus_apply, minplus_matmul, peierls_barrier, run_convergence,
                      semigroup_limit, tilt_system)
@@ -112,80 +112,97 @@ def barrier_cases(mech_kernel, free_kernel):
 
 @pytest.mark.parametrize("case", ["mechanical", "free", "unshifted", "cycle-2",
                                   "cycle-3"])
-def test_barrier_turnpike_stop_bit_identical(barrier_cases, case):
-    # from the turnpike on the barrier is the minimum over the full loop's
-    # cycle powers, and once the tail window of 4 lies inside the cycle it
-    # is the old tail minimum bit for bit; below it, the last power
+def test_barrier_star_is_the_cycle_minimum_of_the_power_loop(barrier_cases, case):
+    # at horizon 40 the star has the values and the period of the power
+    # loop's cycle minimum, bit for bit; a smaller horizon only caps the
+    # products, so the barrier either is that same barrier or unstabilized,
+    # and once stabilized stays so
     kernel, c, period = barrier_cases[case]
     grid = kernel.grid
-    turnpike = peierls_barrier(None, grid, c, 40, kernel=kernel).turnpike
-    for horizon in list(range(2, 13)) + [24, 40]:
+    values, _, _, loop_period = _unreduced_barrier(kernel, c, 40)
+    full = peierls_barrier(None, grid, c, 40, kernel=kernel)
+    assert full.period == loop_period == period
+    if period is not None:
+        assert full.values.tobytes() == values.tobytes() and full.defect == 0.0
+    stabilized = []
+    for horizon in list(range(2, 13)) + [24]:
         barrier = peierls_barrier(None, grid, c, horizon, kernel=kernel)
-        tail_min, powers = _full_loop_barrier(kernel.matrix + c, horizon)
         assert barrier.horizon == horizon
-        if turnpike is not None and horizon >= turnpike:
-            cycle_min = np.minimum.reduce(powers[turnpike - period:turnpike])
-            assert barrier.values.tobytes() == cycle_min.tobytes()
-            if horizon >= turnpike - period + 4:
-                assert barrier.values.tobytes() == tail_min.tobytes()
-            assert (barrier.turnpike, barrier.period) == (turnpike, period)
-            assert barrier.stabilized and barrier.defect == 0.0
+        if barrier.stabilized:
+            assert barrier.values.tobytes() == full.values.tobytes()
+            assert (barrier.period, barrier.defect) == (period, 0.0)
         else:
-            assert barrier.values.tobytes() == powers[-1].tobytes()
-            assert barrier.defect == float(np.max(np.abs(powers[-1] - powers[-2])))
-            assert not barrier.stabilized
-            assert barrier.turnpike is None and barrier.period is None
-    if period is None:
-        assert turnpike is None
+            assert barrier.period is None and barrier.defect > 0.0
+        stabilized.append(barrier.stabilized)
+    assert stabilized == sorted(stabilized)
+    if period is None:  # the mechanical kernel unshifted drifts by -c per step
+        assert full.defect >= 0.99 * barrier_cases["mechanical"][1]
 
 
 def test_barrier_free_repeats_only_past_half_grid(barrier_cases):
     # unit grid steps reach every point within n / 2 steps, after which no
-    # longer walk is cheaper: the free powers repeat only from P^33 == P^32
+    # longer walk is cheaper: the star rows first repeat at the 32nd product,
+    # and the powers at P^33 == P^32
     kernel, c, _ = barrier_cases["free"]
-    assert peierls_barrier(FREE, Grid(N), c, 32, kernel=kernel).turnpike is None
-    barrier = peierls_barrier(FREE, Grid(N), c, 40, kernel=kernel)
-    assert (barrier.turnpike, barrier.period) == (N // 2 + 1, 1)
+    assert not peierls_barrier(FREE, Grid(N), c, N // 2, kernel=kernel).stabilized
+    assert _unreduced_barrier(kernel, c, N // 2)[3] is None
+    barrier = peierls_barrier(FREE, Grid(N), c, N // 2 + 1, kernel=kernel)
+    values, _, turnpike, period = _unreduced_barrier(kernel, c, N // 2 + 1)
+    assert (turnpike, period) == (N // 2 + 1, 1) and barrier.period == 1
+    assert np.array_equal(barrier.values, values)
 
 
-@pytest.mark.parametrize("case", ["mechanical", "rounding", "free", "unshifted"])
-def test_barrier_products_stop_at_turnpike(barrier_cases, monkeypatch, case):
-    kernel, c, period = barrier_cases[case]
-    calls = []
+@pytest.mark.parametrize("case, critical", [
+    ("mechanical", 1), ("rounding", 1), ("free", N), ("unshifted", None), ("cycle-2", 2),
+    ("cycle-3", 3)])
+def test_barrier_multiplies_critical_rows_only(barrier_cases, monkeypatch, case, critical):
+    # every product is a star row or column block of the critical nodes,
+    # and each of the two fixed points runs at most horizon - 1 products;
+    # unshifted, the subeigenvector never arrives, and its tight graph has
+    # cycles that are not critical, so only their count is common
+    kernel, c, _ = barrier_cases[case]
+    rows = []
     real = weak_kam.minplus_matmul
 
-    def counting(a, b):
-        calls.append(1)
+    def recording(a, b):
+        rows.append(a.shape[0])
         return real(a, b)
 
-    monkeypatch.setattr(weak_kam, "minplus_matmul", counting)
+    monkeypatch.setattr(weak_kam, "minplus_matmul", recording)
     barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
-    if period is None:
-        assert barrier.turnpike is None and len(calls) == 39
-    else:
-        assert len(calls) == barrier.turnpike - 1 < 39
+    assert len(set(rows)) == 1 and critical in (None, rows[0])
+    assert len(rows) <= 2 * (40 - 1)
+    if case == "unshifted":  # never arrives, so both run to the cap
+        assert len(rows) == 2 * (40 - 1) and not barrier.stabilized
     if case == "mechanical":
-        assert barrier.turnpike <= 4
+        assert len(rows) == 2
 
 
 def test_barrier_finds_a_cycle_within_rounding(barrier_cases):
+    # the powers never repeat bit for bit, yet the star is within rounding
+    # of their running minimum
     kernel, c, _ = barrier_cases["rounding"]
     barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
-    assert (barrier.turnpike, barrier.period) == (5, 1)
-    assert barrier.stabilized and 0.0 < barrier.defect <= 1e-15
-    full, _ = _full_loop_barrier(kernel.matrix + c, 40)
+    assert barrier.stabilized and barrier.period == 1 and barrier.defect <= 1e-15
+    full, powers = _full_loop_barrier(kernel.matrix + c, 40)
+    assert not np.array_equal(powers[-1], powers[-2])
     assert np.max(np.abs(barrier.values - full)) <= 1e-13
+
+
+def _assert_refuses_a_shift_off_c(kernel, c, horizon=40):
+    """1e-10 above c no cycle has the least mean, so no node is critical;
+    1e-10 below it every fixed point drifts by 1e-10 per step."""
+    with pytest.raises(NumericalError, match="not the critical value"):
+        peierls_barrier(None, kernel.grid, c + 1e-10, horizon, kernel=kernel)
+    barrier = peierls_barrier(None, kernel.grid, c - 1e-10, horizon, kernel=kernel)
+    assert not barrier.stabilized and barrier.period is None
+    assert barrier.defect >= 0.99e-10
 
 
 @pytest.mark.parametrize("case", ["mechanical", "rounding", "cycle-2", "cycle-3"])
 def test_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(barrier_cases, case):
-    # off the critical value by 1e-10 every power drifts by 1e-10 per step
-    # once its transient is over
     kernel, c, _ = barrier_cases[case]
-    barrier = peierls_barrier(None, kernel.grid, c + 1e-10, 40, kernel=kernel)
-    assert barrier.turnpike is None and barrier.period is None
-    assert not barrier.stabilized
-    assert barrier.defect >= 0.99e-10
+    _assert_refuses_a_shift_off_c(kernel, c)
 
 
 def _two_cycle_kernel(n=8):
@@ -199,18 +216,30 @@ def _two_cycle_kernel(n=8):
     return TropicalKernel(grid=Grid(n), s=0.0, delta=1.0, matrix=matrix)
 
 
-def test_barrier_finds_the_lcm_period_of_two_critical_cycles():
-    kernel = _two_cycle_kernel()
+def _shared_node_kernel(n=8):
+    """Kernel whose one critical class holds the zero-weight cycles
+    0 -> 1 -> 0 and 0 -> 2 -> 3 -> 0, every other entry in [1.0, 1.4]: its
+    cycle lengths 2 and 3 have gcd 1, so its powers end up periodic with
+    period 1."""
+    i, j = np.indices((n, n))
+    matrix = 1.0 + 0.1 * ((i + 2 * j) % 5)
+    for a, b in ((0, 1), (1, 0), (0, 2), (2, 3), (3, 0)):
+        matrix[a, b] = 0.0
+    return TropicalKernel(grid=Grid(n), s=0.0, delta=1.0, matrix=matrix)
+
+
+@pytest.mark.parametrize("make, period", [(_two_cycle_kernel, 6), (_shared_node_kernel, 1)],
+                         ids=["two-classes", "one-class"])
+def test_barrier_period_is_the_cyclicity_of_the_critical_graph(make, period):
+    # the lcm over the classes of the gcd of the cycle lengths within each
+    kernel = make()
     c = karp_eigenvalue(kernel)
     assert c == 0.0
     barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
-    assert barrier.stabilized and barrier.period == 6 and barrier.defect == 0.0
-    _, powers = _full_loop_barrier(kernel.matrix + c, barrier.turnpike)
-    cycle_min = np.minimum.reduce(powers[barrier.turnpike - 6:barrier.turnpike])
-    assert barrier.values.tobytes() == cycle_min.tobytes()
-    values, defect, turnpike, period = _unreduced_barrier(kernel, c, 40)
+    assert barrier.stabilized and barrier.period == period and barrier.defect == 0.0
+    values, defect, _, loop_period = _unreduced_barrier(kernel, c, 40)
+    assert loop_period == period and defect == 0.0
     assert np.array_equal(barrier.values, values)
-    assert (barrier.defect, barrier.turnpike, barrier.period) == (defect, turnpike, period)
 
 
 def test_barrier_finds_a_cycle_of_five():
@@ -369,7 +398,7 @@ def test_zero_slack_cycle_is_reported():
         values[reps[a], reps[b]] = 0.5
     barrier = weak_kam.BarrierMatrix(grid=Grid(8), s_frac=0.0, t_frac=0.0,
                                      values=values, horizon=2, defect=0.0, c=0.0,
-                                     turnpike=2, period=1)
+                                     period=1)
     detected = aubry_set(barrier, 1e-12)
     assert detected.representatives == reps
     graph = connection_graph(barrier, detected, target, tol=1e-12)
@@ -490,8 +519,11 @@ def _unreduced_karp(matrix):
 
 
 def _unreduced_barrier(kernel, c, horizon):
-    """The barrier's products over every row, with no orbit reduction:
-    (values, defect, turnpike, period)."""
+    """The reference power loop over every row: multiply powers of the
+    shifted kernel until P^m repeats some P^(m - p) within the rounding
+    bound, and take the minimum over the p powers of the cycle:
+    (values, defect, turnpike m, period p), both None if no power repeats
+    within the horizon."""
     shifted = kernel.matrix + c
     largest = max(float(np.max(np.abs(kernel.matrix))), float(np.max(np.abs(shifted))))
     held = [shifted]
@@ -511,17 +543,16 @@ def _unreduced_barrier(kernel, c, horizon):
 
 
 def _assert_matches_unreduced(kernel):
-    """Karp and the barrier, at the Karp value and 1e-10 off it, equal
-    their unreduced computations bit for bit."""
+    """Karp equals its unreduced DP bit for bit; the barrier at the Karp
+    value has the values and period of the power loop over every row, and
+    1e-10 off it is refused."""
     c = karp_eigenvalue(kernel)
     assert c == _unreduced_karp(kernel.matrix)
-    for shift in (c, c + 1e-10):
-        barrier = peierls_barrier(None, kernel.grid, shift, 40, kernel=kernel)
-        values, defect, turnpike, period = _unreduced_barrier(kernel, shift, 40)
-        assert np.array_equal(barrier.values, values)
-        assert barrier.defect == defect
-        assert (barrier.turnpike, barrier.period) == (turnpike, period)
-        assert barrier.stabilized == (period is not None)
+    barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
+    values, _, _, period = _unreduced_barrier(kernel, c, 40)
+    assert np.array_equal(barrier.values, values)
+    assert barrier.period == period and barrier.stabilized
+    _assert_refuses_a_shift_off_c(kernel, c)
 
 
 @pytest.fixture(scope="module")
@@ -583,36 +614,40 @@ def test_karp_on_the_orbit_quotient_is_the_unreduced_dp(n, shift, seed):
 
 
 def test_a_transpose_symmetric_matrix_gets_no_symmetry():
-    # min-plus powers of B + B^T are symmetric only up to rounding
+    # min-plus powers of B + B^T are symmetric only up to rounding. A cycle
+    # of nearly least mean keeps the powers in their transient up to P^63,
+    # past the horizon of 40, while the star arrives within it; the sums of
+    # the long walks round differently, so the two agree to rounding
     b = np.random.default_rng(4).normal(size=(16, 16))
     kernel = TropicalKernel(grid=Grid(16), s=0.0, delta=1.0, matrix=b + b.T)
     assert np.array_equal(row_orbits(kernel.matrix)[0], np.arange(16))
-    _assert_matches_unreduced(kernel)
-
-
-def test_barrier_multiplies_representative_rows_only(symmetry_cases, monkeypatch):
-    # the first product multiplies the 17 representative rows; each later
-    # one only those whose bits changed from the power before, since a row
-    # that stayed put has the same product again
-    kernel, n_reps = symmetry_cases["q2-eps"]
-    operands = []
-    real = weak_kam.minplus_matmul
-
-    def recording(a, b):
-        operands.append(a.copy())
-        return real(a, b)
-
-    monkeypatch.setattr(weak_kam, "minplus_matmul", recording)
     c = karp_eigenvalue(kernel)
+    assert c == _unreduced_karp(kernel.matrix)
+    assert _unreduced_barrier(kernel, c, 40)[3] is None
     barrier = peierls_barrier(None, kernel.grid, c, 40, kernel=kernel)
-    assert len(operands) == barrier.turnpike - 1
-    shifted = kernel.matrix + c
-    powers = [shifted[row_orbits(shifted)[0]]]  # P^1 .. P^(turnpike - 1)
-    for _ in operands[1:]:
-        powers.append(real(powers[-1], shifted))
-    assert operands[0].shape == (n_reps, N) == (17, N)
-    assert np.array_equal(operands[0], powers[0])
-    for k in range(1, len(operands)):
-        moved = (powers[k] != powers[k - 1]).any(axis=1)
-        assert np.array_equal(operands[k], powers[k][moved])
-    assert min(len(a) for a in operands) < n_reps  # some row did stay put
+    values, _, turnpike, period = _unreduced_barrier(kernel, c, 100)
+    assert (turnpike, period) == (63, 2) and barrier.period == 2
+    assert np.max(np.abs(barrier.values - values)) <= 1e-14
+    _assert_refuses_a_shift_off_c(kernel, c)
+
+
+def test_critical_classes_and_cyclicity_match_walk_enumeration():
+    # random digraphs of up to 12 nodes, with nodes between cycles and off
+    # them: a class is a set of mutually reachable nodes that holds a closed
+    # walk, and its cyclicity the gcd of the closed-walk lengths at one node
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        graph = rng.random((n, n)) < rng.uniform(0.02, 0.3)
+        walks = [np.eye(n, dtype=bool)]  # walks of 0 .. 2n^2 edges
+        for _ in range(2 * n * n):
+            walks.append((walks[-1].astype(int) @ graph) > 0)
+        reach = np.any(walks[1:n + 1], axis=0)
+        expected = {}
+        for i in np.flatnonzero(np.diagonal(reach)):
+            nodes = tuple(np.flatnonzero(reach[i] & reach[:, i]))
+            lengths = [k for k, walk in enumerate(walks) if k and walk[i, i]]
+            expected.setdefault(nodes, math.gcd(*lengths))
+        got = {tuple(nodes): weak_kam._cyclicity(graph[np.ix_(nodes, nodes)])
+               for nodes in weak_kam._critical_classes(graph)}
+        assert got == expected
