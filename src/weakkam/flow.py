@@ -1,14 +1,16 @@
 """Euler-Lagrange flow, variational equations, shooting, Floquet data.
 
-Integration is one classical fourth-order Runge-Kutta loop at a fixed
-step over Python floats: the segments of a shooting residual step one
-after another in one call, each exactly as its own one-state call would.
-The right-hand sides read no time: the loop tabulates the system's
+Integration is one classical fourth-order Runge-Kutta stepper at a fixed
+step over Python floats (``_rk4``), which carries every state with its
+2x2 variational matrix: a trajectory seeds the identity and drops the
+matrix rows, and the segments of a shooting residual step one after
+another in one call, each exactly as its own one-state call would. The
+right-hand side reads no time: the stepper tabulates the system's
 modulation once per integration at every stage time, and each stage
-reads L_x and L_xx from one phase evaluation at its tabulated value
-(``LagrangianSystem.lagrangian_x_and_xx``). The fixed step keeps flows,
-monodromies, and everything downstream bit-for-bit reproducible;
-adaptive stepping would make kernels run-dependent.
+inlines the float closed form of L_x and L_xx at one phase, about 2 us a
+step. The fixed step keeps flows, monodromies, and everything downstream
+bit-for-bit reproducible; adaptive stepping would make kernels
+run-dependent.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateOrbitError, NoOrbitError,
                      NotPeriodicError, NumericalError)
-from .systems import PhasePoint, positive_integer, reduce_mod_1
+from .systems import TWO_PI, PhasePoint, positive_integer, reduce_mod_1
 
 STEPS_PER_UNIT_TIME = 200
 UNIT_CIRCLE_TOL = 1e-6
@@ -60,51 +62,109 @@ def _steps_for(duration):
     return max(1, int(round(STEPS_PER_UNIT_TIME * abs(duration))))
 
 
-def _rk4(rhs, modulation, y0, t0, t1, n_steps):
-    """States at the step times t0 + h*i, i = 0..n_steps, one row each.
+def _rk4(sys, y0, t0, t1, n_steps):
+    """States at the step times t0 + h*i, i = 0..n_steps, one row each, of
+    the Euler-Lagrange flow of ``sys`` and its variational equation.
 
-    The right-hand side reads no time: ``rhs(m, y)`` takes the stage's
-    modulation and a state's floats and returns the derivative's. One
-    ``modulation`` call tabulates the modulation at every stage time
-    t0 + h*i, its midpoint + 0.5*h (shared by k2 and k3) and its end + h.
-    A (d, m) state holds m states as columns, with t0 and t1 scalars or
-    length-m arrays; each column steps with its own h = (t1 - t0) / n_steps.
+    A state is the six rows x, v, xi00, xi01, xi10, xi11, where the 2x2
+    matrix xi solves xi' = [[0, 1], [a, 0]] xi with a = L_xx / mass; a
+    (6, m) state holds m states as columns, with t0 and t1 scalars or
+    length-m arrays, each column stepping with its own h = (t1 - t0) /
+    n_steps. One ``modulation`` call tabulates the modulation at every
+    stage time: t0 + h*i, its midpoint + 0.5*h (k2 and k3) and its end + h.
 
-    A column steps as Python floats, making the operations of the same
-    loop on numpy arrays in their order, (0.5*h)*k and h*k for the stages
-    and (h/6)*(((k1 + 2 k2) + 2 k3) + k4) for the step, so no bit of a
-    state differs from it. A 6-float step takes about 6 us (2.1 GHz Xeon, Python 3.11); on
-    one-element numpy arrays, a call per operation, it takes about 50."""
+    A column steps as named Python floats, its four stages written out
+    with the float closed forms inlined: the phase 2 pi q (x - floor(x)),
+    folded to 0 where it rounds to 1.0 as in ``LagrangianSystem._phase``,
+    L_x / mass = sin(phase) (A w m) / mass and L_xx / mass = A w^2
+    cos(phase) m / mass, w = 2 pi q. These are the operations of the array
+    closed forms and of the same RK4 loop on numpy arrays, in their order
+    ((0.5*h)*k and h*k for the stages, (h/6)*(((k1 + 2 k2) + 2 k3) + k4)
+    for the step), and math's sin and cos return numpy's values, so no bit
+    differs. A step takes about 2 us (2.1 GHz Xeon, Python 3.11); on
+    one-element numpy arrays, a call per operation, about 50.
+
+    A position that is not finite cannot fold its phase, nor can the end
+    position or velocity: the stepper then raises ``NumericalError``,
+    naming the step where the state stopped being finite."""
+    sin, cos, floor = math.sin, math.cos, math.floor
     h = (t1 - t0) / n_steps
     t = t0 + np.multiply.outer(np.arange(n_steps), h)
     stages = np.stack((t, t + 0.5 * h, t + h)).reshape(3, n_steps, -1)
     y = np.array(y0, dtype=float)
-    cols = y.reshape(y.shape[0], -1)
+    cols = y.reshape(6, -1)
     steps = np.broadcast_to(np.ravel(h), cols.shape[1]).tolist()
-    tables = np.broadcast_to(modulation(stages), (3, n_steps, cols.shape[1])).T.tolist()
+    tables = np.broadcast_to(sys.modulation(stages), (3, n_steps, cols.shape[1])).T.tolist()
+    w = TWO_PI * sys.freq
+    aw, aww, mass = sys.amp * w, sys.amp * w * w, sys.mass
     paths = []
-    for z, hj, table in zip(cols.T.tolist(), steps, tables):
-        half, sixth = 0.5 * hj, hj / 6.0
-        path = [z]
-        for m1, m2, m4 in table:
-            k1 = rhs(m1, z)
-            k2 = rhs(m2, [a + half * k for a, k in zip(z, k1)])
-            k3 = rhs(m2, [a + half * k for a, k in zip(z, k2)])
-            k4 = rhs(m4, [a + hj * k for a, k in zip(z, k3)])
-            z = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                 for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
-            path.append(z)
-        paths.append(path)
+    try:
+        for z, hj, table in zip(cols.T.tolist(), steps, tables):
+            half, sixth = 0.5 * hj, hj / 6.0
+            x, v, xi00, xi01, xi10, xi11 = z
+            path = [z]
+            append = path.append
+            for m1, m2, m4 in table:
+                ph = x - floor(x)
+                if ph == 1.0:
+                    ph = 0.0
+                ph *= w
+                f1 = sin(ph) * (aw * m1) / mass
+                a = aww * cos(ph) * m1 / mass
+                g1, e1 = a * xi00, a * xi01
+                x2, v2 = x + half * v, v + half * f1
+                p00, p01 = xi00 + half * xi10, xi01 + half * xi11
+                p10, p11 = xi10 + half * g1, xi11 + half * e1
+
+                ph = x2 - floor(x2)
+                if ph == 1.0:
+                    ph = 0.0
+                ph *= w
+                f2 = sin(ph) * (aw * m2) / mass
+                a = aww * cos(ph) * m2 / mass
+                g2, e2 = a * p00, a * p01
+                x3, v3 = x + half * v2, v + half * f2
+                q00, q01 = xi00 + half * p10, xi01 + half * p11
+                q10, q11 = xi10 + half * g2, xi11 + half * e2
+
+                ph = x3 - floor(x3)
+                if ph == 1.0:
+                    ph = 0.0
+                ph *= w
+                f3 = sin(ph) * (aw * m2) / mass
+                a = aww * cos(ph) * m2 / mass
+                g3, e3 = a * q00, a * q01
+                x4, v4 = x + hj * v3, v + hj * f3
+                r00, r01 = xi00 + hj * q10, xi01 + hj * q11
+                r10, r11 = xi10 + hj * g3, xi11 + hj * e3
+
+                ph = x4 - floor(x4)
+                if ph == 1.0:
+                    ph = 0.0
+                ph *= w
+                f4 = sin(ph) * (aw * m4) / mass
+                a = aww * cos(ph) * m4 / mass
+                g4, e4 = a * r00, a * r01
+
+                # each row reads only the old values of the rows after it
+                x += sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4)
+                v += sixth * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
+                xi00 += sixth * (((xi10 + 2.0 * p10) + 2.0 * q10) + r10)
+                xi01 += sixth * (((xi11 + 2.0 * p11) + 2.0 * q11) + r11)
+                xi10 += sixth * (((g1 + 2.0 * g2) + 2.0 * g3) + g4)
+                xi11 += sixth * (((e1 + 2.0 * e2) + 2.0 * e3) + e4)
+                append((x, v, xi00, xi01, xi10, xi11))
+            floor(x), floor(v)  # an end state has no next stage to fold it
+            paths.append(path)
+    except (OverflowError, ValueError):
+        # floor of a non-finite position or end velocity, in column len(paths)
+        step = next((i for i, state in enumerate(path)
+                     if not all(map(math.isfinite, state))), len(path))
+        t_step = np.broadcast_to(t0 + h * step, cols.shape[1])[len(paths)]
+        raise NumericalError(
+            f"the flow of {sys.label()} left the finite floats at step {step} of "
+            f"{n_steps} (t = {t_step:g})") from None
     return np.array(paths).transpose(1, 2, 0).reshape((n_steps + 1,) + y.shape)
-
-
-def _el_rhs(sys):
-    force, mass = sys.lagrangian_x_and_xx, sys.mass
-
-    def rhs(m, y):
-        x, v = y
-        return v, force(x, m)[0] / mass
-    return rhs
 
 
 def flow_trajectory(sys, p: PhasePoint, t1):
@@ -116,7 +176,7 @@ def flow_trajectory(sys, p: PhasePoint, t1):
     if not math.isfinite(t1):
         raise ConfigurationError(f"end time must be finite; got {t1}")
     n = _steps_for(t1 - p.t)
-    ys = _rk4(_el_rhs(sys), sys.modulation, [p.x, p.v], p.t, t1, n)
+    ys = _rk4(sys, [p.x, p.v, 1.0, 0.0, 0.0, 1.0], p.t, t1, n)
     times = p.t + (t1 - p.t) / n * np.arange(n + 1)
     return times, ys[:, 0], ys[:, 1]
 
@@ -137,19 +197,9 @@ def _flow_with_variational(sys, x0, v0, t0, t1):
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     n = _steps_for(t1[0] - t0[0])
 
-    force, mass = sys.lagrangian_x_and_xx, sys.mass
-
-    def rhs(m, y):
-        # rows x, v, xi00, xi01, xi10, xi11; J xi = [[xi10, xi11], [a xi00, a xi01]]
-        # with a = L_xx / mass
-        x, v, xi00, xi01, xi10, xi11 = y
-        lx, lxx = force(x, m)
-        a = lxx / mass
-        return v, lx / mass, xi10, xi11, a * xi00, a * xi01
-
     y0 = np.empty((6, t0.size))
     y0[0], y0[1], y0[2:] = x0, v0, np.eye(2).reshape(4, 1)
-    y = _rk4(rhs, sys.modulation, y0, t0, t1, n)[-1]
+    y = _rk4(sys, y0, t0, t1, n)[-1]
     return y[0], y[1], y[2:].T.reshape(-1, 2, 2)
 
 
@@ -234,6 +284,10 @@ def _multiple_shooting(sys, starts, period, tol):
 
     res, jac, mats = residual(z)
     for _ in range(MAX_NEWTON):
+        if not (np.isfinite(res).all() and np.isfinite(jac).all()):
+            raise NumericalError(
+                f"the shooting residual or the segment matrices of {sys.label()} over "
+                f"period {period} are not finite; the flow overflows")
         norm = float(np.max(np.abs(res)))
         if norm <= tol:
             return z[0], mats

@@ -11,12 +11,11 @@ amplitude 0. A period lift of order N, L(x, v/N, N t), is the same family
 with ``lift`` = N: its mass is 1/N^2 and its modulation runs N times as
 fast. Every evaluator reads one phase 2 pi q (x mod 1) and one modulation
 1 + eps cos(2 pi N t) (``modulation``), so L from ``lagrangian`` and from
-``lagrangian_and_grads`` agree bit for bit. The flow's evaluator
-``lagrangian_x_and_xx`` takes the modulation in place of t, so an
-integrator tabulates it once per integration and evaluates one phase per
-stage, on one float x; its L_x is that of ``lagrangian_and_grads`` and
-its L_xx that of ``lagrangian_xx``, bit for bit.
-The other evaluators accept scalars or numpy arrays; all reduce x and t
+``lagrangian_and_grads`` agree bit for bit. The flow's stepper
+(``flow._rk4``) inlines the float form of this phase and of L_x and L_xx,
+at a modulation it tabulates once per integration, and steps bit for bit
+as these closed forms would.
+The evaluators accept scalars or numpy arrays; all reduce x and t
 mod 1 internally, so spatial and temporal periodicity hold to the last bit
 whenever the shifted argument is representable.
 
@@ -158,22 +157,6 @@ class LagrangianSystem:
     def lagrangian_xx(self, x, v, t):
         w = TWO_PI * self.freq
         return self.amp * w * w * np.cos(self._phase(x)) * self.modulation(t)
-
-    def lagrangian_x_and_xx(self, x, m):
-        """(L_x, L_xx) of a float x at a float modulation m =
-        ``modulation(t)``: the flow's force and its derivative, neither of
-        which depends on v. Its phase is ``_phase`` on a float, fold
-        included, for the flow steps one float at a time, where an array
-        call costs ten times the arithmetic. The operations are those of
-        the array closed forms in their order, and math's sin and cos
-        return numpy's values, so it equals the L_x of
-        ``lagrangian_and_grads`` and ``lagrangian_xx`` bit for bit."""
-        phase = x - math.floor(x)
-        if phase == 1.0:
-            phase = 0.0
-        w = TWO_PI * self.freq
-        phase *= w
-        return math.sin(phase) * (self.amp * w * m), self.amp * w * w * math.cos(phase) * m
 
     def lagrangian_and_grads(self, x, v, t):
         """(L, L_x, L_v) in one call; shares the phase and the modulation,

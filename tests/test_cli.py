@@ -120,6 +120,25 @@ def test_graph_two_wells(capsys):
     assert "cycles,0" in out
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (("--guess-x", "0.2", "--guess-v", "1e308"), "left the finite floats at step 1 of 25"),
+    (("--amp", "1.7e308", "--guess-x", "0.2", "--guess-v", "0.1"),
+     "left the finite floats at step 1 of 25"),
+    (("--amp", "1e160", "--guess-x", "0.01", "--guess-v", "0.01"),
+     "the segment matrices of mechanical-cos(A=1e+160,q=1,eps=0) over period 1 are not finite"),
+    (("--amp", "1e307", "--guess-x", "0.01", "--guess-v", "0.01"),
+     "the segment matrices of mechanical-cos(A=1e+307,q=1,eps=0) over period 1 are not finite")],
+    ids=["velocity", "amplitude", "matrices", "matrices-svd"])
+def test_an_overflowing_orbit_exits_1_with_one_error_line(capfd, argv, cause):
+    # capfd sees what LAPACK writes to the file descriptors: a Jacobian
+    # that is not finite must not reach the condition number, whose LAPACK
+    # call prints DLASCL lines there
+    code = dispatch(["orbit", *argv])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and cause in err
+
+
 def test_orbit_row(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--guess-x", "0.01",
                            "--guess-v", "0.01", "--period", "1")

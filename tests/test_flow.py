@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakkam import (ConfigurationError, DegenerateOrbitError,
-                     LagrangianSystem, NoOrbitError, NotPeriodicError, PhasePoint,
-                     floquet_analysis, flow_map, flow_trajectory, monodromy,
+                     LagrangianSystem, NoOrbitError, NotPeriodicError, NumericalError,
+                     PhasePoint, floquet_analysis, flow_map, flow_trajectory, monodromy,
                      refine_periodic_orbit, tilt_system, torus_distance)
 from weakkam import flow
-from weakkam.flow import _el_rhs, _flow_with_variational, _rk4
+from weakkam.flow import _flow_with_variational, _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -160,6 +162,55 @@ def _reference_variational(sys, x0, v0, t0, t1):
     return y[0], y[1], y[2:].T.reshape(-1, 2, 2)
 
 
+def _reference_trajectory(sys, p, t1):
+    def rhs(t, y):
+        return np.array([y[1], sys.lagrangian_and_grads(y[0], y[1], t)[1] / sys.mass])
+
+    return _reference_rk4(rhs, [p.x, p.v], p.t, t1, flow._steps_for(t1 - p.t))
+
+
+@st.composite
+def flow_cases(draw):
+    """A system, m drawn columns and one at x = -1e-18, v = 0, whose phase
+    rounds to 1.0 and folds to 0, each from its own t0, over one duration."""
+    sys = LagrangianSystem(
+        family="mechanical-cos", freq=draw(st.sampled_from([1, 2, 3])),
+        amp=draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+        eps=draw(st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)),
+        lift=draw(st.sampled_from([1, 2, 3])))
+    m = draw(st.integers(1, 3))
+    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)) + [-1e-18]
+    v0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)) + [0.0]
+    t0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m + 1, max_size=m + 1,
+                                unique=True)))
+    return sys, np.array(x0), np.array(v0), t0, t0 + draw(st.floats(-1.0, 1.0))
+
+
+@given(flow_cases())
+def test_the_stepper_equals_the_stagewise_closed_forms(case):
+    # forward and backward, at every amplitude, modulation and lift: the
+    # inlined float force, the tabulated modulation and the straight-line
+    # stages change no bit of a state, a trajectory or a variational matrix
+    sys, x0, v0, t0, t1 = case
+    got = _flow_with_variational(sys, x0, v0, t0, t1)
+    ref = _reference_variational(sys, x0, v0, t0, t1)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    p = PhasePoint(x0[0], v0[0], t0[0])
+    _, xs, vs = flow_trajectory(sys, p, t1[0])
+    ref = _reference_trajectory(sys, p, t1[0])
+    assert np.array_equal(xs, ref[:, 0]) and np.array_equal(vs, ref[:, 1])
+
+
+@pytest.mark.parametrize("t1, steps", [(1.0, 200), (0.005, 1)])
+def test_an_overflowing_flow_names_the_step_where_it_stopped_being_finite(t1, steps):
+    # the first step sums four velocities near 1e308 into x: the next
+    # stage cannot fold its phase, and a one-step flow ends there
+    with pytest.raises(NumericalError, match=r"^the flow of mechanical-cos\(A=1,q=1,eps=0\) "
+                       rf"left the finite floats at step 1 of {steps} \(t = 0\.005\)$"):
+        flow_map(MECH, PhasePoint(0.2, 1e308, 0.0), t1)
+
+
 @pytest.mark.parametrize("sys", [EPS, LagrangianSystem(family="mechanical-cos", eps=0.1,
                                                        lift=2)], ids=lambda s: s.label())
 def test_variational_flow_equals_the_stagewise_closed_forms(sys):
@@ -185,40 +236,27 @@ def test_flow_trajectory_equals_the_stagewise_closed_form(t0):
     assert np.array_equal(xs, ref[:, 0]) and np.array_equal(vs, ref[:, 1])
 
 
-def test_refinement_reads_one_phase_per_stage_and_one_modulation_per_integration(
-        monkeypatch):
-    # every column evaluates one float phase per stage, through the float
-    # evaluator alone, and every integration tabulates one modulation
-    counts = dict.fromkeys(("force", "phase", "modulation", "rk4", "stages"), 0)
-    real_force = LagrangianSystem.lagrangian_x_and_xx
-    real_phase, real_modulation = LagrangianSystem._phase, LagrangianSystem.modulation
+def test_shooting_tabulates_one_modulation_per_integration(monkeypatch):
+    # the stepper inlines the force at its own float phase: while shooting,
+    # every integration tabulates one modulation and no array closed form
+    # of the system is called
+    counts = dict.fromkeys(("rk4", "modulation", "_phase", "lagrangian_and_grads",
+                            "lagrangian_xx"), 0)
     real_rk4 = flow._rk4
 
-    def counted_force(self, x, m):
-        counts["force"] += 1
-        return real_force(self, x, m)
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
 
-    def counted_phase(self, x):
-        counts["phase"] += 1
-        return real_phase(self, x)
-
-    def counted_modulation(self, t):
-        counts["modulation"] += 1
-        return real_modulation(self, t)
-
-    def counted_rk4(rhs, modulation, y0, t0, t1, n_steps):
-        counts["rk4"] += 1
-        counts["stages"] += 4 * n_steps * (np.size(y0) // len(y0))
-        return real_rk4(rhs, modulation, y0, t0, t1, n_steps)
-
-    monkeypatch.setattr(LagrangianSystem, "lagrangian_x_and_xx", counted_force)
-    monkeypatch.setattr(LagrangianSystem, "_phase", counted_phase)
-    monkeypatch.setattr(LagrangianSystem, "modulation", counted_modulation)
-    monkeypatch.setattr(flow, "_rk4", counted_rk4)
+    for name in ("modulation", "_phase", "lagrangian_and_grads", "lagrangian_xx"):
+        monkeypatch.setattr(LagrangianSystem, name,
+                            counted(name, getattr(LagrangianSystem, name)))
+    monkeypatch.setattr(flow, "_rk4", counted("rk4", real_rk4))
     refine_periodic_orbit(EPS, PhasePoint(0.01, 0.01, 0.0), 2)
-    assert counts["rk4"] >= 2 and counts["stages"] >= 4 * 400
-    assert counts["force"] == counts["stages"] and counts["phase"] == 0
-    assert counts["modulation"] == counts["rk4"]
+    assert counts["rk4"] >= 2 and counts["modulation"] == counts["rk4"]
+    assert counts["_phase"] == counts["lagrangian_and_grads"] == counts["lagrangian_xx"] == 0
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.7])
@@ -340,11 +378,11 @@ def test_flow_composition():
 
 
 def test_fourth_order_step_halving():
-    rhs = _el_rhs(EPS)
-    ref = _rk4(rhs, EPS.modulation, [0.2, 0.3], 0.0, 1.0, 2000)[-1]
+    y0 = [0.2, 0.3, 1.0, 0.0, 0.0, 1.0]
+    ref = _rk4(EPS, y0, 0.0, 1.0, 2000)[-1]
 
     def err(n):
-        end = _rk4(rhs, EPS.modulation, [0.2, 0.3], 0.0, 1.0, n)[-1]
+        end = _rk4(EPS, y0, 0.0, 1.0, n)[-1]
         return math.hypot(end[0] - ref[0], end[1] - ref[1])
 
     ratio = err(200) / err(400)

@@ -9,7 +9,7 @@ from weakkam import (ConfigurationError, DiscretizedCurve,
                      curve_action, karp_eigenvalue, lift_curve, lift_system,
                      minimal_action, tilt_system)
 from weakkam.acceptance import legendre_gap, random_curves, tilt_quadrature_gap
-from weakkam.flow import _el_rhs, _rk4
+from weakkam.flow import _rk4
 
 FREE = LagrangianSystem(family="free")
 MECH = LagrangianSystem(family="mechanical-cos")
@@ -71,8 +71,8 @@ def test_lift_hamiltonian_is_the_legendre_dual_of_its_lagrangian():
 
 def test_lift_flow_commutation():
     lifted = lift_system(MECH, 2)
-    lifted_end = _rk4(_el_rhs(lifted), lifted.modulation, [0.2, 0.8], 0.0, 0.5, 400)[-1]
-    base_end = _rk4(_el_rhs(MECH), MECH.modulation, [0.2, 0.4], 0.0, 1.0, 400)[-1]
+    lifted_end = _rk4(lifted, [0.2, 0.8, 1.0, 0.0, 0.0, 1.0], 0.0, 0.5, 400)[-1]
+    base_end = _rk4(MECH, [0.2, 0.4, 1.0, 0.0, 0.0, 1.0], 0.0, 1.0, 400)[-1]
     assert abs(lifted_end[0] - base_end[0]) < 1e-9
     assert abs(lifted_end[1] - 2.0 * base_end[1]) < 1e-8
 

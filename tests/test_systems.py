@@ -16,8 +16,8 @@ EPS = LagrangianSystem(family="mechanical-cos", eps=0.1)
 
 def test_eval_free_closed_form():
     x, v, t = 0.3, 2.0, 0.7
-    values = (FREE.lagrangian(x, v, t), FREE.lagrangian_x_and_xx(x, FREE.modulation(t))[0],
-              FREE.lagrangian_and_grads(x, v, t)[2], FREE.mass)
+    _, lx, lv = FREE.lagrangian_and_grads(x, v, t)
+    values = (FREE.lagrangian(x, v, t), lx, lv, FREE.mass)
     assert values == (2.0, 0.0, 2.0, 1.0)
 
 
@@ -39,10 +39,6 @@ def test_one_closed_form_for_l_and_l_x(amp, eps):
     t = rng.uniform(-2.0, 2.0, x.size)
     lag, lx, _ = sys.lagrangian_and_grads(x, v, t)
     assert np.array_equal(sys.lagrangian(x, v, t), lag)
-    # the flow's evaluator takes floats: compared element by element
-    m = np.broadcast_to(sys.modulation(t), t.shape)
-    assert [sys.lagrangian_x_and_xx(xk, mk)[0]
-            for xk, mk in zip(x.tolist(), m.tolist())] == lx.tolist()
     assert lx[-1] == 0.0
 
 
@@ -57,26 +53,21 @@ HALF_INTEGERS = np.arange(-6, 6) / 2.0
 
 
 @pytest.mark.parametrize("sys", FORCE_SYSTEMS, ids=lambda s: s.label())
-def test_force_evaluator_is_l_x_and_l_xx_at_the_modulation(sys):
-    # the flow reads (L_x, L_xx) of a float from one phase at a tabulated
-    # modulation; both equal the pointwise closed forms bit for bit, at
-    # every point and at numpy scalars, and -1e-18 folds to phase 0; L_x is
-    # compared with that of the minimizer's fused evaluator at t
+def test_l_x_and_l_xx_at_floats_equal_the_array_closed_forms(sys):
+    # the flow's force and its derivative, L_x of the fused evaluator and
+    # L_xx, evaluated at one float point equal their array evaluation bit
+    # for bit, and -1e-18 folds to phase 0; the stepper's own bits are
+    # checked against these closed forms in the flow tests
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-3.0, 3.0, 400), [-1e-18, 0.0, 0.5, -1.0]])
     t = np.concatenate([rng.uniform(-2.0, 2.0, x.size - HALF_INTEGERS.size), HALF_INTEGERS])
     v = rng.uniform(-3.0, 3.0, x.size)
-    m = np.broadcast_to(sys.modulation(t), t.shape)
-    lx, lxx = np.array([sys.lagrangian_x_and_xx(xk, mk)
-                        for xk, mk in zip(x.tolist(), m.tolist())]).T
-    assert lx.size == lxx.size == 404
-    assert np.array_equal(lx, sys.lagrangian_and_grads(x, v, t)[1])
-    assert np.array_equal(lxx, sys.lagrangian_xx(x, v, t))
+    lx, lxx = sys.lagrangian_and_grads(x, v, t)[1], sys.lagrangian_xx(x, v, t)
     assert lx[400] == 0.0 and lxx[400] == sys.lagrangian_xx(0.0, 0.0, t[400])
-    for k in range(390, x.size):
-        lx_k, lxx_k = sys.lagrangian_x_and_xx(x[k], sys.modulation(t[k]))
-        assert lx_k == sys.lagrangian_and_grads(x[k], v[k], t[k])[1]
-        assert lxx_k == sys.lagrangian_xx(x[k], v[k], t[k])
+    for k in range(x.size):
+        xk, vk, tk = float(x[k]), float(v[k]), float(t[k])
+        assert sys.lagrangian_and_grads(xk, vk, tk)[1] == lx[k]
+        assert sys.lagrangian_xx(xk, vk, tk) == lxx[k]
 
 
 @pytest.mark.parametrize("sys", FORCE_SYSTEMS, ids=lambda s: s.label())
@@ -190,7 +181,7 @@ def test_derivatives_match_finite_differences():
             fd_v = (sys.lagrangian(x, v + step, t) - sys.lagrangian(x, v - step, t)) / (2 * step)
             scale = 1.0 + abs(fd_x) + abs(fd_v)
             def l_x(x):
-                return sys.lagrangian_x_and_xx(x, sys.modulation(t))[0]
+                return sys.lagrangian_and_grads(x, v, t)[1]
 
             assert abs(fd_x - l_x(x)) / scale < 1e-6
             assert abs(fd_v - sys.lagrangian_and_grads(x, v, t)[2]) / scale < 1e-6
