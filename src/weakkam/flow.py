@@ -206,11 +206,16 @@ def _flow_with_variational(sys, x0, v0, t0, t1):
 def monodromy(sys, orbit_seed: PhasePoint, period: int) -> np.ndarray:
     """Derivative of the time-``period`` flow map along a periodic orbit.
 
-    The seed must close up (mod 1 in x) within ``MONODROMY_DEFECT_TOL``.
+    The seed must close up (mod 1 in x) within ``MONODROMY_DEFECT_TOL``,
+    and a matrix that is not finite raises ``NumericalError``.
     """
     positive_integer(period, "period")
     x1, v1, mats = _flow_with_variational(sys, [orbit_seed.x], [orbit_seed.v],
                                           [orbit_seed.t], [orbit_seed.t + period])
+    if not np.isfinite(mats).all():
+        raise NumericalError(
+            f"the monodromy matrix of {sys.label()} over period {period} is not "
+            f"finite; the variational flow overflows")
     dx = x1[0] - orbit_seed.x
     defect = float(np.hypot(dx - round(dx), v1[0] - orbit_seed.v))
     if defect > MONODROMY_DEFECT_TOL:
@@ -227,12 +232,15 @@ def floquet_analysis(mono: np.ndarray, period: int = 1):
     Multipliers are sorted by descending real part, then descending
     imaginary part; exponents are their principal-branch logs divided by
     the period. The returned ``lam`` is the least positive real part among
-    the exponents; None when no exponent has positive real part.
+    the exponents; None when no exponent has positive real part. A
+    matrix that is not finite raises ``ConfigurationError``.
     """
     period = positive_integer(period, "period")
     mono = np.asarray(mono, dtype=float)
     if mono.ndim != 2 or mono.shape[0] != mono.shape[1] or mono.shape[0] % 2:
         raise ConfigurationError("monodromy must be a square even-dimensional matrix")
+    if not np.isfinite(mono).all():
+        raise ConfigurationError("monodromy entries must be finite")
     try:
         mults = np.linalg.eigvals(mono)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -22,18 +22,13 @@ import numpy as np
 from .action import (minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
-from .systems import (BLOCK_FLOATS, MIN_BATCH_PAIRS, DiscretizedCurve,
-                      exact_row_actions, positive_integer, reduce_mod_1)
+from .systems import (MIN_BATCH_PAIRS, DiscretizedCurve, exact_row_actions,
+                      positive_integer, reduce_mod_1)
 
 # mirrored kernel entries re-solved directly to check the declared
 # symmetries, and the largest gap allowed between the two values
 SYMMETRY_SAMPLE = 32
 SYMMETRY_TOLERANCE = 1e-12
-# floats of lifted samples that one assembly batch may hold over the first
-# shell of windings; a batch's pairs are a stride through the
-# representatives, and it holds at least ``MIN_BATCH_PAIRS`` of them when
-# the kernel has as many
-BATCH_FLOATS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -274,25 +269,22 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
-    calling process. A batch holds about ``step`` pairs: the fewer of
-    ``ceil(reps / w)`` and the pairs whose first shell of windings fits in
-    ``BATCH_FLOATS`` floats. That bounds the batch-level arrays of the
-    search (samples, values, gradients); the minimizer evaluates a batch in
-    blocks of ``systems.BLOCK_FLOATS`` floats, which bound the
-    evaluation's working set. The representatives are dealt into
-    ``m = ceil(reps / step)`` batches as strides, but never so many that a
-    batch holds fewer than ``MIN_BATCH_PAIRS`` pairs (one batch when the
-    kernel has fewer representatives): batch b holds representatives b,
-    b + m, b + 2m, ..., so every batch draws its pairs from the whole
+    calling process. The representatives are dealt into one stride per
+    process, but never so many strides that one holds fewer than
+    ``MIN_BATCH_PAIRS`` pairs (one stride when the kernel has fewer
+    representatives): of m strides, stride b holds representatives b,
+    b + m, b + 2m, ..., so every stride draws its pairs from the whole
     kernel, cheap and costly alike, and the processes finish at about the
-    same time. The symmetry sample is one more batch, and process k solves
-    batches k, k + w, k + 2w, ... in order; the caller is process 0 and the
-    others are forked for the call and joined before it returns or raises.
-    A pair's value does not depend on the other pairs of its batch, and
-    the floor keeps every batch off BLAS's small-matrix routines, so the
-    kernel bits depend neither on the batch size nor on w. With one CPU,
-    no affinity to read, or a daemonic caller, the batches are solved in
-    this process.
+    same time. Each stride is one search batch; the minimizer evaluates a batch
+    in the blocks of ``systems.row_blocks``, which bound the evaluation's
+    working set. The symmetry sample is one more batch, and process k
+    solves batches k, k + w, k + 2w, ... in order; the caller is process 0
+    and the others are forked for the call and joined before it returns
+    or raises. A pair's value does not depend on the other pairs of its
+    batch, and the floor keeps every batch off BLAS's small-matrix
+    routines, so the kernel bits depend neither on the batch size nor on
+    w. With one CPU, no affinity to read, or a daemonic caller, the one
+    stride is solved in this process.
     """
     if not (0.0 < delta <= 1.0):
         raise ConfigurationError("kernel duration must lie in (0, 1]")
@@ -305,7 +297,6 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
             f"point, not delta = {float(delta)!r}")
     n = grid.n
     pts = grid.points
-    n_seg = segments_for(delta)
 
     def solve(pairs):
         """Entries at the given flat indices, in one search batch."""
@@ -321,9 +312,7 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
                                 replace=False))
 
     workers = _worker_count()
-    pair_floats = len(winding_candidates()) * (n_seg + 1)
-    step = min(max(1, BATCH_FLOATS // pair_floats), -(-reps.size // workers))
-    n_jobs = max(1, min(-(-reps.size // step), reps.size // MIN_BATCH_PAIRS))
+    n_jobs = max(1, min(workers, reps.size // MIN_BATCH_PAIRS))
     jobs = [reps[k::n_jobs] for k in range(n_jobs)]
     solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
     values = np.empty(n * n)
@@ -354,21 +343,18 @@ def minplus_apply(mat, u):
 
 
 def minplus_matmul(a, b):
-    """C[i][j] = min_m A[i][m] + B[m][j], in blocks of rows whose sums fit
-    in one scratch of ``BLOCK_FLOATS`` floats, one row at a time when a
-    row's do not. An empty inner dimension gives +inf, the tropical zero."""
+    """C[i][j] = min_m A[i][m] + B[m][j], one row of A at a time through
+    one scratch the shape of B. An empty inner dimension gives +inf, the
+    tropical zero."""
     if a.ndim != 2 or b.ndim != 2:
         raise ConfigurationError("min-plus matmul needs two 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    rows = a.shape[0]
-    out = np.empty((rows, b.shape[1]))
-    step = max(1, min(rows, BLOCK_FLOATS // max(1, b.size)))
-    sums = np.empty((step,) + b.shape)
-    for r in range(0, rows, step):
-        block = sums[:rows - r]
-        np.add(a[r:r + step, :, None], b, out=block)
-        np.min(block, axis=1, out=out[r:r + step], initial=np.inf)
+    out = np.empty((a.shape[0], b.shape[1]))
+    sums = np.empty(b.shape)
+    for row, out_row in zip(a, out):
+        np.add(row[:, None], b, out=sums)
+        np.min(sums, axis=0, out=out_row, initial=np.inf)
     return out
 
 

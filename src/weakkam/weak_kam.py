@@ -31,7 +31,8 @@ from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
 # equals its closed form on grids 16, 64 and 256
 AUBRY_TOLERANCE = 1e-12
 # the default cap on the barrier's horizon: each fixed point of the star
-# runs at most BARRIER_HORIZON - 1 products, for every caller that sets none
+# runs at most BARRIER_HORIZON - 1 products (and at most n + 1 on a grid of
+# n points), for every caller that sets none
 BARRIER_HORIZON = 40
 
 
@@ -123,17 +124,17 @@ def _fixed_point(step, start, products: int, tol: float):
     return x, change
 
 
-def _critical_classes(tight) -> list:
-    """The nodes of each strongly connected class of the graph ``tight``
-    (a boolean adjacency matrix) that holds a cycle, in increasing order.
+def _critical_classes(graph) -> list:
+    """The nodes of each strongly connected class of ``graph`` (a boolean
+    adjacency matrix) that holds a cycle, in increasing order.
 
     A node with no edge from or to the other nodes left is on no cycle, so
     such nodes are peeled off first; the reachability of the rest is
     closed by Boolean squaring, and a node is on a cycle when it reaches
     itself."""
-    nodes = np.arange(len(tight))
+    nodes = np.arange(len(graph))
     while True:
-        sub = tight[np.ix_(nodes, nodes)]
+        sub = graph[np.ix_(nodes, nodes)]
         keep = sub.any(axis=0) & sub.any(axis=1)
         if keep.all():
             break
@@ -180,13 +181,18 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
     of the kernel, and their shift by c, must be finite.
 
     Three fixed points are iterated as x = min(x, step(x)), each for at
-    most ``horizon`` - 1 steps, and stop at the first step that moves no
-    entry by more than tol = ((n + 2)^2 / 2 + horizon) eps M: n is the
-    grid size, eps machine epsilon and M the largest |entry| of K and B.
-    That is what rounding alone leaves in one step when c is the Karp
-    value of K (u = eps / 2): Karp's walk sums of up to n steps, with the
-    shift by c, move the cycle mean of B by less than (n + 2)^2 u M, and
-    each rounded step moves an entry by at most u M.
+    most H - 1 steps, H = min(``horizon``, n + 2) on a grid of n points,
+    and stop at the first step that moves no entry by more than
+    tol = ((n + 2)^2 / 2 + H) eps M: eps is machine epsilon and M the
+    largest |entry| of K and B. At the critical value no cycle of B has a
+    negative sum, so a least path sum needs at most n steps and, in exact
+    arithmetic, every fixed point arrives within n + 1; a larger horizon
+    would only let a shift below the critical value, whose negative
+    cycles never let a fixed point arrive, pass under a larger tol. tol is
+    what rounding alone leaves in one step when c is the Karp value of K
+    (u = eps / 2): Karp's walk sums of up to n steps, with the shift by
+    c, move the cycle mean of B by less than (n + 2)^2 u M, and each
+    rounded step moves an entry by at most u M.
 
     1. A subeigenvector y <= y B from y = 0, by ``minplus_apply``.
     2. The critical nodes A, those on the cycles of the tight graph
@@ -226,8 +232,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
                             -shifted.min(), shifted.max()]))
     if not math.isfinite(largest):
         raise ConfigurationError("barrier kernel entries, and their shift by c, must be finite")
-    tol = ((grid.n + 2) ** 2 / 2 + horizon) * np.finfo(float).eps * largest
-    steps = horizon - 1
+    steps = min(horizon, grid.n + 2) - 1
+    tol = ((grid.n + 2) ** 2 / 2 + steps + 1) * np.finfo(float).eps * largest
     y, defect = _fixed_point(lambda y: minplus_apply(shifted, y), np.zeros(grid.n), steps, tol)
     tight = y[:, None] + shifted - y[None, :] <= tol
     classes = _critical_classes(tight)
@@ -298,39 +304,15 @@ def semigroup_limit(u0, h: BarrierMatrix) -> np.ndarray:
     return minplus_apply(h.values, values)
 
 
-def _find_cycles(n_vertices: int, edges) -> list:
-    adj = [[] for _ in range(n_vertices)]
-    for j, k, _ in edges:
-        adj[j].append(k)
-    color = [0] * n_vertices
-    stack = []
-    cycles = []
-
-    def dfs(v):
-        color[v] = 1
-        stack.append(v)
-        for w in adj[v]:
-            if color[w] == 1:
-                cycles.append(stack[stack.index(w):] + [w])
-            elif color[w] == 0:
-                dfs(w)
-        stack.pop()
-        color[v] = 2
-
-    for v in range(n_vertices):
-        if color[v] == 0:
-            dfs(v)
-    return cycles
-
-
 def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
                      tol: float) -> ConnectionGraph:
     """Directed graph on Aubry representatives relative to a target point.
 
     Vertex j points to vertex k when the barrier from k to the target
     equals (within tol) the barrier from k to j plus the barrier from j to
-    the target. Roots receive no segment. Acyclicity is checked and any
-    violation reported with the offending cycle. ``target_index`` must be
+    the target. Roots receive no segment. Acyclicity is checked: each
+    strongly connected class that holds a cycle is reported as the list
+    of its vertices (``_critical_classes``). ``target_index`` must be
     a grid index in [0, n), ``aubry`` must come from the barrier's grid,
     and the barrier must start and end at the same offset, where
     h(k, target) = h(k, j) + h(j, target) is the decomposition tested."""
@@ -347,6 +329,7 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
         raise ConfigurationError("need at least one Aubry representative")
     hm = h.values
     edges = []
+    adjacency = np.zeros((len(reps), len(reps)), dtype=bool)
     for a, j in enumerate(reps):
         for b, k in enumerate(reps):
             if j == k:
@@ -354,9 +337,9 @@ def connection_graph(h: BarrierMatrix, aubry: AubrySet, target_index: int,
             slack = hm[k, target_index] - (hm[k, j] + hm[j, target_index])
             if abs(slack) <= tol:
                 edges.append((a, b, float(slack)))
-    has_incoming = {b for _, b, _ in edges}
-    roots = [i for i in range(len(reps)) if i not in has_incoming]
-    cycles = _find_cycles(len(reps), edges)
+                adjacency[a, b] = True
+    roots = np.flatnonzero(~adjacency.any(axis=0)).tolist()
+    cycles = [nodes.tolist() for nodes in _critical_classes(adjacency)]
     return ConnectionGraph(vertices=reps, positions=np.asarray(reps) / h.grid.n,
                            target_index=int(target_index), tol=float(tol),
                            edges=edges, roots=roots, cycles=cycles)

@@ -56,6 +56,12 @@ def test_monodromy_rejects_nonperiodic_seed():
     assert info.value.defect > 1e-6
 
 
+def test_monodromy_that_overflows_is_a_numerical_error():
+    # the rest point closes up, but its variational matrix overflows
+    with pytest.raises(NumericalError, match="monodromy matrix .* is not finite"):
+        monodromy(LagrangianSystem(amp=1e160), PhasePoint(0.0, 0.0, 0.0), 1)
+
+
 def test_refine_finds_saddle_from_nearby_guess():
     orbit = refine_periodic_orbit(MECH, PhasePoint(0.01, 0.01, 0.0), 1)
     assert torus_distance(orbit.x, 0.0) < 1e-10
@@ -364,6 +370,14 @@ def test_flows_reject_a_non_finite_end_time(t1):
 def test_floquet_validates_shape():
     with pytest.raises(ConfigurationError):
         floquet_analysis(np.ones((3, 3)), 1)
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_floquet_rejects_a_non_finite_matrix(entry):
+    mono = np.eye(2)
+    mono[0, 1] = entry
+    with pytest.raises(ConfigurationError, match="monodromy entries must be finite"):
+        floquet_analysis(mono, 1)
 
 
 def test_flow_composition():

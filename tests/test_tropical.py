@@ -127,12 +127,23 @@ def assert_same_assembly(got, reference, label):
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
 def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
+    # one stride per CPU (batches of 137, 91 and 17 or 18 pairs at q=1), but
+    # none under MIN_BATCH_PAIRS pairs; every batch is solved in this
+    # process, in order, so that no worker is forked
     reference = assembled_with_rows(monkeypatch, sys)
-    # floats of one pair with its first shell of windings
-    pair_floats = len(winding_candidates()) * (segments_for(1.0) + 1)
-    for step in (17, 32, 97):
-        monkeypatch.setattr(tropical, "BATCH_FLOATS", step * pair_floats)
-        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, step)
+    batches = []
+
+    def solve_in_order(solve, jobs, workers):
+        batches.append([len(job) for job in jobs[:-1]])  # the last is the sample
+        return [solve(job) for job in jobs]
+
+    monkeypatch.setattr(tropical, "_solve_jobs", solve_in_order)
+    for cpus in (2, 3, 16):
+        monkeypatch.setattr(tropical, "_worker_count", lambda cpus=cpus: cpus)
+        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, cpus)
+    assert [len(sizes) for sizes in batches][:2] == [2, 3]
+    assert all(len(sizes) <= 16 and min(sizes) >= systems.MIN_BATCH_PAIRS
+               for sizes in batches)
 
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, MECH_Q2_EPS, lift_system(MECH, 2)],
@@ -180,7 +191,7 @@ def test_shares_are_strides_of_the_representatives(monkeypatch):
     assemble_kernel(MECH, Grid(n), 0.0, 1.0)
     [(jobs, workers)] = given
     shares = jobs[:-1]  # the last job is the symmetry sample
-    assert workers == 2 and len(shares) >= 2
+    assert workers == 2 and len(shares) == 2  # one share per CPU
     for k, job in enumerate(shares):
         assert np.array_equal(job, reps[k::len(shares)])
     assert np.array_equal(np.sort(np.concatenate(shares)), reps)

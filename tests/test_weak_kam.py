@@ -205,6 +205,26 @@ def test_barrier_never_takes_a_drift_of_1e_10_as_a_cycle(barrier_cases, case):
     _assert_refuses_a_shift_off_c(kernel, c)
 
 
+@pytest.fixture(scope="module")
+def grid32_kernel():
+    return assemble_kernel(MECH, Grid(32), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("horizon", [8, 40, 10**6, 10**18])
+def test_barrier_steps_are_capped_at_the_grid_size(grid32_kernel, horizon):
+    # every fixed point arrives within n + 1 steps, so a larger horizon caps
+    # nothing more: the rounding allowance stays that of horizon n + 2, and
+    # a drift of 1e-10 per step is never taken for arrival
+    kernel, n = grid32_kernel, 32
+    c = karp_eigenvalue(kernel)
+    below = peierls_barrier(None, Grid(n), c - 1e-10, horizon, kernel=kernel)
+    assert not below.stabilized and below.horizon == horizon
+    at = peierls_barrier(None, Grid(n), c, horizon, kernel=kernel)
+    assert (at.stabilized, at.period, at.defect, at.horizon) == (True, 1, 0.0, horizon)
+    capped = peierls_barrier(None, Grid(n), c, n + 2, kernel=kernel)
+    assert at.values.tobytes() == capped.values.tobytes()
+
+
 def _two_cycle_kernel(n=8):
     """Kernel whose zero-weight cycles are 0 -> 1 -> 0 and 2 -> 3 -> 4 -> 2,
     every other entry in [1.0, 1.4]: its powers end up periodic with period
@@ -404,7 +424,7 @@ def test_zero_slack_cycle_is_reported():
     graph = connection_graph(barrier, detected, target, tol=1e-12)
     assert sorted(graph.edges) == [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)]
     assert graph.roots == []
-    assert graph.cycles == [[0, 1, 2, 0]]
+    assert graph.cycles == [[0, 1, 2]]  # the vertices of the one cyclic class
 
 
 def test_semigroup_limit_examples(mech_barrier, free_kernel):
