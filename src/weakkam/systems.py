@@ -50,6 +50,9 @@ FAMILIES = ("free", "mechanical-cos")
 # floats of lifted samples that one evaluation block holds, 256 KiB per
 # array: a block's working set stays in cache, whatever the batch size
 BLOCK_FLOATS = 32_768
+# floats of lifted samples that one search batch may hold over the first shell
+# of windings: 8 MB per batch-level array (samples, values, gradients)
+BATCH_FLOATS = 1_000_000
 # the fewest rows a batch or block holds when it has as many: fewer rows
 # take BLAS's small-matrix routines, which round differently
 MIN_BATCH_PAIRS = 16
@@ -314,13 +317,25 @@ def midpoint_geometry(rows, h):
     return mid, (rows[:, 1:] - rows[:, :-1]) * (1.0 / h)
 
 
+def block_rows(width: int) -> int:
+    """Rows of ``width`` floats that one ``BLOCK_FLOATS`` block holds, at least one."""
+    return max(1, BLOCK_FLOATS // max(1, width))
+
+
 def row_blocks(m: int, width: int) -> list:
     """Contiguous slices of near-equal size covering m rows of ``width``
     floats: as few as keep every block within ``BLOCK_FLOATS`` floats, but
     none under ``MIN_BATCH_PAIRS`` rows unless m is."""
-    count = max(1, min(-(-m // max(1, BLOCK_FLOATS // width)), m // MIN_BATCH_PAIRS))
+    count = max(1, min(-(-m // block_rows(width)), m // MIN_BATCH_PAIRS))
     bounds = np.arange(count + 1) * m // count
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def batch_count(m: int, width: int, workers: int) -> int:
+    """Search batches for m pairs of ``width`` floats: one per worker, more
+    where one would exceed ``BATCH_FLOATS`` floats, but none under
+    ``MIN_BATCH_PAIRS`` pairs unless m is."""
+    return max(1, min(max(workers, -(-m * width // BATCH_FLOATS)), m // MIN_BATCH_PAIRS))
 
 
 def exact_row_actions(sys, a, b, rows):

@@ -22,7 +22,7 @@ import numpy as np
 from .action import (minimize_straight_batch, segments_for, winding_candidates,
                      _straight_lifts)
 from .errors import ConfigurationError, MinimizationError, NumericalError
-from .systems import (MIN_BATCH_PAIRS, DiscretizedCurve, exact_row_actions,
+from .systems import (DiscretizedCurve, batch_count, block_rows, exact_row_actions,
                       positive_integer, reduce_mod_1)
 
 # mirrored kernel entries re-solved directly to check the declared
@@ -269,22 +269,23 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
-    calling process. The representatives are dealt into one stride per
-    process, but never so many strides that one holds fewer than
-    ``MIN_BATCH_PAIRS`` pairs (one stride when the kernel has fewer
-    representatives): of m strides, stride b holds representatives b,
-    b + m, b + 2m, ..., so every stride draws its pairs from the whole
-    kernel, cheap and costly alike, and the processes finish at about the
-    same time. Each stride is one search batch; the minimizer evaluates a batch
-    in the blocks of ``systems.row_blocks``, which bound the evaluation's
-    working set. The symmetry sample is one more batch, and process k
-    solves batches k, k + w, k + 2w, ... in order; the caller is process 0
-    and the others are forked for the call and joined before it returns
-    or raises. A pair's value does not depend on the other pairs of its
-    batch, and the floor keeps every batch off BLAS's small-matrix
-    routines, so the kernel bits depend neither on the batch size nor on
-    w. With one CPU, no affinity to read, or a daemonic caller, the one
-    stride is solved in this process.
+    calling process. The representatives are dealt into m search batches
+    as strides, m from ``systems.batch_count``: one batch per process, more
+    where a batch's first shell of windings would exceed
+    ``systems.BATCH_FLOATS`` floats of samples, but none under
+    ``MIN_BATCH_PAIRS`` pairs. Batch b holds representatives b, b + m,
+    b + 2m, ..., so every batch draws its pairs from the whole kernel,
+    cheap and costly alike, and the processes finish at about the same
+    time. The minimizer evaluates a batch in the blocks of
+    ``systems.row_blocks``, which bound the evaluation's working set. The
+    symmetry sample is one more batch, and process k solves batches k,
+    k + w, k + 2w, ... in order; the caller is process 0 and the others
+    are forked for the call and joined before it returns or raises. A
+    pair's value does not depend on the other pairs of its batch, and the
+    floor keeps every batch off BLAS's small-matrix routines, so the
+    kernel bits depend neither on the batch size nor on w. With one CPU,
+    no affinity to read, or a daemonic caller, the batches are solved in
+    this process.
     """
     if not (0.0 < delta <= 1.0):
         raise ConfigurationError("kernel duration must lie in (0, 1]")
@@ -312,7 +313,8 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
                                 replace=False))
 
     workers = _worker_count()
-    n_jobs = max(1, min(workers, reps.size // MIN_BATCH_PAIRS))
+    pair_floats = len(winding_candidates()) * (segments_for(delta) + 1)
+    n_jobs = batch_count(reps.size, pair_floats, workers)
     jobs = [reps[k::n_jobs] for k in range(n_jobs)]
     solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
     values = np.empty(n * n)
@@ -343,18 +345,21 @@ def minplus_apply(mat, u):
 
 
 def minplus_matmul(a, b):
-    """C[i][j] = min_m A[i][m] + B[m][j], one row of A at a time through
-    one scratch the shape of B. An empty inner dimension gives +inf, the
-    tropical zero."""
+    """C[i][j] = min_m A[i][m] + B[m][j], in blocks of rows whose sums fit
+    in one ``systems.block_rows`` scratch, one row at a time when a row's
+    do not. An empty inner dimension gives +inf, the tropical zero."""
     if a.ndim != 2 or b.ndim != 2:
         raise ConfigurationError("min-plus matmul needs two 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ConfigurationError("shape mismatch in min-plus matmul")
-    out = np.empty((a.shape[0], b.shape[1]))
-    sums = np.empty(b.shape)
-    for row, out_row in zip(a, out):
-        np.add(row[:, None], b, out=sums)
-        np.min(sums, axis=0, out=out_row, initial=np.inf)
+    rows = a.shape[0]
+    out = np.empty((rows, b.shape[1]))
+    step = max(1, min(rows, block_rows(b.size)))
+    sums = np.empty((step,) + b.shape)
+    for r in range(0, rows, step):
+        block = sums[:rows - r]
+        np.add(a[r:r + step, :, None], b, out=block)
+        np.min(block, axis=1, out=out[r:r + step], initial=np.inf)
     return out
 
 

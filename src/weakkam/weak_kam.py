@@ -84,7 +84,8 @@ class ConnectionGraph:
 
     An edge (j, k) means the barrier from vertex k to the target decomposes
     through vertex j within tolerance; a root receives no edge. Cycles are
-    reported, never asserted away.
+    reported, never asserted away, as the vertices of each strongly
+    connected class that holds one: cycles through one class count once.
     """
 
     vertices: list

@@ -235,6 +235,18 @@ def test_row_blocks_are_contiguous_near_equal_and_bounded(m, width, count, sizes
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
+@pytest.mark.parametrize("m, workers, count", [
+    (15, 2, 1), (40, 16, 2), (273, 16, 16),  # no batch under 16 pairs
+    (16513, 1, 2), (16513, 2, 2), (65793, 2, 7), (262657, 16, 27)],
+    ids=["under-the-floor", "floor", "per-worker", "grid256-1cpu", "grid256-2cpu",
+         "grid512", "grid1024"])
+def test_batch_count_is_one_per_worker_within_the_float_budget(m, workers, count):
+    width = 99  # floats of one pair with its first shell of windings
+    assert systems.batch_count(m, width, workers) == count
+    if m >= systems.MIN_BATCH_PAIRS * count:
+        assert -(-m // count) * width <= systems.BATCH_FLOATS + width
+
+
 def test_phase_point_reduces_and_validates():
     p = PhasePoint(1.25, 0.5, 0.0)
     assert p.x == 0.25

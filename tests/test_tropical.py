@@ -127,10 +127,14 @@ def assert_same_assembly(got, reference, label):
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS], ids=["q1", "q2", "eps"])
 def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
-    # one stride per CPU (batches of 137, 91 and 17 or 18 pairs at q=1), but
-    # none under MIN_BATCH_PAIRS pairs; every batch is solved in this
-    # process, in order, so that no worker is forked
+    # one batch per CPU at 16 CPUs (17 or 18 pairs at q=1), and batches of at
+    # most 32 and 97 pairs under a float budget at one CPU; every batch is
+    # solved in this process, in order, so that no worker is forked
     reference = assembled_with_rows(monkeypatch, sys)
+    label = pair_orbits(32, *sys.kernel_symmetries(32, 0.0, 1.0))
+    reps = np.count_nonzero(label == np.arange(32 * 32))
+    # floats of one pair with its first shell of windings
+    pair_floats = len(winding_candidates()) * (segments_for(1.0) + 1)
     batches = []
 
     def solve_in_order(solve, jobs, workers):
@@ -138,12 +142,15 @@ def test_kernel_bits_independent_of_batch_size(monkeypatch, sys):
         return [solve(job) for job in jobs]
 
     monkeypatch.setattr(tropical, "_solve_jobs", solve_in_order)
-    for cpus in (2, 3, 16):
-        monkeypatch.setattr(tropical, "_worker_count", lambda cpus=cpus: cpus)
-        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, cpus)
-    assert [len(sizes) for sizes in batches][:2] == [2, 3]
-    assert all(len(sizes) <= 16 and min(sizes) >= systems.MIN_BATCH_PAIRS
-               for sizes in batches)
+    monkeypatch.setattr(tropical, "_worker_count", lambda: 16)
+    assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, 16)
+    assert len(batches[-1]) == min(16, reps // systems.MIN_BATCH_PAIRS)
+    monkeypatch.setattr(tropical, "_worker_count", lambda: 1)
+    for step in (32, 97):
+        monkeypatch.setattr(systems, "BATCH_FLOATS", step * pair_floats)
+        assert_same_assembly(assembled_with_rows(monkeypatch, sys), reference, step)
+        assert max(batches[-1]) <= step and len(batches[-1]) == -(-reps // step)
+    assert all(min(sizes) >= systems.MIN_BATCH_PAIRS for sizes in batches)
 
 
 @pytest.mark.parametrize("sys", [MECH, MECH_Q2, MECH_EPS, MECH_Q2_EPS, lift_system(MECH, 2)],
