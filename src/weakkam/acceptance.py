@@ -25,7 +25,7 @@ from .systems import (DiscretizedCurve, LagrangianSystem, PhasePoint,
                       curve_action, exact_row_actions, positive_integer, torus_distance)
 from .tropical import (Grid, assemble_kernel, karp_eigenvalue,
                        minplus_apply, minplus_matmul)
-from .weak_kam import BARRIER_HORIZON, aubry_set, connection_graph, peierls_barrier
+from .weak_kam import aubry_set, connection_graph, peierls_barrier
 
 ORACLE_C = 1.0  # max of the potential for the built-in amplitude
 # seconds criterion 01 allows for the main-grid kernels and their Karp
@@ -41,7 +41,6 @@ class AcceptanceScale:
     n_main: int = 256
     n_confirm: int = 512
     n_small: int = 64
-    horizon: int = BARRIER_HORIZON
     k_max: int = K_MAX
 
 
@@ -154,8 +153,7 @@ class AcceptanceContext:
             kernel = self.kernel(freq, eps, n)
             c = karp_eigenvalue(kernel)
             sys = self.system(freq, eps)
-            barrier = peierls_barrier(sys, Grid(n), c, self.scale.horizon,
-                                      kernel=kernel)
+            barrier = peierls_barrier(sys, Grid(n), c, kernel=kernel)
             barrier.require_stabilized(sys.label())
             self._barriers[key] = barrier
         return self._barriers[key]
@@ -276,7 +274,7 @@ def criterion_05_converge_crosscheck(ctx: AcceptanceContext) -> CriterionResult:
     for freq, eps, u0_tag in itertools.product((1, 2), (0.0, 0.1), ("zero", "spike")):
         report = run_convergence(
             ctx.system(freq, eps), Grid(ctx.scale.n_main), u0_tag=u0_tag,
-            k_max=ctx.scale.k_max, horizon=ctx.scale.horizon, seed=ctx.seed,
+            k_max=ctx.scale.k_max, seed=ctx.seed,
             unit_kernel=ctx.kernel(freq, eps, ctx.scale.n_main),
             orbits=[], barrier=ctx.barrier(freq, eps, ctx.scale.n_main))
         final = float(report.errors[-1])
@@ -297,7 +295,7 @@ def criterion_06_main_theorem(ctx: AcceptanceContext) -> CriterionResult:
         orbit = ctx.orbit(1, eps, 0.01)
         report = run_convergence(
             ctx.system(1, eps), Grid(ctx.scale.n_main), u0_tag="spike",
-            k_max=ctx.scale.k_max, horizon=ctx.scale.horizon, seed=ctx.seed,
+            k_max=ctx.scale.k_max, seed=ctx.seed,
             unit_kernel=ctx.kernel(1, eps, ctx.scale.n_main), orbits=[orbit],
             barrier=ctx.barrier(1, eps, ctx.scale.n_main))
         ok = (report.verdict == "pass" and report.mu is not None
@@ -471,8 +469,8 @@ def criterion_12_determinism(ctx: AcceptanceContext) -> CriterionResult:
         sys = ctx.system(1, 0.1)
         kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
         report = run_convergence(sys, Grid(n), u0_tag="random-seeded",
-                                 k_max=max(8, ctx.scale.k_max // 4), horizon=12,
-                                 seed=ctx.seed, unit_kernel=kernel, orbits=[])
+                                 k_max=max(8, ctx.scale.k_max // 4), seed=ctx.seed,
+                                 unit_kernel=kernel, orbits=[])
         orbit = refine_periodic_orbit(sys, PhasePoint(0.01, 0.01, 0.0), 1)
         chunks = [csv_text(("i", "j", "value"),
                            [(i, j, kernel.matrix[i, j]) for i in range(0, n, 7)

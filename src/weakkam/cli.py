@@ -38,7 +38,6 @@ _SHARED_FLAGS = {
     "grid": dict(type=int, default=AcceptanceScale.n_main),
     "seed": dict(type=int, default=0),
     "out": dict(default=None),
-    "horizon": dict(type=int, default=BARRIER_HORIZON),
     "kmax": dict(type=int, default=K_MAX),
 }
 
@@ -78,17 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barrier", help="Peierls barrier matrix")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out", "horizon")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--tfrac", type=float, default=0.0)
 
     p = sub.add_parser("aubry", help="diagonal-barrier Aubry detection")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out", "horizon")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("graph", help="connection graph between Aubry classes")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "out", "horizon")
+    _add_shared_flags(p, "grid", "out")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--aubry-tol", type=float, default=2e-2)
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="semigroup convergence experiment")
     _add_system_flags(p)
-    _add_shared_flags(p, "grid", "seed", "out", "horizon")
+    _add_shared_flags(p, "grid", "seed", "out")
     p.add_argument("--u0", choices=U0_TAGS, default="spike")
     p.add_argument("--tau", type=float, default=0.0)
     _add_shared_flags(p, "kmax")
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-suite", help="run the full acceptance matrix")
     p.add_argument("--out-dir", required=True)
-    _add_shared_flags(p, "grid", "seed", "horizon")
+    _add_shared_flags(p, "grid", "seed")
     p.add_argument("--confirm-grid", type=int, default=AcceptanceScale.n_confirm)
     p.add_argument("--small-grid", type=int, default=AcceptanceScale.n_small)
     _add_shared_flags(p, "kmax")
@@ -173,15 +172,15 @@ def _cmd_critical_value(args) -> int:
     return 0
 
 
-def _barrier_for(args, horizon, t_frac=0.0):
-    """Barrier from the unit kernel at offset 0; warns on stderr when its
-    star did not reach its fixed points within the horizon."""
-    check_barrier_horizon(horizon, t_frac)
+def _barrier_for(args, t_frac=0.0):
+    """Barrier from the unit kernel at offset 0 to ``t_frac``, checked before
+    assembly; warns on stderr when its star did not reach its fixed points."""
+    check_barrier_horizon(BARRIER_HORIZON, t_frac)
     sys = _system(args)
     grid = Grid(args.grid)
     kernel = assemble_kernel(sys, grid, 0.0, 1.0)
     c = karp_eigenvalue(kernel)
-    barrier = peierls_barrier(sys, grid, c, horizon, t_frac=t_frac, kernel=kernel)
+    barrier = peierls_barrier(sys, grid, c, t_frac=t_frac, kernel=kernel)
     if not barrier.stabilized:
         print(f"warning: barrier not stabilized (defect {fmt(barrier.defect)})",
               file=_sys.stderr)
@@ -189,7 +188,7 @@ def _barrier_for(args, horizon, t_frac=0.0):
 
 
 def _cmd_barrier(args) -> int:
-    _, _, c, barrier = _barrier_for(args, args.horizon, t_frac=args.tfrac)
+    _, _, c, barrier = _barrier_for(args, t_frac=args.tfrac)
     _emit(args.out, ("i", "j", "h"), matrix_rows(barrier.values))
     print(f"c,{fmt(c)}")
     print(f"defect,{fmt(barrier.defect)}")
@@ -201,7 +200,7 @@ def _cmd_barrier(args) -> int:
 def _cmd_aubry(args) -> int:
     tol = AUBRY_TOLERANCE if args.tol is None else args.tol
     check_tolerance(tol, "Aubry")
-    _, grid, _, barrier = _barrier_for(args, args.horizon)
+    _, grid, _, barrier = _barrier_for(args)
     detected = aubry_set(barrier, tol)
     diag = np.diag(barrier.values)
     _emit(args.out, ("x", "h_diag"),
@@ -215,7 +214,7 @@ def _cmd_graph(args) -> int:
     target = Grid(args.grid).nearest_index(args.target)
     check_tolerance(args.aubry_tol, "Aubry")
     check_tolerance(args.tol, "graph")
-    _, _, _, barrier = _barrier_for(args, args.horizon)
+    _, _, _, barrier = _barrier_for(args)
     detected = aubry_set(barrier, args.aubry_tol)
     graph = connection_graph(barrier, detected, target, args.tol)
     rows = [("edge", graph.vertices[j], graph.vertices[k], slack)
@@ -258,8 +257,7 @@ def _cmd_tilt(args) -> int:
 
 def _cmd_convergence(args) -> int:
     report = run_convergence(_system(args), Grid(args.grid), u0_tag=args.u0,
-                             tau_frac=args.tau, k_max=args.kmax,
-                             horizon=args.horizon, seed=args.seed)
+                             tau_frac=args.tau, k_max=args.kmax, seed=args.seed)
     rows = [(k, e, math.log(e) if e > 0 else -math.inf)
             for k, e in enumerate(report.errors)]
     rows.append(("summary", "", ""))
@@ -277,7 +275,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_dwell(args) -> int:
     check_dwell_window(0.0, args.horizon, args.delta)
     check_endpoints(args.x_from, 0.0, args.x_to, args.horizon)
-    sys, _, _, barrier = _barrier_for(args, BARRIER_HORIZON)  # --horizon is a time here
+    sys, _, _, barrier = _barrier_for(args)
     orbits = detect_aubry_orbits(sys, barrier)
     report = dwell_statistics(sys, orbits, args.x_from, 0.0, args.x_to,
                               args.horizon, delta=args.delta)
@@ -290,8 +288,7 @@ def _cmd_dwell(args) -> int:
 
 def _cmd_paper_suite(args) -> int:
     scale = AcceptanceScale(n_main=args.grid, n_confirm=args.confirm_grid,
-                            n_small=args.small_grid, horizon=args.horizon,
-                            k_max=args.kmax)
+                            n_small=args.small_grid, k_max=args.kmax)
     ctx = AcceptanceContext(scale=scale, seed=args.seed)
     results = run_all(ctx, out_dir=args.out_dir)
     return 0 if all(r.passed for r in results) else 1
@@ -317,7 +314,9 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        # a value that leaves the floats ends in an error line, not in numpy warnings
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2

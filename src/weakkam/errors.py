@@ -49,7 +49,7 @@ class InvalidSubsolutionError(WeakKamError):
 
 class EmptyAubrySetError(WeakKamError):
     """No grid point passed the diagonal-barrier test; the set is never
-    actually empty, so the tolerance is too small or the horizon too short."""
+    actually empty, so the tolerance is too small or the barrier did not stabilize."""
 
 
 class InsufficientDataError(WeakKamError):

@@ -145,6 +145,11 @@ def winding_search(sys, a, b, starts, ends):
     nearest = -np.round(ends - starts).astype(int)
     z0 = _straight_lifts(starts, ends + nearest, n_seg)
     rows, best_e, _, conv, _ = minimize_straight_batch(sys, a, b, n_seg, z0)
+    if not np.isfinite(best_e).all():  # no bound could ever clear a shell
+        bad = int(np.flatnonzero(~np.isfinite(best_e))[0])
+        raise NumericalError(
+            f"minimal action from (x, t) = ({starts[bad]:.12g}, {a:.12g}) to "
+            f"({ends[bad]:.12g}, {b:.12g}) is not finite: {best_e[bad]:g}")
     best_winding = nearest.copy()
 
     def rank(k):  # position in (|k|, k) order
@@ -307,7 +312,7 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     label = pair_orbits(n, *sys.kernel_symmetries(n, a, float(delta)))
     flat = np.arange(n * n)
     reps = np.flatnonzero(label == flat)
-    mirrored = np.flatnonzero(label != flat)
+    mirrored = np.flatnonzero(label != flat)  # never empty: (n - 1, n - 1) mirrors (1, 1)
     rng = np.random.default_rng(0)  # a fixed sample: assembly stays deterministic
     sample = np.sort(rng.choice(mirrored, size=min(SYMMETRY_SAMPLE, mirrored.size),
                                 replace=False))
@@ -316,20 +321,19 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     pair_floats = len(winding_candidates()) * (segments_for(delta) + 1)
     n_jobs = batch_count(reps.size, pair_floats, workers)
     jobs = [reps[k::n_jobs] for k in range(n_jobs)]
-    solved = _solve_jobs(solve, jobs + [sample] if sample.size else jobs, workers)
+    solved = _solve_jobs(solve, jobs + [sample], workers)
     values = np.empty(n * n)
     for job, share in zip(jobs, solved):
         values[job] = share
     matrix = values[label].reshape(n, n)
 
-    if sample.size:
-        gaps = np.abs(solved[-1] - values[label[sample]])
-        worst = int(np.argmax(gaps))
-        if not gaps[worst] <= SYMMETRY_TOLERANCE:
-            i, j = divmod(int(sample[worst]), n)
-            raise NumericalError(
-                f"declared kernel symmetry fails at K[{i}][{j}]: its direct "
-                f"solve differs from the mirrored value by {gaps[worst]:.3e}")
+    gaps = np.abs(solved[-1] - values[label[sample]])
+    worst = int(np.argmax(gaps))
+    if not gaps[worst] <= SYMMETRY_TOLERANCE:
+        i, j = divmod(int(sample[worst]), n)
+        raise NumericalError(
+            f"declared kernel symmetry fails at K[{i}][{j}]: its direct "
+            f"solve differs from the mirrored value by {gaps[worst]:.3e}")
     return TropicalKernel(grid=grid, s=a, delta=float(delta), matrix=matrix)
 
 

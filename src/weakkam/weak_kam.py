@@ -98,8 +98,8 @@ class ConnectionGraph:
 
 
 def check_barrier_horizon(horizon, t_frac=None) -> None:
-    """Raise ``ConfigurationError`` unless the barrier may take a power and
-    its end offset, when given, is finite."""
+    """Raise ``ConfigurationError`` unless the horizon lets each fixed point
+    of the star take a step and the end offset, when given, is finite."""
     positive_integer(horizon, "barrier horizon", 2)
     if t_frac is not None and not math.isfinite(t_frac):
         raise ConfigurationError("barrier end offset must be finite")
@@ -169,7 +169,7 @@ def _cyclicity(graph) -> int:
     return math.gcd(*(level[u] + 1 - level[v]).tolist())
 
 
-def peierls_barrier(sys, grid: Grid, c: float, horizon: int, *,
+def peierls_barrier(sys, grid: Grid, c: float, horizon: int = BARRIER_HORIZON, *,
                     t_frac: float | None = None, kernel: TropicalKernel) -> BarrierMatrix:
     """The Kleene star of the c-shifted unit kernel B = K + c through the
     critical nodes: h[i][j] = min over critical a of B*[i][a] + B*[a][j],
@@ -276,7 +276,7 @@ def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
     if hits.size == 0:
         raise EmptyAubrySetError(
             "no grid point has vanishing diagonal barrier; the Aubry set is "
-            "never empty, so raise the tolerance or extend the horizon")
+            "never empty, so raise the tolerance or check that the barrier stabilized")
     mask = np.zeros(n, dtype=bool)
     mask[hits] = True
     if hits.size == n:

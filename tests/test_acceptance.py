@@ -115,9 +115,9 @@ def test_run_all_records_numerical_crashes(monkeypatch):
 def test_criteria_05_and_06_build_one_barrier_per_kernel(monkeypatch):
     built = []
 
-    def counting(sys, grid, c, horizon, *, t_frac=None, kernel):
+    def counting(sys, grid, c, *args, **kwargs):
         built.append((sys.freq, sys.eps, grid.n))
-        return peierls_barrier(sys, grid, c, horizon, t_frac=t_frac, kernel=kernel)
+        return peierls_barrier(sys, grid, c, *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "peierls_barrier", counting)
     monkeypatch.setattr(experiments, "peierls_barrier", counting)
@@ -127,9 +127,11 @@ def test_criteria_05_and_06_build_one_barrier_per_kernel(monkeypatch):
     assert sorted(built) == [(1, 0.0, 32), (1, 0.1, 32), (2, 0.0, 32), (2, 0.1, 32)]
 
 
-def test_unstabilized_barrier_raises():
+def test_unstabilized_barrier_raises(monkeypatch):
     # at grid 16 the four-well star rows first repeat at the 4th product,
     # so horizon 4, which allows 3, still drifts
-    ctx = AcceptanceContext(AcceptanceScale(n_main=16, horizon=4))
+    monkeypatch.setattr(acceptance, "peierls_barrier",
+                        lambda *args, **kwargs: peierls_barrier(*args, 4, **kwargs))
+    ctx = AcceptanceContext(AcceptanceScale(n_main=16))
     with pytest.raises(NumericalError, match=r"q=4.*grid 16.*horizon 4: defect"):
         ctx.barrier(4, 0.0, 16)

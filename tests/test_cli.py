@@ -77,14 +77,12 @@ def test_kernel_export_and_determinism(tmp_path, capsys):
 
 def test_barrier_and_aubry(tmp_path, capsys):
     out_file = tmp_path / "h.csv"
-    code, out, _ = run_cli(capsys, "barrier", "--grid", "16", "--horizon", "12",
-                           "--out", str(out_file))
+    code, out, _ = run_cli(capsys, "barrier", "--grid", "16", "--out", str(out_file))
     assert code == 0
     assert "c," in out and "stabilized,true" in out
     lines = out.splitlines()
     assert lines[lines.index("stabilized,true") + 1:] == ["period,1"]
-    code, out, err = run_cli(capsys, "aubry", "--grid", "16", "--horizon", "12",
-                             "--tol", "1e-6")
+    code, out, err = run_cli(capsys, "aubry", "--grid", "16", "--tol", "1e-6")
     assert code == 0 and err == ""
     assert "clusters,1" in out
     assert "representatives,0" in out
@@ -101,8 +99,9 @@ def test_aubry_default_tolerance(capsys, argv, clusters, representatives):
 
 
 def test_unstabilized_barrier_warns(capsys):
-    code, out, err = run_cli(capsys, "barrier", "--system", "free", "--grid", "16",
-                             "--horizon", "4")
+    # the free star needs n/2 products, more than the 39 steps of the
+    # default horizon from grid 80 on
+    code, out, err = run_cli(capsys, "barrier", "--system", "free", "--grid", "80")
     assert code == 0
     assert "stabilized,false" in out and out.endswith("stabilized,false\nperiod,\n")
     assert err.startswith("warning: barrier not stabilized (defect ")
@@ -111,7 +110,7 @@ def test_unstabilized_barrier_warns(capsys):
 
 def test_graph_two_wells(capsys):
     code, out, _ = run_cli(capsys, "graph", "--grid", "16", "--freq", "2",
-                           "--horizon", "12", "--target", "0.25")
+                           "--target", "0.25")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "kind,j,k,slack"
@@ -137,6 +136,28 @@ def test_an_overflowing_orbit_exits_1_with_one_error_line(capfd, argv, cause):
     out, err = capfd.readouterr()
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and cause in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["action", "--from", "0.1", "--to", "0.2", "--bt", "1e-160"],
+    ["kernel", "--grid", "8", "--delta", "1e-160", "--out", "k.csv"],
+    ["kernel", "--grid", "8", "--delta", "1e-300", "--out", "k.csv"],
+    ["barrier", "--grid", "8", "--tfrac", "1e-300"],
+    ["convergence", "--grid", "8", "--kmax", "8", "--tau", "1e-300"],
+    ["action", "--from", "0.1", "--to", "0.2", "--bt", "1", "--amp", "1e307"],
+    ["critical-value", "--grid", "8", "--amp", "1e307"]],
+    ids=["action-window", "kernel-window-160", "kernel-window-300", "barrier-tfrac",
+         "convergence-tau", "action-amp", "critical-value-amp"])
+def test_an_overflowing_action_exits_1_with_one_error_line(tmp_path, monkeypatch, capfd,
+                                                           argv):
+    # a nearest lift whose action is not finite gives no bound a value to
+    # clear, so the winding search would add shells forever
+    monkeypatch.chdir(tmp_path)
+    code = dispatch(argv)
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "not finite" in err
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_orbit_row(capsys):
@@ -165,8 +186,7 @@ def test_reduce_and_tilt(capsys):
 
 def test_convergence_trivial_exit(capsys):
     code, out, _ = run_cli(capsys, "convergence", "--system", "free",
-                           "--grid", "16", "--u0", "zero", "--kmax", "8",
-                           "--horizon", "10")
+                           "--grid", "16", "--u0", "zero", "--kmax", "8")
     assert code == 0
     assert "verdict,trivial" in out
 
@@ -174,7 +194,7 @@ def test_convergence_trivial_exit(capsys):
 def test_convergence_file_summary(tmp_path, capsys):
     out_file = tmp_path / "conv.csv"
     code, _, _ = run_cli(capsys, "convergence", "--grid", "32", "--kmax", "10",
-                         "--horizon", "10", "--out", str(out_file))
+                         "--out", str(out_file))
     assert code == 0
     text = out_file.read_text()
     assert text.splitlines()[0] == "k,error,log_error"
@@ -189,6 +209,29 @@ def test_dwell_csv(capsys):
     assert header == "horizon,delta,time_outside,longest_stay,n_hat"
     fields = [float(v) for v in row.split(",")]
     assert fields[0] == 8.0 and fields[2] < 4.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["barrier", "--grid", "8"],
+    ["aubry", "--grid", "8"],
+    ["graph", "--grid", "8", "--target", "0.25"],
+    ["convergence", "--grid", "8", "--kmax", "8"],
+    ["paper-suite", "--out-dir", "suite", "--grid", "8", "--confirm-grid", "16",
+     "--small-grid", "8", "--kmax", "8"]],
+    ids=["barrier", "aubry", "graph", "convergence", "paper-suite"])
+def test_only_dwell_takes_a_horizon(tmp_path, monkeypatch, capsys, argv):
+    # the barrier's step cap is fixed
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        dispatch([*argv, "--horizon", "10"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --horizon 10" in capsys.readouterr().err
+
+
+def test_dwell_horizon_is_its_duration(capsys):
+    code, out, _ = run_cli(capsys, "dwell", "--grid", "32", "--from", "0.25",
+                           "--to", "0.25", "--horizon", "16")
+    assert code == 0 and float(out.splitlines()[1].split(",")[0]) == 16.0
 
 
 def test_unknown_flags_exit_2(capsys):
@@ -248,13 +291,13 @@ _CHEAP_ARGV = {
     "action": ["--from", "0.1", "--to", "0.2", "--bt", "1"],
     "kernel": ["--grid", "8", "--out", "{out}"],
     "critical-value": ["--grid", "8"],
-    "barrier": ["--grid", "8", "--horizon", "10"],
-    "aubry": ["--grid", "8", "--horizon", "10"],
-    "graph": ["--grid", "8", "--horizon", "10", "--target", "0.25"],
+    "barrier": ["--grid", "8"],
+    "aubry": ["--grid", "8"],
+    "graph": ["--grid", "8", "--target", "0.25"],
     "orbit": ["--guess-x", "0.01", "--guess-v", "0.01"],
     "reduce": ["--n", "2"],
     "tilt": ["--f", "maupertuis", "--c", "1"],
-    "convergence": ["--grid", "8", "--kmax", "8", "--horizon", "10"],
+    "convergence": ["--grid", "8", "--kmax", "8"],
     "dwell": ["--grid", "8", "--from", "0.25", "--to", "0.25"],
 }
 
@@ -288,9 +331,9 @@ def test_a_huge_graph_target_is_reduced_mod_1(capsys):
 @pytest.mark.parametrize("argv", [
     # s + delta rounds to s
     ["kernel", "--grid", "8", "--delta", "0.5", "--start", "1e300", "--out", "k.csv"],
-    ["aubry", "--grid", "8", "--horizon", "10", "--tol", "-1"],
-    ["graph", "--grid", "8", "--horizon", "10", "--target", "0", "--aubry-tol", "-1"],
-    ["graph", "--grid", "8", "--horizon", "10", "--target", "0", "--tol", "-1"],
+    ["aubry", "--grid", "8", "--tol", "-1"],
+    ["graph", "--grid", "8", "--target", "0", "--aubry-tol", "-1"],
+    ["graph", "--grid", "8", "--target", "0", "--tol", "-1"],
     ["dwell", "--grid", "8", "--from", "0.25", "--to", "0.25", "--delta", "0"]],
     ids=["kernel-window", "aubry-tol", "graph-aubry-tol", "graph-tol", "dwell-delta"])
 def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, capsys, argv):
@@ -300,9 +343,6 @@ def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("argv", [
-    ["convergence", "--horizon", "1"],
-    ["barrier", "--horizon", "1"],
-    ["aubry", "--horizon", "1"],
     ["dwell", "--from", "0.25", "--to", "0.25", "--horizon", "2"],
     ["dwell", "--from", "0.25", "--to", "0.25", "--delta", "nan"],
     ["dwell", "--from", "nan", "--to", "0.25"],
@@ -316,7 +356,7 @@ def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, cap
     ["reduce", "--n", "2", "--seed", "-1"],
     ["paper-suite", "--out-dir", "suite", "--grid", "16", "--confirm-grid", "32",
      "--small-grid", "16", "--seed", "-1"]],
-    ids=["convergence", "barrier", "aubry", "dwell-horizon", "dwell-delta",
+    ids=["dwell-horizon", "dwell-delta",
          "dwell-from", "dwell-to", "graph-target", "graph-tol", "graph-aubry-tol",
          "aubry-tol", "barrier-tfrac", "convergence-seed", "reduce-seed",
          "paper-suite-seed"])
@@ -336,8 +376,8 @@ def test_barrier_end_offset_one_is_offset_zero(tmp_path, capsys):
     runs = []
     for tfrac in ("0", "1"):
         path = tmp_path / f"h{tfrac}.csv"
-        code, out, _ = run_cli(capsys, "barrier", "--grid", "8", "--horizon", "10",
-                               "--tfrac", tfrac, "--out", str(path))
+        code, out, _ = run_cli(capsys, "barrier", "--grid", "8", "--tfrac", tfrac,
+                               "--out", str(path))
         assert code == 0
         runs.append((out, path.read_bytes()))
     assert runs[0] == runs[1]
@@ -354,7 +394,7 @@ def test_paper_suite_rerun_is_byte_identical(tmp_path, capsys):
         out_dir = tmp_path / run
         dispatch(["paper-suite", "--out-dir", str(out_dir), "--grid", "16",
                   "--confirm-grid", "32", "--small-grid", "16",
-                  "--horizon", "10", "--kmax", "8", "--seed", "0"])
+                  "--kmax", "8", "--seed", "0"])
         capsys.readouterr()
         bundle = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
         digests.append(bundle)
