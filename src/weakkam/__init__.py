@@ -8,8 +8,7 @@ experiments.
 """
 
 from .action import minimal_action
-from .errors import (ConfigurationError, DegenerateOrbitError,
-                     EmptyAubrySetError, InsufficientDataError,
+from .errors import (ConfigurationError, DegenerateOrbitError, InsufficientDataError,
                      InvalidSubsolutionError, MinimizationError, NoOrbitError,
                      NotPeriodicError, NumericalError, WeakKamError)
 from .experiments import (ConvergenceReport, DwellReport, detect_aubry_orbits,

@@ -218,8 +218,8 @@ def criterion_03_aubry_detection(ctx: AcceptanceContext) -> CriterionResult:
     """One cluster at the saddle for q=1; two clusters for q=2."""
     n = ctx.scale.n_main
     cell = 1.0 / n
-    a1 = aubry_set(ctx.barrier(1, 0.0, n), 2e-2)
-    a2 = aubry_set(ctx.barrier(2, 0.0, n), 2e-2)
+    a1 = aubry_set(ctx.barrier(1, 0.0, n))
+    a2 = aubry_set(ctx.barrier(2, 0.0, n))
     ok1 = len(a1.clusters) == 1 and torus_distance(a1.points[0], 0.0) <= cell
     d2 = sorted(float(torus_distance(p, t)) for p, t in
                 zip(sorted(a2.points), (0.0, 0.5)))
@@ -400,7 +400,7 @@ def criterion_10_connection_graph(ctx: AcceptanceContext) -> CriterionResult:
     n = ctx.scale.n_main
     at = Grid(n).nearest_index
     barrier = ctx.barrier(2, 0.0, n)
-    aubry = aubry_set(barrier, 2e-2)
+    aubry = aubry_set(barrier)
     graph = connection_graph(barrier, aubry, at(0.25), tol=1e-3)
     i0 = at(0.0)
     ihalf = at(0.5)
@@ -411,7 +411,7 @@ def criterion_10_connection_graph(ctx: AcceptanceContext) -> CriterionResult:
     # those two are roots, the class at 1/2 reaches the target through 1/4
     # and the class at 3/4 through 0; edges and roots compare by position
     barrier4 = ctx.barrier(4, 0.0, n)
-    graph4 = connection_graph(barrier4, aubry_set(barrier4, 2e-2), at(0.125), tol=1e-3)
+    graph4 = connection_graph(barrier4, aubry_set(barrier4), at(0.125), tol=1e-3)
 
     def arrows(edges):
         return ";".join(sorted(f"{fmt_pt(j / n)}>{fmt_pt(k / n)}" for j, k in edges))

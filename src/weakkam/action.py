@@ -148,8 +148,9 @@ def _tridiagonal_hessian(sys, mid, vel, tmid, h):
 
 def _polish_rows(sys, z, h, tmid, e, g, gsup):
     """Damped regularized Newton on the discrete stationarity system,
-    batched over the rows whose ``gsup`` exceeds ``GRADIENT_TOLERANCE``,
-    until none does or ``POLISH_BUDGET`` steps are spent.
+    batched over the rows of finite value whose ``gsup`` exceeds
+    ``GRADIENT_TOLERANCE``, until none does or ``POLISH_BUDGET`` steps are
+    spent.
 
     Near-heteroclinic entries put the minimizer in a long curved valley
     where spectral first-order steps stall with a small but stubborn
@@ -160,11 +161,12 @@ def _polish_rows(sys, z, h, tmid, e, g, gsup):
     and ``gsup`` as ``_evaluate`` gave them; each step reads its Hessian
     from the samples' midpoint geometry, and an accepted trial point keeps
     the value and gradient its line search evaluated. Updates ``z``, ``e``,
-    ``g`` and ``gsup`` in place; a row within the tolerance is never touched.
+    ``g`` and ``gsup`` in place; a row within the tolerance, or whose value
+    is not finite, is never touched: no Newton step brings it back.
     """
     reg = np.zeros(z.shape[0])
     for _ in range(POLISH_BUDGET):
-        idx = np.flatnonzero(gsup > GRADIENT_TOLERANCE)
+        idx = np.flatnonzero((gsup > GRADIENT_TOLERANCE) & np.isfinite(e))
         if idx.size == 0:
             break
         za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]

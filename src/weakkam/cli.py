@@ -23,8 +23,8 @@ from .reduction import SUBSOLUTION_TAGS, tilt_system
 from .reporting import csv_text, fmt, matrix_rows, write_csv
 from .systems import FAMILIES, LagrangianSystem, PhasePoint
 from .tropical import Grid, assemble_kernel, karp_eigenvalue
-from .weak_kam import (AUBRY_TOLERANCE, BARRIER_HORIZON, aubry_set, check_barrier_horizon,
-                       check_tolerance, connection_graph, peierls_barrier)
+from .weak_kam import (BARRIER_HORIZON, aubry_set, check_barrier_horizon, check_tolerance,
+                       connection_graph, peierls_barrier)
 
 
 def _add_system_flags(parser):
@@ -80,17 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p, "grid", "out")
     p.add_argument("--tfrac", type=float, default=0.0)
 
-    p = sub.add_parser("aubry", help="diagonal-barrier Aubry detection")
+    p = sub.add_parser("aubry", help="Aubry set: the barrier's critical classes")
     _add_system_flags(p)
     _add_shared_flags(p, "grid", "out")
-    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("graph", help="connection graph between Aubry classes")
     _add_system_flags(p)
     _add_shared_flags(p, "grid", "out")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--aubry-tol", type=float, default=2e-2)
 
     p = sub.add_parser("orbit", help="refine a periodic orbit by shooting")
     _add_system_flags(p)
@@ -198,10 +196,8 @@ def _cmd_barrier(args) -> int:
 
 
 def _cmd_aubry(args) -> int:
-    tol = AUBRY_TOLERANCE if args.tol is None else args.tol
-    check_tolerance(tol, "Aubry")
     _, grid, _, barrier = _barrier_for(args)
-    detected = aubry_set(barrier, tol)
+    detected = aubry_set(barrier)
     diag = np.diag(barrier.values)
     _emit(args.out, ("x", "h_diag"),
           [(idx / grid.n, diag[idx]) for idx in detected.indices])
@@ -212,10 +208,9 @@ def _cmd_aubry(args) -> int:
 
 def _cmd_graph(args) -> int:
     target = Grid(args.grid).nearest_index(args.target)
-    check_tolerance(args.aubry_tol, "Aubry")
     check_tolerance(args.tol, "graph")
     _, _, _, barrier = _barrier_for(args)
-    detected = aubry_set(barrier, args.aubry_tol)
+    detected = aubry_set(barrier)
     graph = connection_graph(barrier, detected, target, args.tol)
     rows = [("edge", graph.vertices[j], graph.vertices[k], slack)
             for j, k, slack in graph.edges]

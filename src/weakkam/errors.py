@@ -47,10 +47,5 @@ class InvalidSubsolutionError(WeakKamError):
         self.minimum = minimum
 
 
-class EmptyAubrySetError(WeakKamError):
-    """No grid point passed the diagonal-barrier test; the set is never
-    actually empty, so the tolerance is too small or the barrier did not stabilize."""
-
-
 class InsufficientDataError(WeakKamError):
     """Too few usable points for a rate fit."""

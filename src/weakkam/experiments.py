@@ -30,7 +30,6 @@ R2_THRESHOLD = 0.98
 # the pre-turnpike transient holds only a few samples; three collinear
 # log-points still pin the rate
 MIN_FIT_POINTS = 3
-ORBIT_DETECTION_TOL = 1e-7
 
 U0_TAGS = ("zero", "spike", "random-seeded")
 # unit steps of a convergence experiment at desk scale
@@ -126,10 +125,10 @@ def _initial_condition(u0_tag: str, n: int, seed: int, spike_index: int) -> np.n
 
 
 def detect_aubry_orbits(sys, barrier: BarrierMatrix) -> list[PeriodicOrbit]:
-    """Refine a period-1 orbit from each diagonal-barrier cluster within
-    ``ORBIT_DETECTION_TOL``, seeding the shooting with zero velocity at the
-    representative."""
-    detected = aubry_set(barrier, ORBIT_DETECTION_TOL)
+    """Refine a period-1 orbit from each critical class of the barrier
+    (``aubry_set``), seeding the shooting with zero velocity at the class's
+    least node; a class whose shooting fails gives no orbit."""
+    detected = aubry_set(barrier)
     orbits = []
     for rep in detected.representatives:
         guess = PhasePoint(x=rep / barrier.grid.n, v=0.0, t=0.0)

@@ -369,7 +369,7 @@ def minplus_matmul(a, b):
 
 def row_orbits(matrix):
     """Orbit representatives of the rows of a square matrix under its exact
-    row symmetries, and the gather that rebuilds every row from them.
+    row symmetries, and the orbit of every row.
 
     A row symmetry is a map g with M[g(i), g(j)] == M[i, j] bit for bit.
     The maps looked for are i -> +-i + t (mod n): the shifts by multiples
@@ -381,12 +381,10 @@ def row_orbits(matrix):
     rounding. A min-plus product merely reindexes its sums under such a
     map, so every power of the matrix keeps the symmetries bit for bit.
 
-    Returns (reps, orbit, cols): the least index of every row orbit, in
-    increasing order; the position in ``reps`` of every row's
-    representative; and n x n columns with X[i, j] == X[reps[orbit[i]],
-    cols[i, j]] for every X with these symmetries. So
-    X[reps][orbit[:, None], cols] rebuilds X, and v[reps][orbit] an
-    invariant vector v.
+    Returns (reps, orbit): the least index of every row orbit, in
+    increasing order, and the position in ``reps`` of every row's
+    representative. So v[reps][orbit] rebuilds an invariant vector v, such
+    as the diagonal of every X with these symmetries.
     """
     n = matrix.shape[0]
     idx = np.arange(n)
@@ -406,8 +404,7 @@ def row_orbits(matrix):
     if t is not None:
         group = np.concatenate([group, (t - group) % n])
     least = np.argmin(group, axis=0)  # the element taking each row to its representative
-    reps, orbit = np.unique(group[least, idx], return_inverse=True)
-    return reps, orbit, group[least]
+    return np.unique(group[least, idx], return_inverse=True)
 
 
 def karp_eigenvalue(kernel) -> float:
@@ -436,7 +433,7 @@ def karp_eigenvalue(kernel) -> float:
     if not np.all(np.isfinite(mat)):
         raise ConfigurationError("kernel entries must be finite")
     n = mat.shape[0]
-    reps, orbit, _ = row_orbits(mat)
+    reps, orbit = row_orbits(mat)
     quotient = np.full((reps.size, reps.size), np.inf)  # R
     np.minimum.at(quotient, orbit, mat[:, reps])
     d = np.empty((n + 1, reps.size))  # D at the representatives

@@ -20,16 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyAubrySetError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .systems import positive_integer, reduce_mod_1
 from .tropical import (Grid, TropicalKernel, assemble_kernel, minplus_apply,
                        minplus_matmul)
 
-# diagonal barrier up to which ``weakkam aubry`` counts a grid point as
-# Aubry when no tolerance is given: a rounding floor, since the free
-# kernel, whose straight minimizers the midpoint rule integrates exactly,
-# equals its closed form on grids 16, 64 and 256
-AUBRY_TOLERANCE = 1e-12
 # the default cap on the barrier's horizon: each fixed point of the star
 # runs at most BARRIER_HORIZON - 1 products (and at most n + 1 on a grid of
 # n points), for every caller that sets none
@@ -38,7 +33,12 @@ BARRIER_HORIZON = 40
 
 @dataclass(frozen=True)
 class BarrierMatrix:
-    """h[i][j] approximates the barrier from (x_i, [s_frac]) to (x_j, [t_frac])."""
+    """h[i][j] approximates the barrier from (x_i, [s_frac]) to (x_j, [t_frac]).
+
+    ``classes`` are the critical classes, the Aubry set on the grid: the
+    nodes of each strongly connected class of the tight graph that holds a
+    cycle, one increasing list per class, the classes in the order of their
+    least node."""
 
     grid: Grid
     s_frac: float
@@ -50,6 +50,7 @@ class BarrierMatrix:
     # the cyclicity of the critical graph, or None if a fixed point of the
     # star did not arrive within the horizon
     period: int | None
+    classes: list
 
     @property
     def stabilized(self) -> bool:
@@ -67,8 +68,10 @@ class BarrierMatrix:
 
 @dataclass(frozen=True)
 class AubrySet:
+    """The barrier's critical classes as ``clusters``, their sorted union as
+    ``indices``, and the least node of each class as its representative."""
+
     grid: Grid
-    tol: float
     indices: np.ndarray
     clusters: list
     representatives: list
@@ -197,7 +200,8 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int = BARRIER_HORIZON, *
 
     1. A subeigenvector y <= y B from y = 0, by ``minplus_apply``.
     2. The critical nodes A, those on the cycles of the tight graph
-       y_i + B_ij - y_j <= tol, whose cycles are the cycles of least mean.
+       y_i + B_ij - y_j <= tol, whose cycles are the cycles of least mean;
+       the strongly connected classes they form there are ``classes``.
     3. The star rows B*[A, :] and columns B*[:, A], by |A|-row products
        through ``minplus_matmul`` (the columns as rows of the transpose).
 
@@ -260,40 +264,21 @@ def peierls_barrier(sys, grid: Grid, c: float, horizon: int = BARRIER_HORIZON, *
         values = minplus_matmul(values, fractional.matrix + c * df)
     return BarrierMatrix(grid=grid, s_frac=float(s_frac), t_frac=float(t_frac),
                          values=values, horizon=int(horizon), defect=defect, c=float(c),
-                         period=period)
+                         period=period, classes=[nodes.tolist() for nodes in classes])
 
 
-def aubry_set(h: BarrierMatrix, tol: float) -> AubrySet:
-    """Grid points whose diagonal barrier vanishes within tol, clustered by
-    grid adjacency (wrapping); one representative per cluster, at the
-    cluster's diagonal argmin."""
+def aubry_set(h: BarrierMatrix, tol=None) -> AubrySet:
+    """The Aubry set on the grid, read off the barrier's critical classes:
+    each class is one cluster, represented by its least node. The classes
+    are those of the start offset, so the barrier must end where it starts.
+
+    ``tol`` is ignored. It exists only for the call ``aubry_set(barrier,
+    2e-2)`` in ``bench/worker.py``, and goes with that call when the
+    benchmark is next repaired."""
     if h.s_frac != h.t_frac:
         raise ConfigurationError("Aubry detection needs equal time offsets")
-    check_tolerance(tol, "Aubry")
-    diag = np.diag(h.values)
-    n = h.grid.n
-    hits = np.flatnonzero(diag <= tol)
-    if hits.size == 0:
-        raise EmptyAubrySetError(
-            "no grid point has vanishing diagonal barrier; the Aubry set is "
-            "never empty, so raise the tolerance or check that the barrier stabilized")
-    mask = np.zeros(n, dtype=bool)
-    mask[hits] = True
-    if hits.size == n:
-        clusters = [list(range(n))]
-    else:
-        run_starts = [int(i) for i in hits if not mask[(i - 1) % n]]
-        clusters = []
-        for s0 in run_starts:
-            cluster = [s0]
-            j = (s0 + 1) % n
-            while mask[j]:
-                cluster.append(j)
-                j = (j + 1) % n
-            clusters.append(cluster)
-    representatives = [int(cluster[int(np.argmin(diag[cluster]))]) for cluster in clusters]
-    return AubrySet(grid=h.grid, tol=float(tol), indices=hits, clusters=clusters,
-                    representatives=representatives)
+    return AubrySet(grid=h.grid, indices=np.sort(np.concatenate(h.classes)),
+                    clusters=h.classes, representatives=[nodes[0] for nodes in h.classes])
 
 
 def semigroup_limit(u0, h: BarrierMatrix) -> np.ndarray:

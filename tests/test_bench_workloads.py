@@ -5,7 +5,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import weakkam.weak_kam as weak_kam
+from weakkam import (Grid, LagrangianSystem, assemble_kernel, karp_eigenvalue,
+                     peierls_barrier)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,3 +44,15 @@ def test_full_scale_dwell_pass_passes_its_oracles(worker):
     work.check(work.run(), checks)
     assert checks.attempted > 0
     assert checks.failures == []
+
+
+def test_the_benchmark_tolerance_of_the_aubry_set_is_ignored():
+    # the worker calls aubry_set(barrier, 2e-2); the set is the barrier's
+    # critical classes whatever it passes
+    sys_ = LagrangianSystem(family="mechanical-cos", freq=2)
+    kernel = assemble_kernel(sys_, Grid(16), 0.0, 1.0)
+    barrier = peierls_barrier(sys_, Grid(16), karp_eigenvalue(kernel), kernel=kernel)
+    passed, default = weak_kam.aubry_set(barrier, 2e-2), weak_kam.aubry_set(barrier)
+    assert passed.clusters == default.clusters == barrier.classes
+    assert passed.representatives == default.representatives
+    assert np.array_equal(passed.indices, default.indices)

@@ -82,7 +82,7 @@ def test_barrier_and_aubry(tmp_path, capsys):
     assert "c," in out and "stabilized,true" in out
     lines = out.splitlines()
     assert lines[lines.index("stabilized,true") + 1:] == ["period,1"]
-    code, out, err = run_cli(capsys, "aubry", "--grid", "16", "--tol", "1e-6")
+    code, out, err = run_cli(capsys, "aubry", "--grid", "16")
     assert code == 0 and err == ""
     assert "clusters,1" in out
     assert "representatives,0" in out
@@ -228,6 +228,18 @@ def test_only_dwell_takes_a_horizon(tmp_path, monkeypatch, capsys, argv):
     assert "unrecognized arguments: --horizon 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["aubry", "--grid", "8", "--tol", "1e-6"],
+    ["graph", "--grid", "8", "--target", "0.25", "--aubry-tol", "0.02"]],
+    ids=["aubry", "graph"])
+def test_the_aubry_set_takes_no_tolerance(capsys, argv):
+    # the Aubry set is the barrier's critical classes
+    with pytest.raises(SystemExit) as info:
+        dispatch(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_dwell_horizon_is_its_duration(capsys):
     code, out, _ = run_cli(capsys, "dwell", "--grid", "32", "--from", "0.25",
                            "--to", "0.25", "--horizon", "16")
@@ -331,11 +343,9 @@ def test_a_huge_graph_target_is_reduced_mod_1(capsys):
 @pytest.mark.parametrize("argv", [
     # s + delta rounds to s
     ["kernel", "--grid", "8", "--delta", "0.5", "--start", "1e300", "--out", "k.csv"],
-    ["aubry", "--grid", "8", "--tol", "-1"],
-    ["graph", "--grid", "8", "--target", "0", "--aubry-tol", "-1"],
     ["graph", "--grid", "8", "--target", "0", "--tol", "-1"],
     ["dwell", "--grid", "8", "--from", "0.25", "--to", "0.25", "--delta", "0"]],
-    ids=["kernel-window", "aubry-tol", "graph-aubry-tol", "graph-tol", "dwell-delta"])
+    ids=["kernel-window", "graph-tol", "dwell-delta"])
 def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
@@ -349,16 +359,14 @@ def test_out_of_range_values_are_configuration_errors(tmp_path, monkeypatch, cap
     ["dwell", "--from", "0.25", "--to", "nan"],
     ["graph", "--target", "nan"],
     ["graph", "--target", "0", "--tol", "nan"],
-    ["graph", "--target", "0", "--aubry-tol", "nan"],
-    ["aubry", "--tol", "nan"],
     ["barrier", "--tfrac", "nan"],
     ["convergence", "--u0", "random-seeded", "--seed", "-1"],
     ["reduce", "--n", "2", "--seed", "-1"],
     ["paper-suite", "--out-dir", "suite", "--grid", "16", "--confirm-grid", "32",
      "--small-grid", "16", "--seed", "-1"]],
     ids=["dwell-horizon", "dwell-delta",
-         "dwell-from", "dwell-to", "graph-target", "graph-tol", "graph-aubry-tol",
-         "aubry-tol", "barrier-tfrac", "convergence-seed", "reduce-seed",
+         "dwell-from", "dwell-to", "graph-target", "graph-tol",
+         "barrier-tfrac", "convergence-seed", "reduce-seed",
          "paper-suite-seed"])
 def test_bad_input_is_rejected_before_assembly(tmp_path, monkeypatch, capsys, argv):
     def no_assembly(*args, **kwargs):

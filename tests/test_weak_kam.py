@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import weakkam.weak_kam as weak_kam
-from weakkam import (ConfigurationError, EmptyAubrySetError, Grid,
+from weakkam import (ConfigurationError, Grid,
                      LagrangianSystem, NumericalError, TropicalKernel, aubry_set,
                      assemble_kernel, connection_graph, karp_eigenvalue,
                      minplus_apply, minplus_matmul, peierls_barrier, run_convergence,
@@ -311,33 +311,48 @@ def test_barrier_rejects_a_kernel_of_another_grid_or_duration():
 
 
 def test_aubry_detection(mech_barrier):
-    detected = aubry_set(mech_barrier, 2e-2)
-    assert len(detected.clusters) == 1
+    detected = aubry_set(mech_barrier)
+    assert detected.clusters == mech_barrier.classes == [[0]]
     assert detected.representatives == [0]
-    tight = aubry_set(mech_barrier, 1e-9)
-    assert tight.representatives == [0]
 
 
 def test_aubry_free_all_points(free_kernel):
+    # every node of the free kernel carries a zero self-loop and no other
+    # tight edge, so each is a critical class of its own
     barrier = peierls_barrier(FREE, Grid(N), 0.0, horizon=12, kernel=free_kernel)
-    detected = aubry_set(barrier, 1e-2)
-    assert detected.indices.size == N
-    assert len(detected.clusters) == 1
+    detected = aubry_set(barrier)
+    assert np.array_equal(detected.indices, np.arange(N))
+    assert len(detected.clusters) == N
 
 
-def test_aubry_empty_raises(mech_barrier):
-    # a barrier lifted by 1 has no vanishing diagonal entry
-    lifted = dataclasses.replace(mech_barrier, values=mech_barrier.values + 1.0)
-    with pytest.raises(EmptyAubrySetError):
-        aubry_set(lifted, 1e-2)
+def test_a_period_two_cycle_is_one_class():
+    # the only zero cycle of this grid-8 kernel is 0 -> 4 -> 0: one class,
+    # though its nodes are not grid neighbours
+    i, j = np.indices((8, 8))
+    matrix = 1.0 + (i + 2 * j) % 4
+    matrix[[0, 4], [4, 0]] = 0.0
+    kernel = TropicalKernel(grid=Grid(8), s=0.0, delta=1.0, matrix=matrix)
+    barrier = peierls_barrier(None, Grid(8), karp_eigenvalue(kernel), kernel=kernel)
+    detected = aubry_set(barrier)
+    assert barrier.period == 2
+    assert detected.clusters == [[0, 4]] and detected.representatives == [0]
+
+
+@pytest.mark.parametrize("q, representatives", [
+    (1, [0]), (2, [0, 16]), (4, [0, 8, 16, 24])], ids=["q1", "q2", "q4"])
+def test_aubry_clusters_are_the_barrier_classes(q, representatives):
+    sys = LagrangianSystem(family="mechanical-cos", freq=q)
+    kernel = assemble_kernel(sys, Grid(32), 0.0, 1.0)
+    barrier = peierls_barrier(sys, Grid(32), karp_eigenvalue(kernel), kernel=kernel)
+    detected = aubry_set(barrier)
+    assert detected.clusters == barrier.classes
+    assert detected.representatives == representatives
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_aubry_and_graph_reject_a_bad_tolerance(mech_barrier, tol):
-    with pytest.raises(ConfigurationError, match="Aubry tolerance"):
-        aubry_set(mech_barrier, tol)
     with pytest.raises(ConfigurationError, match="graph tolerance"):
-        connection_graph(mech_barrier, aubry_set(mech_barrier, 1e-2), 0, tol)
+        connection_graph(mech_barrier, aubry_set(mech_barrier), 0, tol)
 
 
 def test_barrier_end_offset_is_a_phase(mech_kernel):
@@ -352,17 +367,18 @@ def test_aubry_requires_equal_offsets(mech_kernel):
     shifted = peierls_barrier(MECH, Grid(N), c, horizon=12, t_frac=0.5,
                               kernel=mech_kernel)
     with pytest.raises(ConfigurationError):
-        aubry_set(shifted, 1e-2)
+        aubry_set(shifted)
 
 
 def test_default_aubry_tolerance_scale():
-    # the default tolerance sits a decade above the free kernel's error
-    # against its closed form min_k (dx + k)^2 / 2
+    # the midpoint rule integrates the free kernel's straight minimizers
+    # exactly, so the kernel equals its closed form min_k (dx + k)^2 / 2
+    # to rounding
     grid = Grid(16)
     kernel = assemble_kernel(FREE, grid, 0.0, 1.0)
     diff = grid.points[None, :] - grid.points[:, None]
     exact = np.minimum.reduce([0.5 * (diff + k) ** 2 for k in (-1, 0, 1)])
-    assert np.max(np.abs(kernel.matrix - exact)) <= 0.1 * weak_kam.AUBRY_TOLERANCE
+    assert np.max(np.abs(kernel.matrix - exact)) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +390,7 @@ def two_well_barrier():
 
 
 def test_two_well_graph_roots(two_well_barrier):
-    detected = aubry_set(two_well_barrier, 1e-9)
+    detected = aubry_set(two_well_barrier)
     graph = connection_graph(two_well_barrier, detected,
                              Grid(32).nearest_index(0.25), tol=1e-3)
     assert graph.edges == []
@@ -395,7 +411,7 @@ def test_graph_edges_on_an_assembled_kernel(q, n, target, edges, roots):
     kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
     barrier = peierls_barrier(sys, Grid(n), karp_eigenvalue(kernel), horizon=24,
                               kernel=kernel)
-    graph = connection_graph(barrier, aubry_set(barrier, 2e-2),
+    graph = connection_graph(barrier, aubry_set(barrier),
                              Grid(n).nearest_index(target), tol=1e-3)
     pos = graph.positions
     assert sorted((pos[a], pos[b]) for a, b, _ in graph.edges) == sorted(edges)
@@ -418,8 +434,8 @@ def test_zero_slack_cycle_is_reported():
         values[reps[a], reps[b]] = 0.5
     barrier = weak_kam.BarrierMatrix(grid=Grid(8), s_frac=0.0, t_frac=0.0,
                                      values=values, horizon=2, defect=0.0, c=0.0,
-                                     period=1)
-    detected = aubry_set(barrier, 1e-12)
+                                     period=1, classes=[[rep] for rep in reps])
+    detected = aubry_set(barrier)
     assert detected.representatives == reps
     graph = connection_graph(barrier, detected, target, tol=1e-12)
     assert sorted(graph.edges) == [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)]
@@ -456,7 +472,7 @@ def test_semigroup_limit_matches_iteration(mech_kernel, mech_barrier):
 
 
 def test_connection_graph_single_orbit(mech_barrier):
-    detected = aubry_set(mech_barrier, 1e-9)
+    detected = aubry_set(mech_barrier)
     graph = connection_graph(mech_barrier, detected, N // 4, tol=1e-3)
     assert graph.vertices == [0]
     assert graph.edges == [] and graph.roots == [0] and graph.cycles == []
@@ -470,13 +486,13 @@ def test_connection_graph_requires_equal_offsets(two_well_barrier):
     shifted = peierls_barrier(sys, Grid(32), two_well_barrier.c, horizon=24, t_frac=0.5,
                               kernel=kernel)
     with pytest.raises(ConfigurationError, match="equal time offsets"):
-        connection_graph(shifted, aubry_set(two_well_barrier, 1e-9), 0, tol=1e-3)
+        connection_graph(shifted, aubry_set(two_well_barrier), 0, tol=1e-3)
 
 
 @pytest.mark.parametrize("target", [-1, 32, 32.0, True], ids=["-1", "n", "float", "bool"])
 def test_connection_graph_rejects_a_target_off_the_grid(two_well_barrier, target):
     # two Aubry representatives, so an index n would reach past the matrix
-    detected = aubry_set(two_well_barrier, 1e-9)
+    detected = aubry_set(two_well_barrier)
     assert len(detected.representatives) == 2
     with pytest.raises(ConfigurationError, match="target index"):
         connection_graph(two_well_barrier, detected, target, tol=1e-3)
@@ -493,7 +509,7 @@ def test_connection_graph_rejects_an_aubry_set_of_another_grid(set_grid, barrier
         kernel = assemble_kernel(sys, Grid(n), 0.0, 1.0)
         barriers[n] = peierls_barrier(sys, Grid(n), karp_eigenvalue(kernel), horizon=24,
                                       kernel=kernel)
-    detected = aubry_set(barriers[set_grid], 1e-9)
+    detected = aubry_set(barriers[set_grid])
     with pytest.raises(ConfigurationError, match="Aubry set is on a grid of"):
         connection_graph(barriers[barrier_grid], detected, 0, tol=1e-3)
 
@@ -506,7 +522,7 @@ def test_connection_graph_rejects_an_aubry_set_of_another_grid(set_grid, barrier
     (lambda h: karp_eigenvalue(np.array([[0.0, np.inf], [1.0, 0.0]])),
      "kernel entries must be finite"),
     (lambda h: semigroup_limit(np.zeros(N + 1), h), "shape mismatch between u0 and barrier"),
-    (lambda h: connection_graph(h, dataclasses.replace(aubry_set(h, 1e-9), representatives=[]),
+    (lambda h: connection_graph(h, dataclasses.replace(aubry_set(h), representatives=[]),
                                 0, tol=1e-3), "need at least one Aubry representative")],
     ids=["apply-length", "matmul-inner", "karp-non-square", "karp-non-finite",
          "limit-length", "graph-no-representative"])
@@ -599,9 +615,10 @@ def symmetry_cases(mech_kernel):
                                   "cycle-2", "cycle-3"])
 def test_orbit_reduction_is_bit_for_bit(symmetry_cases, case):
     kernel, n_reps = symmetry_cases[case]
-    reps, orbit, cols = row_orbits(kernel.matrix)
+    reps, orbit = row_orbits(kernel.matrix)
     assert reps.size == n_reps
-    assert np.array_equal(kernel.matrix[reps][orbit[:, None], cols], kernel.matrix)
+    diag = np.diagonal(kernel.matrix)  # invariant under every row symmetry
+    assert np.array_equal(diag[reps][orbit], diag)
     _assert_matches_unreduced(kernel)
 
 
