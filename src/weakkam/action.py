@@ -14,6 +14,16 @@ escape, once per batch. The search over windings, with its pruning and
 tie policy, is ``tropical.winding_search``; ``minimal_action`` is its
 one-pair call.
 
+Rows of at most ``SEGMENTS_PER_UNIT_TIME`` segments, every kernel window,
+descend in float32 and are finished in float64: mixed-precision iterative
+refinement (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, ch. 12). Their spectral phase runs on a float32 copy of each
+block to ``FLOAT32_GRADIENT_STOP``, where float32 trigonometry costs a
+fraction of float64, and the float64 Newton polish takes every row to
+``GRADIENT_TOLERANCE``. Longer rows keep the float64 descent: their
+float32 preconditioner has subnormal entries, and the polish's
+tridiagonal solve is a Python loop over their samples.
+
 For every system, descent is preconditioned by the inverse of the
 kinetic Hessian plus half the curvature bound on its diagonal, with a
 per-row spectral (Barzilai-Borwein) step length and a nonmonotone
@@ -47,6 +57,13 @@ SPECTRAL_PHASE_BUDGET = 20
 POLISH_BUDGET = 400
 # sup norm of the discrete-action gradient below which a row has converged
 GRADIENT_TOLERANCE = 1e-9
+# the float32 spectral phase's stop. Rounding a lifted sample z to float32
+# moves it by eps32 |z| / 2, so a velocity, and the gradient's difference of
+# L_v = v across a sample, by about eps32 |z| / h: at unit windows (|z| <= 2,
+# h = 1/32) its floor is about 1.2e-7 * 2 * 32 ~ 1e-5. The stop sits an order
+# above that floor, where the descent still makes progress, and the float64
+# Newton polish takes every row the rest of the way
+FLOAT32_GRADIENT_STOP = 1e-4
 # midpoint segments per unit of elapsed time, the one resolution of every curve
 SEGMENTS_PER_UNIT_TIME = 32
 
@@ -152,10 +169,15 @@ def _polish_rows(sys, z, h, tmid, e, g, gsup):
     ``GRADIENT_TOLERANCE``, until none does or ``POLISH_BUDGET`` steps are
     spent.
 
+    It finishes every row of a float32 descent, which stops near
+    ``FLOAT32_GRADIENT_STOP``, in a few quadratically convergent steps.
     Near-heteroclinic entries put the minimizer in a long curved valley
     where spectral first-order steps stall with a small but stubborn
     gradient and a genuinely wrong value (observed 3e-3 on the two-well
-    system); the exact tridiagonal Hessian fixes those few rows cheaply.
+    system); the exact tridiagonal Hessian fixes those rows cheaply. Each
+    step works through its rows one ``row_blocks`` chunk at a time
+    (``_newton_step``), so its temporaries stay block-sized however many
+    rows it polishes.
     Assumes the Lagrangian has no xv coupling, which holds for
     every built-in family and lift. Starts from the batch's ``e``, ``g``
     and ``gsup`` as ``_evaluate`` gave them; each step reads its Hessian
@@ -169,49 +191,56 @@ def _polish_rows(sys, z, h, tmid, e, g, gsup):
         idx = np.flatnonzero((gsup > GRADIENT_TOLERANCE) & np.isfinite(e))
         if idx.size == 0:
             break
-        za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]
-        diag, off = _tridiagonal_hessian(sys, *midpoint_geometry(za, h), tmid, h)
-        scale = np.max(np.abs(diag), axis=1)
-        rid = reg[idx].copy()
-        step = np.empty_like(ga)
-        todo = np.arange(idx.size)
-        for _ in range(60):
-            sol, ok = _thomas_spd(diag[todo] + rid[todo, None], off[todo], -ga[todo])
-            dd_ok = np.einsum("ij,ij->i", ga[todo], sol) < 0.0
-            good = ok & dd_ok
-            step[todo[good]] = sol[good]
-            todo = todo[~good]
-            if todo.size == 0:
-                break
-            rid[todo] = np.maximum(2.0 * rid[todo], 1e-8 * scale[todo])
-        if todo.size:  # pragma: no cover - PD always reached eventually
-            step[todo] = -ga[todo]
-        dd = np.einsum("ij,ij->i", ga, step)
-        t = np.ones(idx.size)
-        accepted = np.zeros(idx.size, dtype=bool)
-        for _ in range(MAX_BACKTRACK):
-            trial = np.flatnonzero(~accepted)
-            if trial.size == 0:
-                break
-            cand = za[trial].copy()
-            cand[:, 1:-1] += t[trial, None] * step[trial]
-            e_c, g_c = _evaluate(sys, cand, h, tmid)
-            gsup_c = np.max(np.abs(g_c), axis=1)
-            # absolute noise allowance keeps the endgame alive once the
-            # decrease drops below float resolution of the action value;
-            # a gradient-norm drop is then the effective acceptance test
-            noise = 1e-14 * (1.0 + np.abs(e0[trial]))
-            armijo = e_c <= e0[trial] + ARMIJO * t[trial] * dd[trial] + noise
-            g_drop = gsup_c <= 0.9 * gsup0[trial]
-            ok = armijo & (g_drop | (e_c <= e0[trial]))
-            hit = idx[trial[ok]]
-            z[hit], e[hit], g[hit] = cand[ok], e_c[ok], g_c[ok]
-            gsup[hit] = gsup_c[ok]
-            accepted[trial[ok]] = True
-            t[trial[~ok]] *= 0.5
-        rid[~accepted] = np.maximum(10.0 * rid[~accepted], 1e-8 * scale[~accepted])
-        rid[accepted & (t == 1.0)] *= 0.25
-        reg[idx] = rid
+        for chunk in row_blocks(idx.size, z.shape[1]):
+            _newton_step(sys, z, h, tmid, e, g, gsup, reg, idx[chunk])
+
+
+def _newton_step(sys, z, h, tmid, e, g, gsup, reg, idx):
+    """One step of ``_polish_rows`` on the rows ``idx`` of the batch state
+    and their regularization ``reg``, in place."""
+    za, ga, e0, gsup0 = z[idx], g[idx], e[idx], gsup[idx]
+    diag, off = _tridiagonal_hessian(sys, *midpoint_geometry(za, h), tmid, h)
+    scale = np.max(np.abs(diag), axis=1)
+    rid = reg[idx].copy()
+    step = np.empty_like(ga)
+    todo = np.arange(idx.size)
+    for _ in range(60):
+        sol, ok = _thomas_spd(diag[todo] + rid[todo, None], off[todo], -ga[todo])
+        dd_ok = np.einsum("ij,ij->i", ga[todo], sol) < 0.0
+        good = ok & dd_ok
+        step[todo[good]] = sol[good]
+        todo = todo[~good]
+        if todo.size == 0:
+            break
+        rid[todo] = np.maximum(2.0 * rid[todo], 1e-8 * scale[todo])
+    if todo.size:  # pragma: no cover - PD always reached eventually
+        step[todo] = -ga[todo]
+    dd = np.einsum("ij,ij->i", ga, step)
+    t = np.ones(idx.size)
+    accepted = np.zeros(idx.size, dtype=bool)
+    for _ in range(MAX_BACKTRACK):
+        trial = np.flatnonzero(~accepted)
+        if trial.size == 0:
+            break
+        cand = za[trial].copy()
+        cand[:, 1:-1] += t[trial, None] * step[trial]
+        e_c, g_c = _evaluate(sys, cand, h, tmid)
+        gsup_c = np.max(np.abs(g_c), axis=1)
+        # absolute noise allowance keeps the endgame alive once the
+        # decrease drops below float resolution of the action value;
+        # a gradient-norm drop is then the effective acceptance test
+        noise = 1e-14 * (1.0 + np.abs(e0[trial]))
+        armijo = e_c <= e0[trial] + ARMIJO * t[trial] * dd[trial] + noise
+        g_drop = gsup_c <= 0.9 * gsup0[trial]
+        ok = armijo & (g_drop | (e_c <= e0[trial]))
+        hit = idx[trial[ok]]
+        z[hit], e[hit], g[hit] = cand[ok], e_c[ok], g_c[ok]
+        gsup[hit] = gsup_c[ok]
+        accepted[trial[ok]] = True
+        t[trial[~ok]] *= 0.5
+    rid[~accepted] = np.maximum(10.0 * rid[~accepted], 1e-8 * scale[~accepted])
+    rid[accepted & (t == 1.0)] *= 0.25
+    reg[idx] = rid
 
 
 def _preconditioner_inverse(n_int, h, sigma):
@@ -247,7 +276,9 @@ def _spectral_phase(sys, z, e, g, gsup, h, tmid, pinv):
     """Preconditioned spectral descent of one block of rows, in place:
     ``z``, ``e``, ``g`` and ``gsup`` are the block's views of the batch
     state, and each row ends at its last accepted point with its value,
-    gradient and gradient sup norm there. Returns the iterations run."""
+    gradient and gradient sup norm there. A row stops at
+    ``GRADIENT_TOLERANCE``, or at ``FLOAT32_GRADIENT_STOP`` when the block
+    is float32. Returns the iterations run."""
     def descend(rows, step, d):
         # moves the interior samples only: the endpoints stay exact
         out = rows.copy()
@@ -255,11 +286,12 @@ def _spectral_phase(sys, z, e, g, gsup, h, tmid, pinv):
         return out
 
     m = z.shape[0]
+    stop = FLOAT32_GRADIENT_STOP if z.dtype == np.float32 else GRADIENT_TOLERANCE
     e[:], g[:] = _evaluate(sys, z, h, tmid)
     gsup[:] = np.max(np.abs(g), axis=1)
-    converged = gsup <= GRADIENT_TOLERANCE
+    converged = gsup <= stop
     stalled = np.zeros(m, dtype=bool)
-    alpha = np.ones(m)
+    alpha = np.ones(m, dtype=z.dtype)
     hist = np.tile(e[:, None], (1, NONMONOTONE_WINDOW))
     hist_ptr = np.zeros(m, dtype=int)
     iterations = 0
@@ -326,7 +358,23 @@ def _spectral_phase(sys, z, e, g, gsup, h, tmid, pinv):
         hist[rows, hist_ptr[rows]] = e_acc
         hist_ptr[rows] = (hist_ptr[rows] + 1) % NONMONOTONE_WINDOW
         gsup[rows] = np.max(np.abs(g_acc), axis=1)
-        converged[rows] = gsup[rows] <= GRADIENT_TOLERANCE
+        converged[rows] = gsup[rows] <= stop
+    return iterations
+
+
+def _float32_spectral_phase(sys, z, e, g, gsup, h, tmid, pinv):
+    """``_spectral_phase`` of one block on a float32 copy of its samples,
+    with a float32 ``pinv``. Only the interior samples are copied back, so
+    the endpoints stay exact; the block's value, gradient and gradient sup
+    norm are then evaluated in float64 for the polish. Returns the
+    iterations run."""
+    low = z.astype(np.float32)
+    low_e, low_gsup = np.empty((2, z.shape[0]), dtype=np.float32)
+    iterations = _spectral_phase(sys, low, low_e, np.empty(g.shape, dtype=np.float32),
+                                 low_gsup, h, tmid.astype(np.float32), pinv)
+    z[:, 1:-1] = low[:, 1:-1]
+    e[:], g[:] = _evaluate(sys, z, h, tmid)
+    gsup[:] = np.max(np.abs(g), axis=1)
     return iterations
 
 
@@ -337,21 +385,27 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     per-row midpoint quadrature value, a plain sum. Every
     phase evaluates full rows through ``_evaluate``, so for every row
     ``e_quad`` and ``gsup`` are its value and gradient sup norm at the
-    returned samples. ``iterations`` is the most spectral iterations any
-    block ran.
+    returned samples, in float64. ``iterations`` is the most spectral
+    iterations any block ran.
 
     The spectral phase runs on the contiguous blocks of ``row_blocks``,
     each to its own convergence or budget, so only the samples, values,
-    gradients and flags are batch-sized. The preconditioner is the inverse
-    of the kinetic-part Hessian plus half the system's curvature bound on
-    the diagonal, built in closed form by ``_preconditioner_inverse`` in
-    O(n_seg^2) and applied to a block's rows as one dense product. Steps
+    gradients and flags are batch-sized. When the rows have at most
+    ``SEGMENTS_PER_UNIT_TIME`` segments, each block descends in float32
+    (``_float32_spectral_phase``), with the preconditioner cast to float32
+    once per batch, to ``FLOAT32_GRADIENT_STOP``; only its interior
+    samples are copied back, and the block is evaluated again in float64.
+    Longer rows descend in float64 to ``GRADIENT_TOLERANCE``. The
+    preconditioner is the inverse of the kinetic-part Hessian plus half
+    the system's curvature bound on the diagonal, built in closed form by
+    ``_preconditioner_inverse`` in O(n_seg^2) and applied to a block's
+    rows as one dense product. Steps
     are per-row spectral (Barzilai-Borwein) lengths with a nonmonotone
     Armijo backtracking safeguard; every trial point costs one fused
-    evaluation of value and gradient. The rows no block converges (a
-    fraction of a percent, near heteroclinic connections) get one Newton
-    polish per batch: its tail of steps costs about as much for a few rows
-    as for many.
+    evaluation of value and gradient. The rows no block converges get one
+    Newton polish per batch: every row of a float32 batch, and a fraction
+    of a percent of a float64 one, near heteroclinic connections. Its tail
+    of steps costs about as much for a few rows as for many.
 
     Descent can end on a critical point of the discrete action that is
     not a minimum: a start can sit on one (a constant lift at a symmetric
@@ -363,7 +417,7 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     two deterministic sine bumps and keeps the lowest result; the trapped
     rows of every block escape together in one batch. A row's arithmetic
     does not depend on its block or batch, up to BLAS rounding of a
-    one-row product.
+    one-row product, in float32 as in float64.
     """
     z = np.array(z0, dtype=float)
     m, n_pts = z.shape
@@ -374,12 +428,15 @@ def minimize_straight_batch(sys, a, b, n_seg, z0, _escape: bool = True):
     n_int = n_seg - 1
 
     pinv = _preconditioner_inverse(n_int, h, 0.5 * h * sys.lagrangian_xx_bound())
+    phase = _spectral_phase
+    if n_seg <= SEGMENTS_PER_UNIT_TIME:  # a row of at most unit time
+        phase, pinv = _float32_spectral_phase, pinv.astype(np.float32)
     blocks = row_blocks(m, n_pts)
     e, gsup = np.empty(m), np.empty(m)
     g = np.empty((m, n_int))
     iterations = 0
     for block in blocks:
-        iterations = max(iterations, _spectral_phase(
+        iterations = max(iterations, phase(
             sys, z[block], e[block], g[block], gsup[block], h, tmid, pinv))
     _polish_rows(sys, z, h, tmid, e, g, gsup)
     converged = gsup <= GRADIENT_TOLERANCE

@@ -17,7 +17,9 @@ at a modulation it tabulates once per integration, and steps bit for bit
 as these closed forms would.
 The evaluators accept scalars or numpy arrays; all reduce x and t
 mod 1 internally, so spatial and temporal periodicity hold to the last bit
-whenever the shifted argument is representable.
+whenever the shifted argument is representable. The phase and
+``lagrangian_and_grads`` keep float32 arrays in float32, for the
+minimizer's float32 descent; every other input is evaluated in float64.
 
 Each family also gives a critical subsolution (``critical_subsolution``):
 a ceiling c'(t) = max_x U(x, t) and a slope p with H(x, p, t) <= c'(t),
@@ -66,6 +68,14 @@ def reduce_mod_1(z):
     """
     r = z - np.floor(z)
     return np.where(r == 1.0, 0.0, r)
+
+
+def _real(x):
+    """``x`` as a float array of its own precision: float32 stays float32,
+    for the minimizer's float32 spectral phase, and anything else becomes
+    float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=float)
 
 
 def positive_integer(value, what: str, least: int = 1) -> int:
@@ -131,8 +141,8 @@ class LagrangianSystem:
         rounds x - floor(x) up to exactly 1.0, which folds to phase 0 as in
         ``reduce_mod_1``; the fold is masked in place because this runs in
         the minimizer's hot loop, and ``out`` keeps a scalar input a
-        writable 0-d array."""
-        x = np.asarray(x, dtype=float)
+        writable 0-d array. A float32 ``x`` gives a float32 phase."""
+        x = _real(x)
         phase = np.subtract(x, np.floor(x), out=np.empty_like(x))
         phase[phase == 1.0] = 0.0
         phase *= TWO_PI * self.freq
@@ -166,9 +176,10 @@ class LagrangianSystem:
         and its L equals ``lagrangian`` bit for bit.
 
         Inputs must already have a common shape (the hot loops guarantee
-        it); on a base system L_v aliases v and must not be mutated.
+        it); on a base system L_v aliases v and must not be mutated. Float32
+        x, v and t give float32 values, for the minimizer's float32 phase.
         """
-        v = np.asarray(v, dtype=float)
+        v = _real(v)
         if self.lift != 1:
             v = v / self.lift
         phase, m = self._phase(x), self.modulation(t)

@@ -94,10 +94,10 @@ def _bound_gap(sys, a, b, n_seg, starts, ends, best_e):
     s = sqrt(1 + r^2) - r with r = Lambda h / (4 mass) makes the two D^2
     terms cancel; the segments sum to the bound.
 
-    The rounding allowance covers the plain sums behind ``best_e`` and
-    behind any row that could beat it: n_seg terms whose magnitudes add up
-    to at most |best_e| + 2 T sup U, each carrying a few roundings, one on
-    the phase of a lifted midpoint, which grows with |z|; plus the
+    The rounding allowance covers the quadrature sums behind ``best_e``
+    and behind any row that could beat it: n_seg terms whose magnitudes
+    add up to at most |best_e| + 2 T sup U, each carrying a few roundings,
+    one on the phase of a lifted midpoint, which grows with |z|; plus the
     rounding of the bound's own terms.
     """
     duration = b - a
@@ -123,7 +123,11 @@ def winding_search(sys, a, b, starts, ends):
 
     Returns (values, rows, windings): the fsum quadrature values
     (``exact_row_actions``), the winning lifted samples, and the winning
-    windings. Each pair first minimizes its nearest lift, the shorter way
+    windings. Every solved batch is ranked by these fsum values, so the
+    winner is the least value returned; a row whose plain sum is not
+    finite never wins and is never summed, and a nearest lift whose plain
+    sum is not finite raises ``NumericalError``, since no bound could
+    clear it. Each pair first minimizes its nearest lift, the shorter way
     round: winding -1, 0 or 1, and 0 for a pair exactly half a turn apart.
     Then come the shells of windings, first ``winding_candidates`` (0 and
     +-1), then +-2, +-3, ...: every other (pair, winding) row of a shell
@@ -150,6 +154,7 @@ def winding_search(sys, a, b, starts, ends):
         raise NumericalError(
             f"minimal action from (x, t) = ({starts[bad]:.12g}, {a:.12g}) to "
             f"({ends[bad]:.12g}, {b:.12g}) is not finite: {best_e[bad]:g}")
+    best_e = exact_row_actions(sys, a, b, rows)
     best_winding = nearest.copy()
 
     def rank(k):  # position in (|k|, k) order
@@ -163,6 +168,8 @@ def winding_search(sys, a, b, starts, ends):
         if pair.size:
             zk_init = _straight_lifts(starts[pair], ends_k[w_idx, pair], n_seg)
             zk, ek, _, convk, _ = minimize_straight_batch(sys, a, b, n_seg, zk_init)
+            finite = np.isfinite(ek)  # math.fsum raises on an infinite term
+            ek[finite] = exact_row_actions(sys, a, b, zk[finite])
             for w, kw in enumerate(shell):
                 sel = np.flatnonzero(w_idx == w)
                 e_w, e_best = ek[sel], best_e[pair[sel]]
@@ -186,7 +193,7 @@ def winding_search(sys, a, b, starts, ends):
             best_value=float(best_e[bad]),
             best_curve=DiscretizedCurve(a, b, rows[bad], int(best_winding[bad])))
 
-    return exact_row_actions(sys, a, b, rows), rows, best_winding
+    return best_e, rows, best_winding
 
 
 def _worker_count() -> int:
@@ -268,10 +275,12 @@ def assemble_kernel(sys, grid: Grid, s, delta) -> TropicalKernel:
     above ``SYMMETRY_TOLERANCE`` raises.
 
     Pairs go through ``winding_search``, the same search as
-    ``minimal_action``; this is the hot loop of the whole toolkit.
-    Entries agree with ``minimal_action`` to rounding (1e-12), not bit for
-    bit, because a one-pair batch runs its BLAS products through a
-    different routine.
+    ``minimal_action``; this is the hot loop of the whole toolkit. Every
+    kernel window is at most unit time, so its rows descend in float32
+    and are finished by the float64 Newton polish
+    (``minimize_straight_batch``). Entries agree with ``minimal_action``
+    to rounding (1e-12), not bit for bit, because a one-pair batch runs
+    its BLAS products through a different routine.
 
     The work is split over w processes, one per CPU in the affinity of the
     calling process. The representatives are dealt into m search batches

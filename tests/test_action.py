@@ -251,11 +251,46 @@ def test_the_minimizer_builds_no_dense_inverse(monkeypatch):
 
 
 @pytest.mark.parametrize("horizon, value", [
-    (8.0, -7.626919382547067), (16.0, -15.626919382547067), (32.0, -31.62691938254707)])
+    (2.5, -2.1269195080703156), (8.0, -7.626919382547067), (16.0, -15.626919382547067),
+    (32.0, -31.62691938254707)])
 def test_dwell_minimizer_values_bit_for_bit(horizon, value):
     # the loops at x = 1/4 of the dwell diagnostics: 255, 511 and 1023
-    # interior samples, the largest preconditioners the toolkit builds
+    # interior samples, the largest preconditioners the toolkit builds, and
+    # a loop over 2.5 time units; rows longer than unit time descend in
+    # float64 alone
     assert minimal_action(MECH, 0.25, 0.0, 0.25, horizon)[0] == value
+
+
+@pytest.mark.parametrize("duration, float32", [(1.0, True), (2.5, False)])
+def test_only_rows_of_at_most_unit_time_descend_in_float32(monkeypatch, duration, float32):
+    # a unit-time batch of 16 rows runs its spectral phase in float32 and is
+    # finished in float64; a batch over 2.5 time units never feeds the
+    # Lagrangian float32
+    dtypes = set()
+    grads = systems.LagrangianSystem.lagrangian_and_grads
+
+    def spy(self, x, v, t):
+        dtypes.add(x.dtype)
+        return grads(self, x, v, t)
+
+    monkeypatch.setattr(systems.LagrangianSystem, "lagrangian_and_grads", spy)
+    pts = np.arange(16) / 16
+    n_seg = action.segments_for(duration)
+    converged = action.minimize_straight_batch(
+        MECH, 0.0, duration, n_seg, action._straight_lifts(pts, pts[::-1], n_seg))[3]
+    assert converged.all()
+    assert dtypes == ({np.dtype(np.float32), np.dtype(float)} if float32 else {np.dtype(float)})
+
+
+def test_a_float32_overflow_leaves_the_batch_finite():
+    # at amplitude 1e39 the float32 Lagrangian overflows: the float64 finish
+    # still returns finite samples and values
+    huge = LagrangianSystem(family="mechanical-cos", amp=1e39)
+    pts = np.arange(20) / 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, e, _, _, _ = action.minimize_straight_batch(
+            huge, 0.0, 1.0, 32, action._straight_lifts(pts, pts[::-1], 32))
+    assert np.isfinite(z).all() and np.isfinite(e).all()
 
 
 def tridiagonal_case(name):

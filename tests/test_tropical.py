@@ -681,6 +681,22 @@ def test_a_winding_zero_the_bound_clears_is_never_minimized(monkeypatch):
     assert not any((starts[p], ends[p]) in solved for p in pruned)
 
 
+def search_with_mocked_values(monkeypatch, starts, plain, exact):
+    """The windings ``winding_search`` picks from each start to 0 when the
+    minimizer returns its start rows, converged, with the plain sum
+    ``plain(k)`` at winding k, and ``exact_row_actions`` gives them the
+    fsum ``exact(k)``."""
+    def values(rows, value):
+        return np.array([value(k) for k in np.rint(rows[:, -1]).astype(int).tolist()])
+
+    def batch(sys, a, b, n_seg, z0, **kwargs):
+        return z0, values(z0, plain), np.zeros(len(z0)), np.ones(len(z0), dtype=bool), 0
+
+    monkeypatch.setattr(tropical, "minimize_straight_batch", batch)
+    monkeypatch.setattr(tropical, "exact_row_actions", lambda sys, a, b, rows: values(rows, exact))
+    return winding_search(MECH, 0.0, 1.0, np.asarray(starts), np.zeros(len(starts)))[2].tolist()
+
+
 @pytest.mark.parametrize("tied, winner", [((-1, 1), -1), ((-1, 0, 1), 0)],
                          ids=["plus-minus-one", "all-three"])
 def test_a_tie_goes_to_the_smaller_winding_whichever_batch_found_it(
@@ -688,16 +704,23 @@ def test_a_tie_goes_to_the_smaller_winding_whichever_batch_found_it(
     # every row of a tied winding gets the value 10 and every other row
     # 11; the pair from 0.75 to 0 starts at winding 1, the pair from 0 to 0
     # at winding 0, and either way the tie goes to the smaller (|k|, k)
-    starts, ends = np.array([0.75, 0.0]), np.array([0.0, 0.0])
+    def tied_values(k):
+        return 10.0 if k in tied else 11.0
 
-    def tied_values(sys, a, b, n_seg, z0, **kwargs):
-        k = np.rint(z0[:, -1]).astype(int)  # every end is 0
-        value = np.where(np.isin(k, tied), 10.0, 11.0)
-        return z0, value, np.zeros(len(z0)), np.ones(len(z0), dtype=bool), 0
+    windings = search_with_mocked_values(monkeypatch, [0.75, 0.0], tied_values, tied_values)
+    assert windings == [winner, winner]
 
-    monkeypatch.setattr(tropical, "minimize_straight_batch", tied_values)
-    _, _, windings = winding_search(MECH, 0.0, 1.0, starts, ends)
-    assert windings.tolist() == [winner, winner]
+
+def test_windings_are_ranked_by_the_values_the_search_returns(monkeypatch):
+    # the plain sums favour winding 1 and the fsums winding 0: the winner is
+    # the least value returned, so the kernel's tie policy holds on it
+    def plain(k):
+        return {0: 10.0, 1: 9.0}.get(k, 11.0)
+
+    def exact(k):
+        return {0: 9.0, 1: 10.0}.get(k, 11.0)
+
+    assert search_with_mocked_values(monkeypatch, [0.0], plain, exact) == [0]
 
 
 @pytest.mark.parametrize("amp, freq, x, y", [(-1.0, 1, 0.9375, 0.0), (16.0, 2, 0.8125, 0.3125)])
